@@ -13,51 +13,43 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .arith import Modulus, build_modulus, canon
+from .arith import Modulus, canon, canonicalize
 from .idempotents import enumerate_idempotents, is_idempotent
 
 OPS = ("complement", "circ", "otimes", "simdiff")
 
 
-def _resolve(m: int | Modulus) -> Modulus:
-    return m if isinstance(m, Modulus) else build_modulus(m)
-
-
-def _check_idem(mod: Modulus, e: int) -> int:
-    e = canon(e, mod.m)
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
+def _check_idem(m: int, e: int) -> int:
+    e = canonicalize(e, m)
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
     return e
 
 
-def complement(m: int | Modulus, e: int) -> int:
-    mod = _resolve(m)
-    return canon(1 - _check_idem(mod, e), mod.m)
+def complement(m: int, e: int) -> int:
+    return canon(1 - _check_idem(m, e), m)
 
 
-def circ(m: int | Modulus, e1: int, e2: int) -> int:
-    mod = _resolve(m)
-    e1 = _check_idem(mod, e1)
-    e2 = _check_idem(mod, e2)
-    return canon(e1 * e2 + (1 - e1) * (1 - e2), mod.m)
+def circ(m: int, e1: int, e2: int) -> int:
+    e1 = _check_idem(m, e1)
+    e2 = _check_idem(m, e2)
+    return canon(e1 * e2 + (1 - e1) * (1 - e2), m)
 
 
-def otimes(m: int | Modulus, e1: int, e2: int) -> int:
-    mod = _resolve(m)
-    e1 = _check_idem(mod, e1)
-    e2 = _check_idem(mod, e2)
-    return canon(1 - (1 - e1) * (1 - e2), mod.m)
+def otimes(m: int, e1: int, e2: int) -> int:
+    e1 = _check_idem(m, e1)
+    e2 = _check_idem(m, e2)
+    return canon(1 - (1 - e1) * (1 - e2), m)
 
 
-def simdiff(m: int | Modulus, e1: int, e2: int) -> int:
+def simdiff(m: int, e1: int, e2: int) -> int:
     """Named to avoid clashing with the equivalence relation on residues."""
-    mod = _resolve(m)
-    e1 = _check_idem(mod, e1)
-    e2 = _check_idem(mod, e2)
-    return canon(1 - (1 - e1) * e2, mod.m)
+    e1 = _check_idem(m, e1)
+    e2 = _check_idem(m, e2)
+    return canon(1 - (1 - e1) * e2, m)
 
 
-def idem_op(m: int | Modulus, op: str, e1: int, e2: int | None = None) -> int:
+def idem_op(m: int, op: str, e1: int, e2: int | None = None) -> int:
     if op == "complement":
         if e2 is not None:
             raise ValueError("complement takes a single operand")
@@ -80,14 +72,11 @@ class BasisMap:
     member_sets: dict[int, frozenset[int]]  # e -> {q in basis : q | e}
 
 
-def basis_map(m: int | Modulus) -> BasisMap:
-    mod = _resolve(m)
-    basis = mod.prime_powers
-    sets = {
-        e: frozenset(q for q in basis if e % q == 0)
-        for e in enumerate_idempotents(mod).elements
-    }
-    return BasisMap(mod, basis, sets)
+def basis_map(m: int) -> BasisMap:
+    idems = enumerate_idempotents(m)
+    basis = idems.modulus.prime_powers
+    sets = {e: frozenset(q for q in basis if e % q == 0) for e in idems.elements}
+    return BasisMap(idems.modulus, basis, sets)
 
 
 @dataclass
@@ -110,30 +99,29 @@ class AlgebraReport:
         self.laws.append(LawReport(law, witness is None, witness))
 
 
-def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
+def verify_algebra(m: int, sample: int = 40) -> AlgebraReport:
     """Check the group/ring laws and identity catalog on E_m.
 
     Universally quantified integer coefficients (the mixing identities) are
     sampled: every pair in Z_m for small m, a fixed-seed random sample
     beyond.  All idempotent-only laws are checked exhaustively.
     """
-    mod = _resolve(m)
-    mm = mod.m
-    es = enumerate_idempotents(mod).elements
-    rep = AlgebraReport(mod)
+    idems = enumerate_idempotents(m)
+    es = idems.elements
+    rep = AlgebraReport(idems.modulus)
 
     # Mixing identities (ae + b(1-e))(ce + d(1-e)) = (ac)e + (bd)(1-e).
-    if mm <= 100:
-        coeffs = [(a, b) for a in range(mm) for b in range(mm)]
+    if m <= 100:
+        coeffs = [(a, b) for a in range(m) for b in range(m)]
     else:
-        rng = random.Random(mm)
-        coeffs = [(rng.randrange(mm), rng.randrange(mm)) for _ in range(sample)]
+        rng = random.Random(m)
+        coeffs = [(rng.randrange(m), rng.randrange(m)) for _ in range(sample)]
     witness = None
     for e in es:
         eb = 1 - e
         for (a, b), (c, d) in zip(coeffs, reversed(coeffs)):
-            lhs = (a * e + b * eb) * (c * e + d * eb) % mm
-            rhs = (a * c % mm * e + b * d % mm * eb) % mm
+            lhs = (a * e + b * eb) * (c * e + d * eb) % m
+            rhs = (a * c % m * e + b * d % m * eb) % m
             if lhs != rhs:
                 witness = (e, a, b, c, d, lhs, rhs)
                 break
@@ -146,8 +134,8 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
         eb = 1 - e
         for (a, b) in coeffs[:sample]:
             n = (a + b) % 7 + 2
-            lhs = pow(a * e + b * eb, n, mm)
-            rhs = (pow(a, n, mm) * e + pow(b, n, mm) * eb) % mm
+            lhs = pow(a * e + b * eb, n, m)
+            rhs = (pow(a, n, m) * e + pow(b, n, m) * eb) % m
             if lhs != rhs:
                 witness = (e, a, b, n, lhs, rhs)
                 break
@@ -158,12 +146,12 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
     # Closure of all four operators.
     w = None
     for e1 in es:
-        if not is_idempotent(mod, complement(mod, e1)):
+        if not is_idempotent(m, complement(m, e1)):
             w = ("complement", e1)
             break
         for e2 in es:
             for op in ("circ", "otimes", "simdiff"):
-                if not is_idempotent(mod, idem_op(mod, op, e1, e2)):
+                if not is_idempotent(m, idem_op(m, op, e1, e2)):
                     w = (op, e1, e2)
                     break
             if w:
@@ -174,20 +162,20 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
 
     # (E_m, o): Abelian group, identity 1, every element self-inverse.
     w = None
-    one = canon(1, mm)
-    zero = mm
+    one = canon(1, m)
+    zero = m
     for e in es:
-        if circ(mod, e, one) != e or circ(mod, e, e) != one:
+        if circ(m, e, one) != e or circ(m, e, e) != one:
             w = ("identity/involution", e)
             break
     if w is None:
         for e1 in es:
             for e2 in es:
-                if circ(mod, e1, e2) != circ(mod, e2, e1):
+                if circ(m, e1, e2) != circ(m, e2, e1):
                     w = ("commutativity", e1, e2)
                     break
                 for e3 in es:
-                    if circ(mod, circ(mod, e1, e2), e3) != circ(mod, e1, circ(mod, e2, e3)):
+                    if circ(m, circ(m, e1, e2), e3) != circ(m, e1, circ(m, e2, e3)):
                         w = ("associativity", e1, e2, e3)
                         break
                 if w:
@@ -199,7 +187,7 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
     # Translation by a fixed element permutes E_m.
     w = None
     for e2 in es:
-        if len({circ(mod, e2, e) for e in es}) != len(es):
+        if len({circ(m, e2, e) for e in es}) != len(es):
             w = ("translation", e2)
             break
     rep.record("circ-translation-injective", w)
@@ -208,20 +196,20 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
     w = None
     for e1 in es:
         for e2 in es:
-            if otimes(mod, e1, e2) != otimes(mod, e2, e1):
+            if otimes(m, e1, e2) != otimes(m, e2, e1):
                 w = ("otimes-commutativity", e1, e2)
                 break
             for e3 in es:
-                if otimes(mod, otimes(mod, e1, e2), e3) != otimes(mod, e1, otimes(mod, e2, e3)):
+                if otimes(m, otimes(m, e1, e2), e3) != otimes(m, e1, otimes(m, e2, e3)):
                     w = ("otimes-associativity", e1, e2, e3)
                     break
-                if canon(e1 * otimes(mod, e2, e3), mm) != otimes(
-                    mod, canon(e1 * e2, mm), canon(e1 * e3, mm)
+                if canon(e1 * otimes(m, e2, e3), m) != otimes(
+                    m, canon(e1 * e2, m), canon(e1 * e3, m)
                 ):
                     w = ("mul-distributes-over-otimes", e1, e2, e3)
                     break
-                if otimes(mod, e1, circ(mod, e2, e3)) != circ(
-                    mod, otimes(mod, e1, e2), otimes(mod, e1, e3)
+                if otimes(m, e1, circ(m, e2, e3)) != circ(
+                    m, otimes(m, e1, e2), otimes(m, e1, e3)
                 ):
                     w = ("otimes-distributes-over-circ", e1, e2, e3)
                     break
@@ -234,16 +222,16 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
     # Identity catalog: complement pairing, circ specials, otimes specials.
     w = None
     for e in es:
-        eb = complement(mod, e)
+        eb = complement(m, e)
         checks = [
-            canon(e * eb, mm) == zero,
-            canon(e + eb, mm) == one,
-            circ(mod, e, eb) == zero,
-            circ(mod, e, zero) == eb,
-            otimes(mod, e, e) == e,
-            otimes(mod, e, one) == one,
-            otimes(mod, e, eb) == one,
-            otimes(mod, e, zero) == e,
+            canon(e * eb, m) == zero,
+            canon(e + eb, m) == one,
+            circ(m, e, eb) == zero,
+            circ(m, e, zero) == eb,
+            otimes(m, e, e) == e,
+            otimes(m, e, one) == one,
+            otimes(m, e, eb) == one,
+            otimes(m, e, zero) == e,
         ]
         if not all(checks):
             w = ("specials", e, checks)
@@ -251,20 +239,20 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
     if w is None:
         for e1 in es:
             for e2 in es:
-                eb1, eb2 = complement(mod, e1), complement(mod, e2)
+                eb1, eb2 = complement(m, e1), complement(m, e2)
                 checks = [
-                    complement(mod, circ(mod, e1, e2)) == circ(mod, eb1, e2),
-                    circ(mod, eb1, e2) == circ(mod, e1, eb2),
-                    circ(mod, e1, e2) == canon((e1 + eb2) * (eb1 + e2), mm),
-                    circ(mod, e1, e2) == canon((e1 - eb2) ** 2, mm),
-                    canon(otimes(mod, e1, e2) - otimes(mod, eb1, eb2), mm)
-                    == canon(e1 * e2 - eb1 * eb2, mm),
-                    canon((otimes(mod, e1, e2) - otimes(mod, eb1, eb2)) ** 2, mm)
-                    == circ(mod, e1, e2),
-                    complement(mod, otimes(mod, eb1, eb2)) == canon(e1 * e2, mm),
-                    otimes(mod, canon(e1 * e2, mm), canon(eb1 * eb2, mm))
-                    == circ(mod, e1, e2),
-                    otimes(mod, e1, e2) == canon(e1 + e2 - e1 * e2, mm),
+                    complement(m, circ(m, e1, e2)) == circ(m, eb1, e2),
+                    circ(m, eb1, e2) == circ(m, e1, eb2),
+                    circ(m, e1, e2) == canon((e1 + eb2) * (eb1 + e2), m),
+                    circ(m, e1, e2) == canon((e1 - eb2) ** 2, m),
+                    canon(otimes(m, e1, e2) - otimes(m, eb1, eb2), m)
+                    == canon(e1 * e2 - eb1 * eb2, m),
+                    canon((otimes(m, e1, e2) - otimes(m, eb1, eb2)) ** 2, m)
+                    == circ(m, e1, e2),
+                    complement(m, otimes(m, eb1, eb2)) == canon(e1 * e2, m),
+                    otimes(m, canon(e1 * e2, m), canon(eb1 * eb2, m))
+                    == circ(m, e1, e2),
+                    otimes(m, e1, e2) == canon(e1 + e2 - e1 * e2, m),
                 ]
                 if not all(checks):
                     w = ("pair-identities", e1, e2, checks)
@@ -278,12 +266,12 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
     for e1 in es:
         for e2 in es:
             for e in es:
-                lhs = otimes(mod, circ(mod, e1, e), circ(mod, e2, e))
+                lhs = otimes(m, circ(m, e1, e), circ(m, e2, e))
                 rhs = canon(
-                    otimes(mod, e1, e2) * e
-                    + otimes(mod, complement(mod, e1), complement(mod, e2))
+                    otimes(m, e1, e2) * e
+                    + otimes(m, complement(m, e1), complement(m, e2))
                     * (1 - e),
-                    mm,
+                    m,
                 )
                 if lhs != rhs:
                     w = ("shift-decomposition", e1, e2, e)
@@ -295,17 +283,17 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
     if w is None and len(es) >= 2:
         for tup in itertools.islice(itertools.product(es, repeat=3), 512):
             acc = tup[0]
-            prod = canon(1 - tup[0], mm)
+            prod = canon(1 - tup[0], m)
             for e in tup[1:]:
-                acc = otimes(mod, acc, e)
-                prod = prod * (1 - e) % mm
-            if acc != canon(1 - prod, mm):
+                acc = otimes(m, acc, e)
+                prod = prod * (1 - e) % m
+            if acc != canon(1 - prod, m):
                 w = ("nary-otimes", tup)
                 break
     rep.record("otimes-nary", w)
 
     # Basis bijection: five operator/set-operation correspondences.
-    bm = basis_map(mod)
+    bm = basis_map(m)
     sets = bm.member_sets
     full = frozenset(bm.basis)
     w = None
@@ -315,11 +303,11 @@ def verify_algebra(m: int | Modulus, sample: int = 40) -> AlgebraReport:
         for e1 in es:
             for e2 in es:
                 pairs = [
-                    (sets[complement(mod, e1)], full - sets[e1]),
-                    (sets[canon(e1 * e2, mm)], sets[e1] | sets[e2]),
-                    (sets[otimes(mod, e1, e2)], sets[e1] & sets[e2]),
-                    (sets[simdiff(mod, e1, e2)], sets[e1] - sets[e2]),
-                    (sets[circ(mod, e1, e2)], sets[e1] ^ sets[e2]),
+                    (sets[complement(m, e1)], full - sets[e1]),
+                    (sets[canon(e1 * e2, m)], sets[e1] | sets[e2]),
+                    (sets[otimes(m, e1, e2)], sets[e1] & sets[e2]),
+                    (sets[simdiff(m, e1, e2)], sets[e1] - sets[e2]),
+                    (sets[circ(m, e1, e2)], sets[e1] ^ sets[e2]),
                 ]
                 if any(x != y for x, y in pairs):
                     w = ("basis-identity", e1, e2)

@@ -1,5 +1,7 @@
 """Factored-modulus arithmetic.
 
+Moduli are plain ints at every public boundary of the package; the factored
+``Modulus`` record is derived from one by the cached ``build_modulus(m)``.
 Residues are canonical integers in {1..m}, where the value m itself stands
 for the residue class of 0.  Every public operation canonicalizes its integer
 inputs at the boundary, so callers may pass arbitrary integers.
@@ -33,6 +35,9 @@ def max_enum() -> int:
 
 
 def check_enum(m: int) -> None:
+    """Reject a modulus that is not positive or lies beyond the cap."""
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
     cap = max_enum()
     if m > cap:
         raise EnumerationCapError(m, cap)
@@ -192,20 +197,18 @@ def canon(a: int, m: int) -> int:
     return m if b == 0 else b
 
 
-def canonicalize(a: int, m: Modulus | int) -> int:
-    mm = m.m if isinstance(m, Modulus) else m
-    if mm < 1:
-        raise ValueError(f"invalid modulus {mm}")
-    return canon(a, mm)
+def canonicalize(a: int, m: int) -> int:
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    return canon(a, m)
 
 
-def mod_pow(m: Modulus | int, a: int, k: int) -> int:
+def mod_pow(m: int, a: int, k: int) -> int:
     """a^k mod m, canonical.  k = 0 is rejected: the zeroth power is defined
     elsewhere through the generalized order."""
     if k < 1:
         raise ValueError(f"exponent {k} not allowed: mod_pow needs k >= 1")
-    mm = m.m if isinstance(m, Modulus) else m
-    return canon(pow(canon(a, mm), k, mm), mm)
+    return canon(pow(canon(a, m), k, m), m)
 
 
 def valuation(n: int, p: int) -> int:
@@ -237,22 +240,21 @@ def lcm_all(values) -> int:
     return reduce(math.lcm, values, 1)
 
 
-def crt_combine(pairs: list[tuple[int, Modulus]]) -> tuple[int, Modulus]:
+def crt_combine(pairs: list[tuple[int, int]]) -> int:
     """Combine congruences x = a_i (mod m_i) over pairwise coprime moduli.
 
-    Returns the canonical solution together with the product modulus.
+    Returns the canonical solution modulo the product of the m_i.
     """
     if not pairs:
         raise ValueError("crt_combine needs at least one congruence")
     x = 0
-    mod = 1
-    for a, mi in pairs:
-        m = mi.m if isinstance(mi, Modulus) else mi
-        if math.gcd(mod, m) != 1:
+    prod = 1
+    for a, m in pairs:
+        if math.gcd(prod, m) != 1:
             raise ValueError(f"moduli are not pairwise coprime (offending modulus {m})")
         a = a % m
-        # x' = x (mod mod), x' = a (mod m)
-        inv = pow(mod, -1, m) if m > 1 else 0
-        x = x + mod * ((a - x) * inv % m)
-        mod *= m
-    return canon(x, mod), build_modulus(mod)
+        # x' = x (mod prod), x' = a (mod m)
+        inv = pow(prod, -1, m) if m > 1 else 0
+        x = x + prod * ((a - x) * inv % m)
+        prod *= m
+    return canon(x, prod)

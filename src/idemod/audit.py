@@ -14,32 +14,17 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import Modulus, build_modulus, canon, lcm_all
-from .idempotents import (
-    enumerate_idempotents,
-    idem_class,
-    index,
-    is_idempotent,
-    order,
-    signed_power,
-)
-from .oracle import (
-    oracle_idempotents,
-    oracle_is_normal,
-    oracle_is_regular,
-    oracle_order,
-    oracle_solve,
-)
+from .arith import build_modulus, canon, lcm_all
+from .idempotents import idem_class, index, order, signed_power
+from .oracle import oracle_idempotents, oracle_is_regular
 from .residues import (
     class_product,
-    delta,
     is_normal,
     is_regular,
     join_witness,
     mu,
     orbit,
     orbit_gcd,
-    regular_set,
     relative_order,
     structure_table,
 )
@@ -54,7 +39,7 @@ from .counting import (
     rho_count,
     rho_prime_power,
 )
-from .algebra import basis_map, verify_algebra
+from .algebra import verify_algebra
 from .quadratic import kernel, root_decompose, sqrt_structure, kernel_op, class_kernel_op
 
 
@@ -173,9 +158,27 @@ def _finding(tid, m, witness, expected, actual):
     return AuditFinding(tid, m, witness, expected, actual)
 
 
+# Claim id -> (scope, check), in registration order.  A "sweep" check runs
+# once per modulus of the range, a "global" one once with the modulus 0.
+THEOREMS: dict[str, tuple[str, object]] = {}
+
+
+def claim(fn=None, *, scope="sweep"):
+    """Register check_<name> as claim <name>, underscores read as hyphens;
+    use as @claim or @claim(scope="global")."""
+
+    def register(check):
+        tid = check.__name__.removeprefix("check_").replace("_", "-")
+        THEOREMS[tid] = (scope, check)
+        return check
+
+    return register if fn is None else register(fn)
+
+
 # ---------------------------------------------------------------- in series
 
 
+@claim
 def check_in02(m):
     c = _ctx(m)
     for a in range(1, m + 1):
@@ -183,13 +186,7 @@ def check_in02(m):
             yield _finding("in02", m, {"a": a}, "a^phi idempotent", "not idempotent")
 
 
-def check_in12(m):
-    c = _ctx(m)
-    for a in range(1, m + 1):
-        if canon(pow(a, c.mod.psi, m), m) not in c.Eset:
-            yield _finding("in12", m, {"a": a}, "a^psi idempotent", "not idempotent")
-
-
+@claim
 def check_in03(m):
     c = _ctx(m)
     for a in range(1, m + 1):
@@ -206,6 +203,7 @@ def check_in03(m):
             )
 
 
+@claim
 def check_in05(m):
     c = _ctx(m)
     for m1, m2 in _divisor_pairs(m):
@@ -226,6 +224,7 @@ def check_in05(m):
                 return
 
 
+@claim
 def check_in06(m):
     c = _ctx(m)
     brute = oracle_idempotents(m)
@@ -235,6 +234,7 @@ def check_in06(m):
         yield _finding("in06", m, {"size": True}, 2**c.mod.omega, len(c.E))
 
 
+@claim
 def check_in07(m):
     c = _ctx(m)
     for k in range(1, m + 1):
@@ -244,6 +244,7 @@ def check_in07(m):
             yield _finding("in07", m, {"k": k}, expect, size)
 
 
+@claim
 def check_in08(m):
     c = _ctx(m)
     for a in range(1, m + 1):
@@ -251,6 +252,7 @@ def check_in08(m):
             yield _finding("in08", m, {"a": a}, "a^phi == gcd(a,m)^phi", "differs")
 
 
+@claim
 def check_in11(m):
     c = _ctx(m)
     for a in range(1, m + 1, max(1, m // 40)):
@@ -262,6 +264,14 @@ def check_in11(m):
                             "in11", m, {"a": a, "k": k, "n": n},
                             "a^n idempotent", "not idempotent",
                         )
+
+
+@claim
+def check_in12(m):
+    c = _ctx(m)
+    for a in range(1, m + 1):
+        if canon(pow(a, c.mod.psi, m), m) not in c.Eset:
+            yield _finding("in12", m, {"a": a}, "a^psi idempotent", "not idempotent")
 
 
 # ---------------------------------------------------------------- nn series
@@ -276,6 +286,7 @@ def _power_groups(m, a, bound):
     return groups
 
 
+@claim
 def check_nn02(m):
     c = _ctx(m)
     phi = c.mod.phi
@@ -289,6 +300,7 @@ def check_nn02(m):
             yield _finding("nn02", m, {"a": a}, a in c.Nset, inference)
 
 
+@claim
 def check_nn03(m):
     c = _ctx(m)
     for a in c.N:
@@ -300,6 +312,7 @@ def check_nn03(m):
                 yield _finding("nn03", m, {"a": a, "k": k}, expect, actual)
 
 
+@claim
 def check_nn04(m):
     for m1, m2 in _divisor_pairs(m):
         if m1 == m or m2 == m:
@@ -322,6 +335,7 @@ def check_nn04(m):
                     )
 
 
+@claim
 def check_nn05(m):
     c = _ctx(m)
     for a in c.N:
@@ -332,6 +346,7 @@ def check_nn05(m):
                 yield _finding("nn05", m, {"a": a, "n": n}, "normal", "not normal")
 
 
+@claim
 def check_nn06(m):
     for m1 in range(2, m):
         if m % m1 != 0:
@@ -347,6 +362,7 @@ def check_nn06(m):
                     )
 
 
+@claim
 def check_nn07(m):
     c = _ctx(m)
     for b in c.N:
@@ -369,6 +385,7 @@ def check_nn07(m):
                     )
 
 
+@claim
 def check_nn08(m):
     c = _ctx(m)
     for a in c.N:
@@ -382,6 +399,7 @@ def check_nn08(m):
             )
 
 
+@claim
 def check_nn08_third(m):
     """The claimed identity (a^-1)^-1 = a^(|a|+1) for all normal a.  It fails
     for normal non-regular a (e.g. m=12, a=2), so it is reported, not
@@ -397,6 +415,7 @@ def check_nn08_third(m):
 # ---------------------------------------------------------------- rn series
 
 
+@claim
 def check_rn02(m):
     c = _ctx(m)
     for a in c.R:
@@ -404,6 +423,7 @@ def check_rn02(m):
             yield _finding("rn02", m, {"a": a}, "regular implies normal", "not normal")
 
 
+@claim
 def check_rn03(m):
     c = _ctx(m)
     phi = c.mod.phi
@@ -429,6 +449,7 @@ def check_rn03(m):
                     )
 
 
+@claim
 def check_rn06(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -448,6 +469,7 @@ def check_rn06(m):
                                    "closure", canon(a * b, m))
 
 
+@claim
 def check_rn07(m):
     c = _ctx(m)
     phi = c.mod.phi
@@ -465,6 +487,7 @@ def check_rn07(m):
                     yield _finding("rn07", m, {"a": a, "i": i, "j": j}, lhs, rhs)
 
 
+@claim
 def check_rn09(m):
     c = _ctx(m)
     for b in c.R[:: max(1, len(c.R) // 20)]:
@@ -484,6 +507,7 @@ def check_rn09(m):
                         )
 
 
+@claim
 def check_rn11(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -509,6 +533,7 @@ def check_rn11(m):
                                        k % D == 0, "membership differs")
 
 
+@claim
 def check_rn13(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -523,6 +548,7 @@ def check_rn13(m):
                         yield _finding("rn13", m, {"a": a, "b": b, "k": k}, lhs, rhs)
 
 
+@claim
 def check_rn14(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -543,6 +569,7 @@ def check_rn14(m):
                                    "equal orders", (na, nb))
 
 
+@claim
 def check_rn15(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -563,6 +590,7 @@ def check_rn15(m):
                                        f"witness of order {target}", d)
 
 
+@claim
 def check_rn16(m):
     c = _ctx(m)
     for a in range(1, m + 1):
@@ -576,6 +604,7 @@ def check_rn16(m):
                            (dfn, div, gcd_char, gcd_member))
 
 
+@claim
 def check_rn17(m):
     c = _ctx(m)
     for a in c.N:
@@ -585,6 +614,7 @@ def check_rn17(m):
             yield _finding("rn17", m, {"a": a}, lhs, rhs)
 
 
+@claim
 def check_rn18(m):
     c = _ctx(m)
     phi = c.mod.phi
@@ -602,12 +632,14 @@ def check_rn18(m):
                                "a^(phi-1) regular", "not regular")
 
 
+@claim
 def check_rn19(m):
     c = _ctx(m)
     if (len(c.R) == m) != c.mod.square_free:
         yield _finding("rn19", m, {}, c.mod.square_free, len(c.R) == m)
 
 
+@claim
 def check_rn20(m):
     for a in range(1, m + 1):
         if is_regular(m, a) != oracle_is_regular(m, a):
@@ -615,6 +647,7 @@ def check_rn20(m):
                            oracle_is_regular(m, a), is_regular(m, a))
 
 
+@claim
 def check_rn21(m):
     c = _ctx(m)
     phi = c.mod.phi
@@ -624,6 +657,7 @@ def check_rn21(m):
             yield _finding("rn21", m, {"a": a}, a in c.Rset, exists)
 
 
+@claim
 def check_rn22(m):
     c = _ctx(m)
     for m1, m2 in _divisor_pairs(m):
@@ -644,6 +678,7 @@ def check_rn22(m):
                                    expect, order(m, a).order)
 
 
+@claim
 def check_rn23(m):
     c = _ctx(m)
     pps = c.mod.prime_powers
@@ -663,6 +698,7 @@ def check_rn23(m):
         yield _finding("rn23", m, {"size": True}, formula, len(c.R))
 
 
+@claim
 def check_rn24(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 20)]:
@@ -678,6 +714,7 @@ def check_rn24(m):
                                        "ind_b(a^n) exists", "missing")
 
 
+@claim
 def check_rn25(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 20)]:
@@ -691,6 +728,7 @@ def check_rn25(m):
                     yield _finding("rn25", m, {"a": a, "b": b, "n": n}, lhs, rhs)
 
 
+@claim
 def check_rn26(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 20)]:
@@ -703,6 +741,7 @@ def check_rn26(m):
                                        "orb(b) subset of orb(a)", "not contained")
 
 
+@claim
 def check_rn27(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 20)]:
@@ -718,6 +757,7 @@ def check_rn27(m):
                                        "orb(b) subset of orb(a)", "not contained")
 
 
+@claim
 def check_rn28(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 20)]:
@@ -732,6 +772,7 @@ def check_rn28(m):
                 yield _finding("rn28", m, {"a": a, "b": b}, lhs, rhs)
 
 
+@claim
 def check_rn29(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 16)]:
@@ -746,6 +787,7 @@ def check_rn29(m):
                 yield _finding("rn29", m, {"a": a, "b": b}, a in c.orbits[b], joint)
 
 
+@claim
 def check_rn30(m):
     c = _ctx(m)
     for b in c.R:
@@ -761,6 +803,7 @@ def check_rn30(m):
                     yield _finding("rn30", m, {"a": a, "b": b, "d": d}, lhs, rhs)
 
 
+@claim
 def check_rn31(m):
     c = _ctx(m)
     for e in c.E:
@@ -774,6 +817,7 @@ def check_rn31(m):
             yield _finding("rn31", m, {"e": e}, sorted(lhs), sorted(rhs))
 
 
+@claim
 def check_rn32(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -785,6 +829,7 @@ def check_rn32(m):
                                        {e}, sorted(c.orbits[a] & c.orbits[b]))
 
 
+@claim
 def check_rn33(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -820,6 +865,7 @@ def check_rn33(m):
                                            want, got)
 
 
+@claim
 def check_rn35(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -862,6 +908,7 @@ def check_rn35(m):
                                                want, got)
 
 
+@claim
 def check_rn36(m):
     c = _ctx(m)
     for e in c.E:
@@ -884,6 +931,7 @@ def check_rn36(m):
                                order(m1, a).order, order(m, a).order)
 
 
+@claim
 def check_rn38(m):
     c = _ctx(m)
     for a in c.R:
@@ -905,6 +953,7 @@ def check_rn38(m):
                            build_modulus(na).phi, eq_count)
 
 
+@claim
 def check_rn40(m):
     c = _ctx(m)
     def equiv(x, y):
@@ -926,6 +975,7 @@ def check_rn40(m):
                                    "transitive", "fails")
 
 
+@claim
 def check_rn41(m):
     c = _ctx(m)
     for b in c.N:
@@ -956,6 +1006,7 @@ def check_rn41(m):
                                f"witness of order {nbm}", "none")
 
 
+@claim
 def check_rn42(m):
     if m % 2 == 0:
         return
@@ -972,6 +1023,7 @@ def check_rn42(m):
 # ---------------------------------------------------------------- bc series
 
 
+@claim
 def check_bc01(m):
     c = _ctx(m)
     for k in range(1, 31):
@@ -983,6 +1035,7 @@ def check_bc01(m):
                                oracle, not oracle)
 
 
+@claim
 def check_bc03(m):
     c = _ctx(m)
     phi = c.mod.phi
@@ -994,6 +1047,7 @@ def check_bc03(m):
                                    "necessary condition", "violated")
 
 
+@claim
 def check_bc04(m):
     c = _ctx(m)
     for b in c.R[:: max(1, len(c.R) // 16)]:
@@ -1006,6 +1060,7 @@ def check_bc04(m):
                                        "solvable", "unsolvable")
 
 
+@claim
 def check_bc05(m):
     c = _ctx(m)
     for b in c.R[:: max(1, len(c.R) // 10)]:
@@ -1033,6 +1088,7 @@ def check_bc05(m):
                             )
 
 
+@claim
 def check_bc06(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -1048,6 +1104,7 @@ def check_bc06(m):
                     yield _finding("bc06", m, {"a": a, "e": e, "k": k}, se, na)
 
 
+@claim
 def check_bc07(m):
     c = _ctx(m)
     for k in range(1, 13):
@@ -1059,6 +1116,7 @@ def check_bc07(m):
                                "regular solution exists", "none regular")
 
 
+@claim
 def check_bc08(m):
     c = _ctx(m)
     ks = list(range(1, 9))
@@ -1072,6 +1130,7 @@ def check_bc08(m):
                                    both, joint)
 
 
+@claim
 def check_bc09(m):
     c = _ctx(m)
     phi, psi = c.mod.phi, c.mod.psi
@@ -1087,6 +1146,7 @@ def check_bc09(m):
 # ---------------------------------------------------------------- pr series
 
 
+@claim
 def check_pr02(m):
     c = _ctx(m)
     G = set(gen_primitive_roots(m))
@@ -1102,6 +1162,7 @@ def check_pr02(m):
         yield _finding("pr02", m, {}, "G nonempty", "empty")
 
 
+@claim
 def check_pr03(m):
     c = _ctx(m)
     sampled = c.R[:: max(1, len(c.R) // 20)]
@@ -1118,6 +1179,7 @@ def check_pr03(m):
                     yield _finding("pr03", m, {"a": a, "b": b}, wa, wb)
 
 
+@claim
 def check_pr04(m):
     for m1, m2 in _divisor_pairs(m):
         if m1 == m or m2 == m or m1 == 1 or m2 == 1:
@@ -1131,6 +1193,7 @@ def check_pr04(m):
                                "g in G_m", "missing")
 
 
+@claim
 def check_pr05(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 16)]:
@@ -1144,6 +1207,7 @@ def check_pr05(m):
                     yield _finding("pr05", m, {"a": a, "g": g, "n": n}, rhs, lhs)
 
 
+@claim
 def check_pr06(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 16)]:
@@ -1155,6 +1219,7 @@ def check_pr06(m):
                                "closed under inverse", g)
 
 
+@claim
 def check_omega_phi_cyclic(m):
     """The remark that omega_m(a) = phi(m) is attained iff the unit-class
     group R_m^1 is cyclic."""
@@ -1169,6 +1234,7 @@ def check_omega_phi_cyclic(m):
 # ---------------------------------------------------------------- fs series
 
 
+@claim
 def check_fs02(m):
     c = _ctx(m)
     phi = c.mod.phi
@@ -1197,6 +1263,7 @@ def check_fs02(m):
                                    rho_count(m, one, k1 * k2))
 
 
+@claim
 def check_fs03(m):
     c = _ctx(m)
     if not c.mod.weakly_even:
@@ -1224,6 +1291,7 @@ def check_fs03(m):
                            2**delta_count - 1, r_count(m, one, 2))
 
 
+@claim
 def check_fs04(m):
     c = _ctx(m)
     if not c.mod.weakly_even:
@@ -1235,6 +1303,7 @@ def check_fs04(m):
                            rho_count(m, one, k), rho_closed_form(m, k))
 
 
+@claim
 def check_fs05(m):
     c = _ctx(m)
     for e in c.E:
@@ -1245,6 +1314,7 @@ def check_fs05(m):
                                res.formula_value, res.true_size)
 
 
+@claim
 def check_fs06(m):
     c = _ctx(m)
     if not c.mod.weakly_even:
@@ -1263,23 +1333,11 @@ def check_fs06(m):
                                    u1 * u2, u12)
 
 
-def check_fs12(m):
-    c = _ctx(m)
-    if not c.mod.weakly_even:
-        return
-    for e in c.E:
-        vals = {k: rho_count(m, e, k) for k in range(1, min(2 * c.mod.phi, 48) + 1)}
-        for k1 in vals:
-            for k2 in range(2 * k1, max(vals) + 1, k1):
-                if vals[k2] % vals[k1] != 0:
-                    yield _finding("fs12", m, {"e": e, "k1": k1, "k2": k2},
-                                   "rho(k1) | rho(k2)", (vals[k1], vals[k2]))
-
-
 _FS_CORPUS = ("phi", "psi", "identity", "const", "gcd:6", "gcd:12", "gcd:30")
 _FS_BOUND = 120
 
 
+@claim(scope="global")
 def check_fs09(_m):
     for name in _FS_CORPUS:
         f = builtin_function(name)
@@ -1297,6 +1355,7 @@ def check_fs09(_m):
             yield _finding("fs09", 0, {"f": name}, cls.is_qm, (cls.is_di, split))
 
 
+@claim(scope="global")
 def check_fs10(_m):
     for name in _FS_CORPUS:
         f = builtin_function(name)
@@ -1315,6 +1374,7 @@ def check_fs10(_m):
             yield _finding("fs10", 0, {"f": name}, cls.is_di, lcm_div)
 
 
+@claim(scope="global")
 def check_fs11(_m):
     injectives = {"identity": lambda x: x, "shifted": lambda x: x * 2**x}
     for name, f in injectives.items():
@@ -1329,6 +1389,21 @@ def check_fs11(_m):
                                    b % a == 0, vals[b] % vals[a] == 0)
 
 
+@claim
+def check_fs12(m):
+    c = _ctx(m)
+    if not c.mod.weakly_even:
+        return
+    for e in c.E:
+        vals = {k: rho_count(m, e, k) for k in range(1, min(2 * c.mod.phi, 48) + 1)}
+        for k1 in vals:
+            for k2 in range(2 * k1, max(vals) + 1, k1):
+                if vals[k2] % vals[k1] != 0:
+                    yield _finding("fs12", m, {"e": e, "k1": k1, "k2": k2},
+                                   "rho(k1) | rho(k2)", (vals[k1], vals[k2]))
+
+
+@claim(scope="global")
 def check_fs13(_m):
     lifts = {
         "phi-lift": lambda q: build_modulus(q).phi,
@@ -1367,9 +1442,13 @@ def _ia_check(tid):
     return run
 
 
+THEOREMS.update((tid, ("sweep", _ia_check(tid))) for tid in _IA_LAWS)
+
+
 # ---------------------------------------------------------------- sd series
 
 
+@claim
 def check_sd02(m):
     c = _ctx(m)
     for k in range(1, m + 1):
@@ -1381,6 +1460,7 @@ def check_sd02(m):
             yield _finding("sd02", m, {"k": k}, sorted(built), sorted(scan))
 
 
+@claim
 def check_sd03(m):
     for a in range(0, min(m, 8)):
         for b in range(a + 1, a + 1 + min(m, 8)):
@@ -1401,6 +1481,7 @@ def check_sd03(m):
                 seen.add(e)
 
 
+@claim
 def check_sd04(m):
     c = _ctx(m)
     for a in range(1, m + 1):
@@ -1416,6 +1497,7 @@ def check_sd04(m):
                                "unique e with r1 = r2(e - ebar)", matches)
 
 
+@claim
 def check_sd05(m):
     v2 = 0
     mm = m
@@ -1431,6 +1513,7 @@ def check_sd05(m):
         yield _finding("sd05", m, {}, sorted(roots), sorted(images))
 
 
+@claim
 def check_sd07(m):
     c = _ctx(m)
     for k in range(1, m + 1, max(1, m // 12)):
@@ -1448,6 +1531,7 @@ def check_sd07(m):
                                        "closed", out)
 
 
+@claim
 def check_sd08(m):
     c = _ctx(m)
     for k in range(1, m + 1, max(1, m // 12)):
@@ -1460,6 +1544,7 @@ def check_sd08(m):
                                sorted(image))
 
 
+@claim
 def check_sd10(m):
     c = _ctx(m)
     for e in c.E:
@@ -1476,6 +1561,7 @@ def check_sd10(m):
                                        "closed", out)
 
 
+@claim
 def check_sd11(m):
     c = _ctx(m)
     for e in c.E:
@@ -1504,6 +1590,7 @@ def check_sd11(m):
                                            rhs, lhs)
 
 
+@claim
 def check_sd12(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
@@ -1514,6 +1601,7 @@ def check_sd12(m):
                 yield _finding("sd12", m, {"e": e, "k": k}, [k], sorted(inter))
 
 
+@claim
 def check_sd13(m):
     c = _ctx(m)
     for k in range(1, m + 1, max(1, m // 12)):
@@ -1541,6 +1629,7 @@ def check_sd13(m):
                                        right, left)
 
 
+@claim
 def check_sd14(m):
     c = _ctx(m)
     for k in range(1, m + 1):
@@ -1557,6 +1646,7 @@ def check_sd14(m):
                 images[out] = e
 
 
+@claim
 def check_sd15(m):
     if m % 2 == 0:
         return
@@ -1578,106 +1668,6 @@ def check_sd15(m):
                 if canon(e * (2 * e0 - 1), m) == canon(e * (1 - 2 * e0), m):
                     yield _finding("sd15", m, {"e": e, "e0": e0},
                                    "no self-negation", "collision")
-
-
-# ---------------------------------------------------------------- registry
-
-THEOREMS: dict[str, tuple[str, object]] = {
-    "in02": ("sweep", check_in02),
-    "in03": ("sweep", check_in03),
-    "in05": ("sweep", check_in05),
-    "in06": ("sweep", check_in06),
-    "in07": ("sweep", check_in07),
-    "in08": ("sweep", check_in08),
-    "in11": ("sweep", check_in11),
-    "in12": ("sweep", check_in12),
-    "nn02": ("sweep", check_nn02),
-    "nn03": ("sweep", check_nn03),
-    "nn04": ("sweep", check_nn04),
-    "nn05": ("sweep", check_nn05),
-    "nn06": ("sweep", check_nn06),
-    "nn07": ("sweep", check_nn07),
-    "nn08": ("sweep", check_nn08),
-    "nn08-third": ("sweep", check_nn08_third),
-    "rn02": ("sweep", check_rn02),
-    "rn03": ("sweep", check_rn03),
-    "rn06": ("sweep", check_rn06),
-    "rn07": ("sweep", check_rn07),
-    "rn09": ("sweep", check_rn09),
-    "rn11": ("sweep", check_rn11),
-    "rn13": ("sweep", check_rn13),
-    "rn14": ("sweep", check_rn14),
-    "rn15": ("sweep", check_rn15),
-    "rn16": ("sweep", check_rn16),
-    "rn17": ("sweep", check_rn17),
-    "rn18": ("sweep", check_rn18),
-    "rn19": ("sweep", check_rn19),
-    "rn20": ("sweep", check_rn20),
-    "rn21": ("sweep", check_rn21),
-    "rn22": ("sweep", check_rn22),
-    "rn23": ("sweep", check_rn23),
-    "rn24": ("sweep", check_rn24),
-    "rn25": ("sweep", check_rn25),
-    "rn26": ("sweep", check_rn26),
-    "rn27": ("sweep", check_rn27),
-    "rn28": ("sweep", check_rn28),
-    "rn29": ("sweep", check_rn29),
-    "rn30": ("sweep", check_rn30),
-    "rn31": ("sweep", check_rn31),
-    "rn32": ("sweep", check_rn32),
-    "rn33": ("sweep", check_rn33),
-    "rn35": ("sweep", check_rn35),
-    "rn36": ("sweep", check_rn36),
-    "rn38": ("sweep", check_rn38),
-    "rn40": ("sweep", check_rn40),
-    "rn41": ("sweep", check_rn41),
-    "rn42": ("sweep", check_rn42),
-    "bc01": ("sweep", check_bc01),
-    "bc03": ("sweep", check_bc03),
-    "bc04": ("sweep", check_bc04),
-    "bc05": ("sweep", check_bc05),
-    "bc06": ("sweep", check_bc06),
-    "bc07": ("sweep", check_bc07),
-    "bc08": ("sweep", check_bc08),
-    "bc09": ("sweep", check_bc09),
-    "pr02": ("sweep", check_pr02),
-    "pr03": ("sweep", check_pr03),
-    "pr04": ("sweep", check_pr04),
-    "pr05": ("sweep", check_pr05),
-    "pr06": ("sweep", check_pr06),
-    "omega-phi-cyclic": ("sweep", check_omega_phi_cyclic),
-    "fs02": ("sweep", check_fs02),
-    "fs03": ("sweep", check_fs03),
-    "fs04": ("sweep", check_fs04),
-    "fs05": ("sweep", check_fs05),
-    "fs06": ("sweep", check_fs06),
-    "fs09": ("global", check_fs09),
-    "fs10": ("global", check_fs10),
-    "fs11": ("global", check_fs11),
-    "fs12": ("sweep", check_fs12),
-    "fs13": ("global", check_fs13),
-    "ia02": ("sweep", _ia_check("ia02")),
-    "ia03": ("sweep", _ia_check("ia03")),
-    "ia05": ("sweep", _ia_check("ia05")),
-    "ia06": ("sweep", _ia_check("ia06")),
-    "ia07": ("sweep", _ia_check("ia07")),
-    "ia08": ("sweep", _ia_check("ia08")),
-    "ia09": ("sweep", _ia_check("ia09")),
-    "ia10": ("sweep", _ia_check("ia10")),
-    "ia11": ("sweep", _ia_check("ia11")),
-    "sd02": ("sweep", check_sd02),
-    "sd03": ("sweep", check_sd03),
-    "sd04": ("sweep", check_sd04),
-    "sd05": ("sweep", check_sd05),
-    "sd07": ("sweep", check_sd07),
-    "sd08": ("sweep", check_sd08),
-    "sd10": ("sweep", check_sd10),
-    "sd11": ("sweep", check_sd11),
-    "sd12": ("sweep", check_sd12),
-    "sd13": ("sweep", check_sd13),
-    "sd14": ("sweep", check_sd14),
-    "sd15": ("sweep", check_sd15),
-}
 
 
 def run_audit(lo: int, hi: int, theorems: list[str] | None = None) -> AuditReport:

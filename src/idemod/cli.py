@@ -191,9 +191,9 @@ def _cmd_gproots(args) -> int:
 def _cmd_counts(args) -> int:
     mod = build_modulus(args.m)
     e = canon(args.e, args.m)
-    r = r_count(mod, e, args.k)
-    rho = rho_count(mod, e, args.k)
-    union = orbit_union_size(mod, e, args.k)
+    r = r_count(args.m, e, args.k)
+    rho = rho_count(args.m, e, args.k)
+    union = orbit_union_size(args.m, e, args.k)
     payload = {
         "m": args.m,
         "e": e,
@@ -209,7 +209,7 @@ def _cmd_counts(args) -> int:
         f"orbit union size = {union.true_size} (formula: {union.formula_value})",
     ]
     if mod.weakly_even and e == canon(1, args.m):
-        cf = rho_closed_form(mod, args.k)
+        cf = rho_closed_form(args.m, args.k)
         payload["rho_closed_form"] = cf
         lines.append(f"rho closed form = {cf}")
     return _emit(args, payload, lines)

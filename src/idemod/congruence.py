@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import Modulus, build_modulus, canon, check_enum
-from .idempotents import idem_class, is_idempotent
+from .arith import Modulus, build_modulus, canon, canonicalize, check_enum
+from .idempotents import is_idempotent
 from .residues import is_regular, structure_table
 
 
@@ -39,11 +39,10 @@ class OmegaInfo:
 
 @lru_cache(maxsize=None)
 def _omega_cache(m: int, a: int) -> OmegaInfo:
-    mod = build_modulus(m)
     check_enum(m)
     table = structure_table(m)
     a = canon(a, m)
-    if not is_regular(mod, a):
+    if not is_regular(m, a):
         raise ValueError(f"{a} is not regular modulo {m}")
     best = 0
     maximizers: list[int] = []
@@ -56,39 +55,40 @@ def _omega_cache(m: int, a: int) -> OmegaInfo:
             elif n == best:
                 maximizers.append(b)
     # a is in its own orbit, so best >= |a|_m > 0.
-    return OmegaInfo(mod, a, best, tuple(sorted(maximizers)), best // table.orders[a])
+    return OmegaInfo(
+        table.modulus, a, best, tuple(sorted(maximizers)), best // table.orders[a]
+    )
 
 
-def omega_info(m: int | Modulus, a: int) -> OmegaInfo:
-    mm = m.m if isinstance(m, Modulus) else m
-    return _omega_cache(mm, canon(a, mm))
+def omega_info(m: int, a: int) -> OmegaInfo:
+    return _omega_cache(m, canonicalize(a, m))
 
 
-def solvable_bc01(m: int | Modulus, k: int, a: int) -> bool:
+def solvable_bc01(m: int, k: int, a: int) -> bool:
     """Criterion for regular a: x^k = a solvable iff a^(w/(k,w)) is
     idempotent, where w = omega_m(a)."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
+    a = canonicalize(a, m)
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    if not is_regular(mod, a):
-        raise ValueError(f"{a} is not regular modulo {mod.m}: criterion inapplicable")
-    w = omega_info(mod, a).omega_a
-    return is_idempotent(mod, pow(a, w // math.gcd(k, w), mod.m))
+    if not is_regular(m, a):
+        raise ValueError(f"{a} is not regular modulo {m}: criterion inapplicable")
+    w = omega_info(m, a).omega_a
+    return is_idempotent(m, pow(a, w // math.gcd(k, w), m))
 
 
-def solve(m: int | Modulus, k: int, a: int) -> CongruenceSolution:
+def solve(m: int, k: int, a: int) -> CongruenceSolution:
     """Exhaustive solution set of x^k = a, with the regular subset and, for
     regular a, the criterion verdict alongside."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    check_enum(mod.m)
+    check_enum(m)
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    a = canon(a, mod.m)
-    sols = tuple(x for x in range(1, mod.m + 1) if pow(x, k, mod.m) == a % mod.m)
-    regs = tuple(x for x in sols if is_regular(mod, x))
-    verdict = solvable_bc01(mod, k, a) if is_regular(mod, a) else None
-    return CongruenceSolution(mod, k, a, sols, regs, bool(sols), verdict)
+    a = canon(a, m)
+    sols = tuple(x for x in range(1, m + 1) if pow(x, k, m) == a % m)
+    regs = tuple(x for x in sols if is_regular(m, x))
+    verdict = solvable_bc01(m, k, a) if is_regular(m, a) else None
+    return CongruenceSolution(
+        build_modulus(m), k, a, sols, regs, bool(sols), verdict
+    )
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +98,10 @@ def gen_primitive_roots(m: int) -> tuple[int, ...]:
     table = structure_table(m)
     out = []
     for g in table.regulars:
-        if omega_info(table.modulus, g).omega_a == table.orders[g]:
+        if omega_info(m, g).omega_a == table.orders[g]:
             out.append(g)
     return tuple(out)
 
 
-def omega_set(m: int | Modulus, a: int) -> tuple[int, ...]:
+def omega_set(m: int, a: int) -> tuple[int, ...]:
     return omega_info(m, a).omega_set

@@ -16,55 +16,48 @@ from .idempotents import is_idempotent
 from .residues import structure_table
 
 
-def _resolve(m: int | Modulus) -> Modulus:
-    return m if isinstance(m, Modulus) else build_modulus(m)
-
-
 @lru_cache(maxsize=None)
-def _class_orders(mod: Modulus, e: int) -> tuple[int, ...]:
-    table = structure_table(mod.m)
-    e = canon(e, mod.m)
+def _class_orders(m: int, e: int) -> tuple[int, ...]:
+    """Orders of the elements of R_m^e; rejects a non-idempotent e."""
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    table = structure_table(m)
+    e = canon(e, m)
     return tuple(
         table.orders[a] for a in table.regulars if table.classes[a] == e
     )
 
 
-def r_count(m: int | Modulus, e: int, k: int) -> int:
+def r_count(m: int, e: int, k: int) -> int:
     """Number of a in R_m^e with |a|_m = k."""
-    mod = _resolve(m)
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
-    return sum(1 for n in _class_orders(mod, e) if n == k)
+    return sum(1 for n in _class_orders(m, e) if n == k)
 
 
-def rho_count(m: int | Modulus, e: int, k: int) -> int:
+def rho_count(m: int, e: int, k: int) -> int:
     """Number of a in R_m^e with |a|_m dividing k."""
-    mod = _resolve(m)
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
-    return sum(1 for n in _class_orders(mod, e) if k % n == 0)
+    return sum(1 for n in _class_orders(m, e) if k % n == 0)
 
 
-def rho_closed_form(m: int | Modulus, k: int) -> int:
+def rho_closed_form(m: int, k: int) -> int:
     """rho_m^1(k) = prod over prime powers p^a || m of gcd(k, phi(p^a)).
     Valid for weakly even m only."""
-    mod = _resolve(m)
+    mod = build_modulus(m)
     if not mod.weakly_even:
-        raise ValueError(f"{mod.m} is not weakly even: closed form inapplicable")
+        raise ValueError(f"{m} is not weakly even: closed form inapplicable")
     out = 1
     for p, alpha in mod.factorization.factors:
         out *= math.gcd(k, p ** (alpha - 1) * (p - 1))
     return out
 
 
-def rho_prime_power(m: int | Modulus, q: int, beta: int) -> int:
+def rho_prime_power(m: int, q: int, beta: int) -> int:
     """rho_m^1(q^beta) = q^(sum of min(beta, delta_i)) where q^delta_i is the
     q-part of phi(p_i^alpha_i).  Requires weakly even m and q^beta | psi(m)."""
-    mod = _resolve(m)
+    mod = build_modulus(m)
     if not mod.weakly_even:
-        raise ValueError(f"{mod.m} is not weakly even")
+        raise ValueError(f"{m} is not weakly even")
     if beta < 1 or mod.psi % q**beta != 0:
-        raise ValueError(f"{q}^{beta} does not divide psi({mod.m}) = {mod.psi}")
+        raise ValueError(f"{q}^{beta} does not divide psi({m}) = {mod.psi}")
     s = 0
     for p, alpha in mod.factorization.factors:
         phi_pp = p ** (alpha - 1) * (p - 1)
@@ -92,24 +85,21 @@ class OrbitUnionSize:
     formula_value: int
 
 
-def orbit_union_size(m: int | Modulus, e: int, k: int) -> OrbitUnionSize:
-    mod = _resolve(m)
-    check_enum(mod.m)
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
-    table = structure_table(mod.m)
-    e = canon(e, mod.m)
+def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
+    check_enum(m)
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    table = structure_table(m)
+    e = canon(e, m)
     union: set[int] = set()
     count = 0
     for a in table.regulars:
         if table.classes[a] == e and table.orders[a] == k:
             union |= table.orbits[a]
             count += 1
-    return OrbitUnionSize(mod, e, k, len(union), k * count // _euler_phi(k))
-
-
-def _euler_phi(n: int) -> int:
-    return build_modulus(n).phi
+    return OrbitUnionSize(
+        table.modulus, e, k, len(union), k * count // build_modulus(k).phi
+    )
 
 
 @dataclass(frozen=True)

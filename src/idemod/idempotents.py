@@ -15,16 +15,16 @@ from .arith import (
     Modulus,
     build_modulus,
     canon,
+    canonicalize,
     crt_combine,
     multiplicative_order,
     valuation,
 )
 
 
-def is_idempotent(m: Modulus | int, a: int) -> bool:
-    mm = m.m if isinstance(m, Modulus) else m
-    a = canon(a, mm)
-    return a * a % mm == a % mm
+def is_idempotent(m: int, a: int) -> bool:
+    a = canonicalize(a, m)
+    return a * a % m == a % m
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,17 @@ class IdempotentSet:
 
 
 @lru_cache(maxsize=None)
-def enumerate_idempotents(m: int | Modulus) -> IdempotentSet:
+def enumerate_idempotents(m: int) -> IdempotentSet:
     """All 2^omega(m) idempotents, built as CRT combinations of 0/1 across
     the prime-power divisors of m."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
+    mod = build_modulus(m)
     pps = mod.prime_powers
     if not pps:  # m = 1
         return IdempotentSet(mod, (1,))
-    elems = set()
-    for bits in product((0, 1), repeat=len(pps)):
-        pairs = [(b, q) for b, q in zip(bits, pps)]
-        x, _ = crt_combine(pairs)
-        elems.add(x)
+    elems = {
+        crt_combine(list(zip(bits, pps)))
+        for bits in product((0, 1), repeat=len(pps))
+    }
     return IdempotentSet(mod, tuple(sorted(elems)))
 
 
@@ -76,48 +75,45 @@ def _order_parts(mod: Modulus, a: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def order(m: int | Modulus, a: int) -> OrderInfo:
+def order(m: int, a: int) -> OrderInfo:
     """Generalized order |a|_m = L * ceil(T/L) together with the idempotent
     class a^{|a|_m}."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
-    if mod.m == 1:
+    mod = build_modulus(m)
+    a = canon(a, m)
+    if m == 1:
         return OrderInfo(mod, 1, 1, 1)
     L, T = _order_parts(mod, a)
     n = L * (-(-T // L))
-    return OrderInfo(mod, a, n, canon(pow(a, n, mod.m), mod.m))
+    return OrderInfo(mod, a, n, canon(pow(a, n, m), m))
 
 
-def idem_class(m: int | Modulus, a: int) -> int:
+def idem_class(m: int, a: int) -> int:
     return order(m, a).idem_class
 
 
-def signed_power(m: int | Modulus, a: int, z: int) -> int:
+def signed_power(m: int, a: int, z: int) -> int:
     """a^z with the extended exponent conventions: a^0 := a^{|a|_m} (the
     idempotent class) and a^{-1} := a^{|a|_m - 1}, negative z iterating the
     latter."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
+    a = canonicalize(a, m)
     if z >= 1:
-        return canon(pow(a, z, mod.m), mod.m)
-    info = order(mod, a)
+        return canon(pow(a, z, m), m)
+    info = order(m, a)
     if z == 0:
         return info.idem_class
     # a^{-1}: when |a| = 1 the exponent |a|-1 is 0, which again means a^0.
     if info.order == 1:
         inv = info.idem_class
     else:
-        inv = canon(pow(a, info.order - 1, mod.m), mod.m)
-    return canon(pow(inv, -z, mod.m), mod.m)
+        inv = canon(pow(a, info.order - 1, m), m)
+    return canon(pow(inv, -z, m), m)
 
 
-def index(m: int | Modulus, b: int, a: int) -> int | None:
+def index(m: int, b: int, a: int) -> int | None:
     """Smallest k >= 1 with b^k = a (mod m), or None.  Walks the power
     sequence of b until it revisits a value (it is eventually periodic)."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    mm = mod.m
-    b = canon(b, mm)
-    a = canon(a, mm)
+    b = canonicalize(b, m)
+    a = canon(a, m)
     seen: set[int] = set()
     x = b
     k = 1
@@ -125,12 +121,12 @@ def index(m: int | Modulus, b: int, a: int) -> int | None:
         if x == a:
             return k
         seen.add(x)
-        x = canon(x * b, mm)
+        x = canon(x * b, m)
         k += 1
     return None
 
 
-def tower_mod(m: int | Modulus, base: int, height: int) -> int:
+def tower_mod(m: int, base: int, height: int) -> int:
     """a_height mod m for the tower a_1 = base, a_n = base^{a_{n-1}}.
 
     When the exponent already exceeds the generalized order L of the base,
@@ -141,7 +137,8 @@ def tower_mod(m: int | Modulus, base: int, height: int) -> int:
         raise ValueError(f"tower height must be >= 1, got {height}")
     if base < 1:
         raise ValueError(f"tower base must be >= 1, got {base}")
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
 
     def exact(h: int, cap: int) -> int | None:
         # True tower value when it stays below cap, else None.
@@ -167,4 +164,4 @@ def tower_mod(m: int | Modulus, base: int, height: int) -> int:
         e = rec(L, h - 1) + L
         return canon(pow(b, e, mm), mm)
 
-    return rec(mod.m, height)
+    return rec(m, height)

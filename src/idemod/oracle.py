@@ -6,99 +6,84 @@ these on small moduli.  All entry points honor the enumeration cap.
 """
 from __future__ import annotations
 
-import math
-
-from .arith import Modulus, build_modulus, canon, check_enum
+from .arith import build_modulus, canon, check_enum
 
 
-def _m(m: Modulus | int) -> int:
-    return m.m if isinstance(m, Modulus) else m
+def oracle_idempotents(m: int) -> list[int]:
+    check_enum(m)
+    return [e for e in range(1, m + 1) if e * e % m == e % m]
 
 
-def oracle_idempotents(m: Modulus | int) -> list[int]:
-    mm = _m(m)
-    check_enum(mm)
-    return [e for e in range(1, mm + 1) if e * e % mm == e % mm]
-
-
-def oracle_order(m: Modulus | int, a: int) -> int:
+def oracle_order(m: int, a: int) -> int:
     """Iterate a, a^2, ... and report the first idempotent power."""
-    mm = _m(m)
-    check_enum(mm)
-    a = a % mm
+    check_enum(m)
+    a = a % m
     x = a
     n = 1
-    while x * x % mm != x:
-        x = x * a % mm
+    while x * x % m != x:
+        x = x * a % m
         n += 1
     return n
 
 
-def oracle_is_regular(m: Modulus | int, a: int) -> bool:
+def oracle_is_regular(m: int, a: int) -> bool:
     """Regular: a^{|a|+1} = a (mod m)."""
-    mm = _m(m)
-    a = canon(a, mm)
-    return pow(a, oracle_order(mm, a) + 1, mm) == a % mm
+    a = canon(a, m)
+    return pow(a, oracle_order(m, a) + 1, m) == a % m
 
 
-def oracle_is_normal(m: Modulus | int, a: int) -> bool:
+def oracle_is_normal(m: int, a: int) -> bool:
     """Normal: a^k idempotent exactly when |a| divides k.
 
     Checked for k up to 2*phi(m); the power sequence has stabilized well
     before that, so any violation shows up in the window.
     """
-    mm = _m(m)
-    check_enum(mm)
-    a = canon(a, mm)
-    n = oracle_order(mm, a)
-    bound = max(2 * build_modulus(mm).phi, 2 * n)
-    x = 1 % mm
+    check_enum(m)
+    a = canon(a, m)
+    n = oracle_order(m, a)
+    bound = max(2 * build_modulus(m).phi, 2 * n)
+    x = 1 % m
     for k in range(1, bound + 1):
-        x = x * a % mm
-        if (x * x % mm == x) != (k % n == 0):
+        x = x * a % m
+        if (x * x % m == x) != (k % n == 0):
             return False
     return True
 
 
-def oracle_regular_set(m: Modulus | int) -> list[int]:
-    mm = _m(m)
-    check_enum(mm)
-    return [a for a in range(1, mm + 1) if oracle_is_regular(mm, a)]
+def oracle_regular_set(m: int) -> list[int]:
+    check_enum(m)
+    return [a for a in range(1, m + 1) if oracle_is_regular(m, a)]
 
 
-def oracle_normal_set(m: Modulus | int) -> list[int]:
-    mm = _m(m)
-    check_enum(mm)
-    return [a for a in range(1, mm + 1) if oracle_is_normal(mm, a)]
+def oracle_normal_set(m: int) -> list[int]:
+    check_enum(m)
+    return [a for a in range(1, m + 1) if oracle_is_normal(m, a)]
 
 
-def oracle_solve(m: Modulus | int, k: int, a: int) -> list[int]:
+def oracle_solve(m: int, k: int, a: int) -> list[int]:
     """All x in 1..m with x^k = a (mod m), by full scan."""
-    mm = _m(m)
-    check_enum(mm)
+    check_enum(m)
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    a = canon(a, mm)
-    return [x for x in range(1, mm + 1) if pow(x, k, mm) == a % mm]
+    a = canon(a, m)
+    return [x for x in range(1, m + 1) if pow(x, k, m) == a % m]
 
 
-def oracle_delta(m: Modulus | int, a: int) -> int:
+def oracle_delta(m: int, a: int) -> int:
     """Smallest n >= 1 with a^n regular."""
-    mm = _m(m)
-    check_enum(mm)
-    a = canon(a, mm)
+    check_enum(m)
+    a = canon(a, m)
     n = 1
-    while not oracle_is_regular(mm, pow(a, n, mm)):
+    while not oracle_is_regular(m, pow(a, n, m)):
         n += 1
     return n
 
 
-def oracle_mu(m: Modulus | int, a: int) -> int:
+def oracle_mu(m: int, a: int) -> int:
     """The divisor m1 of m with idem_class(a) = 1 (mod m1) and = 0 (mod m/m1)."""
-    mm = _m(m)
-    a = canon(a, mm)
-    e = pow(a, oracle_order(mm, a), mm) % mm  # 0..m-1 with 0 for the zero class
-    for m1 in range(1, mm + 1):
-        if mm % m1 == 0 and e % m1 == 1 % m1 and e % (mm // m1) == 0:
+    a = canon(a, m)
+    e = pow(a, oracle_order(m, a), m) % m  # 0..m-1 with 0 for the zero class
+    for m1 in range(1, m + 1):
+        if m % m1 == 0 and e % m1 == 1 % m1 and e % (m // m1) == 0:
             return m1
-    raise AssertionError(f"no mu decomposition found for a={a} mod {mm}")
+    raise AssertionError(f"no mu decomposition found for a={a} mod {m}")

@@ -10,13 +10,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import Modulus, build_modulus, canon, check_enum
-from .idempotents import enumerate_idempotents, is_idempotent
+from .arith import Modulus, build_modulus, canon, canonicalize, check_enum
+from .idempotents import is_idempotent
 from .residues import mu, structure_table
-
-
-def _resolve(m: int | Modulus) -> Modulus:
-    return m if isinstance(m, Modulus) else build_modulus(m)
 
 
 @dataclass(frozen=True)
@@ -33,45 +29,31 @@ class QuadraticKernel:
         return canon(r, self.modulus.m) in set(self.solutions)
 
 
-def kernel(m: int | Modulus, k: int) -> QuadraticKernel:
-    """All x with x^2 = kx (mod m), by scan; for (k, m) = 1 the scan must
-    coincide with k*E_m, and that is asserted."""
-    mod = _resolve(m)
-    check_enum(mod.m)
-    k = canon(k, mod.m)
-    return _kernel_cached(mod, k)
+def kernel(m: int, k: int) -> QuadraticKernel:
+    """All x with x^2 = kx (mod m), by scan; for (k, m) = 1 this is k*E_m."""
+    check_enum(m)
+    return _kernel_cached(m, canon(k, m))
 
 
 @lru_cache(maxsize=4096)
-def _kernel_cached(mod: Modulus, k: int) -> QuadraticKernel:
-    sols = tuple(
-        x for x in range(1, mod.m + 1) if x * x % mod.m == k * x % mod.m
-    )
-    if math.gcd(k, mod.m) == 1:
-        built = sorted(
-            canon(k * e, mod.m) for e in enumerate_idempotents(mod).elements
-        )
-        if list(sols) != built:
-            raise AssertionError(
-                f"scan and k*E_m construction disagree for m={mod.m}, k={k}"
-            )
-    return QuadraticKernel(mod, k, sols)
+def _kernel_cached(m: int, k: int) -> QuadraticKernel:
+    sols = tuple(x for x in range(1, m + 1) if x * x % m == k * x % m)
+    return QuadraticKernel(build_modulus(m), k, sols)
 
 
-def root_decompose(m: int | Modulus, a: int, b: int, r: int) -> int:
+def root_decompose(m: int, a: int, b: int, r: int) -> int:
     """For (b - a, m) = 1 and r solving (x-a)(x-b) = 0, the unique idempotent
     e with r = ae + b(1-e), recovered as e = (r-b)(a-b)^(-1)."""
-    mod = _resolve(m)
-    mm = mod.m
-    if math.gcd(b - a, mm) != 1:
-        raise ValueError(f"b - a = {b - a} is not a unit modulo {mm}")
-    if (r - a) * (r - b) % mm != 0:
-        raise ValueError(f"{r} does not solve (x-{a})(x-{b}) = 0 modulo {mm}")
-    e = canon((r - b) * pow(a - b, -1, mm), mm)
-    if not is_idempotent(mod, e):
-        raise AssertionError(f"decomposition of r={r} is not idempotent (m={mm})")
-    if canon(a * e + b * (1 - e), mm) != canon(r, mm):
-        raise AssertionError(f"decomposition of r={r} does not recompose (m={mm})")
+    r = canonicalize(r, m)
+    if math.gcd(b - a, m) != 1:
+        raise ValueError(f"b - a = {b - a} is not a unit modulo {m}")
+    if (r - a) * (r - b) % m != 0:
+        raise ValueError(f"{r} does not solve (x-{a})(x-{b}) = 0 modulo {m}")
+    e = canon((r - b) * pow(a - b, -1, m), m)
+    if not is_idempotent(m, e):
+        raise AssertionError(f"decomposition of r={r} is not idempotent (m={m})")
+    if canon(a * e + b * (1 - e), m) != r:
+        raise AssertionError(f"decomposition of r={r} does not recompose (m={m})")
     return e
 
 
@@ -85,73 +67,66 @@ class SqrtStructure:
     product_formula: int  # (-1)^(2^(omega(mu)-1)) * e
 
 
-def sqrt_structure(m: int | Modulus, e: int) -> SqrtStructure:
+def sqrt_structure(m: int, e: int) -> SqrtStructure:
     """Regular square roots of an idempotent e over odd m, with the size and
     product formulas evaluated alongside."""
-    mod = _resolve(m)
-    if mod.m % 2 == 0:
-        raise ValueError(f"modulus {mod.m} is even: structure result needs odd m")
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
-    check_enum(mod.m)
-    e = canon(e, mod.m)
-    table = structure_table(mod.m)
-    roots = tuple(
-        x for x in table.regulars if x * x % mod.m == e % mod.m
-    )
-    om = build_modulus(mu(mod, e)).omega
+    if m % 2 == 0:
+        raise ValueError(f"modulus {m} is even: structure result needs odd m")
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    check_enum(m)
+    e = canon(e, m)
+    table = structure_table(m)
+    roots = tuple(x for x in table.regulars if x * x % m == e % m)
+    om = build_modulus(mu(m, e)).omega
     prod = 1
     for x in roots:
-        prod = prod * x % mod.m
+        prod = prod * x % m
     sign = (-1) ** (2 ** (om - 1)) if om >= 1 else -1
     return SqrtStructure(
-        modulus=mod,
+        modulus=table.modulus,
         e=e,
         roots=roots,
         size_formula=2**om,
-        product=canon(prod, mod.m),
-        product_formula=canon(sign * e, mod.m),
+        product=canon(prod, m),
+        product_formula=canon(sign * e, m),
     )
 
 
-def kernel_op(m: int | Modulus, k: int, r: int, e: int, which: str) -> int:
+def kernel_op(m: int, k: int, r: int, e: int, which: str) -> int:
     """Mix a kernel element with an idempotent: r o e = re + (k-r)(1-e) or
     r (x) e = k - (k-r)(1-e); both land back in the kernel."""
-    mod = _resolve(m)
-    mm = mod.m
-    k = canon(k, mm)
-    ker = kernel(mod, k)
-    r = canon(r, mm)
+    k = canonicalize(k, m)
+    ker = kernel(m, k)
+    r = canon(r, m)
     if r not in ker:
-        raise ValueError(f"{r} does not solve x^2 = {k}x modulo {mm}")
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mm}")
-    e = canon(e, mm)
+        raise ValueError(f"{r} does not solve x^2 = {k}x modulo {m}")
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    e = canon(e, m)
     rb = k - r
     if which == "circ":
-        return canon(r * e + rb * (1 - e), mm)
+        return canon(r * e + rb * (1 - e), m)
     if which == "otimes":
-        return canon(k - rb * (1 - e), mm)
+        return canon(k - rb * (1 - e), m)
     raise ValueError(f"unknown kernel operator {which!r}")
 
 
-def class_kernel_op(m: int | Modulus, e: int, r1: int, r2: int, which: str) -> int:
+def class_kernel_op(m: int, e: int, r1: int, r2: int, which: str) -> int:
     """Combine two elements of the kernel of x^2 = ex (bars taken against
     k = e): r1 o r2 = r1 r2 + rbar1 rbar2, r1 (x) r2 = e - rbar1 rbar2."""
-    mod = _resolve(m)
-    mm = mod.m
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mm}")
-    e = canon(e, mm)
-    ker = kernel(mod, e)
-    r1 = canon(r1, mm)
-    r2 = canon(r2, mm)
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    e = canon(e, m)
+    ker = kernel(m, e)
+    r1 = canon(r1, m)
+    r2 = canon(r2, m)
     for r in (r1, r2):
         if r not in ker:
-            raise ValueError(f"{r} does not solve x^2 = {e}x modulo {mm}")
+            raise ValueError(f"{r} does not solve x^2 = {e}x modulo {m}")
     rb1, rb2 = e - r1, e - r2
     if which == "circ":
-        return canon(r1 * r2 + rb1 * rb2, mm)
+        return canon(r1 * r2 + rb1 * rb2, m)
     if which == "otimes":
-        return canon(e - rb1 * rb2, mm)
+        return canon(e - rb1 * rb2, m)
     raise ValueError(f"unknown kernel operator {which!r}")

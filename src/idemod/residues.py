@@ -11,7 +11,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import Modulus, build_modulus, canon, check_enum, valuation
+from .arith import (
+    Modulus,
+    build_modulus,
+    canon,
+    canonicalize,
+    check_enum,
+    factorize,
+    valuation,
+)
 from .idempotents import (
     IdempotentSet,
     enumerate_idempotents,
@@ -19,7 +27,6 @@ from .idempotents import (
     index,
     is_idempotent,
     order,
-    signed_power,
     _order_parts,
 )
 
@@ -36,11 +43,11 @@ class ResidueClassification:
     delta: int
 
 
-def mu(m: int | Modulus, a: int) -> int:
+def mu(m: int, a: int) -> int:
     """The divisor m1 of m on which a's idempotent class is congruent to 1
     (the complementary divisor m/m1 carries the zero part)."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
+    mod = build_modulus(m)
+    a = canon(a, m)
     out = 1
     for p, alpha in mod.factorization.factors:
         if a % p != 0:
@@ -48,76 +55,64 @@ def mu(m: int | Modulus, a: int) -> int:
     return out
 
 
-def delta(m: int | Modulus, a: int) -> int:
+def delta(m: int, a: int) -> int:
     """Smallest n with a^n regular: max over shared primes p of
     ceil(alpha_p / v_p(a)), and 1 for (a, m) = 1."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
-    _, T = _order_parts(mod, a)
+    mod = build_modulus(m)
+    _, T = _order_parts(mod, canon(a, m))
     return T
 
 
-def is_regular(m: int | Modulus, a: int) -> bool:
+def is_regular(m: int, a: int) -> bool:
     """Every prime of m dividing a must divide a to the full power in m."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
+    mod = build_modulus(m)
+    a = canon(a, m)
     return all(
         a % p != 0 or a % p**alpha == 0 for p, alpha in mod.factorization.factors
     )
 
 
-def is_normal(m: int | Modulus, a: int) -> bool:
+def is_normal(m: int, a: int) -> bool:
     """Normal exactly when the tail length T does not exceed the cycle
     length L, so the idempotent exponents are the multiples of |a|."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
-    L, T = _order_parts(mod, a)
+    mod = build_modulus(m)
+    L, T = _order_parts(mod, canon(a, m))
     return T <= L
 
 
-def classify(m: int | Modulus, a: int) -> ResidueClassification:
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
-    info = order(mod, a)
+def classify(m: int, a: int) -> ResidueClassification:
+    info = order(m, a)
+    a = info.a
     return ResidueClassification(
-        modulus=mod,
+        modulus=info.modulus,
         a=a,
-        is_normal=is_normal(mod, a),
-        is_regular=is_regular(mod, a),
+        is_normal=is_normal(m, a),
+        is_regular=is_regular(m, a),
         order=info.order,
         idem_class=info.idem_class,
-        mu=mu(mod, a),
-        delta=delta(mod, a),
+        mu=mu(m, a),
+        delta=delta(m, a),
     )
 
 
-def regular_set(m: int | Modulus, e: int | None = None) -> list[int]:
+def _class_members(m: int, e: int | None, keep) -> list[int]:
+    """The a in 1..m passing keep(m, a), restricted to idempotent class e."""
+    check_enum(m)
+    if e is not None and not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    return [
+        a for a in range(1, m + 1)
+        if keep(m, a) and (e is None or idem_class(m, a) == canon(e, m))
+    ]
+
+
+def regular_set(m: int, e: int | None = None) -> list[int]:
     """R_m, or the class R_m^e for an idempotent e."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    check_enum(mod.m)
-    if e is not None and not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
-    out = []
-    for a in range(1, mod.m + 1):
-        if not is_regular(mod, a):
-            continue
-        if e is None or idem_class(mod, a) == canon(e, mod.m):
-            out.append(a)
-    return out
+    return _class_members(m, e, is_regular)
 
 
-def normal_set(m: int | Modulus, e: int | None = None) -> list[int]:
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    check_enum(mod.m)
-    if e is not None and not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
-    out = []
-    for a in range(1, mod.m + 1):
-        if not is_normal(mod, a):
-            continue
-        if e is None or idem_class(mod, a) == canon(e, mod.m):
-            out.append(a)
-    return out
+def normal_set(m: int, e: int | None = None) -> list[int]:
+    return _class_members(m, e, is_normal)
 
 
 @dataclass(frozen=True)
@@ -127,17 +122,16 @@ class OrbitSet:
     elements: frozenset[int]
 
 
-def orbit(m: int | Modulus, a: int) -> OrbitSet:
+def orbit(m: int, a: int) -> OrbitSet:
     """orb_m(a) = {a^1, ..., a^|a|} mod m."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
-    n = order(mod, a).order
+    info = order(m, a)
+    a = info.a
     elems = set()
-    x = 1 % mod.m
-    for _ in range(n):
-        x = x * a % mod.m
-        elems.add(canon(x, mod.m))
-    return OrbitSet(mod, a, frozenset(elems))
+    x = 1 % m
+    for _ in range(info.order):
+        x = x * a % m
+        elems.add(canon(x, m))
+    return OrbitSet(info.modulus, a, frozenset(elems))
 
 
 @dataclass(frozen=True)
@@ -156,18 +150,18 @@ class StructureTable:
 def structure_table(m: int) -> StructureTable:
     mod = build_modulus(m)
     check_enum(m)
-    regs = tuple(regular_set(mod))
+    regs = tuple(regular_set(m))
     orders = {}
     classes = {}
     orbits = {}
     for a in regs:
-        info = order(mod, a)
+        info = order(m, a)
         orders[a] = info.order
         classes[a] = info.idem_class
-        orbits[a] = orbit(mod, a).elements
+        orbits[a] = orbit(m, a).elements
     return StructureTable(
         modulus=mod,
-        idempotents=enumerate_idempotents(mod),
+        idempotents=enumerate_idempotents(m),
         regulars=regs,
         orders=orders,
         classes=classes,
@@ -175,57 +169,54 @@ def structure_table(m: int) -> StructureTable:
     )
 
 
-def _require_same_class(mod: Modulus, b: int, c: int) -> int:
+def _require_same_class(m: int, b: int, c: int) -> int:
     for x in (b, c):
-        if not is_regular(mod, x):
-            raise ValueError(f"{x} is not regular modulo {mod.m}")
-    eb = idem_class(mod, b)
-    ec = idem_class(mod, c)
+        if not is_regular(m, x):
+            raise ValueError(f"{x} is not regular modulo {m}")
+    eb = idem_class(m, b)
+    ec = idem_class(m, c)
     if eb != ec:
         raise ValueError(
-            f"operands {b} and {c} lie in different classes modulo {mod.m} "
+            f"operands {b} and {c} lie in different classes modulo {m} "
             f"({eb} vs {ec})"
         )
     return eb
 
 
-def orbit_gcd(m: int | Modulus, b: int, c: int) -> int:
+def orbit_gcd(m: int, b: int, c: int) -> int:
     """D_m(b, c): gcd of the exponents n <= |b| with b^n in orb(c).  Only
     defined for regular operands sharing an idempotent class."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    b = canon(b, mod.m)
-    c = canon(c, mod.m)
-    _require_same_class(mod, b, c)
-    target = orbit(mod, c).elements
+    b = canonicalize(b, m)
+    c = canon(c, m)
+    _require_same_class(m, b, c)
+    target = orbit(m, c).elements
     g = 0
-    x = 1 % mod.m
-    for n in range(1, order(mod, b).order + 1):
-        x = x * b % mod.m
-        if canon(x, mod.m) in target:
+    x = 1 % m
+    for n in range(1, order(m, b).order + 1):
+        x = x * b % m
+        if canon(x, m) in target:
             g = math.gcd(g, n)
     return g
 
 
-def relative_order(m: int | Modulus, a: int, b: int) -> int:
+def relative_order(m: int, a: int, b: int) -> int:
     """|a,b|_m = |orb(a) ∩ orb(b)| = |a|_m / D_m(a, b)."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    return order(mod, a).order // orbit_gcd(mod, a, b)
+    return order(m, a).order // orbit_gcd(m, a, b)
 
 
-def equivalent(m: int | Modulus, a: int, b: int) -> bool:
+def equivalent(m: int, a: int, b: int) -> bool:
     """a ~ b: same idempotent class, same order, and a is a power of b."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    a = canon(a, mod.m)
-    b = canon(b, mod.m)
+    a = canonicalize(a, m)
+    b = canon(b, m)
     for x in (a, b):
-        if not is_regular(mod, x):
-            raise ValueError(f"{x} is not regular modulo {mod.m}")
-    ia = order(mod, a)
-    ib = order(mod, b)
+        if not is_regular(m, x):
+            raise ValueError(f"{x} is not regular modulo {m}")
+    ia = order(m, a)
+    ib = order(m, b)
     return (
         ia.idem_class == ib.idem_class
         and ia.order == ib.order
-        and index(mod, b, a) is not None
+        and index(m, b, a) is not None
     )
 
 
@@ -237,7 +228,7 @@ def _coprime_split(x: int, y: int) -> tuple[int, int]:
         if g == 1:
             return u, v
         # Move the shared part entirely to the side holding more of it.
-        for p in _prime_divisors(g):
+        for p, _ in factorize(g).factors:
             if valuation(x, p) >= valuation(y, p):
                 while v % p == 0:
                     v //= p
@@ -246,21 +237,7 @@ def _coprime_split(x: int, y: int) -> tuple[int, int]:
                     u //= p
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def join_witness(m: int | Modulus, b: int, c: int, a: int) -> int:
+def join_witness(m: int, b: int, c: int, a: int) -> int:
     """Given regular b, c with a common class and a in orb(b) ∩ orb(c),
     produce d in the same class with a in orb(d) and |d| = lcm(|b|, |c|).
 
@@ -269,37 +246,33 @@ def join_witness(m: int | Modulus, b: int, c: int, a: int) -> int:
     powers has the right order, and if a is not directly in its orbit an
     exhaustive scan over the class finds a valid witness.
     """
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    b = canon(b, mod.m)
-    c = canon(c, mod.m)
-    a = canon(a, mod.m)
-    e = _require_same_class(mod, b, c)
-    if not is_regular(mod, a) or idem_class(mod, a) != e:
-        raise ValueError(f"{a} is not in the class of {b} and {c} modulo {mod.m}")
-    if a not in orbit(mod, b).elements or a not in orbit(mod, c).elements:
-        raise ValueError(f"{a} is not in both orbits of {b} and {c} modulo {mod.m}")
-    nb = order(mod, b).order
-    nc = order(mod, c).order
+    b = canonicalize(b, m)
+    c = canon(c, m)
+    a = canon(a, m)
+    e = _require_same_class(m, b, c)
+    if not is_regular(m, a) or idem_class(m, a) != e:
+        raise ValueError(f"{a} is not in the class of {b} and {c} modulo {m}")
+    if a not in orbit(m, b).elements or a not in orbit(m, c).elements:
+        raise ValueError(f"{a} is not in both orbits of {b} and {c} modulo {m}")
+    nb = order(m, b).order
+    nc = order(m, c).order
     target = math.lcm(nb, nc)
     u, v = _coprime_split(nb, nc)
-    d = canon(pow(b, nb // u, mod.m) * pow(c, nc // v, mod.m), mod.m)
-    if order(mod, d).order == target and a in orbit(mod, d).elements:
+    d = canon(pow(b, nb // u, m) * pow(c, nc // v, m), m)
+    if order(m, d).order == target and a in orbit(m, d).elements:
         return d
-    check_enum(mod.m)
-    for cand in regular_set(mod, e):
-        if order(mod, cand).order == target and a in orbit(mod, cand).elements:
+    check_enum(m)
+    for cand in regular_set(m, e):
+        if order(m, cand).order == target and a in orbit(m, cand).elements:
             return cand
     raise AssertionError(
-        f"no witness of order {target} through {a} modulo {mod.m}"
+        f"no witness of order {target} through {a} modulo {m}"
     )
 
 
-def class_product(m: int | Modulus, e: int) -> int:
+def class_product(m: int, e: int) -> int:
     """Product of all elements of R_m^e modulo m."""
-    mod = m if isinstance(m, Modulus) else build_modulus(m)
-    if not is_idempotent(mod, e):
-        raise ValueError(f"{e} is not idempotent modulo {mod.m}")
     out = 1
-    for a in regular_set(mod, e):
-        out = out * a % mod.m
-    return canon(out, mod.m)
+    for a in regular_set(m, e):
+        out = out * a % m
+    return canon(out, m)

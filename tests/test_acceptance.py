@@ -6,13 +6,12 @@ import time
 
 from idemod.arith import build_modulus, canon
 from idemod.idempotents import enumerate_idempotents, idem_class, order, tower_mod
-from idemod.oracle import oracle_idempotents
+from idemod.oracle import oracle_idempotents, oracle_regular_set
 from idemod.residues import is_regular
 from conftest import (
     algebra_sweep,
     audit_100,
     bc01_sweep,
-    brute_regular_set,
     counting_sweep,
     quadratic_sweep,
     record_acceptance,
@@ -61,7 +60,7 @@ def test_criterion_2_idempotent_census():
 def test_criterion_3_regular_census():
     def work():
         for m in range(2, 1001):
-            by_def = brute_regular_set(m)
+            by_def = set(oracle_regular_set(m))
             by_div = {a for a in range(1, m + 1) if is_regular(m, a)}
             mm = m
             by_gcd = {
@@ -108,8 +107,8 @@ def test_criterion_5_counting_closed_forms():
             from idemod.counting import r_count, rho_count
             phi = mod.phi
             bound = min(phi, 40)
-            rv = {k: r_count(mod, one, k) for k in range(1, bound + 1)}
-            pv = {k: rho_count(mod, one, k) for k in range(1, bound + 1)}
+            rv = {k: r_count(m, one, k) for k in range(1, bound + 1)}
+            pv = {k: rho_count(m, one, k) for k in range(1, bound + 1)}
             for k1 in range(1, bound + 1):
                 for k2 in range(k1, bound // k1 + 1):
                     if math.gcd(k1, k2) != 1:

@@ -1,10 +1,13 @@
-"""Factored-modulus arithmetic: totients, canonicalization, CRT."""
+"""Factored-modulus arithmetic: totients, canonicalization, CRT, and the
+int-modulus boundary of the public API."""
+import inspect
 import math
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idemod
 from idemod.arith import (
     EnumerationCapError,
     Factorization,
@@ -92,17 +95,16 @@ def test_crt_roundtrip(data):
     for p in chosen:
         exp = data.draw(st.integers(1, 3))
         q = p**exp
-        pairs.append((data.draw(st.integers(0, q - 1)), build_modulus(q)))
-    x, mod = crt_combine(pairs)
-    assert mod.m == math.prod(q.m for _, q in pairs)
-    assert 1 <= x <= mod.m
+        pairs.append((data.draw(st.integers(0, q - 1)), q))
+    x = crt_combine(pairs)
+    assert 1 <= x <= math.prod(q for _, q in pairs)
     for a, q in pairs:
-        assert x % q.m == a % q.m
+        assert x % q == a % q
 
 
 def test_crt_rejects_non_coprime():
     with pytest.raises(ValueError):
-        crt_combine([(1, build_modulus(6)), (2, build_modulus(4))])
+        crt_combine([(1, 6), (2, 4)])
 
 
 def test_factorization_validates():
@@ -160,3 +162,18 @@ def test_enumeration_cap(monkeypatch):
     with pytest.raises(EnumerationCapError):
         check_enum(101)
     check_enum(100)
+
+
+def test_public_api_takes_int_moduli():
+    for name in idemod.__all__:
+        fn = getattr(idemod, name)
+        if not callable(fn):
+            continue
+        param = inspect.signature(fn).parameters.get("m")
+        if param is not None:
+            assert "Modulus" not in str(param.annotation), name
+    idemod.order.cache_clear()
+    idemod.order(12, 5)
+    idemod.order(12, 5)
+    info = idemod.order.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

@@ -1,6 +1,4 @@
 """Power-congruence solvability, omega, generalized primitive roots."""
-import math
-
 import pytest
 
 from idemod.arith import build_modulus
@@ -14,14 +12,9 @@ from idemod.congruence import (
 from idemod.oracle import oracle_solve
 from idemod.residues import regular_set, structure_table
 from idemod import audit as _audit
-from conftest import bc01_sweep, power_image
+from conftest import bc01_sweep, no_findings
 
 SWEEP_150 = range(2, 151)
-
-
-def _no_findings(check, moduli):
-    bad = [f for m in moduli for f in check(m)]
-    assert not bad, bad[:5]
 
 
 def test_criterion_matches_exhaustive_solvability():
@@ -29,49 +22,49 @@ def test_criterion_matches_exhaustive_solvability():
 
 
 def test_solvability_necessary_condition_all_residues():
-    _no_findings(_audit.check_bc03, SWEEP_150)
+    no_findings(_audit.check_bc03, SWEEP_150)
 
 
 def test_solvability_reduces_to_gcd_exponents():
-    _no_findings(_audit.check_bc09, SWEEP_150)
+    no_findings(_audit.check_bc09, SWEEP_150)
 
 
 def test_solvability_joins_over_lcm_of_exponents():
-    _no_findings(_audit.check_bc08, SWEEP_150)
+    no_findings(_audit.check_bc08, SWEEP_150)
 
 
 def test_index_divisibility_gives_solutions():
-    _no_findings(_audit.check_bc04, SWEEP_150)
+    no_findings(_audit.check_bc04, SWEEP_150)
 
 
 def test_power_family_lands_in_solution_set():
-    _no_findings(_audit.check_bc05, SWEEP_150)
+    no_findings(_audit.check_bc05, SWEEP_150)
 
 
 def test_regular_targets_have_regular_solutions():
-    _no_findings(_audit.check_bc07, SWEEP_150)
-    _no_findings(_audit.check_bc06, SWEEP_150)
+    no_findings(_audit.check_bc07, SWEEP_150)
+    no_findings(_audit.check_bc06, SWEEP_150)
 
 
 def test_omega_maximizers_are_generalized_primitive_roots():
-    _no_findings(_audit.check_pr02, SWEEP_150)
+    no_findings(_audit.check_pr02, SWEEP_150)
 
 
 def test_omega_constant_on_equivalence_classes():
-    _no_findings(_audit.check_pr03, SWEEP_150)
+    no_findings(_audit.check_pr03, SWEEP_150)
 
 
 def test_primitive_roots_combine_componentwise():
-    _no_findings(_audit.check_pr04, SWEEP_150)
+    no_findings(_audit.check_pr04, SWEEP_150)
 
 
 def test_maximizer_powers_and_inverses():
-    _no_findings(_audit.check_pr05, SWEEP_150)
-    _no_findings(_audit.check_pr06, SWEEP_150)
+    no_findings(_audit.check_pr05, SWEEP_150)
+    no_findings(_audit.check_pr06, SWEEP_150)
 
 
 def test_omega_attains_phi_iff_unit_class_cyclic():
-    _no_findings(_audit.check_omega_phi_cyclic, SWEEP_150)
+    no_findings(_audit.check_omega_phi_cyclic, SWEEP_150)
 
 
 def test_omega_divides_both_totients():

@@ -1,9 +1,7 @@
 """Order counting in the regular classes and arithmetic-function classes."""
-import math
-
 import pytest
 
-from idemod.arith import build_modulus, canon
+from idemod.arith import build_modulus
 from idemod.counting import (
     builtin_function,
     classify_function,
@@ -14,18 +12,13 @@ from idemod.counting import (
     rho_count,
     rho_prime_power,
 )
-from idemod.residues import mu, structure_table
+from idemod.residues import structure_table
 from idemod import audit as _audit
-from conftest import counting_sweep
-
-
-def _no_findings(check, moduli):
-    bad = [f for m in moduli for f in check(m)]
-    assert not bad, bad[:5]
+from conftest import counting_sweep, no_findings
 
 
 def test_counts_reduce_to_unit_class_of_mu():
-    _no_findings(_audit.check_fs02, range(2, 301))
+    no_findings(_audit.check_fs02, range(2, 301))
 
 
 def test_rho_closed_form_weakly_even():
@@ -33,15 +26,15 @@ def test_rho_closed_form_weakly_even():
 
 
 def test_prime_power_rho_formula():
-    _no_findings(_audit.check_fs03, range(2, 501))
+    no_findings(_audit.check_fs03, range(2, 501))
 
 
 def test_rho_closed_form_full_exponent_sweep():
-    _no_findings(_audit.check_fs04, range(2, 201))
+    no_findings(_audit.check_fs04, range(2, 201))
 
 
 def test_rho_division_invariant_on_domain():
-    _no_findings(_audit.check_fs12, range(2, 301))
+    no_findings(_audit.check_fs12, range(2, 301))
 
 
 def test_rho_closed_form_rejects_other_moduli():
@@ -82,7 +75,7 @@ def test_orbit_union_reports_truth_and_formula_side_by_side():
 
 
 def test_orbit_union_multiplicative_on_weakly_even_range():
-    _no_findings(_audit.check_fs06, range(2, 101))
+    no_findings(_audit.check_fs06, range(2, 101))
 
 
 def test_function_classifier_known_profiles():
@@ -105,19 +98,19 @@ def test_classifier_witnesses_are_counterexamples():
 
 
 def test_quasimultiplicative_characterization():
-    _no_findings(_audit.check_fs09, [0])
+    no_findings(_audit.check_fs09, [0])
 
 
 def test_division_invariant_characterization():
-    _no_findings(_audit.check_fs10, [0])
+    no_findings(_audit.check_fs10, [0])
 
 
 def test_injective_qm_reflects_divisibility():
-    _no_findings(_audit.check_fs11, [0])
+    no_findings(_audit.check_fs11, [0])
 
 
 def test_lcm_lift_is_quasimultiplicative():
-    _no_findings(_audit.check_fs13, [0])
+    no_findings(_audit.check_fs13, [0])
 
 
 def test_lcm_lift_values():

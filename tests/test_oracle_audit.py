@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from idemod.arith import EnumerationCapError, build_modulus
+from idemod.arith import EnumerationCapError
 from idemod.audit import THEOREMS, run_audit
-from idemod.idempotents import enumerate_idempotents, order
+from idemod.idempotents import enumerate_idempotents
 from idemod.oracle import (
     oracle_delta,
     oracle_idempotents,
@@ -13,18 +13,10 @@ from idemod.oracle import (
     oracle_is_regular,
     oracle_mu,
     oracle_normal_set,
-    oracle_order,
     oracle_regular_set,
     oracle_solve,
 )
 from idemod.residues import delta, is_normal, is_regular, mu, normal_set, regular_set
-from conftest import brute_orders
-
-
-def test_order_agreement():
-    for m in range(2, 501):
-        fast = [order(m, a).order for a in range(1, m + 1)]
-        assert tuple(fast) == brute_orders(m)
 
 
 def test_delta_mu_agreement():

@@ -1,7 +1,10 @@
 """Kernels of x^2 = kx and square-root structure over odd moduli."""
+import math
+
 import pytest
 
 from idemod.arith import canon
+from idemod.idempotents import enumerate_idempotents
 from idemod.quadratic import (
     class_kernel_op,
     kernel,
@@ -10,60 +13,61 @@ from idemod.quadratic import (
     sqrt_structure,
 )
 from idemod import audit as _audit
-from conftest import quadratic_sweep
+from conftest import no_findings, quadratic_sweep
 
 SWEEP_300 = range(2, 301)
 
 
-def _no_findings(check, moduli):
-    bad = [f for m in moduli for f in check(m)]
-    assert not bad, bad[:5]
-
-
 def test_unit_scaled_kernels_match_scan():
-    _no_findings(_audit.check_sd02, SWEEP_300)
+    no_findings(_audit.check_sd02, SWEEP_300)
+    for m in range(1, 301):
+        es = enumerate_idempotents(m).elements
+        for k in range(1, m + 1):
+            if math.gcd(k, m) == 1:
+                built = sorted(canon(k * e, m) for e in es)
+                assert list(kernel(m, k).solutions) == built, (m, k)
 
 
 def test_factored_quadratic_roots_decompose_uniquely():
-    _no_findings(_audit.check_sd03, SWEEP_300)
+    no_findings(_audit.check_sd03, SWEEP_300)
 
 
 def test_square_roots_pair_through_idempotents():
-    _no_findings(_audit.check_sd04, SWEEP_300)
+    no_findings(_audit.check_sd04, SWEEP_300)
 
 
 def test_roots_of_unity_parametrized_by_idempotents():
-    _no_findings(_audit.check_sd05, SWEEP_300)
+    no_findings(_audit.check_sd05, SWEEP_300)
 
 
 def test_kernel_operators_closed():
-    _no_findings(_audit.check_sd07, SWEEP_300)
-    _no_findings(_audit.check_sd10, SWEEP_300)
+    no_findings(_audit.check_sd07, SWEEP_300)
+    no_findings(_audit.check_sd10, SWEEP_300)
 
 
 def test_circ_translation_permutes_kernel():
-    _no_findings(_audit.check_sd08, SWEEP_300)
+    no_findings(_audit.check_sd08, SWEEP_300)
 
 
 def test_kernel_mixing_identities():
-    _no_findings(_audit.check_sd11, SWEEP_300)
+    no_findings(_audit.check_sd11, SWEEP_300)
 
 
 def test_kernel_meets_class_group_in_its_generator():
-    _no_findings(_audit.check_sd12, SWEEP_300)
+    no_findings(_audit.check_sd12, SWEEP_300)
 
 
 def test_kernel_bar_and_composition_identities():
-    _no_findings(_audit.check_sd13, SWEEP_300)
+    no_findings(_audit.check_sd13, SWEEP_300)
 
 
 def test_kernel_translation_injective_in_idempotent():
-    _no_findings(_audit.check_sd14, SWEEP_300)
+    no_findings(_audit.check_sd14, SWEEP_300)
 
 
 def test_sqrt_structure_odd_moduli():
     assert quadratic_sweep() == []
-    _no_findings(_audit.check_sd15, range(3, 300, 2))
+    no_findings(_audit.check_sd15, range(3, 300, 2))
 
 
 def test_kernel_example():

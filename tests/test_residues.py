@@ -5,11 +5,9 @@ pairwise-orbit statements (which scan pairs of regular residues per class)
 run for every m <= 120 with the audit layer's deterministic subsampling;
 beyond that the quadratic pair cost dominates the suite budget.
 """
-import math
-
 import pytest
 
-from idemod.arith import build_modulus, canon
+from idemod.arith import build_modulus
 from idemod.idempotents import enumerate_idempotents, idem_class, order, signed_power
 from idemod.residues import (
     classify,
@@ -27,11 +25,7 @@ from idemod.residues import (
     structure_table,
 )
 from idemod import audit as _audit
-
-
-def _no_findings(check, moduli):
-    bad = [f for m in moduli for f in check(m)]
-    assert not bad, bad[:5]
+from conftest import no_findings
 
 
 SWEEP_300 = range(2, 301)
@@ -39,47 +33,47 @@ SWEEP_120 = range(2, 121)
 
 
 def test_normality_power_congruence_characterization():
-    _no_findings(_audit.check_nn02, SWEEP_300)
+    no_findings(_audit.check_nn02, SWEEP_300)
 
 
 def test_order_of_powers_of_normal_elements():
-    _no_findings(_audit.check_nn03, SWEEP_300)
+    no_findings(_audit.check_nn03, SWEEP_300)
 
 
 def test_normality_combines_over_lcm_decompositions():
-    _no_findings(_audit.check_nn04, SWEEP_300)
+    no_findings(_audit.check_nn04, SWEEP_300)
 
 
 def test_powers_of_normal_are_normal():
-    _no_findings(_audit.check_nn05, SWEEP_300)
+    no_findings(_audit.check_nn05, SWEEP_300)
 
 
 def test_order_divides_along_divisor_chains():
-    _no_findings(_audit.check_nn06, SWEEP_300)
+    no_findings(_audit.check_nn06, SWEEP_300)
 
 
 def test_regular_implies_normal():
-    _no_findings(_audit.check_rn02, SWEEP_300)
+    no_findings(_audit.check_rn02, SWEEP_300)
 
 
 def test_regular_power_congruence_both_directions():
-    _no_findings(_audit.check_rn03, SWEEP_300)
+    no_findings(_audit.check_rn03, SWEEP_300)
 
 
 def test_class_groups_are_abelian_groups():
-    _no_findings(_audit.check_rn06, SWEEP_300)
+    no_findings(_audit.check_rn06, SWEEP_300)
 
 
 def test_signed_power_exponent_arithmetic():
-    _no_findings(_audit.check_rn07, SWEEP_300)
+    no_findings(_audit.check_rn07, SWEEP_300)
 
 
 def test_regularity_characterizations_coincide():
-    _no_findings(_audit.check_rn16, SWEEP_300)
+    no_findings(_audit.check_rn16, SWEEP_300)
 
 
 def test_fixed_point_power_characterization():
-    _no_findings(_audit.check_rn21, SWEEP_300)
+    no_findings(_audit.check_rn21, SWEEP_300)
 
 
 def test_double_inverse_of_regular_is_identity():
@@ -98,82 +92,82 @@ def test_double_inverse_reverse_direction_counterexample():
 
 
 def test_phi_shifted_powers_and_regularity():
-    _no_findings(_audit.check_rn18, SWEEP_300)
+    no_findings(_audit.check_rn18, SWEEP_300)
 
 
 def test_all_residues_regular_iff_square_free():
-    _no_findings(_audit.check_rn19, SWEEP_300)
+    no_findings(_audit.check_rn19, SWEEP_300)
     # the heavy per-modulus scratch tables are skipped for the larger range
     for m in range(301, 1001):
         assert (len(regular_set(m)) == m) == build_modulus(m).square_free
 
 
 def test_class_groups_as_scaled_stabilizers():
-    _no_findings(_audit.check_rn31, SWEEP_300)
+    no_findings(_audit.check_rn31, SWEEP_300)
 
 
 def test_class_isomorphic_to_unit_class_of_mu():
-    _no_findings(_audit.check_rn36, SWEEP_300)
+    no_findings(_audit.check_rn36, SWEEP_300)
 
 
 def test_regularity_combines_over_lcm_decompositions():
-    _no_findings(_audit.check_rn22, SWEEP_300)
+    no_findings(_audit.check_rn22, SWEEP_300)
 
 
 def test_regularity_and_order_componentwise():
-    _no_findings(_audit.check_rn23, SWEEP_300)
+    no_findings(_audit.check_rn23, SWEEP_300)
 
 
 def test_orbit_gcd_divisibility_relations():
-    _no_findings(_audit.check_rn09, SWEEP_120)
-    _no_findings(_audit.check_rn11, SWEEP_120)
-    _no_findings(_audit.check_rn13, SWEEP_120)
+    no_findings(_audit.check_rn09, SWEEP_120)
+    no_findings(_audit.check_rn11, SWEEP_120)
+    no_findings(_audit.check_rn13, SWEEP_120)
 
 
 def test_order_relations_for_products():
-    _no_findings(_audit.check_rn14, SWEEP_120)
+    no_findings(_audit.check_rn14, SWEEP_120)
 
 
 def test_join_witness_exists():
-    _no_findings(_audit.check_rn15, SWEEP_120)
+    no_findings(_audit.check_rn15, SWEEP_120)
 
 
 def test_index_transfer():
-    _no_findings(_audit.check_rn24, SWEEP_120)
-    _no_findings(_audit.check_rn25, SWEEP_120)
+    no_findings(_audit.check_rn24, SWEEP_120)
+    no_findings(_audit.check_rn25, SWEEP_120)
 
 
 def test_orbit_inclusion_criteria():
-    _no_findings(_audit.check_rn26, SWEEP_120)
-    _no_findings(_audit.check_rn27, SWEEP_120)
-    _no_findings(_audit.check_rn28, SWEEP_120)
-    _no_findings(_audit.check_rn29, SWEEP_120)
+    no_findings(_audit.check_rn26, SWEEP_120)
+    no_findings(_audit.check_rn27, SWEEP_120)
+    no_findings(_audit.check_rn28, SWEEP_120)
+    no_findings(_audit.check_rn29, SWEEP_120)
 
 
 def test_order_counts_within_orbits():
-    _no_findings(_audit.check_rn30, SWEEP_120)
-    _no_findings(_audit.check_rn38, SWEEP_120)
+    no_findings(_audit.check_rn30, SWEEP_120)
+    no_findings(_audit.check_rn38, SWEEP_120)
 
 
 def test_coprime_order_orbits_meet_in_identity():
-    _no_findings(_audit.check_rn32, SWEEP_120)
+    no_findings(_audit.check_rn32, SWEEP_120)
 
 
 def test_orbit_gcd_identities():
-    _no_findings(_audit.check_rn33, SWEEP_120)
+    no_findings(_audit.check_rn33, SWEEP_120)
 
 
 def test_relative_order_identities():
-    _no_findings(_audit.check_rn35, SWEEP_120)
+    no_findings(_audit.check_rn35, SWEEP_120)
 
 
 def test_equivalence_relation():
-    _no_findings(_audit.check_rn40, SWEEP_120)
-    _no_findings(_audit.check_rn41, SWEEP_120)
+    no_findings(_audit.check_rn40, SWEEP_120)
+    no_findings(_audit.check_rn41, SWEEP_120)
 
 
 def test_class_product_sign_formula_odd_moduli():
-    _no_findings(_audit.check_rn42, range(3, 300, 2))
+    no_findings(_audit.check_rn42, range(3, 300, 2))
 
 
 # ---------------------------------------------------------------- API shape
