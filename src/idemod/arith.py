@@ -156,12 +156,7 @@ def factorize(n: int) -> Factorization:
         stack.append(f)
         stack.append(v // f)
 
-    # _account counted multiplicity one per division for trial primes, but the
-    # rho branch pushes full cofactors; recount cleanly from the tally.
-    flat: dict[int, int] = {}
-    for p, c in counts.items():
-        flat[p] = flat.get(p, 0) + c
-    return Factorization(n, tuple(sorted(flat.items())))
+    return Factorization(n, tuple(sorted(counts.items())))
 
 
 @lru_cache(maxsize=None)

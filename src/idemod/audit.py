@@ -107,7 +107,6 @@ class _Ctx:
         self.Rset = set(self.R)
         self.orders = self.table.orders
         self.classes = self.table.classes
-        self.orbits = self.table.orbits
         self.N = [a for a in range(1, m + 1) if is_normal(m, a)]
         self.Nset = set(self.N)
         # ind maps for regular elements: value -> smallest exponent.
@@ -119,9 +118,8 @@ class _Ctx:
                 x = x * b % m
                 walk.setdefault(canon(x, m), k)
             self.ind[b] = walk
-        self.by_class: dict[int, list[int]] = {}
-        for a in self.R:
-            self.by_class.setdefault(self.classes[a], []).append(a)
+        self.orbits = {b: frozenset(walk) for b, walk in self.ind.items()}
+        self.by_class = self.table.by_class
         self._images: dict[int, frozenset[int]] = {}
 
     def images(self, k: int) -> frozenset[int]:
@@ -130,10 +128,6 @@ class _Ctx:
             mm = self.m
             self._images[k] = frozenset(pow(x, k, mm) for x in range(1, mm + 1))
         return self._images[k]
-
-    def nind(self, b: int, a: int) -> int | None:
-        """ind_b a for arbitrary b via bounded walk."""
-        return index(self.m, b, a)
 
 
 @lru_cache(maxsize=None)

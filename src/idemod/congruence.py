@@ -3,8 +3,10 @@ criterion for regular a, the omega invariant, and generalized primitive roots.
 
 omega_m(a) is the largest order among regular residues whose orbit contains
 a.  The solvability criterion for regular a reads: x^k = a is solvable iff
-a^(omega/(k, omega)) is idempotent.  No shortcut for omega is known, so it is
-computed by exhaustive orbit membership with per-modulus caching.
+a^(omega/(k, omega)) is idempotent.  omega is found by one scan of a's class
+R_m^e, the only class whose orbits can hold a: orb(b) is cyclic, so it holds
+a exactly when |a| divides |b| and b^(|b|/|a|), which generates its one
+subgroup of order |a|, lies in orb(a).  oracle.oracle_omega walks the orbits.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 from .arith import Modulus, build_modulus, canon, canonicalize, check_enum
 from .idempotents import is_idempotent
-from .residues import is_regular, structure_table
+from .residues import is_regular, orbit, structure_table
 
 
 @dataclass(frozen=True)
@@ -44,20 +46,20 @@ def _omega_cache(m: int, a: int) -> OmegaInfo:
     a = canon(a, m)
     if not is_regular(m, a):
         raise ValueError(f"{a} is not regular modulo {m}")
+    n = table.orders[a]
+    target = orbit(m, a).elements
     best = 0
     maximizers: list[int] = []
-    for b in table.regulars:
-        if a in table.orbits[b]:
-            n = table.orders[b]
-            if n > best:
-                best = n
+    for b in table.by_class[table.classes[a]]:
+        nb = table.orders[b]
+        if nb % n == 0 and canon(pow(b, nb // n, m), m) in target:
+            if nb > best:
+                best = nb
                 maximizers = [b]
-            elif n == best:
+            elif nb == best:
                 maximizers.append(b)
     # a is in its own orbit, so best >= |a|_m > 0.
-    return OmegaInfo(
-        table.modulus, a, best, tuple(sorted(maximizers)), best // table.orders[a]
-    )
+    return OmegaInfo(table.modulus, a, best, tuple(maximizers), best // n)
 
 
 def omega_info(m: int, a: int) -> OmegaInfo:

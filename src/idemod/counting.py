@@ -8,24 +8,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable
 
 from .arith import Modulus, build_modulus, canon, check_enum
 from .idempotents import is_idempotent
-from .residues import structure_table
+from .residues import orbit, structure_table
 
 
-@lru_cache(maxsize=None)
-def _class_orders(m: int, e: int) -> tuple[int, ...]:
+def _class_orders(m: int, e: int) -> list[int]:
     """Orders of the elements of R_m^e; rejects a non-idempotent e."""
     if not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
     table = structure_table(m)
-    e = canon(e, m)
-    return tuple(
-        table.orders[a] for a in table.regulars if table.classes[a] == e
-    )
+    return [table.orders[a] for a in table.by_class[canon(e, m)]]
 
 
 def r_count(m: int, e: int, k: int) -> int:
@@ -93,9 +89,9 @@ def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
     e = canon(e, m)
     union: set[int] = set()
     count = 0
-    for a in table.regulars:
-        if table.classes[a] == e and table.orders[a] == k:
-            union |= table.orbits[a]
+    for a in table.by_class[e]:
+        if table.orders[a] == k:
+            union |= orbit(m, a).elements
             count += 1
     return OrbitUnionSize(
         table.modulus, e, k, len(union), k * count // build_modulus(k).phi

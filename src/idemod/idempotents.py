@@ -33,7 +33,7 @@ class IdempotentSet:
     elements: tuple[int, ...]  # sorted ascending
 
     def __contains__(self, a: int) -> bool:
-        return canon(a, self.modulus.m) in set(self.elements)
+        return is_idempotent(self.modulus.m, a)
 
 
 @lru_cache(maxsize=None)

@@ -87,3 +87,23 @@ def oracle_mu(m: int, a: int) -> int:
         if m % m1 == 0 and e % m1 == 1 % m1 and e % (m // m1) == 0:
             return m1
     raise AssertionError(f"no mu decomposition found for a={a} mod {m}")
+
+
+def oracle_omega(m: int, a: int) -> tuple[int, tuple[int, ...]]:
+    """(omega_m(a), maximizers): the largest |b| over regular b whose orbit
+    {b, b^2, ..., b^|b|} contains a, and every b attaining it, ascending.
+    Walks each orbit in full."""
+    check_enum(m)
+    a = canon(a, m)
+    if not oracle_is_regular(m, a):
+        raise ValueError(f"{a} is not regular modulo {m}")
+    best = 0
+    maximizers: list[int] = []
+    for b in oracle_regular_set(m):
+        n = oracle_order(m, b)
+        if a % m in {pow(b, k, m) for k in range(1, n + 1)}:
+            if n > best:
+                best, maximizers = n, [b]
+            elif n == best:
+                maximizers.append(b)
+    return best, tuple(maximizers)

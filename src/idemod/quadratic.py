@@ -26,7 +26,8 @@ class QuadraticKernel:
         return canon(self.k - r, self.modulus.m)
 
     def __contains__(self, r: int) -> bool:
-        return canon(r, self.modulus.m) in set(self.solutions)
+        m = self.modulus.m
+        return r * r % m == self.k * r % m
 
 
 def kernel(m: int, k: int) -> QuadraticKernel:

@@ -136,14 +136,16 @@ def orbit(m: int, a: int) -> OrbitSet:
 
 @dataclass(frozen=True)
 class StructureTable:
-    """Per-modulus tables shared by the orbit/omega machinery."""
+    """Per-modulus tables over the regular residues: each one's order and
+    idempotent class, and the classes R_m^e themselves.  Orbits are not
+    stored, since they total sum(|a|) entries; orbit(m, a) builds one."""
 
     modulus: Modulus
     idempotents: IdempotentSet
     regulars: tuple[int, ...]
     orders: dict[int, int]  # a -> |a|_m, over regulars
     classes: dict[int, int]  # a -> idem class, over regulars
-    orbits: dict[int, frozenset[int]]  # a -> orb(a), over regulars
+    by_class: dict[int, tuple[int, ...]]  # e -> R_m^e ascending, first-seen e
 
 
 @lru_cache(maxsize=None)
@@ -153,19 +155,19 @@ def structure_table(m: int) -> StructureTable:
     regs = tuple(regular_set(m))
     orders = {}
     classes = {}
-    orbits = {}
+    by_class: dict[int, list[int]] = {}
     for a in regs:
         info = order(m, a)
         orders[a] = info.order
         classes[a] = info.idem_class
-        orbits[a] = orbit(m, a).elements
+        by_class.setdefault(info.idem_class, []).append(a)
     return StructureTable(
         modulus=mod,
         idempotents=enumerate_idempotents(m),
         regulars=regs,
         orders=orders,
         classes=classes,
-        orbits=orbits,
+        by_class={e: tuple(members) for e, members in by_class.items()},
     )
 
 

@@ -127,6 +127,8 @@ def test_factorize_large_semiprime():
     n = 1000003 * 1000033
     fact = factorize(n)
     assert fact.factors == ((1000003, 1), (1000033, 1))
+    # A repeated prime beyond trial division goes through Pollard rho.
+    assert factorize(3 * 1000003**2).factors == ((3, 1), (1000003, 2))
 
 
 def test_mod_pow_rejects_nonpositive_exponent():

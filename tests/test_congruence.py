@@ -9,8 +9,8 @@ from idemod.congruence import (
     solvable_bc01,
     solve,
 )
-from idemod.oracle import oracle_solve
-from idemod.residues import regular_set, structure_table
+from idemod.oracle import oracle_omega, oracle_solve
+from idemod.residues import orbit, regular_set, structure_table
 from idemod import audit as _audit
 from conftest import bc01_sweep, no_findings
 
@@ -82,7 +82,14 @@ def test_omega_info_shape():
     assert info.ind_sup == 2
     assert omega_set(12, 1) == info.omega_set
     for g in info.omega_set:
-        assert 1 in structure_table(12).orbits[g]
+        assert 1 in orbit(12, g).elements
+
+
+def test_omega_matches_oracle():
+    for m in range(1, 121):
+        for a in regular_set(m):
+            info = omega_info(m, a)
+            assert (info.omega_a, info.omega_set) == oracle_omega(m, a), (m, a)
 
 
 def test_omega_rejects_irregular_argument():

@@ -28,6 +28,16 @@ def test_unit_scaled_kernels_match_scan():
                 assert list(kernel(m, k).solutions) == built, (m, k)
 
 
+def test_membership_matches_element_lists():
+    for m in range(1, 121):
+        idems = enumerate_idempotents(m)
+        kernels = [kernel(m, k) for k in {1, 2, 3, m // 2 or 1, m}]
+        for x in range(-m, 2 * m + 1):
+            assert (x in idems) == (canon(x, m) in idems.elements), (m, x)
+            for ker in kernels:
+                assert (x in ker) == (canon(x, m) in ker.solutions), (m, ker.k, x)
+
+
 def test_factored_quadratic_roots_decompose_uniquely():
     no_findings(_audit.check_sd03, SWEEP_300)
 

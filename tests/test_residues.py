@@ -5,6 +5,8 @@ pairwise-orbit statements (which scan pairs of regular residues per class)
 run for every m <= 120 with the audit layer's deterministic subsampling;
 beyond that the quadratic pair cost dominates the suite budget.
 """
+import tracemalloc
+
 import pytest
 
 from idemod.arith import build_modulus
@@ -227,7 +229,7 @@ def test_relative_order_symmetric_on_sample():
                 if table.classes[a] == table.classes[b]:
                     assert relative_order(m, a, b) == relative_order(m, b, a)
                     assert relative_order(m, a, b) == len(
-                        table.orbits[a] & table.orbits[b]
+                        orbit(m, a).elements & orbit(m, b).elements
                     )
 
 
@@ -256,4 +258,19 @@ def test_structure_table_consistency():
         for a in table.regulars:
             assert table.orders[a] == order(m, a).order
             assert table.classes[a] == idem_class(m, a)
-            assert table.orbits[a] == orbit(m, a).elements
+            assert len(orbit(m, a).elements) == table.orders[a]
+        assert sorted(table.by_class) == list(table.idempotents.elements)
+        for e in table.idempotents.elements:
+            assert table.by_class[e] == tuple(regular_set(m, e))
+
+
+def test_structure_table_memory_is_linear():
+    """The table stores O(m) entries: no per-residue orbits."""
+    structure_table.cache_clear()
+    tracemalloc.start()
+    try:
+        structure_table(2003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
