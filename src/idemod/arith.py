@@ -13,6 +13,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import Callable
 
 DEFAULT_MAX_ENUM = 1_000_000
 
@@ -217,18 +218,25 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+def least_divisor(n: int, holds: Callable[[int], bool]) -> int:
+    """Least divisor d of n >= 1 with holds(d).  The caller guarantees that
+    holds(n) is true and that the divisors of n where holds is true are
+    exactly the multiples of the least one; the descent then strips each
+    prime q from d while holds(d // q), one prime at a time."""
+    d = n
+    for q, _ in build_modulus(n).factorization.factors:
+        while d % q == 0 and holds(d // q):
+            d //= q
+    return d
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Classical order of a in the unit group mod n; requires gcd(a, n) = 1."""
     if n == 1:
         return 1
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    t = build_modulus(n).phi
-    o = t
-    for q, _ in factorize(t).factors:
-        while o % q == 0 and pow(a, o // q, n) == 1:
-            o //= q
-    return o
+    return least_divisor(build_modulus(n).phi, lambda d: pow(a, d, n) == 1)
 
 
 def lcm_all(values) -> int:

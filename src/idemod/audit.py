@@ -573,12 +573,7 @@ def check_rn15(m):
                 inter = c.orbits[b] & c.orbits[cc]
                 target = math.lcm(c.orders[b], c.orders[cc])
                 for a in sorted(inter)[:3]:
-                    try:
-                        d = join_witness(m, b, cc, a)
-                    except AssertionError:
-                        yield _finding("rn15", m, {"b": b, "c": cc, "a": a},
-                                       f"witness of order {target}", "none found")
-                        continue
+                    d = join_witness(m, b, cc, a)
                     if c.orders[d] != target or a not in c.orbits[d]:
                         yield _finding("rn15", m, {"b": b, "c": cc, "a": a},
                                        f"witness of order {target}", d)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
-from .arith import Modulus, build_modulus, canon, check_enum
+from .arith import Modulus, build_modulus, canon, check_enum, valuation
 from .idempotents import is_idempotent
 from .residues import orbit, structure_table
 
@@ -56,12 +56,7 @@ def rho_prime_power(m: int, q: int, beta: int) -> int:
         raise ValueError(f"{q}^{beta} does not divide psi({m}) = {mod.psi}")
     s = 0
     for p, alpha in mod.factorization.factors:
-        phi_pp = p ** (alpha - 1) * (p - 1)
-        d = 0
-        while phi_pp % q == 0:
-            phi_pp //= q
-            d += 1
-        s += min(beta, d)
+        s += min(beta, valuation(p ** (alpha - 1) * (p - 1), q))
     return q**s
 
 

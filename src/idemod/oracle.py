@@ -6,6 +6,8 @@ these on small moduli.  All entry points honor the enumeration cap.
 """
 from __future__ import annotations
 
+import math
+
 from .arith import build_modulus, canon, check_enum
 
 
@@ -107,3 +109,15 @@ def oracle_omega(m: int, a: int) -> tuple[int, tuple[int, ...]]:
             elif n == best:
                 maximizers.append(b)
     return best, tuple(maximizers)
+
+
+def oracle_orbit_gcd(m: int, b: int, c: int) -> int:
+    """D_m(b, c): the gcd of every n <= |b| with b^n in the literal orbit
+    {c, c^2, ..., c^|c|}.  Walks both power sequences in full."""
+    check_enum(m)
+    target = {pow(c, k, m) for k in range(1, oracle_order(m, c) + 1)}
+    g = 0
+    for n in range(1, oracle_order(m, b) + 1):
+        if pow(b, n, m) in target:
+            g = math.gcd(g, n)
+    return g

@@ -15,16 +15,16 @@ from .arith import (
     Modulus,
     build_modulus,
     canon,
-    canonicalize,
     check_enum,
     factorize,
+    least_divisor,
     valuation,
 )
 from .idempotents import (
     IdempotentSet,
+    OrderInfo,
     enumerate_idempotents,
     idem_class,
-    index,
     is_idempotent,
     order,
     _order_parts,
@@ -171,34 +171,37 @@ def structure_table(m: int) -> StructureTable:
     )
 
 
-def _require_same_class(m: int, b: int, c: int) -> int:
-    for x in (b, c):
-        if not is_regular(m, x):
-            raise ValueError(f"{x} is not regular modulo {m}")
-    eb = idem_class(m, b)
-    ec = idem_class(m, c)
-    if eb != ec:
+def _regular_order(m: int, x: int) -> OrderInfo:
+    """order(m, x) for a regular x, which is x * idem_class(x) = x, i.e.
+    x^(|x|+1) = x; any other residue is rejected."""
+    info = order(m, x)
+    if info.a * info.idem_class % m != info.a % m:
+        raise ValueError(f"{info.a} is not regular modulo {m}")
+    return info
+
+
+def _same_class(m: int, b: int, c: int) -> tuple[OrderInfo, OrderInfo]:
+    ib = _regular_order(m, b)
+    ic = _regular_order(m, c)
+    if ib.idem_class != ic.idem_class:
         raise ValueError(
-            f"operands {b} and {c} lie in different classes modulo {m} "
-            f"({eb} vs {ec})"
+            f"operands {ib.a} and {ic.a} lie in different classes modulo {m} "
+            f"({ib.idem_class} vs {ic.idem_class})"
         )
-    return eb
+    return ib, ic
 
 
 def orbit_gcd(m: int, b: int, c: int) -> int:
     """D_m(b, c): gcd of the exponents n <= |b| with b^n in orb(c).  Only
-    defined for regular operands sharing an idempotent class."""
-    b = canonicalize(b, m)
-    c = canon(c, m)
-    _require_same_class(m, b, c)
-    target = orbit(m, c).elements
-    g = 0
-    x = 1 % m
-    for n in range(1, order(m, b).order + 1):
-        x = x * b % m
-        if canon(x, m) in target:
-            g = math.gcd(g, n)
-    return g
+    defined for regular operands sharing an idempotent class.
+
+    orb(c) is a group, so the n with b^n in orb(c) are exactly the multiples
+    of D, and D is the least divisor d of |b| with b^d in orb(c)."""
+    ib, ic = _same_class(m, b, c)
+    target = orbit(m, ic.a).elements
+    return least_divisor(
+        ib.order, lambda d: canon(pow(ib.a, d, m), m) in target
+    )
 
 
 def relative_order(m: int, a: int, b: int) -> int:
@@ -208,67 +211,50 @@ def relative_order(m: int, a: int, b: int) -> int:
 
 def equivalent(m: int, a: int, b: int) -> bool:
     """a ~ b: same idempotent class, same order, and a is a power of b."""
-    a = canonicalize(a, m)
-    b = canon(b, m)
-    for x in (a, b):
-        if not is_regular(m, x):
-            raise ValueError(f"{x} is not regular modulo {m}")
-    ia = order(m, a)
-    ib = order(m, b)
+    ia = _regular_order(m, a)
+    ib = _regular_order(m, b)
     return (
         ia.idem_class == ib.idem_class
         and ia.order == ib.order
-        and index(m, b, a) is not None
+        and ia.a in orbit(m, ib.a).elements
     )
 
 
 def _coprime_split(x: int, y: int) -> tuple[int, int]:
-    """(u, v) with u | x, v | y, (u, v) = 1 and u*v = lcm(x, y)."""
+    """(u, v) with u | x, v | y, (u, v) = 1 and u*v = lcm(x, y): each prime
+    of gcd(x, y) keeps its full power on the side holding more of it (x on a
+    tie) and leaves the other side."""
     u, v = x, y
-    while True:
-        g = math.gcd(u, v)
-        if g == 1:
-            return u, v
-        # Move the shared part entirely to the side holding more of it.
-        for p, _ in factorize(g).factors:
-            if valuation(x, p) >= valuation(y, p):
-                while v % p == 0:
-                    v //= p
-            else:
-                while u % p == 0:
-                    u //= p
+    for p, _ in factorize(math.gcd(x, y)).factors:
+        if valuation(x, p) >= valuation(y, p):
+            v //= p ** valuation(y, p)
+        else:
+            u //= p ** valuation(x, p)
+    return u, v
 
 
 def join_witness(m: int, b: int, c: int, a: int) -> int:
     """Given regular b, c with a common class and a in orb(b) ∩ orb(c),
-    produce d in the same class with a in orb(d) and |d| = lcm(|b|, |c|).
+    return d = b^(|b|/u) * c^(|c|/v), which has a in orb(d) and
+    |d| = lcm(|b|, |c|), where (u, v) = _coprime_split(|b|, |c|).
 
-    Construction: raise b and c to kill the shared part of their orders,
-    leaving coprime orders whose product is the lcm; the product of those
-    powers has the right order, and if a is not directly in its orbit an
-    exhaustive scan over the class finds a valid witness.
+    The class is an abelian group and orb(b), orb(c) are cyclic subgroups.
+    The two factors have coprime orders u and v, so |d| = u*v = lcm and
+    orb(d) contains both factors' orbits.  Each prime q keeps its full power
+    of |b| or of |c| on one side, so orb(d) contains the whole q-part of
+    orb(b) or of orb(c), hence the q-part of orb(b) ∩ orb(c).  That
+    intersection is cyclic, the product of its q-parts, so it lies in orb(d)
+    and a does too.
     """
-    b = canonicalize(b, m)
-    c = canon(c, m)
+    ib, ic = _same_class(m, b, c)
     a = canon(a, m)
-    e = _require_same_class(m, b, c)
-    if not is_regular(m, a) or idem_class(m, a) != e:
-        raise ValueError(f"{a} is not in the class of {b} and {c} modulo {m}")
-    if a not in orbit(m, b).elements or a not in orbit(m, c).elements:
-        raise ValueError(f"{a} is not in both orbits of {b} and {c} modulo {m}")
-    nb = order(m, b).order
-    nc = order(m, c).order
-    target = math.lcm(nb, nc)
-    u, v = _coprime_split(nb, nc)
-    d = canon(pow(b, nb // u, m) * pow(c, nc // v, m), m)
-    if order(m, d).order == target and a in orbit(m, d).elements:
-        return d
-    check_enum(m)
-    for cand in regular_set(m, e):
-        if order(m, cand).order == target and a in orbit(m, cand).elements:
-            return cand
-    raise AssertionError(
-        f"no witness of order {target} through {a} modulo {m}"
+    if a not in orbit(m, ib.a).elements or a not in orbit(m, ic.a).elements:
+        raise ValueError(
+            f"{a} is not in both orbits of {ib.a} and {ic.a} modulo {m}"
+        )
+    u, v = _coprime_split(ib.order, ic.order)
+    return canon(
+        pow(ib.a, ib.order // u, m) * pow(ic.a, ic.order // v, m), m
     )
 
 

@@ -5,6 +5,7 @@ pairwise-orbit statements (which scan pairs of regular residues per class)
 run for every m <= 120 with the audit layer's deterministic subsampling;
 beyond that the quadratic pair cost dominates the suite budget.
 """
+import math
 import tracemalloc
 
 import pytest
@@ -27,6 +28,7 @@ from idemod.residues import (
     structure_table,
 )
 from idemod import audit as _audit
+from idemod.oracle import oracle_orbit_gcd
 from conftest import no_findings
 
 
@@ -218,7 +220,31 @@ def test_orbit_gcd_rejects_mixed_or_irregular_operands():
     with pytest.raises(ValueError):
         orbit_gcd(12, 2, 5)  # 2 is not regular
     with pytest.raises(ValueError):
+        orbit_gcd(12, 5, 2)
+    with pytest.raises(ValueError):
+        relative_order(12, 5, 2)
+    with pytest.raises(ValueError):
         orbit_gcd(12, 5, 8)  # classes 1 and 4
+
+
+def test_orbit_gcd_matches_oracle():
+    """D_m(b, c) equals the full walk for every same-class pair, m <= 80;
+    for m <= 50 every a in orb(b) ∩ orb(c) also gets a join witness of
+    order lcm(|b|, |c|) whose orbit holds a (every a up to m = 80 would
+    cost ten times as much)."""
+    for m in range(1, 81):
+        table = structure_table(m)
+        for members in table.by_class.values():
+            orbs = {x: orbit(m, x).elements for x in members}
+            for b in members:
+                for c in members:
+                    assert orbit_gcd(m, b, c) == oracle_orbit_gcd(m, b, c)
+                    if m > 50:
+                        continue
+                    target = math.lcm(table.orders[b], table.orders[c])
+                    for a in orbs[b] & orbs[c]:
+                        d = join_witness(m, b, c, a)
+                        assert table.orders[d] == target and a in orbs[d]
 
 
 def test_relative_order_symmetric_on_sample():
@@ -244,6 +270,8 @@ def test_join_witness_validates_preconditions():
         join_witness(12, 5, 8, 1)  # different classes
     with pytest.raises(ValueError):
         join_witness(12, 5, 7, 8)  # 8 not in the orbits
+    with pytest.raises(ValueError):
+        join_witness(12, 5, 7, 2)  # 2 is not regular
 
 
 def test_class_product_rejects_non_idempotent():
