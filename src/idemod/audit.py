@@ -23,7 +23,6 @@ from .residues import (
     is_regular,
     join_witness,
     mu,
-    orbit,
     orbit_gcd,
     relative_order,
     structure_table,

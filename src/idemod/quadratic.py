@@ -26,8 +26,12 @@ class QuadraticKernel:
         return canon(self.k - r, self.modulus.m)
 
     def __contains__(self, r: int) -> bool:
-        m = self.modulus.m
-        return r * r % m == self.k * r % m
+        return _in_kernel(self.modulus.m, self.k, r)
+
+
+def _in_kernel(m: int, k: int, r: int) -> bool:
+    """r solves x^2 = kx (mod m): O(1), so no enumeration cap applies."""
+    return r * r % m == k * r % m
 
 
 def kernel(m: int, k: int) -> QuadraticKernel:
@@ -98,9 +102,8 @@ def kernel_op(m: int, k: int, r: int, e: int, which: str) -> int:
     """Mix a kernel element with an idempotent: r o e = re + (k-r)(1-e) or
     r (x) e = k - (k-r)(1-e); both land back in the kernel."""
     k = canonicalize(k, m)
-    ker = kernel(m, k)
     r = canon(r, m)
-    if r not in ker:
+    if not _in_kernel(m, k, r):
         raise ValueError(f"{r} does not solve x^2 = {k}x modulo {m}")
     if not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
@@ -119,11 +122,10 @@ def class_kernel_op(m: int, e: int, r1: int, r2: int, which: str) -> int:
     if not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
     e = canon(e, m)
-    ker = kernel(m, e)
     r1 = canon(r1, m)
     r2 = canon(r2, m)
     for r in (r1, r2):
-        if r not in ker:
+        if not _in_kernel(m, e, r):
             raise ValueError(f"{r} does not solve x^2 = {e}x modulo {m}")
     rb1, rb2 = e - r1, e - r2
     if which == "circ":

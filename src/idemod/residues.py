@@ -196,11 +196,21 @@ def orbit_gcd(m: int, b: int, c: int) -> int:
     defined for regular operands sharing an idempotent class.
 
     orb(c) is a group, so the n with b^n in orb(c) are exactly the multiples
-    of D, and D is the least divisor d of |b| with b^d in orb(c)."""
+    of D, and D is the least divisor d of |b| with b^d in orb(c).  Hence
+    D(b, c) = 1 exactly when b lies in orb(c): equivalent and join_witness
+    test orbit membership this way."""
     ib, ic = _same_class(m, b, c)
-    target = orbit(m, ic.a).elements
+    return _orbit_gcd(m, ib.a, ic.a)
+
+
+@lru_cache(maxsize=4096)
+def _orbit_gcd(m: int, b: int, c: int) -> int:
+    """orbit_gcd on canonical operands already checked to be regular and of
+    one class.  The audit asks for the same few pairs of one modulus over
+    and over; the bound keeps the memo from holding every pair of a sweep."""
+    target = orbit(m, c).elements
     return least_divisor(
-        ib.order, lambda d: canon(pow(ib.a, d, m), m) in target
+        order(m, b).order, lambda d: canon(pow(b, d, m), m) in target
     )
 
 
@@ -210,13 +220,14 @@ def relative_order(m: int, a: int, b: int) -> int:
 
 
 def equivalent(m: int, a: int, b: int) -> bool:
-    """a ~ b: same idempotent class, same order, and a is a power of b."""
+    """a ~ b: same idempotent class, same order, and a is a power of b,
+    i.e. D_m(a, b) = 1."""
     ia = _regular_order(m, a)
     ib = _regular_order(m, b)
     return (
         ia.idem_class == ib.idem_class
         and ia.order == ib.order
-        and ia.a in orbit(m, ib.a).elements
+        and _orbit_gcd(m, ia.a, ib.a) == 1
     )
 
 
@@ -236,7 +247,8 @@ def _coprime_split(x: int, y: int) -> tuple[int, int]:
 def join_witness(m: int, b: int, c: int, a: int) -> int:
     """Given regular b, c with a common class and a in orb(b) ∩ orb(c),
     return d = b^(|b|/u) * c^(|c|/v), which has a in orb(d) and
-    |d| = lcm(|b|, |c|), where (u, v) = _coprime_split(|b|, |c|).
+    |d| = lcm(|b|, |c|), where (u, v) = _coprime_split(|b|, |c|).  The
+    precondition on a is checked as D_m(a, b) = D_m(a, c) = 1.
 
     The class is an abelian group and orb(b), orb(c) are cyclic subgroups.
     The two factors have coprime orders u and v, so |d| = u*v = lcm and
@@ -247,10 +259,13 @@ def join_witness(m: int, b: int, c: int, a: int) -> int:
     and a does too.
     """
     ib, ic = _same_class(m, b, c)
-    a = canon(a, m)
-    if a not in orbit(m, ib.a).elements or a not in orbit(m, ic.a).elements:
+    # The public orbit_gcd also rejects an a that is irregular or of another
+    # class; _orbit_gcd would not (an idempotent a has |a| = 1, so it
+    # returns 1 without a membership test).
+    if orbit_gcd(m, a, ib.a) != 1 or orbit_gcd(m, a, ic.a) != 1:
         raise ValueError(
-            f"{a} is not in both orbits of {ib.a} and {ic.a} modulo {m}"
+            f"{canon(a, m)} is not in both orbits of {ib.a} and {ic.a} "
+            f"modulo {m}"
         )
     u, v = _coprime_split(ib.order, ic.order)
     return canon(

@@ -26,9 +26,10 @@ from idemod.residues import (
     regular_set,
     relative_order,
     structure_table,
+    _orbit_gcd,
 )
 from idemod import audit as _audit
-from idemod.oracle import oracle_orbit_gcd
+from idemod.oracle import oracle_orbit_gcd, oracle_order, oracle_regular_set
 from conftest import no_findings
 
 
@@ -265,6 +266,32 @@ def test_equivalent_requires_regular():
     assert equivalent(12, 5, 5)
 
 
+def test_equivalent_matches_definition():
+    """a ~ b (tested as D(a, b) = 1) against the literal definition: same
+    class, same order, a among b^1..b^|b|, for every regular pair, m <= 60."""
+    for m in range(1, 61):
+        regs = oracle_regular_set(m)
+        orders = {x: oracle_order(m, x) for x in regs}
+        classes = {x: pow(x, orders[x], m) for x in regs}
+        walks = {x: {pow(x, n, m) for n in range(1, orders[x] + 1)} for x in regs}
+        for a in regs:
+            for b in regs:
+                literal = (
+                    classes[a] == classes[b]
+                    and orders[a] == orders[b]
+                    and a % m in walks[b]
+                )
+                assert equivalent(m, a, b) == literal, (m, a, b)
+
+
+def test_orbit_gcd_memo_is_bounded_and_canonical():
+    _orbit_gcd.cache_clear()
+    assert orbit_gcd(12, 5, 7) == orbit_gcd(12, 17, 19)
+    info = _orbit_gcd.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize is not None
+
+
 def test_join_witness_validates_preconditions():
     with pytest.raises(ValueError):
         join_witness(12, 5, 8, 1)  # different classes
@@ -272,6 +299,8 @@ def test_join_witness_validates_preconditions():
         join_witness(12, 5, 7, 8)  # 8 not in the orbits
     with pytest.raises(ValueError):
         join_witness(12, 5, 7, 2)  # 2 is not regular
+    with pytest.raises(ValueError):
+        join_witness(12, 5, 7, 4)  # idempotent of class 4, not class 1
 
 
 def test_class_product_rejects_non_idempotent():
