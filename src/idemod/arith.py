@@ -1,5 +1,9 @@
 """Factored-modulus arithmetic.
 
+``factorize`` trial-divides by the primes below 2^10, takes any cofactor
+below 2^20 as prime, tests larger ones with Miller-Rabin (deterministic below
+3.3e24) and splits composites with Brent's variant of Pollard rho.
+
 Moduli are plain ints at every public boundary of the package; the factored
 ``Modulus`` record is derived from one by the cached ``build_modulus(m)``.
 Residues are canonical integers in {1..m}, where the value m itself stands
@@ -17,8 +21,15 @@ from typing import Callable
 
 DEFAULT_MAX_ENUM = 1_000_000
 
-# Above this, trial division alone is too slow and Pollard rho takes over.
-_TRIAL_DIVISION_LIMIT = 10**12
+# factorize trial-divides by the primes below this bound; a cofactor with no
+# such prime factor that is below its square is therefore prime.
+_SMALL_PRIME_BOUND = 1 << 10
+# Differences Brent's rho multiplies together before taking one gcd.
+_RHO_BATCH = 128
+# The first 13 primes: as Miller-Rabin bases they admit no strong pseudoprime
+# below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2015); the
+# first 12 already admit 318,665,857,834,031,151,167,461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class EnumerationCapError(Exception):
@@ -84,7 +95,7 @@ class Modulus:
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -92,8 +103,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # Deterministic for n < 3.3e24 with these bases.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -106,21 +116,37 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
+def _brent_rho(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of Pollard
+    rho (1980): the cycle is found by doubling, and the gcd is taken once per
+    batch of differences, stepping back through the last batch one step at a
+    time when the batched gcd is n.  Seeded by n, so n always takes the same
+    path."""
     rng = random.Random(n)
     while True:
         c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y = rng.randrange(1, n)
+        g = r = q = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def factorize(n: int) -> Factorization:
@@ -138,7 +164,7 @@ def factorize(n: int) -> Factorization:
             _account(p)
             rest //= p
     d = 5
-    while d * d <= rest and d * d <= _TRIAL_DIVISION_LIMIT:
+    while d < _SMALL_PRIME_BOUND and d * d <= rest:
         for q in (d, d + 2):
             while rest % q == 0:
                 _account(q)
@@ -148,12 +174,10 @@ def factorize(n: int) -> Factorization:
     stack = [rest] if rest > 1 else []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
-        if _is_probable_prime(v):
+        if v < _SMALL_PRIME_BOUND**2 or _is_probable_prime(v):
             _account(v)
             continue
-        f = _pollard_rho(v)
+        f = _brent_rho(v)
         stack.append(f)
         stack.append(v // f)
 

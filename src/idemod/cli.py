@@ -360,76 +360,103 @@ def _cmd_audit(args) -> int:
 # ---------------------------------------------------------------- dispatch
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _ints(*names):
+    return [((name,), {"type": int}) for name in names]
+
+
+# The flags of the main parser, which every subcommand also accepts after
+# its own arguments.
+_GLOBAL_FLAGS = {
+    "--json": {"action": "store_true", "help": "structured output"},
+    "--max-enum": {"type": int, "metavar": "N",
+                   "help": "override the enumeration cap (IDEM_MAX_ENUM)"},
+}
+
+# Each command's handler and the add_argument calls of its subparser, in the
+# order the help lists them.
+_COMMANDS = {
+    "modinfo": (_cmd_modinfo, _ints("m")),
+    "idempotents": (_cmd_idempotents, _ints("m")),
+    "order": (_cmd_order, _ints("m", "a")),
+    "classify": (_cmd_classify, _ints("m", "a")),
+    "sets": (_cmd_sets, _ints("m") + [
+        (("--regular",), {"action": "store_true"}),
+        (("--normal",), {"action": "store_true"}),
+        (("--class",), {"dest": "cls", "type": int, "default": None}),
+    ]),
+    "orbit": (_cmd_orbit, _ints("m", "a")),
+    "solve": (_cmd_solve, _ints("m", "k", "a")),
+    "omega": (_cmd_omega, _ints("m", "a")),
+    "gproots": (_cmd_gproots, _ints("m")),
+    "counts": (_cmd_counts, _ints("m", "e", "k")),
+    "classify-fn": (_cmd_classify_fn, [(("name",), {})] + _ints("n")),
+    "algebra": (_cmd_algebra, _ints("m")),
+    "idemop": (_cmd_idemop, _ints("m") + [
+        (("op",), {"choices": OPS}),
+        (("e1",), {"type": int}),
+        (("e2",), {"type": int, "nargs": "?", "default": None}),
+    ]),
+    "quadratic": (_cmd_quadratic, _ints("m", "k")),
+    "sqrt": (_cmd_sqrt, _ints("m", "e")),
+    "tower": (_cmd_tower, _ints("m", "base", "height")),
+    "audit": (_cmd_audit, [
+        (("range",), {"help": "<lo>..<hi>"}),
+        (("--theorems",), {"help": "comma-separated theorem ids "
+                           f"(known: {', '.join(THEOREMS)})"}),
+        (("--out",), {"metavar": "FILE"}),
+    ]),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The idemod parser with every subcommand, or with the one named
+    ``only``: its usage line still lists every command, so each message it
+    prints is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="idemod",
         description="Composite moduli through their idempotent residues "
         "(residues print in {1..m}; m denotes the zero class).",
     )
-    parser.add_argument("--json", action="store_true",
-                        help="structured output")
-    parser.add_argument("--max-enum", type=int, metavar="N",
-                        help="override the enumeration cap (IDEM_MAX_ENUM)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def _trailing_flags(p):
-        # Accept --json/--max-enum after the subcommand as well; SUPPRESS
+    for flag, kwargs in _GLOBAL_FLAGS.items():
+        parser.add_argument(flag, **kwargs)
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in (_COMMANDS if only is None else [only]):
+        fn, arguments = _COMMANDS[name]
+        p = sub.add_parser(name)
+        # Accept the global flags after the subcommand as well; SUPPRESS
         # keeps the main parser's value when the flag precedes the command.
-        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-        p.add_argument("--max-enum", type=int, metavar="N",
-                       default=argparse.SUPPRESS)
-        return p
-
-    def cmd(name, fn, **pos):
-        p = _trailing_flags(sub.add_parser(name))
-        for arg, typ in pos.items():
-            p.add_argument(arg, type=typ)
+        for flag, kwargs in _GLOBAL_FLAGS.items():
+            kwargs = {k: v for k, v in kwargs.items() if k != "help"}
+            p.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    cmd("modinfo", _cmd_modinfo, m=int)
-    cmd("idempotents", _cmd_idempotents, m=int)
-    cmd("order", _cmd_order, m=int, a=int)
-    cmd("classify", _cmd_classify, m=int, a=int)
-    p = cmd("sets", _cmd_sets, m=int)
-    p.add_argument("--regular", action="store_true")
-    p.add_argument("--normal", action="store_true")
-    p.add_argument("--class", dest="cls", type=int, default=None)
-    cmd("orbit", _cmd_orbit, m=int, a=int)
-    cmd("solve", _cmd_solve, m=int, k=int, a=int)
-    cmd("omega", _cmd_omega, m=int, a=int)
-    cmd("gproots", _cmd_gproots, m=int)
-    cmd("counts", _cmd_counts, m=int, e=int, k=int)
-    p = _trailing_flags(sub.add_parser("classify-fn"))
-    p.add_argument("name")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_classify_fn)
-    cmd("algebra", _cmd_algebra, m=int)
-    p = _trailing_flags(sub.add_parser("idemop"))
-    p.add_argument("m", type=int)
-    p.add_argument("op", choices=OPS)
-    p.add_argument("e1", type=int)
-    p.add_argument("e2", type=int, nargs="?", default=None)
-    p.set_defaults(fn=_cmd_idemop)
-    cmd("quadratic", _cmd_quadratic, m=int, k=int)
-    cmd("sqrt", _cmd_sqrt, m=int, e=int)
-    cmd("tower", _cmd_tower, m=int, base=int, height=int)
-    p = _trailing_flags(sub.add_parser("audit"))
-    p.add_argument("range", help="<lo>..<hi>")
-    p.add_argument("--theorems", help="comma-separated theorem ids "
-                   f"(known: {', '.join(THEOREMS)})")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=_cmd_audit)
     return parser
 
 
+def _command_in(argv: list[str]) -> str | None:
+    """The command argv runs, if it follows nothing but spelled-out global
+    flags; None sends argv to the full parser."""
+    i = 0
+    while i < len(argv):
+        flag, eq, _ = argv[i].partition("=")
+        takes_value = "action" not in _GLOBAL_FLAGS.get(flag, {})
+        if flag not in _GLOBAL_FLAGS or (eq and not takes_value):
+            return argv[i] if argv[i] in _COMMANDS else None
+        i += 2 if takes_value and not eq else 1
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(_command_in(argv)).parse_args(argv)
+    if args.max_enum is not None and args.max_enum < 1:
+        print(f"invalid --max-enum {args.max_enum}", file=sys.stderr)
+        return 2
+    saved_cap = os.environ.get("IDEM_MAX_ENUM")
     if args.max_enum is not None:
-        if args.max_enum < 1:
-            print(f"invalid --max-enum {args.max_enum}", file=sys.stderr)
-            return 2
         os.environ["IDEM_MAX_ENUM"] = str(args.max_enum)
     try:
         return args.fn(args)
@@ -439,6 +466,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # --max-enum holds for this call only.
+        if saved_cap is None:
+            os.environ.pop("IDEM_MAX_ENUM", None)
+        else:
+            os.environ["IDEM_MAX_ENUM"] = saved_cap
 
 
 if __name__ == "__main__":

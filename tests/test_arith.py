@@ -2,6 +2,7 @@
 int-modulus boundary of the public API."""
 import inspect
 import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -121,6 +122,8 @@ def test_factorization_validates():
 def test_factorize_reconstructs(n):
     fact = factorize(n)
     assert math.prod(p**a for p, a in fact.factors) == n
+    for p, _ in fact.factors:
+        assert p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1)), p
 
 
 def test_factorize_large_semiprime():
@@ -129,6 +132,30 @@ def test_factorize_large_semiprime():
     assert fact.factors == ((1000003, 1), (1000033, 1))
     # A repeated prime beyond trial division goes through Pollard rho.
     assert factorize(3 * 1000003**2).factors == ((3, 1), (1000003, 2))
+
+
+def _random_prime(rng, bits):
+    while True:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            return p
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    cases = [rng.randrange(1, 1 << 72) for _ in range(60)]
+    for bits in range(20, 33, 2):  # balanced semiprimes
+        cases.append(_random_prime(rng, bits) * _random_prime(rng, bits))
+    for p in (1031, 65537, 1000003, _random_prime(rng, 24)):  # p > 2^10
+        cases += [p**2, p**3]
+    cases += [561, 41041, 825265]  # Carmichael numbers
+    cases += [3 * 1000003**4, 1021 * 65537**3]  # small prime times prime power
+    # A strong pseudoprime to the first 12 prime bases, so a composite that
+    # Miller-Rabin on bases 2..37 takes for a prime.
+    cases.append(399165290221 * 798330580441)
+    for n in cases:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
 def test_mod_pow_rejects_nonpositive_exponent():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from idemod.cli import main
+from idemod.cli import _build_parser, _command_in, main
 
 
 def run(capsys, *argv):
@@ -123,3 +123,63 @@ def test_audit_exit_zero_despite_findings(capsys):
     code, out, _ = run(capsys, "audit", "8..12", "--theorems", "fs05")
     assert code == 0
     assert "counterexamples" in out
+
+
+def test_max_enum_does_not_outlive_the_call(capsys):
+    assert run(capsys, "--max-enum", "10", "idempotents", "50")[0] == 3
+    code, out, _ = run(capsys, "idempotents", "50")
+    assert code == 0
+    assert out.strip() == "1,25,26,50"
+
+
+def test_one_subparser_parses_like_the_full_parser():
+    samples = [
+        ["modinfo", "360"],
+        ["--json", "idempotents", "60"],
+        ["order", "12", "-7", "--json"],
+        ["--max-enum", "50", "classify", "12", "2"],
+        ["sets", "12", "--regular", "--class", "4", "--max-enum=9"],
+        ["orbit", "12", "5"],
+        ["--json", "solve", "12", "2", "4", "--max-enum", "7"],
+        ["omega", "12", "5"],
+        ["gproots", "12", "--json"],
+        ["counts", "12", "1", "2"],
+        ["classify-fn", "phi", "30"],
+        ["--max-enum=3", "algebra", "12"],
+        ["idemop", "12", "circ", "4", "9"],
+        ["idemop", "12", "complement", "4", "--json"],
+        ["quadratic", "12", "5"],
+        ["sqrt", "45", "10"],
+        ["--json", "--max-enum", "8", "tower", "100", "42", "100"],
+        ["audit", "2..12", "--theorems", "in02,fs05", "--out", "r.json"],
+    ]
+    full = _build_parser()
+    for argv in samples:
+        command = _command_in(argv)
+        assert command is not None and command in argv
+        assert _build_parser(command).parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["modinfo", "--help"],
+    [],
+    ["frobnicate", "12"],
+    ["--max-enum", "x", "modinfo", "1"],
+    ["--json=x", "modinfo", "1"],
+    ["modinfo"],
+    ["idemop", "12", "bogus", "1"],
+])
+def test_help_and_errors_match_the_full_parser(capsys, argv):
+    def outcome(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    full = outcome(_build_parser())
+    assert outcome(_build_parser(_command_in(argv))) == full
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == full
