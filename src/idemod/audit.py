@@ -23,6 +23,7 @@ from .residues import (
     is_regular,
     join_witness,
     mu,
+    normal_set,
     orbit_gcd,
     relative_order,
     structure_table,
@@ -106,7 +107,7 @@ class _Ctx:
         self.Rset = set(self.R)
         self.orders = self.table.orders
         self.classes = self.table.classes
-        self.N = [a for a in range(1, m + 1) if is_normal(m, a)]
+        self.N = normal_set(m)
         self.Nset = set(self.N)
         # ind maps for regular elements: value -> smallest exponent.
         self.ind: dict[int, dict[int, int]] = {}
@@ -911,7 +912,7 @@ def check_rn36(m):
             yield _finding("rn36", m, {"e": e}, [(m1, m2)], decomps)
         for a in range(1, m + 1):
             member = math.gcd(a, m1) == 1 and a % m2 == 0
-            in_class = a in c.Rset and c.classes.get(a) == e
+            in_class = c.classes[a] == e
             if member != in_class:
                 yield _finding("rn36", m, {"e": e, "a": a}, in_class, member)
             elif member and order(m, a).order != order(m1, a).order:
@@ -979,8 +980,7 @@ def check_rn41(m):
             e = c.classes[a]
             cand = canon(b * e, m)
             ok = (
-                cand in c.Rset
-                and c.classes.get(cand) == e
+                c.classes[cand] == e
                 and c.orders[cand] == nbm
                 and a in c.orbits[cand]
             )

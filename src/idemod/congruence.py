@@ -4,9 +4,10 @@ criterion for regular a, the omega invariant, and generalized primitive roots.
 omega_m(a) is the largest order among regular residues whose orbit contains
 a.  The solvability criterion for regular a reads: x^k = a is solvable iff
 a^(omega/(k, omega)) is idempotent.  omega is found by one scan of a's class
-R_m^e, the only class whose orbits can hold a: orb(b) is cyclic, so it holds
-a exactly when |a| divides |b| and b^(|b|/|a|), which generates its one
-subgroup of order |a|, lies in orb(a).  oracle.oracle_omega walks the orbits.
+R_m^e, the only class whose orbits can hold a, reading each member's order
+from structure_table's arrays: orb(b) is cyclic, so it holds a exactly when
+|a| divides |b| and b^(|b|/|a|), which generates its one subgroup of order
+|a|, lies in orb(a).  oracle.oracle_omega walks the orbits.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 from .arith import Modulus, build_modulus, canon, canonicalize, check_enum
 from .idempotents import is_idempotent
-from .residues import is_regular, orbit, structure_table
+from .residues import _powers, is_regular, structure_table
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,10 @@ def _omega_cache(m: int, a: int) -> OmegaInfo:
     check_enum(m)
     table = structure_table(m)
     a = canon(a, m)
-    if not is_regular(m, a):
-        raise ValueError(f"{a} is not regular modulo {m}")
     n = table.orders[a]
-    target = orbit(m, a).elements
+    if not n:
+        raise ValueError(f"{a} is not regular modulo {m}")
+    target = _powers(m, a, n)
     best = 0
     maximizers: list[int] = []
     for b in table.by_class[table.classes[a]]:

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .arith import Modulus, build_modulus, canon, check_enum, valuation
 from .idempotents import is_idempotent
-from .residues import orbit, structure_table
+from .residues import _powers, structure_table
 
 
 def _class_orders(m: int, e: int) -> list[int]:
@@ -86,7 +86,7 @@ def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
     count = 0
     for a in table.by_class[e]:
         if table.orders[a] == k:
-            union |= orbit(m, a).elements
+            union |= _powers(m, a, k)
             count += 1
     return OrbitUnionSize(
         table.modulus, e, k, len(union), k * count // build_modulus(k).phi

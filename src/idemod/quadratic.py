@@ -82,7 +82,9 @@ def sqrt_structure(m: int, e: int) -> SqrtStructure:
     check_enum(m)
     e = canon(e, m)
     table = structure_table(m)
-    roots = tuple(x for x in table.regulars if x * x % m == e % m)
+    # A regular x with x^2 = e lies in the group R_m^e, so only that class
+    # is scanned.
+    roots = tuple(x for x in table.by_class[e] if x * x % m == e % m)
     om = build_modulus(mu(m, e)).omega
     prod = 1
     for x in roots:

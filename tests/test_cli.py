@@ -1,8 +1,14 @@
 """Command-line frontend: routing, JSON round-trips, exit codes."""
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idemod
 from idemod.cli import _build_parser, _command_in, main
 
 
@@ -183,3 +189,21 @@ def test_help_and_errors_match_the_full_parser(capsys, argv):
         main(argv)
     out = capsys.readouterr()
     assert (exc.value.code, out.out, out.err) == full
+
+
+def test_near_cap_solve_fits_384_mib_of_address_space():
+    """`solve 999983 3 8` builds the table for a prime near the cap and scans
+    the unit class for omega; it answers in a fresh process limited to
+    384 MiB of address space (it needed 479 MiB with per-residue orders)."""
+    limit = 384 * 2**20
+    src = str(Path(idemod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "idemod.cli", "solve", "999983", "3", "8", "--json"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert (out["solutions"], out["criterion_verdict"]) == ([2], True)

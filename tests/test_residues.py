@@ -10,7 +10,8 @@ import tracemalloc
 
 import pytest
 
-from idemod.arith import build_modulus
+from idemod import residues
+from idemod.arith import EnumerationCapError, build_modulus, multiplicative_order
 from idemod.idempotents import enumerate_idempotents, idem_class, order, signed_power
 from idemod.residues import (
     classify,
@@ -26,10 +27,16 @@ from idemod.residues import (
     regular_set,
     relative_order,
     structure_table,
+    _lift_root,
     _orbit_gcd,
 )
 from idemod import audit as _audit
-from idemod.oracle import oracle_orbit_gcd, oracle_order, oracle_regular_set
+from idemod.oracle import (
+    oracle_normal_set,
+    oracle_orbit_gcd,
+    oracle_order,
+    oracle_regular_set,
+)
 from conftest import no_findings
 
 
@@ -311,14 +318,16 @@ def test_class_product_rejects_non_idempotent():
 def test_structure_table_consistency():
     for m in range(2, 80):
         table = structure_table(m)
-        assert set(table.regulars) == set(regular_set(m))
+        assert list(table.regulars) == oracle_regular_set(m)
         for a in table.regulars:
             assert table.orders[a] == order(m, a).order
             assert table.classes[a] == idem_class(m, a)
             assert len(orbit(m, a).elements) == table.orders[a]
         assert sorted(table.by_class) == list(table.idempotents.elements)
         for e in table.idempotents.elements:
-            assert table.by_class[e] == tuple(regular_set(m, e))
+            assert list(table.by_class[e]) == [
+                a for a in oracle_regular_set(m) if idem_class(m, a) == e
+            ]
 
 
 def test_structure_table_memory_is_linear():
@@ -331,3 +340,89 @@ def test_structure_table_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+# Every m up to 2000; 2^alpha beside the odd prime power 9 and the prime 5
+# up to alpha = 10; and 487^2, where 10 is a primitive root mod 487 but
+# 10^486 = 1 (mod 487^2).
+AGREEMENT_MODULI = sorted(
+    {*range(1, 2001), *(2**alpha * 45 for alpha in range(1, 11)), 487**2}
+)
+
+
+def test_table_matches_point_queries_exhaustively():
+    """For every residue, the CRT-built table's regular flag, order and class
+    are is_regular's and order()'s (0 and 0 off R_m), by_class groups R_m by
+    order()'s class in first-seen order, and normal_set is the residues
+    is_normal accepts.  The point queries take each residue on its own, with
+    no table."""
+    for m in AGREEMENT_MODULI:
+        table = structure_table(m)
+        regular = [a for a in range(1, m + 1) if is_regular(m, a)]
+        assert list(table.regulars) == regular, m
+        flags = set(regular)
+        groups: dict[int, list[int]] = {}
+        for a in range(1, m + 1):
+            info = order(m, a)
+            want = (info.order, info.idem_class) if a in flags else (0, 0)
+            assert (table.orders[a], table.classes[a]) == want, (m, a)
+            if a in flags:
+                groups.setdefault(info.idem_class, []).append(a)
+        assert [(e, list(c)) for e, c in table.by_class.items()] == list(groups.items())
+        assert normal_set(m) == [a for a in range(1, m + 1) if is_normal(m, a)], m
+        # Otherwise the caches would hold every residue of the sweep.
+        order.cache_clear()
+        structure_table.cache_clear()
+
+
+def test_normal_set_matches_oracle_beside_powers_of_two():
+    """normal_set, whole and per class, against the exhaustive oracle on
+    2^alpha and 2^alpha * 45 up to the sizes the oracle's O(m * phi) scan
+    affords (m <= 500 is test_oracle_audit's)."""
+    moduli = [2**alpha for alpha in range(9, 13)]
+    moduli += [2**alpha * 45 for alpha in range(4, 8)]
+    for m in moduli:
+        normal = oracle_normal_set(m)
+        assert normal_set(m) == normal, m
+        for e in enumerate_idempotents(m).elements:
+            assert normal_set(m, e) == [a for a in normal if idem_class(m, a) == e]
+
+
+def test_root_lift_mod_487_squared():
+    """10 generates U(487) but not U(487^2); the lift 10 + 487 does.  The
+    least primitive root (3 for 487) first needs the lift at p = 40487,
+    above the cap, so the lift is tested here directly."""
+    assert multiplicative_order(10, 487) == 486
+    assert multiplicative_order(10, 487**2) == 486
+    assert _lift_root(10, 487, 2) == 497
+    assert multiplicative_order(497, 487**2) == 486 * 487
+    assert _lift_root(10, 487, 1) == 10
+    assert _lift_root(3, 487, 2) == 3
+
+
+def test_near_cap_table_memory():
+    """structure_table(999983) holds a few arrays of m entries: it peaks
+    under 50 MiB (it took 418 MiB RSS with one OrderInfo per residue)."""
+    structure_table.cache_clear()
+    tracemalloc.start()
+    try:
+        structure_table(999983)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        structure_table.cache_clear()
+    assert peak < 50 * 2**20, peak
+
+
+def test_whole_modulus_sets_refuse_before_factoring(monkeypatch):
+    """Above the cap the sets and the table exit at the cap check: a 90-bit
+    semiprime is never handed to the factorizer (Brent's rho needs about
+    0.8 s for this one)."""
+    def no_factoring(m):
+        raise AssertionError(f"factored {m} above the cap")
+
+    monkeypatch.setattr(residues, "build_modulus", no_factoring)
+    big = 17592186044423 * 35184372088891
+    for query in (regular_set, normal_set, structure_table):
+        with pytest.raises(EnumerationCapError):
+            query(big)
