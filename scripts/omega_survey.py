@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from idemod.arith import build_modulus, multiplicative_order
-from idemod.congruence import omega_info
+from idemod.congruence import omega_value
 
 
 def units_cyclic(m: int) -> bool:
@@ -36,7 +36,7 @@ def main() -> int:
     for m in range(2, args.hi + 1):
         mod = build_modulus(m)
         units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
-        best = max(omega_info(m, a).omega_a for a in units)
+        best = max(omega_value(m, a) for a in units)
         attained = best == mod.phi
         cyc = units_cyclic(m)
         if attained != cyc:

@@ -58,6 +58,7 @@ from .congruence import (
     gen_primitive_roots,
     omega_info,
     omega_set,
+    omega_value,
     solvable_bc01,
     solve,
 )

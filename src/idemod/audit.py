@@ -28,7 +28,12 @@ from .residues import (
     relative_order,
     structure_table,
 )
-from .congruence import gen_primitive_roots, omega_info, solvable_bc01
+from .congruence import (
+    gen_primitive_roots,
+    omega_info,
+    omega_value,
+    solvable_bc01,
+)
 from .counting import (
     builtin_function,
     classify_function,
@@ -1161,8 +1166,8 @@ def check_pr03(m):
                 and c.orders[a] == c.orders[b]
                 and a in c.orbits[b]
             ):
-                wa = omega_info(m, a).omega_a
-                wb = omega_info(m, b).omega_a
+                wa = omega_value(m, a)
+                wb = omega_value(m, b)
                 if wa != wb:
                     yield _finding("pr03", m, {"a": a, "b": b}, wa, wb)
 
@@ -1214,7 +1219,7 @@ def check_omega_phi_cyclic(m):
     c = _ctx(m)
     units = c.by_class.get(canon(1, m), [])
     cyclic = any(c.orders[u] == len(units) for u in units)
-    attained = any(omega_info(m, a).omega_a == c.mod.phi for a in c.R)
+    attained = any(omega_value(m, a) == c.mod.phi for a in c.R)
     if cyclic != attained:
         yield _finding("omega-phi-cyclic", m, {}, cyclic, attained)
 

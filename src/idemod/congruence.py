@@ -3,11 +3,18 @@ criterion for regular a, the omega invariant, and generalized primitive roots.
 
 omega_m(a) is the largest order among regular residues whose orbit contains
 a.  The solvability criterion for regular a reads: x^k = a is solvable iff
-a^(omega/(k, omega)) is idempotent.  omega is found by one scan of a's class
-R_m^e, the only class whose orbits can hold a, reading each member's order
-from structure_table's arrays: orb(b) is cyclic, so it holds a exactly when
-|a| divides |b| and b^(|b|/|a|), which generates its one subgroup of order
-|a|, lies in orb(a).  oracle.oracle_omega walks the orbits.
+a^(omega/(k, omega)) is idempotent, and G_m = {g : omega_m(g) = |g|_m}.
+
+omega is computed, not searched for.  Only a's class R_m^e can hold an orbit
+through a, and it is a group isomorphic to U(mu), mu the product of the
+p^alpha of m with p not dividing a.  In a finite abelian group the largest
+cyclic subgroup through a splits over the primes q of its exponent
+lambda(mu) (Carmichael): its q-part has order q^v_q(lambda) when q does not
+divide |a|, and q^(v_q(|a|) + h) when it does, where h, the q-height of a,
+is the largest h with a a q^h-th power; a is one exactly when it is one in
+every component U(p^alpha).  omega_info's maximizers still need a scan, of
+the members of a's class whose order is omega.  oracle.oracle_omega walks
+the orbits.
 """
 from __future__ import annotations
 
@@ -15,9 +22,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import Modulus, build_modulus, canon, canonicalize, check_enum
+from .arith import (
+    Modulus,
+    build_modulus,
+    canon,
+    canonicalize,
+    check_enum,
+    valuation,
+)
 from .idempotents import is_idempotent
-from .residues import _powers, is_regular, structure_table
+from .residues import _powers, _regular_order, is_regular, structure_table
 
 
 @dataclass(frozen=True)
@@ -48,23 +62,70 @@ def _omega_cache(m: int, a: int) -> OmegaInfo:
     n = table.orders[a]
     if not n:
         raise ValueError(f"{a} is not regular modulo {m}")
+    w = _omega(table.modulus, a, n)
+    # orb(b) is cyclic, so it holds a exactly when b^(|b|/|a|), which
+    # generates its one subgroup of order |a|, lies in orb(a).
     target = _powers(m, a, n)
-    best = 0
-    maximizers: list[int] = []
-    for b in table.by_class[table.classes[a]]:
-        nb = table.orders[b]
-        if nb % n == 0 and canon(pow(b, nb // n, m), m) in target:
-            if nb > best:
-                best = nb
-                maximizers = [b]
-            elif nb == best:
-                maximizers.append(b)
-    # a is in its own orbit, so best >= |a|_m > 0.
-    return OmegaInfo(table.modulus, a, best, tuple(maximizers), best // n)
+    maximizers = tuple(
+        b
+        for b in table.by_class[table.classes[a]]
+        if table.orders[b] == w and canon(pow(b, w // n, m), m) in target
+    )
+    return OmegaInfo(table.modulus, a, w, maximizers, w // n)
 
 
 def omega_info(m: int, a: int) -> OmegaInfo:
     return _omega_cache(m, canonicalize(a, m))
+
+
+@lru_cache(maxsize=1024)
+def omega_value(m: int, a: int) -> int:
+    """omega_m(a) for a regular a, by the closed form alone.  The audit asks
+    bc01 for the same a under 30 exponents; the bound keeps the memo from
+    holding every residue of a sweep."""
+    info = _regular_order(m, a)
+    return _omega(info.modulus, info.a, info.order)
+
+
+def _omega(mod: Modulus, a: int, n: int) -> int:
+    """omega_m(a) for a regular a of order n = |a|_m: the product over the
+    primes q of lambda(mu) of q^v_q(lambda) when q does not divide n, and of
+    q^(v_q(n) + h) when it does, h being the largest with a a q^h-th power
+    in every unit component p^alpha of mu."""
+    units = [(p, alpha) for p, alpha in mod.factorization.factors if a % p]
+    lam = math.lcm(*(_carmichael(p, alpha) for p, alpha in units))
+    w = 1
+    for q, e in build_modulus(lam).factorization.factors:
+        v = valuation(n, q)
+        if not v:
+            w *= q**e
+            continue
+        h = 0
+        while v + h < e and all(
+            _is_power(a, p, alpha, q, h + 1) for p, alpha in units
+        ):
+            h += 1
+        w *= q ** (v + h)
+    return w
+
+
+def _carmichael(p: int, alpha: int) -> int:
+    """lambda(p^alpha), the exponent of U(p^alpha)."""
+    if p == 2 and alpha >= 3:
+        return 2 ** (alpha - 2)
+    return p ** (alpha - 1) * (p - 1)
+
+
+def _is_power(x: int, p: int, alpha: int, q: int, h: int) -> bool:
+    """Whether the unit x is a q^h-th power modulo p^alpha, for h >= 1.
+    U(p^alpha) is cyclic of order phi for odd p, where that holds exactly
+    when x^(phi/(phi, q^h)) = 1.  U(2^alpha) = {+-5^k} is a 2-group, all of
+    it q^h-th powers for odd q, and its 2^h-th powers are the units
+    = 1 (mod 2^(h+2)), only 1 once h + 2 >= alpha."""
+    if p == 2:
+        return q != 2 or x % 2 ** min(h + 2, alpha) == 1
+    phi = p ** (alpha - 1) * (p - 1)
+    return pow(x, phi // math.gcd(phi, q**h), p**alpha) == 1
 
 
 def solvable_bc01(m: int, k: int, a: int) -> bool:
@@ -75,7 +136,7 @@ def solvable_bc01(m: int, k: int, a: int) -> bool:
         raise ValueError(f"exponent must be >= 1, got {k}")
     if not is_regular(m, a):
         raise ValueError(f"{a} is not regular modulo {m}: criterion inapplicable")
-    w = omega_info(m, a).omega_a
+    w = omega_value(m, a)
     return is_idempotent(m, pow(a, w // math.gcd(k, w), m))
 
 
@@ -101,7 +162,8 @@ def gen_primitive_roots(m: int) -> tuple[int, ...]:
     table = structure_table(m)
     out = []
     for g in table.regulars:
-        if omega_info(m, g).omega_a == table.orders[g]:
+        n = table.orders[g]
+        if _omega(table.modulus, g, n) == n:
             out.append(g)
     return tuple(out)
 

@@ -157,13 +157,11 @@ def orbit(m: int, a: int) -> OrbitSet:
 
 
 def _powers(m: int, a: int, n: int) -> frozenset[int]:
-    """{a^1, ..., a^n} mod m, canonical: orb_m(a) when n = |a|_m."""
-    elems = set()
+    """{a^1, ..., a^n} mod m, canonical: orb_m(a) when n = |a|_m.  The
+    frozenset is built from the powers as they come, with no set to copy;
+    x or m is canon(x, m) for x in 0..m-1."""
     x = 1 % m
-    for _ in range(n):
-        x = x * a % m
-        elems.add(canon(x, m))
-    return frozenset(elems)
+    return frozenset((x := x * a % m) or m for _ in range(n))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import idemod
+from idemod.arith import build_modulus
 from idemod.cli import _build_parser, _command_in, main
 
 
@@ -191,19 +192,36 @@ def test_help_and_errors_match_the_full_parser(capsys, argv):
     assert (exc.value.code, out.out, out.err) == full
 
 
-def test_near_cap_solve_fits_384_mib_of_address_space():
-    """`solve 999983 3 8` builds the table for a prime near the cap and scans
-    the unit class for omega; it answers in a fresh process limited to
-    384 MiB of address space (it needed 479 MiB with per-residue orders)."""
+def _run_capped(*argv: str) -> dict:
+    """Run `idemod argv --json` in a fresh process limited to 384 MiB of
+    address space, within the enum-queries budget of 20 s, and return its
+    JSON answer."""
     limit = 384 * 2**20
     src = str(Path(idemod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-m", "idemod.cli", "solve", "999983", "3", "8", "--json"],
+        [sys.executable, "-m", "idemod.cli", *argv, "--json"],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        env=env, capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, timeout=20,
     )
     assert res.returncode == 0, res.stderr
-    out = json.loads(res.stdout)
+    return json.loads(res.stdout)
+
+
+def test_near_cap_solve_fits_384_mib_of_address_space():
+    """`solve 999983 3 8` scans every residue of a prime near the cap and
+    takes omega in closed form (it needed 479 MiB with per-residue orders,
+    and 89 MiB with a structure table and a class scan for omega)."""
+    out = _run_capped("solve", "999983", "3", "8")
     assert (out["solutions"], out["criterion_verdict"]) == ([2], True)
+
+
+def test_near_cap_gproots_fits_384_mib_of_address_space():
+    """`gproots 100003` tests each unit's omega in closed form; a class scan
+    per unit made it quadratic and it did not finish.  G_p for a prime p is
+    the phi(p - 1) primitive roots and p itself."""
+    out = _run_capped("gproots", "100003")
+    gs = out["gproots"]
+    assert len(gs) == build_modulus(100002).phi + 1
+    assert (gs[0], gs[-1]) == (2, 100003)

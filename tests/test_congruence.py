@@ -6,6 +6,7 @@ from idemod.congruence import (
     gen_primitive_roots,
     omega_info,
     omega_set,
+    omega_value,
     solvable_bc01,
     solve,
 )
@@ -15,6 +16,25 @@ from idemod import audit as _audit
 from conftest import bc01_sweep, no_findings
 
 SWEEP_150 = range(2, 151)
+
+
+def walk_omega(m):
+    """{a: (|a|_m, omega_m(a))} over the regular residues a in 1..m, from
+    one power walk per residue b: b is regular when its powers return to b,
+    and then each power a takes the largest |b| among the orbits holding
+    it."""
+    orders, best = {}, {}
+    for b in range(1, m + 1):
+        orb, x = [b % m], b * b % m
+        while x != b % m and len(orb) <= m:
+            orb.append(x)
+            x = x * b % m
+        if x != b % m:
+            continue
+        orders[b] = len(orb)
+        for y in orb:
+            best[y] = max(best.get(y, 0), len(orb))
+    return {a: (n, best[a % m]) for a, n in orders.items()}
 
 
 def test_criterion_matches_exhaustive_solvability():
@@ -92,9 +112,23 @@ def test_omega_matches_oracle():
             assert (info.omega_a, info.omega_set) == oracle_omega(m, a), (m, a)
 
 
+def test_omega_closed_form_matches_orbit_walk():
+    """Every m <= 300, and 2^alpha * k beside the non-cyclic U(2^alpha),
+    where q = p = 2 meets the odd q of the other components."""
+    moduli = set(range(1, 301)) | {
+        2**alpha * k for alpha in range(10) for k in (1, 3, 5, 9, 15)
+    }
+    for m in sorted(moduli):
+        for a, (n, w) in walk_omega(m).items():
+            assert omega_value(m, a) == w, (m, a)
+            assert omega_value(m, a - m) == w, (m, a)
+
+
 def test_omega_rejects_irregular_argument():
     with pytest.raises(ValueError):
         omega_info(12, 2)
+    with pytest.raises(ValueError):
+        omega_value(12, 2)
     with pytest.raises(ValueError):
         solvable_bc01(12, 2, 2)
 
@@ -131,9 +165,16 @@ def test_generalized_primitive_roots_nonempty():
     for m in SWEEP_150:
         gs = gen_primitive_roots(m)
         assert gs, m
-        table = structure_table(m)
-        for g in gs:
-            assert omega_info(m, g).omega_a == table.orders[g]
+        brute = tuple(g for g, (n, w) in walk_omega(m).items() if n == w)
+        assert gs == brute, m
+
+
+def test_generalized_primitive_roots_match_sympy():
+    """G_p of a prime p is its primitive roots and p, the zero class."""
+    sympy = pytest.importorskip("sympy")
+    p = 20011
+    roots = {g for g in range(1, p) if sympy.ntheory.is_primitive_root(g, p)}
+    assert set(gen_primitive_roots(p)) == roots | {p}
 
 
 def test_solution_counts_match_rho_when_solvable():
