@@ -1,18 +1,24 @@
 """Empirical theorem audit: sweep moduli, test every registered statement,
 and report counterexamples.
 
-Each registry entry replays one statement over a modulus (or once globally,
-for statements that do not mention a modulus; those run with the sentinel
-modulus 0).  Conditional statements are audited as conditionals: instances
-failing the hypothesis are skipped, never counted as passes.  Statements with
-zero findings are marked verified-on-range — never "proved".
+Each statement is a check registered with @claim, which names it.  check(m)
+yields one (witness, expected, actual) tuple per counterexample; run_audit
+files each under the registered id and the m it passed.  Global statements
+(no modulus) run once, with the sentinel m = 0.  The sweep then takes each m
+in turn and runs every other check on it, so the checks share one live
+per-modulus context, _ctx(m), replaced when the next m starts.  Findings are
+sorted per claim at the end, so the report does not depend on loop order.
+
+Conditional statements are audited as conditionals: instances failing the
+hypothesis are skipped, never counted as passes.  Statements with zero
+findings are marked verified-on-range — never "proved".
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import build_modulus, canon, lcm_all
 from .idempotents import idem_class, index, order, signed_power
@@ -25,6 +31,7 @@ from .residues import (
     mu,
     normal_set,
     orbit_gcd,
+    regular_set,
     relative_order,
     structure_table,
 )
@@ -100,7 +107,9 @@ class AuditReport:
 
 
 class _Ctx:
-    """Shared per-modulus scratch tables for the checks."""
+    """Shared per-modulus scratch tables for the checks.  The power walks and
+    the algebra report are built on first use, so a check that needs none
+    of them does not pay for them."""
 
     def __init__(self, m: int):
         self.m = m
@@ -114,18 +123,35 @@ class _Ctx:
         self.classes = self.table.classes
         self.N = normal_set(m)
         self.Nset = set(self.N)
-        # ind maps for regular elements: value -> smallest exponent.
-        self.ind: dict[int, dict[int, int]] = {}
+        self.by_class = self.table.by_class
+        self._images: dict[int, frozenset[int]] = {}
+
+    @cached_property
+    def ind(self) -> dict[int, dict[int, int]]:
+        """For each regular b: power of b -> smallest exponent."""
+        m = self.m
+        ind = {}
         for b in self.R:
             walk: dict[int, int] = {}
             x = 1 % m
             for k in range(1, self.orders[b] + 1):
                 x = x * b % m
                 walk.setdefault(canon(x, m), k)
-            self.ind[b] = walk
-        self.orbits = {b: frozenset(walk) for b, walk in self.ind.items()}
-        self.by_class = self.table.by_class
-        self._images: dict[int, frozenset[int]] = {}
+            ind[b] = walk
+        return ind
+
+    @cached_property
+    def orbits(self) -> dict[int, frozenset[int]]:
+        return {b: frozenset(walk) for b, walk in self.ind.items()}
+
+    @cached_property
+    def algebra(self):
+        return verify_algebra(self.m)
+
+    def equivalent(self, x: int, y: int) -> bool:
+        """x ~ y: same class, same order, and x in orb(y)."""
+        return (self.classes[x] == self.classes[y]
+                and self.orders[x] == self.orders[y] and x in self.orbits[y])
 
     def images(self, k: int) -> frozenset[int]:
         """{x^k mod m : x in Z_m} in 0..m-1 form, for solvability lookups."""
@@ -135,26 +161,23 @@ class _Ctx:
         return self._images[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _ctx(m: int) -> _Ctx:
     return _Ctx(m)
 
 
-@lru_cache(maxsize=None)
-def _algebra_report(m: int):
-    return verify_algebra(m)
-
-
 def _divisor_pairs(m: int):
-    divs = [d for d in range(1, m + 1) if m % d == 0]
+    """Proper divisors m1, m2 of m (1 < m1, m2 < m) with lcm(m1, m2) = m."""
+    divs = [d for d in range(2, m) if m % d == 0]
     for m1 in divs:
         for m2 in divs:
             if math.lcm(m1, m2) == m:
                 yield m1, m2
 
 
-def _finding(tid, m, witness, expected, actual):
-    return AuditFinding(tid, m, witness, expected, actual)
+def _divisor_sets(m: int, members) -> dict[int, set[int]]:
+    """{d: set(members(d))} in canonical form, for each divisor 1 < d < m."""
+    return {d: {canon(a, d) for a in members(d)} for d in range(2, m) if m % d == 0}
 
 
 # Claim id -> (scope, check), in registration order.  A "sweep" check runs
@@ -164,7 +187,9 @@ THEOREMS: dict[str, tuple[str, object]] = {}
 
 def claim(fn=None, *, scope="sweep"):
     """Register check_<name> as claim <name>, underscores read as hyphens;
-    use as @claim or @claim(scope="global")."""
+    use as @claim or @claim(scope="global").  The registry is the only place
+    that knows a claim's id: check(m) yields bare (witness, expected,
+    actual) tuples, and run_audit labels them with the id and with m."""
 
     def register(check):
         tid = check.__name__.removeprefix("check_").replace("_", "-")
@@ -182,7 +207,7 @@ def check_in02(m):
     c = _ctx(m)
     for a in range(1, m + 1):
         if canon(pow(a, c.mod.phi, m), m) not in c.Eset:
-            yield _finding("in02", m, {"a": a}, "a^phi idempotent", "not idempotent")
+            yield {"a": a}, "a^phi idempotent", "not idempotent"
 
 
 @claim
@@ -197,29 +222,19 @@ def check_in03(m):
             if v in c.Eset:
                 idems.add(v)
         if len(idems) > 1:
-            yield _finding(
-                "in03", m, {"a": a}, "single idempotent power", sorted(idems)
-            )
+            yield {"a": a}, "single idempotent power", sorted(idems)
 
 
 @claim
 def check_in05(m):
     c = _ctx(m)
     for m1, m2 in _divisor_pairs(m):
-        if m1 == m or m2 == m:
-            continue
         e1 = set(oracle_idempotents(m1))
         e2 = set(oracle_idempotents(m2))
         for e in range(1, m + 1):
             both = canon(e, m1) in e1 and canon(e, m2) in e2
             if (canon(e, m) in c.Eset) != both:
-                yield _finding(
-                    "in05",
-                    m,
-                    {"m1": m1, "m2": m2, "e": e},
-                    canon(e, m) in c.Eset,
-                    both,
-                )
+                yield {"m1": m1, "m2": m2, "e": e}, canon(e, m) in c.Eset, both
                 return
 
 
@@ -228,9 +243,9 @@ def check_in06(m):
     c = _ctx(m)
     brute = oracle_idempotents(m)
     if list(c.E) != brute:
-        yield _finding("in06", m, {}, brute, list(c.E))
+        yield {}, brute, list(c.E)
     if len(c.E) != 2**c.mod.omega:
-        yield _finding("in06", m, {"size": True}, 2**c.mod.omega, len(c.E))
+        yield {"size": True}, 2**c.mod.omega, len(c.E)
 
 
 @claim
@@ -240,7 +255,7 @@ def check_in07(m):
         size = len({canon(k * e, m) for e in c.E})
         expect = 2 ** build_modulus(m // math.gcd(k, m)).omega
         if size != expect:
-            yield _finding("in07", m, {"k": k}, expect, size)
+            yield {"k": k}, expect, size
 
 
 @claim
@@ -248,7 +263,7 @@ def check_in08(m):
     c = _ctx(m)
     for a in range(1, m + 1):
         if pow(a, c.mod.phi, m) != pow(math.gcd(a, m), c.mod.phi, m):
-            yield _finding("in08", m, {"a": a}, "a^phi == gcd(a,m)^phi", "differs")
+            yield {"a": a}, "a^phi == gcd(a,m)^phi", "differs"
 
 
 @claim
@@ -259,10 +274,8 @@ def check_in11(m):
             for n in range(k, k + 6):
                 if pow(a, k + n, m) == pow(a, k, m):
                     if canon(pow(a, n, m), m) not in c.Eset:
-                        yield _finding(
-                            "in11", m, {"a": a, "k": k, "n": n},
-                            "a^n idempotent", "not idempotent",
-                        )
+                        yield ({"a": a, "k": k, "n": n},
+                               "a^n idempotent", "not idempotent")
 
 
 @claim
@@ -270,7 +283,7 @@ def check_in12(m):
     c = _ctx(m)
     for a in range(1, m + 1):
         if canon(pow(a, c.mod.psi, m), m) not in c.Eset:
-            yield _finding("in12", m, {"a": a}, "a^psi idempotent", "not idempotent")
+            yield {"a": a}, "a^psi idempotent", "not idempotent"
 
 
 # ---------------------------------------------------------------- nn series
@@ -296,7 +309,7 @@ def check_nn02(m):
             for ks in _power_groups(m, a, 2 * phi).values()
         )
         if inference != (a in c.Nset):
-            yield _finding("nn02", m, {"a": a}, a in c.Nset, inference)
+            yield {"a": a}, a in c.Nset, inference
 
 
 @claim
@@ -308,30 +321,23 @@ def check_nn03(m):
             expect = n // math.gcd(k, n)
             actual = order(m, canon(pow(a, k, m), m)).order
             if actual != expect:
-                yield _finding("nn03", m, {"a": a, "k": k}, expect, actual)
+                yield {"a": a, "k": k}, expect, actual
 
 
 @claim
 def check_nn04(m):
+    normal = _divisor_sets(m, normal_set)
     for m1, m2 in _divisor_pairs(m):
-        if m1 == m or m2 == m:
-            continue
-        n1 = {canon(a, m1) for a in _ctx(m1).N}
-        n2 = {canon(a, m2) for a in _ctx(m2).N}
+        n1, n2 = normal[m1], normal[m2]
         for a in range(1, m + 1):
             if canon(a, m1) in n1 and canon(a, m2) in n2:
                 if not is_normal(m, a):
-                    yield _finding(
-                        "nn04", m, {"m1": m1, "m2": m2, "a": a}, "normal", "not normal"
-                    )
+                    yield {"m1": m1, "m2": m2, "a": a}, "normal", "not normal"
                     continue
                 expect = math.lcm(order(m1, a).order, order(m2, a).order)
                 actual = order(m, a).order
                 if actual != expect:
-                    yield _finding(
-                        "nn04", m, {"m1": m1, "m2": m2, "a": a, "order": True},
-                        expect, actual,
-                    )
+                    yield {"m1": m1, "m2": m2, "a": a, "order": True}, expect, actual
 
 
 @claim
@@ -342,20 +348,17 @@ def check_nn05(m):
         for n in range(1, min(2 * c.mod.phi, 40) + 1):
             x = x * a % m
             if canon(x, m) not in c.Nset:
-                yield _finding("nn05", m, {"a": a, "n": n}, "normal", "not normal")
+                yield {"a": a, "n": n}, "normal", "not normal"
 
 
 @claim
 def check_nn06(m):
-    for m1 in range(2, m):
-        if m % m1 != 0:
-            continue
-        n1 = {canon(a, m1) for a in _ctx(m1).N}
+    for m1, n1 in _divisor_sets(m, normal_set).items():
         for a in range(1, m + 1):
             if canon(a, m1) in n1:
                 if order(m, a).order % order(m1, a).order != 0:
-                    yield _finding(
-                        "nn06", m, {"m1": m1, "a": a},
+                    yield (
+                        {"m1": m1, "a": a},
                         f"|a|_{m1} divides |a|_{m}",
                         (order(m1, a).order, order(m, a).order),
                     )
@@ -378,10 +381,7 @@ def check_nn07(m):
             for k in range(1, 16):
                 g = math.gcd(k, nb)
                 if canon(pow(a, nb // g, m), m) in c.Eset and ind % g != 0:
-                    yield _finding(
-                        "nn07", m, {"a": a, "b": b, "k": k},
-                        "(k,|b|) | ind_b(a)", (g, ind),
-                    )
+                    yield {"a": a, "b": b, "k": k}, "(k,|b|) | ind_b(a)", (g, ind)
 
 
 @claim
@@ -390,12 +390,9 @@ def check_nn08(m):
     for a in c.N:
         inv = signed_power(m, a, -1)
         if not is_normal(m, inv):
-            yield _finding("nn08", m, {"a": a}, "inverse normal", "not normal")
+            yield {"a": a}, "inverse normal", "not normal"
         if order(m, inv).order != order(m, a).order:
-            yield _finding(
-                "nn08", m, {"a": a, "order": True},
-                order(m, a).order, order(m, inv).order,
-            )
+            yield {"a": a, "order": True}, order(m, a).order, order(m, inv).order
 
 
 @claim
@@ -408,7 +405,7 @@ def check_nn08_third(m):
         inv2 = signed_power(m, signed_power(m, a, -1), -1)
         rhs = canon(pow(a, order(m, a).order + 1, m), m)
         if inv2 != rhs:
-            yield _finding("nn08-third", m, {"a": a}, inv2, rhs)
+            yield {"a": a}, inv2, rhs
 
 
 # ---------------------------------------------------------------- rn series
@@ -419,7 +416,7 @@ def check_rn02(m):
     c = _ctx(m)
     for a in c.R:
         if a not in c.Nset:
-            yield _finding("rn02", m, {"a": a}, "regular implies normal", "not normal")
+            yield {"a": a}, "regular implies normal", "not normal"
 
 
 @claim
@@ -436,16 +433,14 @@ def check_rn03(m):
             pow(a, k, m) == pow(a, k + n, m) for k in range(1, min(n, 30) + 1)
         )
         if (forward and backward) != (a in c.Rset):
-            yield _finding("rn03", m, {"a": a}, a in c.Rset, (forward, backward))
+            yield {"a": a}, a in c.Rset, (forward, backward)
         if a in c.Rset:
             x = 1 % m
             for k in range(1, 2 * n + 1):
                 x = x * a % m
                 if (canon(x, m) in c.Eset) != (k % n == 0):
-                    yield _finding(
-                        "rn03", m, {"a": a, "k": k, "second": True},
-                        k % n == 0, canon(x, m) in c.Eset,
-                    )
+                    yield ({"a": a, "k": k, "second": True},
+                           k % n == 0, canon(x, m) in c.Eset)
 
 
 @claim
@@ -455,17 +450,16 @@ def check_rn06(m):
         ms = set(members)
         for a in members:
             if canon(a * e, m) != a:
-                yield _finding("rn06", m, {"e": e, "a": a}, "e is identity", "fails")
+                yield {"e": e, "a": a}, "e is identity", "fails"
             inv = signed_power(m, a, -1)
             if inv not in ms or canon(a * inv, m) != e:
-                yield _finding("rn06", m, {"e": e, "a": a}, "inverse in class", inv)
+                yield {"e": e, "a": a}, "inverse in class", inv
             if sum(1 for b in members if canon(a * b, m) == e) != 1:
-                yield _finding("rn06", m, {"e": e, "a": a}, "unique inverse", "fails")
+                yield {"e": e, "a": a}, "unique inverse", "fails"
         for a in members[::3] or members:
             for b in members[::3] or members:
                 if canon(a * b, m) not in ms:
-                    yield _finding("rn06", m, {"e": e, "a": a, "b": b},
-                                   "closure", canon(a * b, m))
+                    yield {"e": e, "a": a, "b": b}, "closure", canon(a * b, m)
 
 
 @claim
@@ -476,14 +470,13 @@ def check_rn07(m):
     for a in c.R[:: max(1, len(c.R) // 25)]:
         for n in range(1, min(2 * phi, 12) + 1):
             if signed_power(m, pow(a, n, m), -1) != signed_power(m, a, -n):
-                yield _finding("rn07", m, {"a": a, "n": n},
-                               "(a^n)^-1 == a^-n", "differs")
+                yield {"a": a, "n": n}, "(a^n)^-1 == a^-n", "differs"
         for i in pts:
             for j in pts:
                 lhs = signed_power(m, a, i + j) if i + j != 0 else signed_power(m, a, 0)
                 rhs = canon(signed_power(m, a, i) * signed_power(m, a, j), m)
                 if lhs != rhs:
-                    yield _finding("rn07", m, {"a": a, "i": i, "j": j}, lhs, rhs)
+                    yield {"a": a, "i": i, "j": j}, lhs, rhs
 
 
 @claim
@@ -501,9 +494,7 @@ def check_rn09(m):
                     )
                     rhs = canon(pow(b, math.gcd(n, k), m), m) in tgt
                     if lhs != rhs:
-                        yield _finding(
-                            "rn09", m, {"b": b, "c": cc, "n": n, "k": k}, rhs, lhs
-                        )
+                        yield {"b": b, "c": cc, "n": n, "k": k}, rhs, lhs
 
 
 @claim
@@ -516,20 +507,18 @@ def check_rn11(m):
                 D = orbit_gcd(m, b, cc)
                 inter = c.orbits[b] & c.orbits[cc]
                 if nb % D != 0:
-                    yield _finding("rn11", m, {"b": b, "c": cc}, "D | |b|", D)
+                    yield {"b": b, "c": cc}, "D | |b|", D
                 if canon(pow(b, D, m), m) not in c.orbits[cc]:
-                    yield _finding("rn11", m, {"b": b, "c": cc, "power": True},
-                                   "b^D in orb(c)", D)
+                    yield {"b": b, "c": cc, "power": True}, "b^D in orb(c)", D
                 if inter != c.orbits[canon(pow(b, D, m), m)]:
-                    yield _finding("rn11", m, {"b": b, "c": cc, "orbits": True},
-                                   "orb(b) & orb(c) == orb(b^D)", D)
+                    yield ({"b": b, "c": cc, "orbits": True},
+                           "orb(b) & orb(c) == orb(b^D)", D)
                 if len(inter) != nb // D:
-                    yield _finding("rn11", m, {"b": b, "c": cc, "size": True},
-                                   nb // D, len(inter))
+                    yield {"b": b, "c": cc, "size": True}, nb // D, len(inter)
                 for k in range(1, min(2 * nb, 10) + 1):
                     if (canon(pow(b, k, m), m) in c.orbits[cc]) != (k % D == 0):
-                        yield _finding("rn11", m, {"b": b, "c": cc, "k": k},
-                                       k % D == 0, "membership differs")
+                        yield ({"b": b, "c": cc, "k": k},
+                               k % D == 0, "membership differs")
 
 
 @claim
@@ -544,7 +533,7 @@ def check_rn13(m):
                     lhs = ind % g == 0
                     rhs = canon(pow(a, nb // g, m), m) in c.Eset
                     if lhs != rhs:
-                        yield _finding("rn13", m, {"a": a, "b": b, "k": k}, lhs, rhs)
+                        yield {"a": a, "b": b, "k": k}, lhs, rhs
 
 
 @claim
@@ -558,14 +547,12 @@ def check_rn14(m):
                 nab = c.orders[canon(a * b, m)]
                 g, l = math.gcd(na, nb), math.lcm(na, nb)
                 if (g == 1) != (nab == na * nb):
-                    yield _finding("rn14", m, {"a": a, "b": b, "first": True},
-                                   g == 1, nab == na * nb)
+                    yield {"a": a, "b": b, "first": True}, g == 1, nab == na * nb
                 if l % nab != 0 or nab % (l // g) != 0:
-                    yield _finding("rn14", m, {"a": a, "b": b, "second": True},
-                                   f"{l // g} | |ab| | {l}", nab)
+                    yield ({"a": a, "b": b, "second": True},
+                           f"{l // g} | |ab| | {l}", nab)
                 if pow(a, nb, m) == pow(b, na, m) and na != nb:
-                    yield _finding("rn14", m, {"a": a, "b": b, "third": True},
-                                   "equal orders", (na, nb))
+                    yield {"a": a, "b": b, "third": True}, "equal orders", (na, nb)
 
 
 @claim
@@ -580,22 +567,19 @@ def check_rn15(m):
                 for a in sorted(inter)[:3]:
                     d = join_witness(m, b, cc, a)
                     if c.orders[d] != target or a not in c.orbits[d]:
-                        yield _finding("rn15", m, {"b": b, "c": cc, "a": a},
-                                       f"witness of order {target}", d)
+                        yield {"b": b, "c": cc, "a": a}, f"witness of order {target}", d
 
 
 @claim
 def check_rn16(m):
-    c = _ctx(m)
     for a in range(1, m + 1):
         dfn = oracle_is_regular(m, a)
         div = is_regular(m, a)
         gcd_char = math.gcd(a, m // math.gcd(a, m)) == 1
         gcd_member = is_regular(m, math.gcd(a, m))
         if not (dfn == div == gcd_char == gcd_member):
-            yield _finding("rn16", m, {"a": a},
-                           "all characterizations agree",
-                           (dfn, div, gcd_char, gcd_member))
+            yield ({"a": a},
+                   "all characterizations agree", (dfn, div, gcd_char, gcd_member))
 
 
 @claim
@@ -605,7 +589,7 @@ def check_rn17(m):
         lhs = a in c.Rset
         rhs = signed_power(m, signed_power(m, a, -1), -1) == a
         if lhs != rhs:
-            yield _finding("rn17", m, {"a": a}, lhs, rhs)
+            yield {"a": a}, lhs, rhs
 
 
 @claim
@@ -615,30 +599,26 @@ def check_rn18(m):
     for a in range(1, m + 1):
         am = pow(a, m, m)
         if m - phi >= 1 and (am != pow(a, m - phi, m) or am != pow(a, m + phi, m)):
-            yield _finding("rn18", m, {"a": a}, "a^m == a^(m-phi) == a^(m+phi)",
-                           "differs")
+            yield {"a": a}, "a^m == a^(m-phi) == a^(m+phi)", "differs"
         if m - phi >= 1 and not is_regular(m, pow(a, m - phi, m)):
-            yield _finding("rn18", m, {"a": a, "reg": True},
-                           "a^(m-phi) regular", "not regular")
+            yield {"a": a, "reg": True}, "a^(m-phi) regular", "not regular"
         if phi >= 2 and a in c.Nset and order(m, a).order < phi:
             if not is_regular(m, pow(a, phi - 1, m)):
-                yield _finding("rn18", m, {"a": a, "third": True},
-                               "a^(phi-1) regular", "not regular")
+                yield {"a": a, "third": True}, "a^(phi-1) regular", "not regular"
 
 
 @claim
 def check_rn19(m):
     c = _ctx(m)
     if (len(c.R) == m) != c.mod.square_free:
-        yield _finding("rn19", m, {}, c.mod.square_free, len(c.R) == m)
+        yield {}, c.mod.square_free, len(c.R) == m
 
 
 @claim
 def check_rn20(m):
     for a in range(1, m + 1):
         if is_regular(m, a) != oracle_is_regular(m, a):
-            yield _finding("rn20", m, {"a": a},
-                           oracle_is_regular(m, a), is_regular(m, a))
+            yield {"a": a}, oracle_is_regular(m, a), is_regular(m, a)
 
 
 @claim
@@ -648,28 +628,24 @@ def check_rn21(m):
     for a in range(1, m + 1):
         exists = any(pow(a, n, m) == a % m for n in range(2, 2 * phi + 2))
         if exists != (a in c.Rset):
-            yield _finding("rn21", m, {"a": a}, a in c.Rset, exists)
+            yield {"a": a}, a in c.Rset, exists
 
 
 @claim
 def check_rn22(m):
     c = _ctx(m)
+    regular = _divisor_sets(m, regular_set)
     for m1, m2 in _divisor_pairs(m):
-        if m1 == m or m2 == m:
-            continue
-        r1 = {canon(a, m1) for a in _ctx(m1).R}
-        r2 = {canon(a, m2) for a in _ctx(m2).R}
+        r1, r2 = regular[m1], regular[m2]
         for a in range(1, m + 1):
             both = canon(a, m1) in r1 and canon(a, m2) in r2
             if (a in c.Rset) != both:
-                yield _finding("rn22", m, {"m1": m1, "m2": m2, "a": a},
-                               both, a in c.Rset)
+                yield {"m1": m1, "m2": m2, "a": a}, both, a in c.Rset
             elif a in c.Rset:
                 expect = math.lcm(order(m1, a).order, order(m2, a).order)
                 if order(m, a).order != expect:
-                    yield _finding("rn22", m,
-                                   {"m1": m1, "m2": m2, "a": a, "order": True},
-                                   expect, order(m, a).order)
+                    yield ({"m1": m1, "m2": m2, "a": a, "order": True},
+                           expect, order(m, a).order)
 
 
 @claim
@@ -679,17 +655,16 @@ def check_rn23(m):
     for a in range(1, m + 1):
         comp = all(is_regular(q, a) for q in pps)
         if (a in c.Rset) != comp:
-            yield _finding("rn23", m, {"a": a}, comp, a in c.Rset)
+            yield {"a": a}, comp, a in c.Rset
         elif a in c.Rset:
             expect = lcm_all(order(q, a).order for q in pps)
             if order(m, a).order != expect:
-                yield _finding("rn23", m, {"a": a, "order": True},
-                               expect, order(m, a).order)
+                yield {"a": a, "order": True}, expect, order(m, a).order
     formula = 1
     for p, al in c.mod.factorization.factors:
         formula *= 1 + p ** (al - 1) * (p - 1)
     if len(c.R) != formula:
-        yield _finding("rn23", m, {"size": True}, formula, len(c.R))
+        yield {"size": True}, formula, len(c.R)
 
 
 @claim
@@ -704,8 +679,7 @@ def check_rn24(m):
             for n in range(1, 11):
                 if canon(pow(b, n, m), m) in c.orbits[a]:
                     if index(m, b, canon(pow(a, n, m), m)) is None:
-                        yield _finding("rn24", m, {"a": a, "b": b, "n": n},
-                                       "ind_b(a^n) exists", "missing")
+                        yield {"a": a, "b": b, "n": n}, "ind_b(a^n) exists", "missing"
 
 
 @claim
@@ -719,7 +693,7 @@ def check_rn25(m):
                 lhs = canon(pow(b, n, m), m) in c.orbits[a]
                 rhs = canon(pow(a, n, m), m) in c.orbits[b]
                 if lhs != rhs:
-                    yield _finding("rn25", m, {"a": a, "b": b, "n": n}, lhs, rhs)
+                    yield {"a": a, "b": b, "n": n}, lhs, rhs
 
 
 @claim
@@ -731,8 +705,8 @@ def check_rn26(m):
             for n in range(1, min(2 * nb, 10) + 1):
                 if math.gcd(n, nb) == 1 and canon(pow(b, n, m), m) in c.orbits[a]:
                     if not c.orbits[b] <= c.orbits[a]:
-                        yield _finding("rn26", m, {"a": a, "b": b, "n": n},
-                                       "orb(b) subset of orb(a)", "not contained")
+                        yield ({"a": a, "b": b, "n": n},
+                               "orb(b) subset of orb(a)", "not contained")
 
 
 @claim
@@ -747,8 +721,8 @@ def check_rn27(m):
             for n in range(1, min(2 * nb, 10) + 1):
                 if math.gcd(n, nb) == 1 and canon(pow(a, n, m), m) in c.orbits[b]:
                     if not c.orbits[b] <= c.orbits[a]:
-                        yield _finding("rn27", m, {"a": a, "b": b, "n": n},
-                                       "orb(b) subset of orb(a)", "not contained")
+                        yield ({"a": a, "b": b, "n": n},
+                               "orb(b) subset of orb(a)", "not contained")
 
 
 @claim
@@ -763,7 +737,7 @@ def check_rn28(m):
                 for n in range(1, na + 1)
             )
             if lhs != rhs:
-                yield _finding("rn28", m, {"a": a, "b": b}, lhs, rhs)
+                yield {"a": a, "b": b}, lhs, rhs
 
 
 @claim
@@ -778,7 +752,7 @@ def check_rn29(m):
                 a in c.orbits[cc] and b in c.orbits[cc] for cc in c.R
             )
             if joint != (a in c.orbits[b]):
-                yield _finding("rn29", m, {"a": a, "b": b}, a in c.orbits[b], joint)
+                yield {"a": a, "b": b}, a in c.orbits[b], joint
 
 
 @claim
@@ -794,7 +768,7 @@ def check_rn30(m):
                 q, r = divmod(ind * d, nb)
                 rhs = r == 0 and math.gcd(q, d) == 1
                 if lhs != rhs:
-                    yield _finding("rn30", m, {"a": a, "b": b, "d": d}, lhs, rhs)
+                    yield {"a": a, "b": b, "d": d}, lhs, rhs
 
 
 @claim
@@ -808,7 +782,7 @@ def check_rn31(m):
             if canon(pow(a, order(m, a).order, m), m) == e
         }
         if lhs != rhs:
-            yield _finding("rn31", m, {"e": e}, sorted(lhs), sorted(rhs))
+            yield {"e": e}, sorted(lhs), sorted(rhs)
 
 
 @claim
@@ -819,8 +793,7 @@ def check_rn32(m):
             for b in members:
                 if math.gcd(c.orders[a], c.orders[b]) == 1:
                     if c.orbits[a] & c.orbits[b] != {e}:
-                        yield _finding("rn32", m, {"a": a, "b": b},
-                                       {e}, sorted(c.orbits[a] & c.orbits[b]))
+                        yield {"a": a, "b": b}, {e}, sorted(c.orbits[a] & c.orbits[b])
 
 
 @claim
@@ -835,28 +808,24 @@ def check_rn33(m):
                 dab = orbit_gcd(m, a, b)
                 dba = orbit_gcd(m, b, a)
                 if (dab == dba) != (na == nb):
-                    yield _finding("rn33", m, {"a": a, "b": b, "first": True},
-                                   na == nb, dab == dba)
+                    yield {"a": a, "b": b, "first": True}, na == nb, dab == dba
                 if dab * nb != dba * na:
-                    yield _finding("rn33", m, {"a": a, "b": b, "second": True},
-                                   "D(a,b)/D(b,a) == |a|/|b|", (dab, dba, na, nb))
+                    yield ({"a": a, "b": b, "second": True},
+                           "D(a,b)/D(b,a) == |a|/|b|", (dab, dba, na, nb))
                 inner = c.orders[canon(pow(a, dab, m), m)]
                 if dab != c.orders[canon(pow(a, inner, m), m)]:
-                    yield _finding("rn33", m, {"a": a, "b": b, "third": True},
-                                   dab, c.orders[canon(pow(a, inner, m), m)])
+                    yield ({"a": a, "b": b, "third": True},
+                           dab, c.orders[canon(pow(a, inner, m), m)])
                 for n in range(1, 7):
                     if orbit_gcd(m, canon(pow(a, n, m), m), b) != dab // math.gcd(n, dab):
-                        yield _finding("rn33", m,
-                                       {"a": a, "b": b, "n": n, "fourth": True},
-                                       dab // math.gcd(n, dab),
-                                       orbit_gcd(m, canon(pow(a, n, m), m), b))
+                        yield ({"a": a, "b": b, "n": n, "fourth": True},
+                               dab // math.gcd(n, dab),
+                               orbit_gcd(m, canon(pow(a, n, m), m), b))
                     if math.gcd(na // dab, dba) == 1:
                         got = orbit_gcd(m, a, canon(pow(b, n, m), m))
                         want = dab * math.gcd(n, na // dab)
                         if got != want:
-                            yield _finding("rn33", m,
-                                           {"a": a, "b": b, "n": n, "fifth": True},
-                                           want, got)
+                            yield {"a": a, "b": b, "n": n, "fifth": True}, want, got
 
 
 @claim
@@ -870,36 +839,28 @@ def check_rn35(m):
                 nb = c.orders[b]
                 rab = relative_order(m, a, b)
                 if rab != relative_order(m, b, a):
-                    yield _finding("rn35", m, {"a": a, "b": b, "sym": True},
-                                   rab, relative_order(m, b, a))
+                    yield {"a": a, "b": b, "sym": True}, rab, relative_order(m, b, a)
                 if relative_order(m, a, a) != na:
-                    yield _finding("rn35", m, {"a": a, "self": True},
-                                   na, relative_order(m, a, a))
+                    yield {"a": a, "self": True}, na, relative_order(m, a, a)
                 if math.gcd(na, nb) == 1 and rab != 1:
-                    yield _finding("rn35", m, {"a": a, "b": b, "coprime": True},
-                                   1, rab)
+                    yield {"a": a, "b": b, "coprime": True}, 1, rab
                 if b in c.orbits[a] and rab != nb:
-                    yield _finding("rn35", m, {"a": a, "b": b, "member": True},
-                                   nb, rab)
+                    yield {"a": a, "b": b, "member": True}, nb, rab
                 dab = orbit_gcd(m, a, b)
                 for n in range(1, 7):
                     if math.gcd(rab, dab) == 1:
                         got = relative_order(m, canon(pow(a, n, m), m), b)
                         want = rab // math.gcd(n, rab)
                         if got != want:
-                            yield _finding("rn35", m,
-                                           {"a": a, "b": b, "n": n, "fifth": True},
-                                           want, got)
+                            yield {"a": a, "b": b, "n": n, "fifth": True}, want, got
                     for k in range(1, 5):
                         bk = canon(pow(b, k, m), m)
                         if math.gcd(rab, orbit_gcd(m, a, bk) * orbit_gcd(m, b, a)) == 1:
                             got = relative_order(m, canon(pow(a, n, m), m), bk)
                             want = rab // math.gcd(n * math.gcd(k, rab), rab)
                             if got != want:
-                                yield _finding("rn35", m,
-                                               {"a": a, "b": b, "n": n, "k": k,
-                                                "sixth": True},
-                                               want, got)
+                                yield ({"a": a, "b": b, "n": n, "k": k, "sixth": True},
+                                       want, got)
 
 
 @claim
@@ -914,15 +875,15 @@ def check_rn36(m):
             if m % d == 0 and e % d == 1 % d and e % (m // d) == 0
         ]
         if decomps != [(m1, m2)]:
-            yield _finding("rn36", m, {"e": e}, [(m1, m2)], decomps)
+            yield {"e": e}, [(m1, m2)], decomps
         for a in range(1, m + 1):
             member = math.gcd(a, m1) == 1 and a % m2 == 0
             in_class = c.classes[a] == e
             if member != in_class:
-                yield _finding("rn36", m, {"e": e, "a": a}, in_class, member)
+                yield {"e": e, "a": a}, in_class, member
             elif member and order(m, a).order != order(m1, a).order:
-                yield _finding("rn36", m, {"e": e, "a": a, "order": True},
-                               order(m1, a).order, order(m, a).order)
+                yield ({"e": e, "a": a, "order": True},
+                       order(m1, a).order, order(m, a).order)
 
 
 @claim
@@ -935,38 +896,30 @@ def check_rn38(m):
                 continue
             count = sum(1 for b in c.orbits[a] if c.orders[b] == d)
             if count != build_modulus(d).phi:
-                yield _finding("rn38", m, {"a": a, "d": d},
-                               build_modulus(d).phi, count)
+                yield {"a": a, "d": d}, build_modulus(d).phi, count
         eq_count = sum(
             1
             for b in c.by_class[c.classes[a]]
             if c.orders[b] == na and a in c.orbits[b]
         )
         if eq_count != build_modulus(na).phi:
-            yield _finding("rn38", m, {"a": a, "equiv": True},
-                           build_modulus(na).phi, eq_count)
+            yield {"a": a, "equiv": True}, build_modulus(na).phi, eq_count
 
 
 @claim
 def check_rn40(m):
     c = _ctx(m)
-    def equiv(x, y):
-        return (
-            c.classes[x] == c.classes[y]
-            and c.orders[x] == c.orders[y]
-            and x in c.orbits[y]
-        )
+    equiv = c.equivalent
     sampled = c.R[:: max(1, len(c.R) // 14)]
     for a in sampled:
         if not equiv(a, a):
-            yield _finding("rn40", m, {"a": a}, "reflexive", "fails")
+            yield {"a": a}, "reflexive", "fails"
         for b in sampled:
             if equiv(a, b) != equiv(b, a):
-                yield _finding("rn40", m, {"a": a, "b": b}, "symmetric", "fails")
+                yield {"a": a, "b": b}, "symmetric", "fails"
             for cc in sampled:
                 if equiv(a, b) and equiv(b, cc) and not equiv(a, cc):
-                    yield _finding("rn40", m, {"a": a, "b": b, "c": cc},
-                                   "transitive", "fails")
+                    yield {"a": a, "b": b, "c": cc}, "transitive", "fails"
 
 
 @claim
@@ -995,8 +948,7 @@ def check_rn41(m):
                     for cc in c.by_class[e]
                 )
             if not ok:
-                yield _finding("rn41", m, {"a": a, "b": b},
-                               f"witness of order {nbm}", "none")
+                yield {"a": a, "b": b}, f"witness of order {nbm}", "none"
 
 
 @claim
@@ -1010,7 +962,7 @@ def check_rn42(m):
         expect = canon(sign * e, m)
         actual = class_product(m, e)
         if actual != expect:
-            yield _finding("rn42", m, {"e": e}, expect, actual)
+            yield {"e": e}, expect, actual
 
 
 # ---------------------------------------------------------------- bc series
@@ -1024,8 +976,7 @@ def check_bc01(m):
         for a in c.R:
             oracle = a % m in img
             if solvable_bc01(m, k, a) != oracle:
-                yield _finding("bc01", m, {"a": a, "k": k},
-                               oracle, not oracle)
+                yield {"a": a, "k": k}, oracle, not oracle
 
 
 @claim
@@ -1036,8 +987,7 @@ def check_bc03(m):
         for k in range(1, 31):
             if a % m in c.images(k):
                 if canon(pow(a, phi // math.gcd(k, phi), m), m) not in c.Eset:
-                    yield _finding("bc03", m, {"a": a, "k": k},
-                                   "necessary condition", "violated")
+                    yield {"a": a, "k": k}, "necessary condition", "violated"
 
 
 @claim
@@ -1049,8 +999,7 @@ def check_bc04(m):
             for k in range(1, 13):
                 if ind % math.gcd(k, nb) == 0:
                     if a % m not in c.images(k):
-                        yield _finding("bc04", m, {"a": a, "b": b, "k": k},
-                                       "solvable", "unsolvable")
+                        yield {"a": a, "b": b, "k": k}, "solvable", "unsolvable"
 
 
 @claim
@@ -1058,7 +1007,6 @@ def check_bc05(m):
     c = _ctx(m)
     for b in c.R[:: max(1, len(c.R) // 10)]:
         nb = c.orders[b]
-        e_nb = set(oracle_idempotents(nb))
         for a, ind in c.ind[b].items():
             if not is_regular(nb, ind):
                 continue
@@ -1074,11 +1022,8 @@ def check_bc05(m):
                         exp = l * ind + n * (nb // math.gcd(k, nb))
                         x = canon(pow(b, exp, m), m)
                         if pow(x, k, m) != a % m:
-                            yield _finding(
-                                "bc05", m,
-                                {"a": a, "b": b, "k": k, "l": l, "n": n},
-                                "power lands in solution set", x,
-                            )
+                            yield ({"a": a, "b": b, "k": k, "l": l, "n": n},
+                                   "power lands in solution set", x)
 
 
 @claim
@@ -1094,7 +1039,7 @@ def check_bc06(m):
             for a in members:
                 na = reg_count.get(a % m, 0)
                 if na and na != se:
-                    yield _finding("bc06", m, {"a": a, "e": e, "k": k}, se, na)
+                    yield {"a": a, "e": e, "k": k}, se, na
 
 
 @claim
@@ -1105,8 +1050,7 @@ def check_bc07(m):
         reg_img = {pow(x, k, m) for x in c.R}
         for a in c.R:
             if a % m in img and a % m not in reg_img:
-                yield _finding("bc07", m, {"a": a, "k": k},
-                               "regular solution exists", "none regular")
+                yield {"a": a, "k": k}, "regular solution exists", "none regular"
 
 
 @claim
@@ -1119,8 +1063,7 @@ def check_bc08(m):
                 both = a % m in c.images(k1) and a % m in c.images(k2)
                 joint = a % m in c.images(math.lcm(k1, k2))
                 if both != joint:
-                    yield _finding("bc08", m, {"a": a, "k1": k1, "k2": k2},
-                                   both, joint)
+                    yield {"a": a, "k1": k1, "k2": k2}, both, joint
 
 
 @claim
@@ -1132,8 +1075,7 @@ def check_bc09(m):
             mk = a % m in c.images(k)
             for k2 in (math.gcd(k, phi), math.gcd(k, psi)):
                 if mk != (a % m in c.images(k2)):
-                    yield _finding("bc09", m, {"a": a, "k": k, "k2": k2},
-                                   mk, not mk)
+                    yield {"a": a, "k": k, "k2": k2}, mk, not mk
 
 
 # ---------------------------------------------------------------- pr series
@@ -1147,12 +1089,12 @@ def check_pr02(m):
         info = omega_info(m, a)
         extra = [b for b in info.omega_set if b not in G]
         if extra:
-            yield _finding("pr02", m, {"a": a}, "Omega(a) subset of G", extra)
+            yield {"a": a}, "Omega(a) subset of G", extra
     for g in G:
         if g not in omega_info(m, g).omega_set:
-            yield _finding("pr02", m, {"g": g}, "g in Omega(g)", "missing")
+            yield {"g": g}, "g in Omega(g)", "missing"
     if not G:
-        yield _finding("pr02", m, {}, "G nonempty", "empty")
+        yield {}, "G nonempty", "empty"
 
 
 @claim
@@ -1161,29 +1103,22 @@ def check_pr03(m):
     sampled = c.R[:: max(1, len(c.R) // 20)]
     for a in sampled:
         for b in sampled:
-            if (
-                c.classes[a] == c.classes[b]
-                and c.orders[a] == c.orders[b]
-                and a in c.orbits[b]
-            ):
+            if c.equivalent(a, b):
                 wa = omega_value(m, a)
                 wb = omega_value(m, b)
                 if wa != wb:
-                    yield _finding("pr03", m, {"a": a, "b": b}, wa, wb)
+                    yield {"a": a, "b": b}, wa, wb
 
 
 @claim
 def check_pr04(m):
     for m1, m2 in _divisor_pairs(m):
-        if m1 == m or m2 == m or m1 == 1 or m2 == 1:
-            continue
         g1 = set(gen_primitive_roots(m1))
         g2 = set(gen_primitive_roots(m2))
         gm = set(gen_primitive_roots(m))
         for g in range(1, m + 1):
             if canon(g, m1) in g1 and canon(g, m2) in g2 and canon(g, m) not in gm:
-                yield _finding("pr04", m, {"m1": m1, "m2": m2, "g": g},
-                               "g in G_m", "missing")
+                yield {"m1": m1, "m2": m2, "g": g}, "g in G_m", "missing"
 
 
 @claim
@@ -1197,7 +1132,7 @@ def check_pr05(m):
                 lhs = canon(pow(g, n, m), m) in info.omega_set
                 rhs = math.gcd(n, ng) == 1
                 if lhs != rhs:
-                    yield _finding("pr05", m, {"a": a, "g": g, "n": n}, rhs, lhs)
+                    yield {"a": a, "g": g, "n": n}, rhs, lhs
 
 
 @claim
@@ -1208,8 +1143,7 @@ def check_pr06(m):
         oset = set(info.omega_set)
         for g in c.by_class[c.classes[a]]:
             if (g in oset) != (signed_power(m, g, -1) in oset):
-                yield _finding("pr06", m, {"a": a, "g": g},
-                               "closed under inverse", g)
+                yield {"a": a, "g": g}, "closed under inverse", g
 
 
 @claim
@@ -1221,7 +1155,7 @@ def check_omega_phi_cyclic(m):
     cyclic = any(c.orders[u] == len(units) for u in units)
     attained = any(omega_value(m, a) == c.mod.phi for a in c.R)
     if cyclic != attained:
-        yield _finding("omega-phi-cyclic", m, {}, cyclic, attained)
+        yield {}, cyclic, attained
 
 
 # ---------------------------------------------------------------- fs series
@@ -1235,11 +1169,10 @@ def check_fs02(m):
         mue = mu(m, e)
         for k in range(1, min(phi, 30) + 1):
             if r_count(m, e, k) != r_count(mue, canon(1, mue), k):
-                yield _finding("fs02", m, {"e": e, "k": k},
-                               r_count(mue, canon(1, mue), k), r_count(m, e, k))
+                yield {"e": e, "k": k}, r_count(mue, canon(1, mue), k), r_count(m, e, k)
             if rho_count(m, e, k) != rho_count(mue, canon(1, mue), k):
-                yield _finding("fs02", m, {"e": e, "k": k, "rho": True},
-                               rho_count(mue, canon(1, mue), k), rho_count(m, e, k))
+                yield ({"e": e, "k": k, "rho": True},
+                       rho_count(mue, canon(1, mue), k), rho_count(m, e, k))
     if c.mod.weakly_even:
         one = canon(1, m)
         for k1 in range(1, min(phi, 30) + 1):
@@ -1247,13 +1180,13 @@ def check_fs02(m):
                 if math.gcd(k1, k2) != 1 or k1 * k2 > phi:
                     continue
                 if r_count(m, one, k1 * k2) != r_count(m, one, k1) * r_count(m, one, k2):
-                    yield _finding("fs02", m, {"k1": k1, "k2": k2, "mult": "r"},
-                                   r_count(m, one, k1) * r_count(m, one, k2),
-                                   r_count(m, one, k1 * k2))
+                    yield ({"k1": k1, "k2": k2, "mult": "r"},
+                           r_count(m, one, k1) * r_count(m, one, k2),
+                           r_count(m, one, k1 * k2))
                 if rho_count(m, one, k1 * k2) != rho_count(m, one, k1) * rho_count(m, one, k2):
-                    yield _finding("fs02", m, {"k1": k1, "k2": k2, "mult": "rho"},
-                                   rho_count(m, one, k1) * rho_count(m, one, k2),
-                                   rho_count(m, one, k1 * k2))
+                    yield ({"k1": k1, "k2": k2, "mult": "rho"},
+                           rho_count(m, one, k1) * rho_count(m, one, k2),
+                           rho_count(m, one, k1 * k2))
 
 
 @claim
@@ -1267,12 +1200,11 @@ def check_fs03(m):
         while c.mod.psi % q**beta == 0:
             rho_f = rho_prime_power(m, q, beta)
             if rho_f != rho_count(m, one, q**beta):
-                yield _finding("fs03", m, {"q": q, "beta": beta},
-                               rho_count(m, one, q**beta), rho_f)
+                yield {"q": q, "beta": beta}, rho_count(m, one, q**beta), rho_f
             prev = rho_count(m, one, q ** (beta - 1)) if beta > 1 else 1
             if r_count(m, one, q**beta) != rho_f - prev:
-                yield _finding("fs03", m, {"q": q, "beta": beta, "r": True},
-                               rho_f - prev, r_count(m, one, q**beta))
+                yield ({"q": q, "beta": beta, "r": True},
+                       rho_f - prev, r_count(m, one, q**beta))
             beta += 1
     delta_count = sum(
         1 for p, al in c.mod.factorization.factors
@@ -1280,8 +1212,8 @@ def check_fs03(m):
     )
     if c.mod.psi % 2 == 0:
         if r_count(m, one, 2) != 2**delta_count - 1:
-            yield _finding("fs03", m, {"q": 2, "beta": 1, "rq": True},
-                           2**delta_count - 1, r_count(m, one, 2))
+            yield ({"q": 2, "beta": 1, "rq": True},
+                   2**delta_count - 1, r_count(m, one, 2))
 
 
 @claim
@@ -1292,8 +1224,7 @@ def check_fs04(m):
     one = canon(1, m)
     for k in range(1, min(2 * c.mod.phi, 60) + 1):
         if rho_closed_form(m, k) != rho_count(m, one, k):
-            yield _finding("fs04", m, {"k": k},
-                           rho_count(m, one, k), rho_closed_form(m, k))
+            yield {"k": k}, rho_count(m, one, k), rho_closed_form(m, k)
 
 
 @claim
@@ -1303,8 +1234,7 @@ def check_fs05(m):
         for k in range(1, c.mod.phi + 1):
             res = orbit_union_size(m, e, k)
             if res.true_size != res.formula_value:
-                yield _finding("fs05", m, {"e": e, "k": k},
-                               res.formula_value, res.true_size)
+                yield {"e": e, "k": k}, res.formula_value, res.true_size
 
 
 @claim
@@ -1322,8 +1252,7 @@ def check_fs06(m):
                 u1 = orbit_union_size(m, e, k1).true_size
                 u2 = orbit_union_size(m, e, k2).true_size
                 if u12 != u1 * u2:
-                    yield _finding("fs06", m, {"e": e, "k1": k1, "k2": k2},
-                                   u1 * u2, u12)
+                    yield {"e": e, "k1": k1, "k2": k2}, u1 * u2, u12
 
 
 _FS_CORPUS = ("phi", "psi", "identity", "const", "gcd:6", "gcd:12", "gcd:30")
@@ -1336,16 +1265,14 @@ def check_fs09(_m):
         f = builtin_function(name)
         cls = classify_function(f, _FS_BOUND)
         vals = {x: f(x) for x in range(1, _FS_BOUND + 1)}
-        split = True
-        for a in range(1, _FS_BOUND + 1):
-            for b in range(a, _FS_BOUND // a + 1):
-                if math.gcd(a, b) == 1 and vals[a * b] != math.lcm(vals[a], vals[b]):
-                    split = False
-                    break
-            if not split:
-                break
+        split = all(
+            vals[a * b] == math.lcm(vals[a], vals[b])
+            for a in range(1, _FS_BOUND + 1)
+            for b in range(a, _FS_BOUND // a + 1)
+            if math.gcd(a, b) == 1
+        )
         if cls.is_qm != (cls.is_di and split):
-            yield _finding("fs09", 0, {"f": name}, cls.is_qm, (cls.is_di, split))
+            yield {"f": name}, cls.is_qm, (cls.is_di, split)
 
 
 @claim(scope="global")
@@ -1354,17 +1281,14 @@ def check_fs10(_m):
         f = builtin_function(name)
         cls = classify_function(f, _FS_BOUND)
         vals = {x: f(x) for x in range(1, _FS_BOUND + 1)}
-        lcm_div = True
-        for a in range(1, _FS_BOUND + 1):
-            for b in range(a, _FS_BOUND + 1):
-                l = math.lcm(a, b)
-                if l <= _FS_BOUND and vals[l] % math.lcm(vals[a], vals[b]) != 0:
-                    lcm_div = False
-                    break
-            if not lcm_div:
-                break
+        lcm_div = all(
+            vals[l] % math.lcm(vals[a], vals[b]) == 0
+            for a in range(1, _FS_BOUND + 1)
+            for b in range(a, _FS_BOUND + 1)
+            if (l := math.lcm(a, b)) <= _FS_BOUND
+        )
         if cls.is_di != lcm_div:
-            yield _finding("fs10", 0, {"f": name}, cls.is_di, lcm_div)
+            yield {"f": name}, cls.is_di, lcm_div
 
 
 @claim(scope="global")
@@ -1378,8 +1302,8 @@ def check_fs11(_m):
         for a in range(1, 61):
             for b in range(1, 61):
                 if (b % a == 0) != (vals[b] % vals[a] == 0):
-                    yield _finding("fs11", 0, {"f": name, "a": a, "b": b},
-                                   b % a == 0, vals[b] % vals[a] == 0)
+                    yield ({"f": name, "a": a, "b": b},
+                           b % a == 0, vals[b] % vals[a] == 0)
 
 
 @claim
@@ -1392,8 +1316,8 @@ def check_fs12(m):
         for k1 in vals:
             for k2 in range(2 * k1, max(vals) + 1, k1):
                 if vals[k2] % vals[k1] != 0:
-                    yield _finding("fs12", m, {"e": e, "k1": k1, "k2": k2},
-                                   "rho(k1) | rho(k2)", (vals[k1], vals[k2]))
+                    yield ({"e": e, "k1": k1, "k2": k2},
+                           "rho(k1) | rho(k2)", (vals[k1], vals[k2]))
 
 
 @claim(scope="global")
@@ -1406,36 +1330,63 @@ def check_fs13(_m):
         f = lambda x: lcm_lift(g, x)
         cls = classify_function(f, _FS_BOUND)
         if not cls.is_qm:
-            yield _finding("fs13", 0, {"g": name}, "lifted f in QM",
-                           cls.witnesses.get("QM"))
+            yield {"g": name}, "lifted f in QM", cls.witnesses.get("QM")
 
 
 # ---------------------------------------------------------------- ia series
 
-_IA_LAWS = {
-    "ia02": ("mixing-product", "mixing-power"),
-    "ia03": ("closure",),
-    "ia05": ("basis-map",),
-    "ia06": ("circ-group", "circ-translation-injective"),
-    "ia07": ("otimes-ring",),
-    "ia08": ("circ-group", "otimes-ring"),
-    "ia09": ("identity-catalog",),
-    "ia10": ("identity-catalog", "otimes-nary"),
-    "ia11": ("shift-decomposition", "otimes-nary", "identity-catalog"),
-}
+
+def _failed_laws(m, *laws):
+    """The counterexample of each named operator-algebra law that fails on
+    E_m (algebra.verify_algebra)."""
+    for law in _ctx(m).algebra.laws:
+        if law.law in laws and not law.passed:
+            yield {"law": law.law}, "law holds", law.counterexample
 
 
-def _ia_check(tid):
-    def run(m):
-        rep = _algebra_report(m)
-        for law in rep.laws:
-            if law.law in _IA_LAWS[tid] and not law.passed:
-                yield _finding(tid, m, {"law": law.law}, "law holds",
-                               law.counterexample)
-    return run
+@claim
+def check_ia02(m):
+    return _failed_laws(m, "mixing-product", "mixing-power")
 
 
-THEOREMS.update((tid, ("sweep", _ia_check(tid))) for tid in _IA_LAWS)
+@claim
+def check_ia03(m):
+    return _failed_laws(m, "closure")
+
+
+@claim
+def check_ia05(m):
+    return _failed_laws(m, "basis-map")
+
+
+@claim
+def check_ia06(m):
+    return _failed_laws(m, "circ-group", "circ-translation-injective")
+
+
+@claim
+def check_ia07(m):
+    return _failed_laws(m, "otimes-ring")
+
+
+@claim
+def check_ia08(m):
+    return _failed_laws(m, "circ-group", "otimes-ring")
+
+
+@claim
+def check_ia09(m):
+    return _failed_laws(m, "identity-catalog")
+
+
+@claim
+def check_ia10(m):
+    return _failed_laws(m, "identity-catalog", "otimes-nary")
+
+
+@claim
+def check_ia11(m):
+    return _failed_laws(m, "shift-decomposition", "otimes-nary", "identity-catalog")
 
 
 # ---------------------------------------------------------------- sd series
@@ -1450,7 +1401,7 @@ def check_sd02(m):
         scan = {x for x in range(1, m + 1) if x * x % m == k * x % m}
         built = {canon(k * e, m) for e in c.E}
         if scan != built:
-            yield _finding("sd02", m, {"k": k}, sorted(built), sorted(scan))
+            yield {"k": k}, sorted(built), sorted(scan)
 
 
 @claim
@@ -1465,12 +1416,11 @@ def check_sd03(m):
                 try:
                     e = root_decompose(m, a, b, r)
                 except (AssertionError, ValueError) as exc:
-                    yield _finding("sd03", m, {"a": a, "b": b, "r": r},
-                                   "unique idempotent decomposition", str(exc))
+                    yield ({"a": a, "b": b, "r": r},
+                           "unique idempotent decomposition", str(exc))
                     continue
                 if e in seen:
-                    yield _finding("sd03", m, {"a": a, "b": b, "r": r},
-                                   "distinct idempotents per root", e)
+                    yield {"a": a, "b": b, "r": r}, "distinct idempotents per root", e
                 seen.add(e)
 
 
@@ -1486,8 +1436,8 @@ def check_sd04(m):
                 e for e in c.E if canon(r1 - roots[0] * (2 * e - 1), m) == m
             ]
             if len(matches) != 1:
-                yield _finding("sd04", m, {"a": a, "r1": r1, "r2": roots[0]},
-                               "unique e with r1 = r2(e - ebar)", matches)
+                yield ({"a": a, "r1": r1, "r2": roots[0]},
+                       "unique e with r1 = r2(e - ebar)", matches)
 
 
 @claim
@@ -1503,7 +1453,7 @@ def check_sd05(m):
     roots = {r for r in range(1, m + 1) if r * r % m == 1 % m}
     images = {canon(2 * e - 1, m) for e in c.E}
     if roots != images or len(images) != len(c.E):
-        yield _finding("sd05", m, {}, sorted(roots), sorted(images))
+        yield {}, sorted(roots), sorted(images)
 
 
 @claim
@@ -1514,14 +1464,12 @@ def check_sd07(m):
         sols = set(ker.solutions)
         for r in ker.solutions:
             if ker.rbar(r) not in sols:
-                yield _finding("sd07", m, {"k": k, "r": r}, "rbar closed", ker.rbar(r))
+                yield {"k": k, "r": r}, "rbar closed", ker.rbar(r)
             for e in c.E:
                 for which in ("circ", "otimes"):
                     out = kernel_op(m, k, r, e, which)
                     if out not in sols:
-                        yield _finding("sd07", m, {"k": k, "r": r, "e": e,
-                                                   "op": which},
-                                       "closed", out)
+                        yield {"k": k, "r": r, "e": e, "op": which}, "closed", out
 
 
 @claim
@@ -1532,9 +1480,8 @@ def check_sd08(m):
         for e in c.E:
             image = {kernel_op(m, k, r, e, "circ") for r in ker.solutions}
             if image != set(ker.solutions):
-                yield _finding("sd08", m, {"k": k, "e": e},
-                               "circ-translation permutes kernel",
-                               sorted(image))
+                yield ({"k": k, "e": e},
+                       "circ-translation permutes kernel", sorted(image))
 
 
 @claim
@@ -1549,9 +1496,7 @@ def check_sd10(m):
                 for which in ("circ", "otimes"):
                     out = class_kernel_op(m, e, r1, r2, which)
                     if out not in sols:
-                        yield _finding("sd10", m, {"e": e, "r1": r1, "r2": r2,
-                                                   "op": which},
-                                       "closed", out)
+                        yield {"e": e, "r1": r1, "r2": r2, "op": which}, "closed", out
 
 
 @claim
@@ -1569,18 +1514,13 @@ def check_sd11(m):
                         lhs = (a * r + b * rb) * (cd * r + d * rb) % m
                         rhs = (a * cd % m * r + b * d % m * rb) % m
                         if lhs != rhs:
-                            yield _finding("sd11", m,
-                                           {"e": e, "r": r, "a": a, "b": b,
-                                            "c": cd, "d": d},
-                                           rhs, lhs)
+                            yield ({"e": e, "r": r, "a": a, "b": b, "c": cd, "d": d},
+                                   rhs, lhs)
                     for n in (2, 3, 5):
                         lhs = pow(a * r + b * rb, n, m)
                         rhs = (pow(a, n, m) * r + pow(b, n, m) * rb) % m
                         if lhs != rhs:
-                            yield _finding("sd11", m,
-                                           {"e": e, "r": r, "a": a, "b": b,
-                                            "n": n},
-                                           rhs, lhs)
+                            yield {"e": e, "r": r, "a": a, "b": b, "n": n}, rhs, lhs
 
 
 @claim
@@ -1591,7 +1531,7 @@ def check_sd12(m):
         for k in members:
             inter = {x for x in kernel(m, k).solutions if x in ms}
             if inter != {k}:
-                yield _finding("sd12", m, {"e": e, "k": k}, [k], sorted(inter))
+                yield {"e": e, "k": k}, [k], sorted(inter)
 
 
 @claim
@@ -1604,12 +1544,10 @@ def check_sd13(m):
                 eb = canon(1 - e, m)
                 lhs = canon(k - kernel_op(m, k, r, e, "circ"), m)
                 if lhs != kernel_op(m, k, r, eb, "circ"):
-                    yield _finding("sd13", m, {"k": k, "r": r, "e": e},
-                                   "bar of r o e == r o ebar", lhs)
+                    yield {"k": k, "r": r, "e": e}, "bar of r o e == r o ebar", lhs
                 if lhs != kernel_op(m, k, ker.rbar(r), e, "circ"):
-                    yield _finding("sd13", m, {"k": k, "r": r, "e": e,
-                                               "second": True},
-                                   "bar of r o e == rbar o e", lhs)
+                    yield ({"k": k, "r": r, "e": e, "second": True},
+                           "bar of r o e == rbar o e", lhs)
                 for e2 in c.E:
                     left = kernel_op(m, k, kernel_op(m, k, r, e, "circ"), e2, "circ")
                     right = kernel_op(
@@ -1617,9 +1555,8 @@ def check_sd13(m):
                         canon(e * e2 + (1 - e) * (1 - e2), m), "circ",
                     )
                     if left != right:
-                        yield _finding("sd13", m, {"k": k, "r": r, "e1": e,
-                                                   "e2": e2, "assoc": True},
-                                       right, left)
+                        yield ({"k": k, "r": r, "e1": e, "e2": e2, "assoc": True},
+                               right, left)
 
 
 @claim
@@ -1634,8 +1571,7 @@ def check_sd14(m):
             for e in c.E:
                 out = kernel_op(m, k, r, e, "circ")
                 if out in images and images[out] != e:
-                    yield _finding("sd14", m, {"k": k, "r": r},
-                                   "injective in e", (images[out], e))
+                    yield {"k": k, "r": r}, "injective in e", (images[out], e)
                 images[out] = e
 
 
@@ -1647,40 +1583,41 @@ def check_sd15(m):
     for e in c.E:
         rep = sqrt_structure(m, e)
         if len(rep.roots) != rep.size_formula:
-            yield _finding("sd15", m, {"e": e}, rep.size_formula, len(rep.roots))
+            yield {"e": e}, rep.size_formula, len(rep.roots)
         if rep.product != rep.product_formula:
-            yield _finding("sd15", m, {"e": e, "product": True},
-                           rep.product_formula, rep.product)
+            yield {"e": e, "product": True}, rep.product_formula, rep.product
         images = {canon(e * (2 * e0 - 1), m) for e0 in c.E}
         stray = [r for r in rep.roots if r not in images]
         if stray:
-            yield _finding("sd15", m, {"e": e, "parametrization": True},
-                           "roots of form e(e0 - ebar0)", stray)
+            yield ({"e": e, "parametrization": True},
+                   "roots of form e(e0 - ebar0)", stray)
         if e != m:
             for e0 in c.E:
                 if canon(e * (2 * e0 - 1), m) == canon(e * (1 - 2 * e0), m):
-                    yield _finding("sd15", m, {"e": e, "e0": e0},
-                                   "no self-negation", "collision")
+                    yield {"e": e, "e0": e0}, "no self-negation", "collision"
 
 
 def run_audit(lo: int, hi: int, theorems: list[str] | None = None) -> AuditReport:
-    """Audit every registered statement over m in [lo, hi], deterministic."""
+    """Audit the registered statements (all, or the ids in theorems, each
+    once, in first-seen order) over m in [lo, hi], deterministic."""
     if lo < 2 or hi < lo:
         raise ValueError(f"invalid range [{lo}, {hi}]")
-    ids = list(THEOREMS) if theorems is None else list(theorems)
+    ids = list(THEOREMS) if theorems is None else list(dict.fromkeys(theorems))
+    if not ids:
+        raise ValueError("no theorem ids selected")
     for tid in ids:
         if tid not in THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}")
+    findings: dict[str, list[AuditFinding]] = {tid: [] for tid in ids}
+    global_ids = [tid for tid in ids if THEOREMS[tid][0] == "global"]
+    sweep_ids = [tid for tid in ids if tid not in global_ids]
+    for m, tids in [(0, global_ids)] + [(m, sweep_ids) for m in range(lo, hi + 1)]:
+        for tid in tids:
+            check = THEOREMS[tid][1]  # read per call, so callers may wrap it
+            findings[tid].extend(AuditFinding(tid, m, *f) for f in check(m))
     results = []
-    for tid in ids:
-        scope, fn = THEOREMS[tid]
-        findings: list[AuditFinding] = []
-        if scope == "global":
-            findings.extend(fn(0))
-        else:
-            for m in range(lo, hi + 1):
-                findings.extend(fn(m))
-        findings.sort(key=lambda f: f.sort_key())
-        status = "verified-on-range" if not findings else "counterexamples"
-        results.append(TheoremResult(tid, status, findings))
+    for tid, found in findings.items():
+        found.sort(key=AuditFinding.sort_key)
+        status = "verified-on-range" if not found else "counterexamples"
+        results.append(TheoremResult(tid, status, found))
     return AuditReport(lo, hi, results)

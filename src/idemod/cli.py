@@ -341,7 +341,7 @@ def _cmd_audit(args) -> int:
     except ValueError:
         raise ValueError(f"range must look like <lo>..<hi>, got {args.range!r}")
     ids = None
-    if args.theorems:
+    if args.theorems is not None:
         ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
     report = run_audit(lo, hi, ids)
     doc = report.dumps()

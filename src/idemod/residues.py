@@ -21,12 +21,14 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 
 from .arith import (
+    EnumerationCapError,
     Modulus,
     build_modulus,
     canon,
     check_enum,
     factorize,
     least_divisor,
+    max_enum,
     valuation,
 )
 from .idempotents import (
@@ -151,8 +153,13 @@ class OrbitSet:
 
 
 def orbit(m: int, a: int) -> OrbitSet:
-    """orb_m(a) = {a^1, ..., a^|a|} mod m."""
+    """orb_m(a) = {a^1, ..., a^|a|} mod m.  Its |a| <= m elements count
+    against the enumeration cap, so a small orbit of a huge modulus still
+    answers."""
     info = order(m, a)
+    cap = max_enum()
+    if info.order > cap:
+        raise EnumerationCapError(m, cap)
     return OrbitSet(info.modulus, info.a, _powers(m, info.a, info.order))
 
 

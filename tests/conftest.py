@@ -28,8 +28,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def no_findings(check, moduli):
-    """Assert that an audit check reports nothing on any of the moduli."""
-    bad = [f for m in moduli for f in check(m)]
+    """Assert that an audit check reports nothing on any of the moduli; a
+    failure shows (m, (witness, expected, actual)) pairs."""
+    bad = [(m, f) for m in moduli for f in check(m)]
     assert not bad, bad[:5]
 
 

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,31 @@ def test_audit_exit_zero_despite_findings(capsys):
     code, out, _ = run(capsys, "audit", "8..12", "--theorems", "fs05")
     assert code == 0
     assert "counterexamples" in out
+
+
+def test_audit_runs_a_repeated_theorem_once(capsys):
+    code, out, _ = run(capsys, "audit", "8..12", "--theorems", "fs05,in02,fs05")
+    assert code == 0
+    assert out.splitlines() == ["fs05: counterexamples (2 findings)",
+                                "in02: verified-on-range"]
+
+
+@pytest.mark.parametrize("theorems", ["", ","])
+def test_audit_empty_theorem_selection_exits_2(capsys, theorems):
+    code, out, err = run(capsys, "audit", "2..10", "--theorems", theorems)
+    assert (code, out) == (2, "")
+    assert "no theorem ids" in err
+
+
+def test_orbit_beyond_the_cap_exits_3_fast(capsys):
+    """|2| mod 1000003 is 1000002: the orbit itself counts against the cap,
+    while small orbits of the same modulus still answer."""
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "--max-enum", "1000", "orbit", "1000003", "2")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3 and "cap" in err
+    doc = run_json(capsys, "--max-enum", "1000", "orbit", "1000003", "1000002")
+    assert doc["orbit"] == [1, 1000002]
 
 
 def test_max_enum_does_not_outlive_the_call(capsys):

@@ -1,9 +1,12 @@
 """Oracle/fast-path agreement and the audit harness contract."""
+import gc
+import hashlib
 import json
 
 import pytest
 
 from idemod.arith import EnumerationCapError
+from idemod import audit
 from idemod.audit import THEOREMS, run_audit
 from idemod.oracle import (
     oracle_delta,
@@ -16,6 +19,7 @@ from idemod.oracle import (
     oracle_solve,
 )
 from idemod.residues import delta, is_normal, is_regular, mu, normal_set, regular_set
+from conftest import audit_100
 
 
 def test_delta_mu_agreement():
@@ -94,6 +98,39 @@ def test_audit_rejects_bad_input():
         run_audit(1, 10)
     with pytest.raises(ValueError):
         run_audit(2, 10, ["nope"])
+    with pytest.raises(ValueError):
+        run_audit(2, 10, [])
+
+
+def test_audit_names_findings_from_the_registry(monkeypatch):
+    """A check yields bare (witness, expected, actual) tuples; the report
+    files them under the registered id and the modulus the sweep passed
+    (0 for a global claim)."""
+    monkeypatch.setitem(THEOREMS, "zz-sweep", ("sweep", lambda m: [({"m": m}, 1, 2)]))
+    monkeypatch.setitem(THEOREMS, "zz-global", ("global", lambda m: [({}, 1, m)]))
+    sweep, glob = run_audit(5, 6, ["zz-sweep", "zz-global"]).results
+    assert [f.to_json() for f in sweep.findings] == [
+        {"theorem": "zz-sweep", "modulus": m, "witness": {"m": m},
+         "expected": 1, "actual": 2}
+        for m in (5, 6)
+    ]
+    assert [f.to_json() for f in glob.findings] == [
+        {"theorem": "zz-global", "modulus": 0, "witness": {}, "expected": 1,
+         "actual": 0}
+    ]
+
+
+def test_audit_keeps_one_modulus_context_alive():
+    run_audit(2, 30)
+    gc.collect()
+    assert sum(isinstance(o, audit._Ctx) for o in gc.get_objects()) <= 1
+
+
+def test_audit_json_pinned():
+    """The digest of `idemod audit 2..100 --json`: every claim's status and
+    every finding, not only the three pinned errata."""
+    doc = json.dumps(audit_100().to_json()) + "\n"
+    assert hashlib.md5(doc.encode()).hexdigest() == "75ba622a5053dce1a3c4fb16215e3d49"
 
 
 def test_registry_covers_every_family():
