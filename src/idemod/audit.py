@@ -467,14 +467,17 @@ def check_rn07(m):
     c = _ctx(m)
     phi = c.mod.phi
     pts = sorted({-2 * phi, -phi, -3, -2, -1, 1, 2, 3, phi, 2 * phi})
+    ns = range(1, min(2 * phi, 12) + 1)
+    zs = {i + j for i in pts for j in pts}.union(pts, (-n for n in ns))
     for a in c.R[:: max(1, len(c.R) // 25)]:
-        for n in range(1, min(2 * phi, 12) + 1):
-            if signed_power(m, pow(a, n, m), -1) != signed_power(m, a, -n):
+        power = {z: signed_power(m, a, z) for z in zs}
+        for n in ns:
+            if signed_power(m, pow(a, n, m), -1) != power[-n]:
                 yield {"a": a, "n": n}, "(a^n)^-1 == a^-n", "differs"
         for i in pts:
             for j in pts:
-                lhs = signed_power(m, a, i + j) if i + j != 0 else signed_power(m, a, 0)
-                rhs = canon(signed_power(m, a, i) * signed_power(m, a, j), m)
+                lhs = power[i + j]
+                rhs = canon(power[i] * power[j], m)
                 if lhs != rhs:
                     yield {"a": a, "i": i, "j": j}, lhs, rhs
 
@@ -483,16 +486,15 @@ def check_rn07(m):
 def check_rn09(m):
     c = _ctx(m)
     for b in c.R[:: max(1, len(c.R) // 20)]:
-        nb = c.orders[b]
+        top = min(2 * c.orders[b], 12)
+        powers = [canon(pow(b, n, m), m) for n in range(top + 1)]
         for cc in c.by_class[c.classes[b]]:
             tgt = c.orbits[cc]
-            for n in range(1, min(2 * nb, 12) + 1):
-                for k in range(n, min(2 * nb, 12) + 1):
-                    lhs = (
-                        canon(pow(b, n, m), m) in tgt
-                        and canon(pow(b, k, m), m) in tgt
-                    )
-                    rhs = canon(pow(b, math.gcd(n, k), m), m) in tgt
+            inside = [x in tgt for x in powers]  # inside[n]: b^n in orb(c)
+            for n in range(1, top + 1):
+                for k in range(n, top + 1):
+                    lhs = inside[n] and inside[k]
+                    rhs = inside[math.gcd(n, k)]
                     if lhs != rhs:
                         yield {"b": b, "c": cc, "n": n, "k": k}, rhs, lhs
 
@@ -813,15 +815,16 @@ def check_rn33(m):
                     yield ({"a": a, "b": b, "second": True},
                            "D(a,b)/D(b,a) == |a|/|b|", (dab, dba, na, nb))
                 inner = c.orders[canon(pow(a, dab, m), m)]
-                if dab != c.orders[canon(pow(a, inner, m), m)]:
-                    yield ({"a": a, "b": b, "third": True},
-                           dab, c.orders[canon(pow(a, inner, m), m)])
+                outer = c.orders[canon(pow(a, inner, m), m)]
+                if dab != outer:
+                    yield {"a": a, "b": b, "third": True}, dab, outer
+                fifth = math.gcd(na // dab, dba) == 1
                 for n in range(1, 7):
-                    if orbit_gcd(m, canon(pow(a, n, m), m), b) != dab // math.gcd(n, dab):
-                        yield ({"a": a, "b": b, "n": n, "fourth": True},
-                               dab // math.gcd(n, dab),
-                               orbit_gcd(m, canon(pow(a, n, m), m), b))
-                    if math.gcd(na // dab, dba) == 1:
+                    got = orbit_gcd(m, canon(pow(a, n, m), m), b)
+                    want = dab // math.gcd(n, dab)
+                    if got != want:
+                        yield {"a": a, "b": b, "n": n, "fourth": True}, want, got
+                    if fifth:
                         got = orbit_gcd(m, a, canon(pow(b, n, m), m))
                         want = dab * math.gcd(n, na // dab)
                         if got != want:
@@ -835,32 +838,39 @@ def check_rn35(m):
         step = max(1, len(members) // 14)
         for a in members[::step]:
             na = c.orders[a]
+            raa = relative_order(m, a, a)
             for b in members[::step]:
                 nb = c.orders[b]
                 rab = relative_order(m, a, b)
                 if rab != relative_order(m, b, a):
                     yield {"a": a, "b": b, "sym": True}, rab, relative_order(m, b, a)
-                if relative_order(m, a, a) != na:
-                    yield {"a": a, "self": True}, na, relative_order(m, a, a)
+                if raa != na:
+                    yield {"a": a, "self": True}, na, raa
                 if math.gcd(na, nb) == 1 and rab != 1:
                     yield {"a": a, "b": b, "coprime": True}, 1, rab
                 if b in c.orbits[a] and rab != nb:
                     yield {"a": a, "b": b, "member": True}, nb, rab
-                dab = orbit_gcd(m, a, b)
+                fifth = math.gcd(rab, orbit_gcd(m, a, b)) == 1
+                dba = orbit_gcd(m, b, a)
+                # The sixth statement's hypothesis does not depend on n.
+                sixth = []
+                for k in range(1, 5):
+                    bk = canon(pow(b, k, m), m)
+                    if math.gcd(rab, orbit_gcd(m, a, bk) * dba) == 1:
+                        sixth.append((k, bk))
                 for n in range(1, 7):
-                    if math.gcd(rab, dab) == 1:
-                        got = relative_order(m, canon(pow(a, n, m), m), b)
+                    an = canon(pow(a, n, m), m)
+                    if fifth:
+                        got = relative_order(m, an, b)
                         want = rab // math.gcd(n, rab)
                         if got != want:
                             yield {"a": a, "b": b, "n": n, "fifth": True}, want, got
-                    for k in range(1, 5):
-                        bk = canon(pow(b, k, m), m)
-                        if math.gcd(rab, orbit_gcd(m, a, bk) * orbit_gcd(m, b, a)) == 1:
-                            got = relative_order(m, canon(pow(a, n, m), m), bk)
-                            want = rab // math.gcd(n * math.gcd(k, rab), rab)
-                            if got != want:
-                                yield ({"a": a, "b": b, "n": n, "k": k, "sixth": True},
-                                       want, got)
+                    for k, bk in sixth:
+                        got = relative_order(m, an, bk)
+                        want = rab // math.gcd(n * math.gcd(k, rab), rab)
+                        if got != want:
+                            yield ({"a": a, "b": b, "n": n, "k": k, "sixth": True},
+                                   want, got)
 
 
 @claim

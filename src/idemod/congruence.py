@@ -54,8 +54,10 @@ class OmegaInfo:
     ind_sup: int  # omega_a / |a|_m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _omega_cache(m: int, a: int) -> OmegaInfo:
+    """omega_info's memo, bounded like order's, so that an audit sweep does
+    not hold every residue of its range."""
     check_enum(m)
     table = structure_table(m)
     a = canon(a, m)

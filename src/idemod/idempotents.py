@@ -74,10 +74,11 @@ def _order_parts(mod: Modulus, a: int) -> tuple[int, int]:
     return L, T
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def order(m: int, a: int) -> OrderInfo:
     """Generalized order |a|_m = L * ceil(T/L) together with the idempotent
-    class a^{|a|_m}."""
+    class a^{|a|_m}.  The bound keeps an audit sweep from holding every
+    residue of its range."""
     mod = build_modulus(m)
     a = canon(a, m)
     if m == 1:

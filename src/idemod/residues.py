@@ -25,6 +25,7 @@ from .arith import (
     Modulus,
     build_modulus,
     canon,
+    canonicalize,
     check_enum,
     factorize,
     least_divisor,
@@ -355,25 +356,28 @@ def _same_class(m: int, b: int, c: int) -> tuple[OrderInfo, OrderInfo]:
 
 def orbit_gcd(m: int, b: int, c: int) -> int:
     """D_m(b, c): gcd of the exponents n <= |b| with b^n in orb(c).  Only
-    defined for regular operands sharing an idempotent class.
+    defined for regular operands sharing an idempotent class; the memo
+    _orbit_gcd checks that once per pair.
 
     orb(c) is a group, so the n with b^n in orb(c) are exactly the multiples
     of D, and D is the least divisor d of |b| with b^d in orb(c).  Hence
     D(b, c) = 1 exactly when b lies in orb(c): equivalent and join_witness
     test orbit membership this way."""
-    ib, ic = _same_class(m, b, c)
-    return _orbit_gcd(m, ib.a, ic.a)
+    # canonicalize also rejects a modulus below 1.
+    return _orbit_gcd(m, canonicalize(b, m), canon(c, m))
 
 
 @lru_cache(maxsize=4096)
 def _orbit_gcd(m: int, b: int, c: int) -> int:
-    """orbit_gcd on canonical operands already checked to be regular and of
-    one class.  The audit asks for the same few pairs of one modulus over
-    and over; the bound keeps the memo from holding every pair of a sweep."""
+    """orbit_gcd on canonical operands.  It rejects operands that are
+    irregular or of different classes, so a valid pair is checked once and
+    a memo hit costs one lookup; lru_cache does not keep exceptions, so an
+    invalid pair raises on every call.  The audit asks for the same few
+    pairs of one modulus over and over; the bound keeps the memo from
+    holding every pair of a sweep."""
+    ib, _ = _same_class(m, b, c)
     target = orbit(m, c).elements
-    return least_divisor(
-        order(m, b).order, lambda d: canon(pow(b, d, m), m) in target
-    )
+    return least_divisor(ib.order, lambda d: canon(pow(b, d, m), m) in target)
 
 
 def relative_order(m: int, a: int, b: int) -> int:
@@ -421,9 +425,6 @@ def join_witness(m: int, b: int, c: int, a: int) -> int:
     and a does too.
     """
     ib, ic = _same_class(m, b, c)
-    # The public orbit_gcd also rejects an a that is irregular or of another
-    # class; _orbit_gcd would not (an idempotent a has |a| = 1, so it
-    # returns 1 without a membership test).
     if orbit_gcd(m, a, ib.a) != 1 or orbit_gcd(m, a, ic.a) != 1:
         raise ValueError(
             f"{canon(a, m)} is not in both orbits of {ib.a} and {ic.a} "

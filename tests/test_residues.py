@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 from idemod import residues
+from idemod.congruence import _omega_cache
 from idemod.arith import EnumerationCapError, build_modulus, multiplicative_order
 from idemod.idempotents import enumerate_idempotents, idem_class, order, signed_power
 from idemod.residues import (
@@ -297,6 +298,54 @@ def test_orbit_gcd_memo_is_bounded_and_canonical():
     info = _orbit_gcd.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize is not None
+
+
+def test_orbit_gcd_memo_still_validates():
+    """The memo checks a pair once and keeps no answer for a rejected one:
+    operands of different classes, or an irregular one, raise on every
+    call, also once valid pairs of the same modulus are memoized."""
+    _orbit_gcd.cache_clear()
+    assert orbit_gcd(12, 5, 7) == 2 and orbit_gcd(12, 8, 4) == 2
+    size = _orbit_gcd.cache_info().currsize
+    for _ in range(3):
+        for fn in (orbit_gcd, _orbit_gcd):
+            for b, c in ((5, 8), (2, 5), (5, 2)):  # classes 1 and 4; 2 irregular
+                with pytest.raises(ValueError):
+                    fn(12, b, c)
+    assert _orbit_gcd.cache_info().currsize == size
+
+
+def test_sweep_memos_are_bounded():
+    """An audit sweep asks order and omega_info about every residue of its
+    range; bounded memos keep it from holding all the answers."""
+    for memo in (order, _omega_cache):
+        assert memo.cache_info().maxsize is not None, memo.__name__
+
+
+@pytest.mark.parametrize(
+    "name, wrong, check, kinds",
+    [
+        # |a, b| = 1 whenever b = a^2, which lies in orb(a).
+        ("relative_order",
+         lambda m, a, b: 1 if a != b and a * a % m == b else relative_order(m, a, b),
+         _audit.check_rn35, {"fifth", "sixth"}),
+        # D(b, c) = 2 where b lies in orb(c).
+        ("orbit_gcd",
+         lambda m, b, c: 2 if b != c and orbit_gcd(m, b, c) == 1 else orbit_gcd(m, b, c),
+         _audit.check_rn33, {"fourth", "fifth"}),
+        # a^z read as a^(z+1) for z <= -3.
+        ("signed_power",
+         lambda m, a, z: signed_power(m, a, z + 1 if z < -2 else z),
+         _audit.check_rn07, {"n", "i"}),
+    ],
+)
+def test_orbit_checks_catch_a_wrong_library(monkeypatch, name, wrong, check, kinds):
+    """Each check reports a library answer that is wrong on a few inputs
+    through the statements inside its exponent loops."""
+    monkeypatch.setattr(_audit, name, wrong)
+    for m in (13, 15):
+        seen = set().union(*(witness for witness, _, _ in check(m)))
+        assert kinds <= seen, (m, seen)
 
 
 def test_join_witness_validates_preconditions():
