@@ -1101,7 +1101,7 @@ def check_pr02(m):
         if extra:
             yield {"a": a}, "Omega(a) subset of G", extra
     for g in G:
-        if g not in omega_info(m, g).omega_set:
+        if g not in frozenset(omega_info(m, g).omega_set):
             yield {"g": g}, "g in Omega(g)", "missing"
     if not G:
         yield {}, "G nonempty", "empty"
@@ -1136,10 +1136,11 @@ def check_pr05(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 16)]:
         info = omega_info(m, a)
+        oset = frozenset(info.omega_set)
         for g in info.omega_set:
             ng = c.orders[g]
             for n in range(1, 2 * ng + 1):
-                lhs = canon(pow(g, n, m), m) in info.omega_set
+                lhs = canon(pow(g, n, m), m) in oset
                 rhs = math.gcd(n, ng) == 1
                 if lhs != rhs:
                     yield {"a": a, "g": g, "n": n}, rhs, lhs

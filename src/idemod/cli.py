@@ -373,7 +373,7 @@ _GLOBAL_FLAGS = {
 }
 
 # Each command's handler and the add_argument calls of its subparser, in the
-# order the help lists them.
+# order the help lists them.  _parse reads canonical argv from this table too.
 _COMMANDS = {
     "modinfo": (_cmd_modinfo, _ints("m")),
     "idempotents": (_cmd_idempotents, _ints("m")),
@@ -408,10 +408,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The idemod parser with every subcommand, or with the one named
-    ``only``: its usage line still lists every command, so each message it
-    prints is the full parser's."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idemod",
         description="Composite moduli through their idempotent residues "
@@ -419,10 +416,8 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     for flag, kwargs in _GLOBAL_FLAGS.items():
         parser.add_argument(flag, **kwargs)
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in (_COMMANDS if only is None else [only]):
-        fn, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, arguments) in _COMMANDS.items():
         p = sub.add_parser(name)
         # Accept the global flags after the subcommand as well; SUPPRESS
         # keeps the main parser's value when the flag precedes the command.
@@ -435,23 +430,79 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _command_in(argv: list[str]) -> str | None:
-    """The command argv runs, if it follows nothing but spelled-out global
-    flags; None sends argv to the full parser."""
-    i = 0
-    while i < len(argv):
-        flag, eq, _ = argv[i].partition("=")
-        takes_value = "action" not in _GLOBAL_FLAGS.get(flag, {})
-        if flag not in _GLOBAL_FLAGS or (eq and not takes_value):
-            return argv[i] if argv[i] in _COMMANDS else None
-        i += 2 if takes_value and not eq else 1
-    return None
+def _dest(flag: str, kwargs: dict) -> str:
+    return kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+
+
+def _read(kwargs: dict, token: str):
+    """token through an argument's type and choices; ValueError where
+    argparse reports an error."""
+    value = kwargs.get("type", str)(token)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"invalid choice: {token!r}")
+    return value
+
+
+def _read_flags(argv: list[str], i: int, flags: dict, values: dict) -> int:
+    """Store the flags of argv from index i into values, up to the first
+    token that is not one of flags; the index of that token."""
+    while i < len(argv) and argv[i] in flags:
+        kwargs = flags[argv[i]]
+        if kwargs.get("action") == "store_true":
+            values[_dest(argv[i], kwargs)] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            raise ValueError(f"{argv[i]} needs a value")
+        values[_dest(argv[i], kwargs)] = _read(kwargs, argv[i + 1])
+        i += 2
+    return i
+
+
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """What the full parser makes of argv, read from the command table when
+    argv has the form ``[global flags] command positionals [flags]``: every
+    flag spelled out, a flag's value in the next token, and no other token
+    starting with "-".  None for every other argv, which the full parser
+    judges; building it costs more than most queries do."""
+    flags = dict(_GLOBAL_FLAGS)
+    values = {}
+    try:
+        i = _read_flags(argv, 0, flags, values)
+        if i == len(argv) or argv[i] not in _COMMANDS:
+            return None
+        command = argv[i]
+        fn, arguments = _COMMANDS[command]
+        positionals = []
+        for names, kwargs in arguments:
+            if names[0].startswith("-"):
+                flags[names[0]] = kwargs
+            else:
+                positionals.append((names[0], kwargs))
+        for flag, kwargs in flags.items():
+            default = False if kwargs.get("action") == "store_true" else None
+            values.setdefault(_dest(flag, kwargs), kwargs.get("default", default))
+        # The positionals run up to the first flag; only flags follow them.
+        start = end = i + 1
+        while end < len(argv) and not argv[end].startswith("-"):
+            end += 1
+        optional = sum(kwargs.get("nargs") == "?" for _, kwargs in positionals)
+        if not len(positionals) - optional <= end - start <= len(positionals):
+            return None
+        for k, (name, kwargs) in enumerate(positionals):
+            values[name] = (_read(kwargs, argv[start + k]) if start + k < end
+                            else kwargs.get("default"))
+        if _read_flags(argv, end, flags, values) < len(argv):
+            return None
+    except ValueError:
+        return None
+    return argparse.Namespace(command=command, fn=fn, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(_command_in(argv)).parse_args(argv)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     if args.max_enum is not None and args.max_enum < 1:
         print(f"invalid --max-enum {args.max_enum}", file=sys.stderr)
         return 2

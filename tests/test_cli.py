@@ -1,4 +1,7 @@
 """Command-line frontend: routing, JSON round-trips, exit codes."""
+import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -8,10 +11,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import idemod
 from idemod.arith import build_modulus
-from idemod.cli import _build_parser, _command_in, main
+from idemod.cli import _COMMANDS, _GLOBAL_FLAGS, _build_parser, _parse, main
 
 
 def run(capsys, *argv):
@@ -57,26 +61,30 @@ def test_negative_residues_canonicalized(capsys):
     assert doc["a"] == 5
 
 
+# One query per command, each as perfbench sends it once "--json" is added.
+ONE_PER_COMMAND = [
+    ("modinfo", "360"),
+    ("idempotents", "60"),
+    ("order", "12", "5"),
+    ("classify", "12", "2"),
+    ("sets", "12"),
+    ("orbit", "12", "5"),
+    ("solve", "12", "2", "4"),
+    ("omega", "12", "5"),
+    ("gproots", "12"),
+    ("counts", "12", "1", "2"),
+    ("classify-fn", "phi", "30"),
+    ("algebra", "12"),
+    ("idemop", "12", "circ", "4", "9"),
+    ("quadratic", "12", "5"),
+    ("sqrt", "45", "10"),
+    ("tower", "100", "42", "100"),
+    ("audit", "2..12", "--theorems", "in02"),
+]
+
+
 def test_json_round_trips(capsys):
-    cases = [
-        ("modinfo", "360"),
-        ("idempotents", "60"),
-        ("order", "12", "5"),
-        ("classify", "12", "2"),
-        ("sets", "12"),
-        ("orbit", "12", "5"),
-        ("solve", "12", "2", "4"),
-        ("omega", "12", "5"),
-        ("gproots", "12"),
-        ("counts", "12", "1", "2"),
-        ("classify-fn", "phi", "30"),
-        ("algebra", "12"),
-        ("idemop", "12", "circ", "4", "9"),
-        ("quadratic", "12", "5"),
-        ("sqrt", "45", "10"),
-        ("tower", "100", "42", "100"),
-    ]
-    for argv in cases:
+    for argv in ONE_PER_COMMAND:
         doc = run_json(capsys, *argv)
         assert json.loads(json.dumps(doc)) == doc
 
@@ -165,32 +173,114 @@ def test_max_enum_does_not_outlive_the_call(capsys):
     assert out.strip() == "1,25,26,50"
 
 
-def test_one_subparser_parses_like_the_full_parser():
+def _full_parse(argv):
+    """The full parser's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_parse_agrees_with_the_full_parser():
+    """The command table reads canonical argv as the full parser does and
+    leaves every other spelling to it."""
     samples = [
-        ["modinfo", "360"],
-        ["--json", "idempotents", "60"],
-        ["order", "12", "-7", "--json"],
-        ["--max-enum", "50", "classify", "12", "2"],
-        ["sets", "12", "--regular", "--class", "4", "--max-enum=9"],
-        ["orbit", "12", "5"],
-        ["--json", "solve", "12", "2", "4", "--max-enum", "7"],
-        ["omega", "12", "5"],
-        ["gproots", "12", "--json"],
-        ["counts", "12", "1", "2"],
-        ["classify-fn", "phi", "30"],
-        ["--max-enum=3", "algebra", "12"],
-        ["idemop", "12", "circ", "4", "9"],
-        ["idemop", "12", "complement", "4", "--json"],
-        ["quadratic", "12", "5"],
-        ["sqrt", "45", "10"],
-        ["--json", "--max-enum", "8", "tower", "100", "42", "100"],
-        ["audit", "2..12", "--theorems", "in02,fs05", "--out", "r.json"],
+        (["modinfo", "360"], True),
+        (["--json", "idempotents", "60"], True),
+        (["order", "12", "-7", "--json"], False),
+        (["--max-enum", "50", "classify", "12", "2"], True),
+        (["sets", "12", "--regular", "--class", "4", "--max-enum=9"], False),
+        (["orbit", "12", "5"], True),
+        (["--json", "solve", "12", "2", "4", "--max-enum", "7"], True),
+        (["omega", "12", "5"], True),
+        (["gproots", "12", "--json"], True),
+        (["counts", "12", "1", "2"], True),
+        (["classify-fn", "phi", "30"], True),
+        (["--max-enum=3", "algebra", "12"], False),
+        (["idemop", "12", "circ", "4", "9"], True),
+        (["idemop", "12", "complement", "4", "--json"], True),
+        (["quadratic", "12", "5"], True),
+        (["sqrt", "45", "10"], True),
+        (["--json", "--max-enum", "8", "tower", "100", "42", "100"], True),
+        (["audit", "2..12", "--theorems", "in02,fs05", "--out", "r.json"], True),
     ]
-    full = _build_parser()
-    for argv in samples:
-        command = _command_in(argv)
-        assert command is not None and command in argv
-        assert _build_parser(command).parse_args(argv) == full.parse_args(argv)
+    for argv, canonical in samples:
+        parsed = _parse(argv)
+        assert (parsed is not None) == canonical, argv
+        full = _full_parse(argv)
+        assert full is not None
+        assert parsed is None or parsed == full, argv
+
+
+_ODD_TOKENS = st.sampled_from(
+    ["", "x", "1.5", " 7", "+4", "0x1f", "2..9", "-3", "-", "--", "-h",
+     "--json", "circ", "phi", "modinfo"]
+)
+
+
+def _token(kwargs):
+    if "choices" in kwargs:
+        good = st.sampled_from(kwargs["choices"])
+    elif kwargs.get("type") is int:
+        good = st.integers(-2, 60).map(str)
+    else:
+        good = st.sampled_from(["phi", "2..9", "in02,fs05", "r.json", ""])
+    return st.integers(0, 7).flatmap(lambda k: good if k else _ODD_TOKENS)
+
+
+@st.composite
+def _argv(draw):
+    """An argv for one command: its positionals, one more or one fewer at
+    times, and flags of the command or global ones, spelled out, as a
+    prefix or in "=" form, placed before the command, between positionals
+    or after them."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    flags = dict(_GLOBAL_FLAGS)
+    positionals = []
+    for names, kwargs in _COMMANDS[command][1]:
+        if names[0].startswith("-"):
+            flags[names[0]] = kwargs
+        else:
+            positionals.append(kwargs)
+    count = len(positionals) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    tokens = [[draw(_token(kwargs))] for kwargs in (positionals + [{}])[:count]]
+    before = []
+    for flag in draw(st.lists(st.sampled_from(list(flags)), max_size=4)):
+        kwargs = flags[flag]
+        spelling = draw(st.sampled_from([flag] * 6 + [flag[:4], flag[:-1]]))
+        group = [spelling]
+        if kwargs.get("action") != "store_true" or not draw(st.integers(0, 3)):
+            value = draw(_token(kwargs))
+            group = ([f"{spelling}={value}"] if draw(st.integers(0, 3)) == 0
+                     else [spelling, value])
+        where = draw(st.sampled_from([-1, len(tokens), len(tokens)]
+                                     + list(range(len(tokens)))))
+        if where < 0:
+            before += group
+        else:
+            tokens.insert(where, group)
+    return before + [command] + [t for group in tokens for t in group]
+
+
+@given(argv=_argv())
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_the_full_parser_on_drawn_argv(argv):
+    parsed = _parse(argv)
+    assert parsed is None or parsed == _full_parse(argv)
+
+
+def test_queries_answer_without_argparse(capsys, monkeypatch):
+    """A query in the form perfbench sends builds no argparse parser."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert {argv[0] for argv in ONE_PER_COMMAND} == set(_COMMANDS)
+    for argv in ONE_PER_COMMAND:
+        assert main([*argv, "--json"]) == 0, argv
+        json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,16 +292,13 @@ def test_one_subparser_parses_like_the_full_parser():
     ["--json=x", "modinfo", "1"],
     ["modinfo"],
     ["idemop", "12", "bogus", "1"],
+    ["audit", "2..12", "--out", "--json"],
 ])
 def test_help_and_errors_match_the_full_parser(capsys, argv):
-    def outcome(parser):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        out = capsys.readouterr()
-        return exc.value.code, out.out, out.err
-
-    full = outcome(_build_parser())
-    assert outcome(_build_parser(_command_in(argv))) == full
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    full = exc.value.code, out.out, out.err
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr()
