@@ -9,14 +9,39 @@ Boolean ring.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import islice, product
+from math import prod
 
 from .arith import Modulus, canon, canonicalize
 from .idempotents import enumerate_idempotents, is_idempotent
 
-OPS = ("complement", "circ", "otimes", "simdiff")
+# Coefficient pairs the mixing identities sample beyond m = 100.
+SAMPLE = 40
+
+
+# The operator formulas, for operands known to be canonical idempotents.
+def _complement(m: int, e: int) -> int:
+    return canon(1 - e, m)
+
+
+def _circ(m: int, e1: int, e2: int) -> int:
+    return canon(e1 * e2 + (1 - e1) * (1 - e2), m)
+
+
+def _otimes(m: int, e1: int, e2: int) -> int:
+    return canon(1 - (1 - e1) * (1 - e2), m)
+
+
+def _simdiff(m: int, e1: int, e2: int) -> int:
+    return canon(1 - (1 - e1) * e2, m)
+
+
+_FORMULAS = {"complement": _complement, "circ": _circ, "otimes": _otimes,
+             "simdiff": _simdiff}
+OPS = tuple(_FORMULAS)
 
 
 def _check_idem(m: int, e: int) -> int:
@@ -27,42 +52,31 @@ def _check_idem(m: int, e: int) -> int:
 
 
 def complement(m: int, e: int) -> int:
-    return canon(1 - _check_idem(m, e), m)
+    return _complement(m, _check_idem(m, e))
 
 
 def circ(m: int, e1: int, e2: int) -> int:
-    e1 = _check_idem(m, e1)
-    e2 = _check_idem(m, e2)
-    return canon(e1 * e2 + (1 - e1) * (1 - e2), m)
+    return _circ(m, _check_idem(m, e1), _check_idem(m, e2))
 
 
 def otimes(m: int, e1: int, e2: int) -> int:
-    e1 = _check_idem(m, e1)
-    e2 = _check_idem(m, e2)
-    return canon(1 - (1 - e1) * (1 - e2), m)
+    return _otimes(m, _check_idem(m, e1), _check_idem(m, e2))
 
 
 def simdiff(m: int, e1: int, e2: int) -> int:
     """Named to avoid clashing with the equivalence relation on residues."""
-    e1 = _check_idem(m, e1)
-    e2 = _check_idem(m, e2)
-    return canon(1 - (1 - e1) * e2, m)
+    return _simdiff(m, _check_idem(m, e1), _check_idem(m, e2))
 
 
 def idem_op(m: int, op: str, e1: int, e2: int | None = None) -> int:
-    if op == "complement":
-        if e2 is not None:
-            raise ValueError("complement takes a single operand")
-        return complement(m, e1)
-    if e2 is None:
+    if op not in _FORMULAS:
+        raise ValueError(f"unknown operator {op!r}; choose one of {OPS}")
+    if op == "complement" and e2 is not None:
+        raise ValueError("complement takes a single operand")
+    if op != "complement" and e2 is None:
         raise ValueError(f"{op} needs two operands")
-    if op == "circ":
-        return circ(m, e1, e2)
-    if op == "otimes":
-        return otimes(m, e1, e2)
-    if op == "simdiff":
-        return simdiff(m, e1, e2)
-    raise ValueError(f"unknown operator {op!r}; choose one of {OPS}")
+    operands = (e1,) if e2 is None else (e1, e2)
+    return _FORMULAS[op](m, *(_check_idem(m, e) for e in operands))
 
 
 @dataclass(frozen=True)
@@ -95,225 +109,161 @@ class AlgebraReport:
     def ok(self) -> bool:
         return all(l.passed for l in self.laws)
 
-    def record(self, law: str, witness: tuple | None):
-        self.laws.append(LawReport(law, witness is None, witness))
 
-
-def verify_algebra(m: int, sample: int = 40) -> AlgebraReport:
-    """Check the group/ring laws and identity catalog on E_m.
-
-    Universally quantified integer coefficients (the mixing identities) are
-    sampled: every pair in Z_m for small m, a fixed-seed random sample
-    beyond.  All idempotent-only laws are checked exhaustively.
-    """
+def verify_algebra(m: int) -> AlgebraReport:
+    """Check the group/ring laws and identity catalog on E_m.  Each law is a
+    generator of its counterexamples, and the report records the first, so
+    no law runs past it or holds E_m^3.  The idempotent-only laws range over
+    all of E_m; the mixing identities take their integer coefficients from
+    all of Z_m^2 for m <= 100 and from a fixed-seed sample beyond."""
     idems = enumerate_idempotents(m)
     es = idems.elements
-    rep = AlgebraReport(idems.modulus)
-
-    # Mixing identities (ae + b(1-e))(ce + d(1-e)) = (ac)e + (bd)(1-e).
+    one, zero = canon(1, m), m
     if m <= 100:
-        coeffs = [(a, b) for a in range(m) for b in range(m)]
+        coeffs = list(product(range(m), repeat=2))
     else:
         rng = random.Random(m)
-        coeffs = [(rng.randrange(m), rng.randrange(m)) for _ in range(sample)]
-    witness = None
-    for e in es:
-        eb = 1 - e
-        for (a, b), (c, d) in zip(coeffs, reversed(coeffs)):
-            lhs = (a * e + b * eb) * (c * e + d * eb) % m
-            rhs = (a * c % m * e + b * d % m * eb) % m
-            if lhs != rhs:
-                witness = (e, a, b, c, d, lhs, rhs)
-                break
-        if witness:
-            break
-    rep.record("mixing-product", witness)
+        coeffs = [(rng.randrange(m), rng.randrange(m)) for _ in range(SAMPLE)]
 
-    witness = None
-    for e in es:
-        eb = 1 - e
-        for (a, b) in coeffs[:sample]:
-            n = (a + b) % 7 + 2
-            lhs = pow(a * e + b * eb, n, m)
-            rhs = (pow(a, n, m) * e + pow(b, n, m) * eb) % m
-            if lhs != rhs:
-                witness = (e, a, b, n, lhs, rhs)
-                break
-        if witness:
-            break
-    rep.record("mixing-power", witness)
-
-    # Closure of all four operators.
-    w = None
-    for e1 in es:
-        if not is_idempotent(m, complement(m, e1)):
-            w = ("complement", e1)
-            break
-        for e2 in es:
-            for op in ("circ", "otimes", "simdiff"):
-                if not is_idempotent(m, idem_op(m, op, e1, e2)):
-                    w = (op, e1, e2)
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.record("closure", w)
-
-    # (E_m, o): Abelian group, identity 1, every element self-inverse.
-    w = None
-    one = canon(1, m)
-    zero = m
-    for e in es:
-        if circ(m, e, one) != e or circ(m, e, e) != one:
-            w = ("identity/involution", e)
-            break
-    if w is None:
-        for e1 in es:
-            for e2 in es:
-                if circ(m, e1, e2) != circ(m, e2, e1):
-                    w = ("commutativity", e1, e2)
-                    break
-                for e3 in es:
-                    if circ(m, circ(m, e1, e2), e3) != circ(m, e1, circ(m, e2, e3)):
-                        w = ("associativity", e1, e2, e3)
-                        break
-                if w:
-                    break
-            if w:
-                break
-    rep.record("circ-group", w)
-
-    # Translation by a fixed element permutes E_m.
-    w = None
-    for e2 in es:
-        if len({circ(m, e2, e) for e in es}) != len(es):
-            w = ("translation", e2)
-            break
-    rep.record("circ-translation-injective", w)
-
-    # otimes: commutative, associative, distributive laws.
-    w = None
-    for e1 in es:
-        for e2 in es:
-            if otimes(m, e1, e2) != otimes(m, e2, e1):
-                w = ("otimes-commutativity", e1, e2)
-                break
-            for e3 in es:
-                if otimes(m, otimes(m, e1, e2), e3) != otimes(m, e1, otimes(m, e2, e3)):
-                    w = ("otimes-associativity", e1, e2, e3)
-                    break
-                if canon(e1 * otimes(m, e2, e3), m) != otimes(
-                    m, canon(e1 * e2, m), canon(e1 * e3, m)
-                ):
-                    w = ("mul-distributes-over-otimes", e1, e2, e3)
-                    break
-                if otimes(m, e1, circ(m, e2, e3)) != circ(
-                    m, otimes(m, e1, e2), otimes(m, e1, e3)
-                ):
-                    w = ("otimes-distributes-over-circ", e1, e2, e3)
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.record("otimes-ring", w)
-
-    # Identity catalog: complement pairing, circ specials, otimes specials.
-    w = None
-    for e in es:
-        eb = complement(m, e)
-        checks = [
-            canon(e * eb, m) == zero,
-            canon(e + eb, m) == one,
-            circ(m, e, eb) == zero,
-            circ(m, e, zero) == eb,
-            otimes(m, e, e) == e,
-            otimes(m, e, one) == one,
-            otimes(m, e, eb) == one,
-            otimes(m, e, zero) == e,
-        ]
-        if not all(checks):
-            w = ("specials", e, checks)
-            break
-    if w is None:
-        for e1 in es:
-            for e2 in es:
-                eb1, eb2 = complement(m, e1), complement(m, e2)
-                checks = [
-                    complement(m, circ(m, e1, e2)) == circ(m, eb1, e2),
-                    circ(m, eb1, e2) == circ(m, e1, eb2),
-                    circ(m, e1, e2) == canon((e1 + eb2) * (eb1 + e2), m),
-                    circ(m, e1, e2) == canon((e1 - eb2) ** 2, m),
-                    canon(otimes(m, e1, e2) - otimes(m, eb1, eb2), m)
-                    == canon(e1 * e2 - eb1 * eb2, m),
-                    canon((otimes(m, e1, e2) - otimes(m, eb1, eb2)) ** 2, m)
-                    == circ(m, e1, e2),
-                    complement(m, otimes(m, eb1, eb2)) == canon(e1 * e2, m),
-                    otimes(m, canon(e1 * e2, m), canon(eb1 * eb2, m))
-                    == circ(m, e1, e2),
-                    otimes(m, e1, e2) == canon(e1 + e2 - e1 * e2, m),
-                ]
-                if not all(checks):
-                    w = ("pair-identities", e1, e2, checks)
-                    break
-            if w:
-                break
-    rep.record("identity-catalog", w)
-
-    # (e1 o e)(x)(e2 o e) decomposition and the n-ary otimes form.
-    w = None
-    for e1 in es:
-        for e2 in es:
-            for e in es:
-                lhs = otimes(m, circ(m, e1, e), circ(m, e2, e))
-                rhs = canon(
-                    otimes(m, e1, e2) * e
-                    + otimes(m, complement(m, e1), complement(m, e2))
-                    * (1 - e),
-                    m,
-                )
+    def mixing_product():
+        """(ae + b(1-e))(ce + d(1-e)) = (ac)e + (bd)(1-e)."""
+        for e in es:
+            for (a, b), (c, d) in zip(coeffs, reversed(coeffs)):
+                lhs = (a * e + b * (1 - e)) * (c * e + d * (1 - e)) % m
+                rhs = (a * c % m * e + b * d % m * (1 - e)) % m
                 if lhs != rhs:
-                    w = ("shift-decomposition", e1, e2, e)
-                    break
-            if w:
-                break
-        if w:
-            break
-    if w is None and len(es) >= 2:
-        for tup in itertools.islice(itertools.product(es, repeat=3), 512):
-            acc = tup[0]
-            prod = canon(1 - tup[0], m)
-            for e in tup[1:]:
-                acc = otimes(m, acc, e)
-                prod = prod * (1 - e) % m
-            if acc != canon(1 - prod, m):
-                w = ("nary-otimes", tup)
-                break
-    rep.record("otimes-nary", w)
+                    yield e, a, b, c, d, lhs, rhs
 
-    # Basis bijection: five operator/set-operation correspondences.
-    bm = basis_map(m)
-    sets = bm.member_sets
-    full = frozenset(bm.basis)
-    w = None
-    if len(set(sets.values())) != len(es):
-        w = ("bijection",)
-    if w is None:
+    def mixing_power():
+        """(ae + b(1-e))^n = a^n e + b^n (1-e): first SAMPLE pairs, then a spread."""
+        pairs = coeffs[:SAMPLE] + coeffs[SAMPLE::max(1, len(coeffs) // SAMPLE)]
+        for e, (a, b) in product(es, pairs):
+            n = (a + b) % 7 + 2
+            lhs = pow(a * e + b * (1 - e), n, m)
+            rhs = (pow(a, n, m) * e + pow(b, n, m) * (1 - e)) % m
+            if lhs != rhs:
+                yield e, a, b, n, lhs, rhs
+
+    def closure():
+        """All four operators map E_m into E_m."""
         for e1 in es:
-            for e2 in es:
-                pairs = [
-                    (sets[complement(m, e1)], full - sets[e1]),
-                    (sets[canon(e1 * e2, m)], sets[e1] | sets[e2]),
-                    (sets[otimes(m, e1, e2)], sets[e1] & sets[e2]),
-                    (sets[simdiff(m, e1, e2)], sets[e1] - sets[e2]),
-                    (sets[circ(m, e1, e2)], sets[e1] ^ sets[e2]),
-                ]
-                if any(x != y for x, y in pairs):
-                    w = ("basis-identity", e1, e2)
-                    break
-            if w:
-                break
-    rep.record("basis-map", w)
+            if not is_idempotent(m, _complement(m, e1)):
+                yield "complement", e1
+            for e2, op in product(es, ("circ", "otimes", "simdiff")):
+                if not is_idempotent(m, _FORMULAS[op](m, e1, e2)):
+                    yield op, e1, e2
 
-    return rep
+    def circ_group():
+        """(E_m, o): Abelian group, identity 1, every element self-inverse."""
+        for e in es:
+            if _circ(m, e, one) != e or _circ(m, e, e) != one:
+                yield "identity/involution", e
+        for e1, e2 in product(es, repeat=2):
+            c12 = _circ(m, e1, e2)
+            if c12 != _circ(m, e2, e1):
+                yield "commutativity", e1, e2
+            for e3 in es:
+                if _circ(m, c12, e3) != _circ(m, e1, _circ(m, e2, e3)):
+                    yield "associativity", e1, e2, e3
+
+    def circ_translation():
+        """Translation by a fixed element permutes E_m."""
+        for e2 in es:
+            if len({_circ(m, e2, e) for e in es}) != len(es):
+                yield "translation", e2
+
+    def otimes_ring():
+        """otimes: commutative, associative, distributive laws."""
+        for e1, e2 in product(es, repeat=2):
+            o, p = _otimes(m, e1, e2), canon(e1 * e2, m)
+            if o != _otimes(m, e2, e1):
+                yield "otimes-commutativity", e1, e2
+            for e3 in es:
+                o23 = _otimes(m, e2, e3)
+                if _otimes(m, o, e3) != _otimes(m, e1, o23):
+                    yield "otimes-associativity", e1, e2, e3
+                if canon(e1 * o23, m) != _otimes(m, p, canon(e1 * e3, m)):
+                    yield "mul-distributes-over-otimes", e1, e2, e3
+                if _otimes(m, e1, _circ(m, e2, e3)) != _circ(m, o, _otimes(m, e1, e3)):
+                    yield "otimes-distributes-over-circ", e1, e2, e3
+
+    def identity_catalog():
+        """Complement pairing, circ specials, otimes specials."""
+        for e in es:
+            eb = _complement(m, e)
+            checks = [
+                canon(e * eb, m) == zero,
+                canon(e + eb, m) == one,
+                _circ(m, e, eb) == zero,
+                _circ(m, e, zero) == eb,
+                _otimes(m, e, e) == e,
+                _otimes(m, e, one) == one,
+                _otimes(m, e, eb) == one,
+                _otimes(m, e, zero) == e,
+            ]
+            if not all(checks):
+                yield "specials", e, checks
+        for e1, e2 in product(es, repeat=2):
+            eb1, eb2 = _complement(m, e1), _complement(m, e2)
+            c, o, ob = _circ(m, e1, e2), _otimes(m, e1, e2), _otimes(m, eb1, eb2)
+            checks = [
+                _complement(m, c) == _circ(m, eb1, e2),
+                _circ(m, eb1, e2) == _circ(m, e1, eb2),
+                c == canon((e1 + eb2) * (eb1 + e2), m),
+                c == canon((e1 - eb2) ** 2, m),
+                canon(o - ob, m) == canon(e1 * e2 - eb1 * eb2, m),
+                canon((o - ob) ** 2, m) == c,
+                _complement(m, ob) == canon(e1 * e2, m),
+                _otimes(m, canon(e1 * e2, m), canon(eb1 * eb2, m)) == c,
+                o == canon(e1 + e2 - e1 * e2, m),
+            ]
+            if not all(checks):
+                yield "pair-identities", e1, e2, checks
+
+    def otimes_nary():
+        """(e1 o e)(x)(e2 o e) decomposition; n-ary otimes on the first 512 triples."""
+        for e1, e2, e in product(es, repeat=3):
+            lhs = _otimes(m, _circ(m, e1, e), _circ(m, e2, e))
+            ob = _otimes(m, _complement(m, e1), _complement(m, e2))
+            if lhs != canon(_otimes(m, e1, e2) * e + ob * (1 - e), m):
+                yield "shift-decomposition", e1, e2, e
+        if len(es) < 2:
+            return
+        for tup in islice(product(es, repeat=3), 512):
+            acc = reduce(lambda x, y: _otimes(m, x, y), tup)
+            if acc != canon(1 - prod(1 - e for e in tup), m):
+                yield "nary-otimes", tup
+
+    def basis_bijection():
+        """Basis bijection: five operator/set-operation correspondences."""
+        bm = basis_map(m)
+        sets, full = bm.member_sets, frozenset(bm.basis)
+        if len(set(sets.values())) != len(es):
+            yield ("bijection",)
+        for e1, e2 in product(es, repeat=2):
+            pairs = [
+                (sets[_complement(m, e1)], full - sets[e1]),
+                (sets[canon(e1 * e2, m)], sets[e1] | sets[e2]),
+                (sets[_otimes(m, e1, e2)], sets[e1] & sets[e2]),
+                (sets[_simdiff(m, e1, e2)], sets[e1] - sets[e2]),
+                (sets[_circ(m, e1, e2)], sets[e1] ^ sets[e2]),
+            ]
+            if any(x != y for x, y in pairs):
+                yield "basis-identity", e1, e2
+
+    laws = {
+        "mixing-product": mixing_product(),
+        "mixing-power": mixing_power(),
+        "closure": closure(),
+        "circ-group": circ_group(),
+        "circ-translation-injective": circ_translation(),
+        "otimes-ring": otimes_ring(),
+        "identity-catalog": identity_catalog(),
+        "otimes-nary": otimes_nary(),
+        "basis-map": basis_bijection(),
+    }
+    report = AlgebraReport(idems.modulus)
+    for law, counterexamples in laws.items():
+        witness = next(counterexamples, None)
+        report.laws.append(LawReport(law, witness is None, witness))
+    return report

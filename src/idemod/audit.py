@@ -1397,7 +1397,7 @@ def check_ia10(m):
 
 @claim
 def check_ia11(m):
-    return _failed_laws(m, "shift-decomposition", "otimes-nary", "identity-catalog")
+    return _failed_laws(m, "otimes-nary", "identity-catalog")
 
 
 # ---------------------------------------------------------------- sd series

@@ -1,6 +1,7 @@
 """Operator algebra on the idempotents and the subset correspondence."""
 import pytest
 
+from idemod import algebra
 from idemod.algebra import (
     basis_map,
     circ,
@@ -10,6 +11,7 @@ from idemod.algebra import (
     simdiff,
     verify_algebra,
 )
+from idemod.arith import canon
 from idemod.idempotents import enumerate_idempotents
 from conftest import algebra_sweep
 
@@ -60,8 +62,7 @@ def test_operators_reject_non_idempotent_operands():
 def test_report_records_all_laws():
     rep = verify_algebra(60)
     assert rep.ok
-    law_names = {l.law for l in rep.laws}
-    assert {
+    assert [l.law for l in rep.laws] == [
         "mixing-product",
         "mixing-power",
         "closure",
@@ -71,4 +72,26 @@ def test_report_records_all_laws():
         "identity-catalog",
         "otimes-nary",
         "basis-map",
-    } <= law_names
+    ]
+
+
+def _product(m, e1, e2):
+    return canon(e1 * e2, m)
+
+
+def _failed(rep):
+    return {l.law for l in rep.laws if l.counterexample is not None}
+
+
+def test_laws_fail_on_a_wrong_operator(monkeypatch):
+    """The product of idempotents is idempotent but is neither the meet nor
+    the group operation: in place of otimes, exactly the laws about otimes
+    report a counterexample; in place of circ, the group laws fail."""
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_otimes", _product)
+        rep = verify_algebra(12)
+    assert _failed(rep) == {"otimes-ring", "identity-catalog", "otimes-nary",
+                            "basis-map"}
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_circ", _product)
+        assert "circ-group" in _failed(verify_algebra(12))

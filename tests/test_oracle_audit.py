@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from idemod.algebra import verify_algebra
 from idemod.arith import EnumerationCapError
 from idemod import audit
 from idemod.audit import THEOREMS, run_audit
@@ -118,6 +119,22 @@ def test_audit_names_findings_from_the_registry(monkeypatch):
         {"theorem": "zz-global", "modulus": 0, "witness": {}, "expected": 1,
          "actual": 0}
     ]
+
+
+def test_ia_claims_ask_only_about_reported_laws(monkeypatch):
+    """Each law name an ia claim passes to _failed_laws is a law that
+    verify_algebra reports; a name it does not report would never fail."""
+    asked = set()
+
+    def record(m, *laws):
+        asked.update(laws)
+        return iter(())
+
+    monkeypatch.setattr(audit, "_failed_laws", record)
+    for tid, (_, check) in THEOREMS.items():
+        if tid.startswith("ia"):
+            list(check(12))
+    assert asked and asked <= {law.law for law in verify_algebra(12).laws}
 
 
 def test_audit_keeps_one_modulus_context_alive():
