@@ -18,7 +18,8 @@ from math import prod
 from .arith import Modulus, canon, canonicalize
 from .idempotents import enumerate_idempotents, is_idempotent
 
-# Coefficient pairs the mixing identities sample beyond m = 100.
+# Pairs sampled from Z_m^2 beyond m = 100, and for every m the size of
+# mixing-power's prefix of the coefficient pairs and of its spread over them.
 SAMPLE = 40
 
 
@@ -39,9 +40,7 @@ def _simdiff(m: int, e1: int, e2: int) -> int:
     return canon(1 - (1 - e1) * e2, m)
 
 
-_FORMULAS = {"complement": _complement, "circ": _circ, "otimes": _otimes,
-             "simdiff": _simdiff}
-OPS = tuple(_FORMULAS)
+OPS = ("complement", "circ", "otimes", "simdiff")
 
 
 def _check_idem(m: int, e: int) -> int:
@@ -69,14 +68,15 @@ def simdiff(m: int, e1: int, e2: int) -> int:
 
 
 def idem_op(m: int, op: str, e1: int, e2: int | None = None) -> int:
-    if op not in _FORMULAS:
+    if op not in OPS:
         raise ValueError(f"unknown operator {op!r}; choose one of {OPS}")
-    if op == "complement" and e2 is not None:
-        raise ValueError("complement takes a single operand")
-    if op != "complement" and e2 is None:
+    if op == "complement":
+        if e2 is not None:
+            raise ValueError("complement takes a single operand")
+        return complement(m, e1)
+    if e2 is None:
         raise ValueError(f"{op} needs two operands")
-    operands = (e1,) if e2 is None else (e1, e2)
-    return _FORMULAS[op](m, *(_check_idem(m, e) for e in operands))
+    return {"circ": circ, "otimes": otimes, "simdiff": simdiff}[op](m, e1, e2)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ def verify_algebra(m: int) -> AlgebraReport:
     all of Z_m^2 for m <= 100 and from a fixed-seed sample beyond."""
     idems = enumerate_idempotents(m)
     es = idems.elements
-    one, zero = canon(1, m), m
+    one = canon(1, m)
+    zero = m
     if m <= 100:
         coeffs = list(product(range(m), repeat=2))
     else:
@@ -146,11 +147,12 @@ def verify_algebra(m: int) -> AlgebraReport:
 
     def closure():
         """All four operators map E_m into E_m."""
+        binary = {"circ": _circ, "otimes": _otimes, "simdiff": _simdiff}
         for e1 in es:
             if not is_idempotent(m, _complement(m, e1)):
                 yield "complement", e1
-            for e2, op in product(es, ("circ", "otimes", "simdiff")):
-                if not is_idempotent(m, _FORMULAS[op](m, e1, e2)):
+            for e2, op in product(es, binary):
+                if not is_idempotent(m, binary[op](m, e1, e2)):
                     yield op, e1, e2
 
     def circ_group():
@@ -235,18 +237,20 @@ def verify_algebra(m: int) -> AlgebraReport:
                 yield "nary-otimes", tup
 
     def basis_bijection():
-        """Basis bijection: five operator/set-operation correspondences."""
+        """Basis bijection: five operator/set-operation correspondences.  A
+        result outside E_m has no set, so it is a counterexample too."""
         bm = basis_map(m)
-        sets, full = bm.member_sets, frozenset(bm.basis)
+        sets = bm.member_sets
+        full = frozenset(bm.basis)
         if len(set(sets.values())) != len(es):
             yield ("bijection",)
         for e1, e2 in product(es, repeat=2):
             pairs = [
-                (sets[_complement(m, e1)], full - sets[e1]),
+                (sets.get(_complement(m, e1)), full - sets[e1]),
                 (sets[canon(e1 * e2, m)], sets[e1] | sets[e2]),
-                (sets[_otimes(m, e1, e2)], sets[e1] & sets[e2]),
-                (sets[_simdiff(m, e1, e2)], sets[e1] - sets[e2]),
-                (sets[_circ(m, e1, e2)], sets[e1] ^ sets[e2]),
+                (sets.get(_otimes(m, e1, e2)), sets[e1] & sets[e2]),
+                (sets.get(_simdiff(m, e1, e2)), sets[e1] - sets[e2]),
+                (sets.get(_circ(m, e1, e2)), sets[e1] ^ sets[e2]),
             ]
             if any(x != y for x, y in pairs):
                 yield "basis-identity", e1, e2

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .arith import EnumerationCapError, build_modulus, canon, check_enum
@@ -429,15 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse reads a token that matches this as an argument, not as a flag,
-# when no flag of the parser looks like a negative number (none here does).
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _is_flag(token: str) -> bool:
-    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
-
-
 def _dest(flag: str, kwargs: dict) -> str:
     return kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
 
@@ -460,7 +450,7 @@ def _read_flags(argv: list[str], i: int, flags: dict, values: dict) -> int:
             values[_dest(argv[i], kwargs)] = True
             i += 1
             continue
-        if i + 1 == len(argv) or _is_flag(argv[i + 1]):
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
             raise ValueError(f"{argv[i]} needs a value")
         values[_dest(argv[i], kwargs)] = _read(kwargs, argv[i + 1])
         i += 2
@@ -471,9 +461,8 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
     """What the full parser makes of argv, read from the command table when
     argv has the form ``[global flags] command positionals [flags]``: every
     flag spelled out, a flag's value in the next token, and no other token
-    starting with "-" but negative numbers.  None for every other argv,
-    which the full parser judges; building it costs more than most queries
-    do."""
+    starting with "-".  None for every other argv, which the full parser
+    judges; building it costs more than most queries do."""
     flags = dict(_GLOBAL_FLAGS)
     values = {}
     try:
@@ -493,7 +482,7 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
             values.setdefault(_dest(flag, kwargs), kwargs.get("default", default))
         # The positionals run up to the first flag; only flags follow them.
         start = end = i + 1
-        while end < len(argv) and not _is_flag(argv[end]):
+        while end < len(argv) and not argv[end].startswith("-"):
             end += 1
         optional = sum(kwargs.get("nargs") == "?" for _, kwargs in positionals)
         if not len(positionals) - optional <= end - start <= len(positionals):

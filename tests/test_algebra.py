@@ -86,12 +86,18 @@ def _failed(rep):
 def test_laws_fail_on_a_wrong_operator(monkeypatch):
     """The product of idempotents is idempotent but is neither the meet nor
     the group operation: in place of otimes, exactly the laws about otimes
-    report a counterexample; in place of circ, the group laws fail."""
+    report a counterexample, and otimes and idem_op both answer with it; in
+    place of circ, the group laws fail.  The sum of idempotents need not be
+    idempotent, so in place of simdiff it fails closure."""
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "_otimes", _product)
         rep = verify_algebra(12)
+        assert idem_op(12, "otimes", 4, 9) == otimes(12, 4, 9) == 12
     assert _failed(rep) == {"otimes-ring", "identity-catalog", "otimes-nary",
                             "basis-map"}
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "_circ", _product)
         assert "circ-group" in _failed(verify_algebra(12))
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_simdiff", lambda m, e1, e2: canon(e1 + e2, m))
+        assert "closure" in _failed(verify_algebra(12))

@@ -189,9 +189,7 @@ def test_parse_agrees_with_the_full_parser():
     samples = [
         (["modinfo", "360"], True),
         (["--json", "idempotents", "60"], True),
-        (["order", "12", "-7", "--json"], True),
-        (["sets", "12", "--class", "-3"], True),
-        (["--max-enum", "-5", "order", "12", "5"], True),
+        (["order", "12", "-7", "--json"], False),
         (["--max-enum", "50", "classify", "12", "2"], True),
         (["sets", "12", "--regular", "--class", "4", "--max-enum=9"], False),
         (["orbit", "12", "5"], True),
