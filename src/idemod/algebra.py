@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import islice, product
 from math import prod
 
@@ -38,6 +38,27 @@ def _otimes(m: int, e1: int, e2: int) -> int:
 
 def _simdiff(m: int, e1: int, e2: int) -> int:
     return canon(1 - (1 - e1) * e2, m)
+
+
+def _product(m: int, e1: int, e2: int) -> int:
+    return canon(e1 * e2, m)
+
+
+class _Memo(dict):
+    """A dict that computes the value of a missing key with fn, once."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
+def _table(m: int, formula) -> _Memo:
+    """table[x][y] is formula(m, x, y), each computed on first use."""
+    return _Memo(lambda x: _Memo(partial(formula, m, x)))
 
 
 OPS = ("complement", "circ", "otimes", "simdiff")
@@ -115,7 +136,11 @@ def verify_algebra(m: int) -> AlgebraReport:
     generator of its counterexamples, and the report records the first, so
     no law runs past it or holds E_m^3.  The idempotent-only laws range over
     all of E_m; the mixing identities take their integer coefficients from
-    all of Z_m^2 for m <= 100 and from a fixed-seed sample beyond."""
+    all of Z_m^2 for m <= 100 and from a fixed-seed sample beyond.
+
+    Each binary operator, and the product, is evaluated once per operand
+    pair: the laws read them through tables that live for this call, so the
+    cubic laws cost |E_m|^2 formula evaluations, not |E_m|^3."""
     idems = enumerate_idempotents(m)
     es = idems.elements
     one = canon(1, m)
@@ -125,6 +150,11 @@ def verify_algebra(m: int) -> AlgebraReport:
     else:
         rng = random.Random(m)
         coeffs = [(rng.randrange(m), rng.randrange(m)) for _ in range(SAMPLE)]
+    # C[x][y] is _circ(m, x, y); O, S and P hold otimes, simdiff and the
+    # product.  The formulas are looked up here, so one patched on the module
+    # reaches every law.  The cubic laws read the rows that depend only on
+    # their outer operands once, outside the innermost loop.
+    C, O, S, P = (_table(m, f) for f in (_circ, _otimes, _simdiff, _product))
 
     def mixing_product():
         """(ae + b(1-e))(ce + d(1-e)) = (ac)e + (bd)(1-e)."""
@@ -147,46 +177,49 @@ def verify_algebra(m: int) -> AlgebraReport:
 
     def closure():
         """All four operators map E_m into E_m."""
-        binary = {"circ": _circ, "otimes": _otimes, "simdiff": _simdiff}
+        binary = {"circ": C, "otimes": O, "simdiff": S}
         for e1 in es:
             if not is_idempotent(m, _complement(m, e1)):
                 yield "complement", e1
             for e2, op in product(es, binary):
-                if not is_idempotent(m, binary[op](m, e1, e2)):
+                if not is_idempotent(m, binary[op][e1][e2]):
                     yield op, e1, e2
 
     def circ_group():
         """(E_m, o): Abelian group, identity 1, every element self-inverse."""
         for e in es:
-            if _circ(m, e, one) != e or _circ(m, e, e) != one:
+            if C[e][one] != e or C[e][e] != one:
                 yield "identity/involution", e
         for e1, e2 in product(es, repeat=2):
-            c12 = _circ(m, e1, e2)
-            if c12 != _circ(m, e2, e1):
+            c12 = C[e1][e2]
+            if c12 != C[e2][e1]:
                 yield "commutativity", e1, e2
+            C1, C2, C12 = C[e1], C[e2], C[c12]
             for e3 in es:
-                if _circ(m, c12, e3) != _circ(m, e1, _circ(m, e2, e3)):
+                if C12[e3] != C1[C2[e3]]:
                     yield "associativity", e1, e2, e3
 
     def circ_translation():
         """Translation by a fixed element permutes E_m."""
         for e2 in es:
-            if len({_circ(m, e2, e) for e in es}) != len(es):
+            if len({C[e2][e] for e in es}) != len(es):
                 yield "translation", e2
 
     def otimes_ring():
         """otimes: commutative, associative, distributive laws."""
         for e1, e2 in product(es, repeat=2):
-            o, p = _otimes(m, e1, e2), canon(e1 * e2, m)
-            if o != _otimes(m, e2, e1):
+            o, p = O[e1][e2], P[e1][e2]
+            if o != O[e2][e1]:
                 yield "otimes-commutativity", e1, e2
+            O1, O2, P1, C2 = O[e1], O[e2], P[e1], C[e2]
+            Oo, Op, Co = O[o], O[p], C[o]
             for e3 in es:
-                o23 = _otimes(m, e2, e3)
-                if _otimes(m, o, e3) != _otimes(m, e1, o23):
+                o23 = O2[e3]
+                if Oo[e3] != O1[o23]:
                     yield "otimes-associativity", e1, e2, e3
-                if canon(e1 * o23, m) != _otimes(m, p, canon(e1 * e3, m)):
+                if P1[o23] != Op[P1[e3]]:
                     yield "mul-distributes-over-otimes", e1, e2, e3
-                if _otimes(m, e1, _circ(m, e2, e3)) != _circ(m, o, _otimes(m, e1, e3)):
+                if O1[C2[e3]] != Co[O1[e3]]:
                     yield "otimes-distributes-over-circ", e1, e2, e3
 
     def identity_catalog():
@@ -194,29 +227,29 @@ def verify_algebra(m: int) -> AlgebraReport:
         for e in es:
             eb = _complement(m, e)
             checks = [
-                canon(e * eb, m) == zero,
+                P[e][eb] == zero,
                 canon(e + eb, m) == one,
-                _circ(m, e, eb) == zero,
-                _circ(m, e, zero) == eb,
-                _otimes(m, e, e) == e,
-                _otimes(m, e, one) == one,
-                _otimes(m, e, eb) == one,
-                _otimes(m, e, zero) == e,
+                C[e][eb] == zero,
+                C[e][zero] == eb,
+                O[e][e] == e,
+                O[e][one] == one,
+                O[e][eb] == one,
+                O[e][zero] == e,
             ]
             if not all(checks):
                 yield "specials", e, checks
         for e1, e2 in product(es, repeat=2):
             eb1, eb2 = _complement(m, e1), _complement(m, e2)
-            c, o, ob = _circ(m, e1, e2), _otimes(m, e1, e2), _otimes(m, eb1, eb2)
+            c, o, ob = C[e1][e2], O[e1][e2], O[eb1][eb2]
             checks = [
-                _complement(m, c) == _circ(m, eb1, e2),
-                _circ(m, eb1, e2) == _circ(m, e1, eb2),
+                _complement(m, c) == C[eb1][e2],
+                C[eb1][e2] == C[e1][eb2],
                 c == canon((e1 + eb2) * (eb1 + e2), m),
                 c == canon((e1 - eb2) ** 2, m),
                 canon(o - ob, m) == canon(e1 * e2 - eb1 * eb2, m),
                 canon((o - ob) ** 2, m) == c,
-                _complement(m, ob) == canon(e1 * e2, m),
-                _otimes(m, canon(e1 * e2, m), canon(eb1 * eb2, m)) == c,
+                _complement(m, ob) == P[e1][e2],
+                O[P[e1][e2]][P[eb1][eb2]] == c,
                 o == canon(e1 + e2 - e1 * e2, m),
             ]
             if not all(checks):
@@ -224,15 +257,16 @@ def verify_algebra(m: int) -> AlgebraReport:
 
     def otimes_nary():
         """(e1 o e)(x)(e2 o e) decomposition; n-ary otimes on the first 512 triples."""
-        for e1, e2, e in product(es, repeat=3):
-            lhs = _otimes(m, _circ(m, e1, e), _circ(m, e2, e))
-            ob = _otimes(m, _complement(m, e1), _complement(m, e2))
-            if lhs != canon(_otimes(m, e1, e2) * e + ob * (1 - e), m):
-                yield "shift-decomposition", e1, e2, e
+        for e1, e2 in product(es, repeat=2):
+            o, ob = O[e1][e2], O[_complement(m, e1)][_complement(m, e2)]
+            C1, C2 = C[e1], C[e2]
+            for e in es:
+                if O[C1[e]][C2[e]] != canon(o * e + ob * (1 - e), m):
+                    yield "shift-decomposition", e1, e2, e
         if len(es) < 2:
             return
         for tup in islice(product(es, repeat=3), 512):
-            acc = reduce(lambda x, y: _otimes(m, x, y), tup)
+            acc = reduce(lambda x, y: O[x][y], tup)
             if acc != canon(1 - prod(1 - e for e in tup), m):
                 yield "nary-otimes", tup
 
@@ -247,10 +281,10 @@ def verify_algebra(m: int) -> AlgebraReport:
         for e1, e2 in product(es, repeat=2):
             pairs = [
                 (sets.get(_complement(m, e1)), full - sets[e1]),
-                (sets[canon(e1 * e2, m)], sets[e1] | sets[e2]),
-                (sets.get(_otimes(m, e1, e2)), sets[e1] & sets[e2]),
-                (sets.get(_simdiff(m, e1, e2)), sets[e1] - sets[e2]),
-                (sets.get(_circ(m, e1, e2)), sets[e1] ^ sets[e2]),
+                (sets[P[e1][e2]], sets[e1] | sets[e2]),
+                (sets.get(O[e1][e2]), sets[e1] & sets[e2]),
+                (sets.get(S[e1][e2]), sets[e1] - sets[e2]),
+                (sets.get(C[e1][e2]), sets[e1] ^ sets[e2]),
             ]
             if any(x != y for x, y in pairs):
                 yield "basis-identity", e1, e2

@@ -1,8 +1,10 @@
 """Factored-modulus arithmetic.
 
 ``factorize`` trial-divides by the primes below 2^10, takes any cofactor
-below 2^20 as prime, tests larger ones with Miller-Rabin (deterministic below
-3.3e24) and splits composites with Brent's variant of Pollard rho.
+below 2^20 as prime and tests larger ones with Miller-Rabin (deterministic
+below 3.3e24).  A composite that is an exact k-th power r^k (integer k-th
+root by Newton's method) is split into k copies of r; any other composite is
+split with Brent's variant of Pollard rho.
 
 Moduli are plain ints at every public boundary of the package; the factored
 ``Modulus`` record is derived from one by the cached ``build_modulus(m)``.
@@ -149,6 +151,18 @@ def _brent_rho(n: int) -> int:
             return g
 
 
+def _exact_root(v: int, k: int) -> int | None:
+    """r with r**k == v, or None.  Newton's method on integers descends from
+    2^ceil(bits/k), which is at least the root, to the floor of the k-th root
+    of v; no float estimate, which can land below the root of a large v."""
+    x = 1 << -(-v.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + v // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == v else None
+        x = y
+
+
 def factorize(n: int) -> Factorization:
     """Prime factorization of n >= 1; n = 1 gives an empty factor list."""
     if n < 1:
@@ -177,9 +191,17 @@ def factorize(n: int) -> Factorization:
         if v < _SMALL_PRIME_BOUND**2 or _is_probable_prime(v):
             _account(v)
             continue
-        f = _brent_rho(v)
-        stack.append(f)
-        stack.append(v // f)
+        # No prime below 2^10 divides v, so v = r^k needs r > 2^10 and
+        # k <= bits / 10.  r may itself be composite; it is factored in turn.
+        for k in range(v.bit_length() // 10, 1, -1):
+            r = _exact_root(v, k)
+            if r is not None:
+                stack += [r] * k
+                break
+        else:
+            f = _brent_rho(v)
+            stack.append(f)
+            stack.append(v // f)
 
     return Factorization(n, tuple(sorted(counts.items())))
 

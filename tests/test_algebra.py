@@ -1,4 +1,6 @@
 """Operator algebra on the idempotents and the subset correspondence."""
+from collections import Counter
+
 import pytest
 
 from idemod import algebra
@@ -101,3 +103,21 @@ def test_laws_fail_on_a_wrong_operator(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "_simdiff", lambda m, e1, e2: canon(e1 + e2, m))
         assert "closure" in _failed(verify_algebra(12))
+
+
+def test_laws_evaluate_each_operator_once_per_pair(monkeypatch):
+    """The cubic laws read circ and otimes through tables that live for one
+    verify_algebra call, so each formula runs O(|E|^2) times, not |E|^3."""
+    calls = Counter()
+    for name in ("_circ", "_otimes"):
+        def counted(m, e1, e2, name=name, formula=getattr(algebra, name)):
+            calls[name] += 1
+            return formula(m, e1, e2)
+
+        monkeypatch.setattr(algebra, name, counted)
+    rep = verify_algebra(2310)
+    size = len(enumerate_idempotents(2310).elements)
+    assert size == 32
+    assert len(rep.laws) == 9 and rep.ok
+    assert set(calls) == {"_circ", "_otimes"}
+    assert max(calls.values()) < 16 * size**2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idemod
+from idemod import arith
 from idemod.arith import (
     EnumerationCapError,
     Factorization,
@@ -130,7 +131,21 @@ def test_factorize_large_semiprime():
     n = 1000003 * 1000033
     fact = factorize(n)
     assert fact.factors == ((1000003, 1), (1000033, 1))
-    # A repeated prime beyond trial division goes through Pollard rho.
+    # A repeated prime beyond trial division is split by its exact root.
+    assert factorize(3 * 1000003**2).factors == ((3, 1), (1000003, 2))
+
+
+def _no_rho(n):
+    raise AssertionError(f"Pollard rho reached {n}")
+
+
+def test_perfect_powers_never_reach_rho(monkeypatch):
+    """An exact k-th power is split by its integer k-th root: rho on p^2
+    needs about sqrt(p) steps, some 2^30 of them for p = 2^61 - 1."""
+    monkeypatch.setattr(arith, "_brent_rho", _no_rho)
+    for p in (1031, 65537, 1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1):
+        for k in range(2, 7):
+            assert factorize(p**k).factors == ((p, k),), (p, k)
     assert factorize(3 * 1000003**2).factors == ((3, 1), (1000003, 2))
 
 
@@ -154,6 +169,9 @@ def test_factorize_matches_sympy():
     # A strong pseudoprime to the first 12 prime bases, so a composite that
     # Miller-Rabin on bases 2..37 takes for a prime.
     cases.append(399165290221 * 798330580441)
+    # Powers that are not perfect, and perfect powers with a composite root.
+    for p, q in ((1031, 1033), (65537, _random_prime(rng, 24))):
+        cases += [p**2 * q, p**3 * q**2, (p * q) ** 2]
     for n in cases:
         assert dict(factorize(n).factors) == sympy.factorint(n), n
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idemod
+from idemod import arith
 from idemod.arith import build_modulus
 from idemod.cli import _COMMANDS, _GLOBAL_FLAGS, _build_parser, _parse, main
 
@@ -171,6 +172,17 @@ def test_max_enum_does_not_outlive_the_call(capsys):
     code, out, _ = run(capsys, "idempotents", "50")
     assert code == 0
     assert out.strip() == "1,25,26,50"
+
+
+def test_modinfo_on_a_large_prime_square_needs_no_rho(capsys, monkeypatch):
+    """(2^61 - 1)^2 is split by its exact square root; Pollard rho would need
+    about 2^30 steps on it."""
+    def no_rho(n):
+        raise AssertionError(f"Pollard rho reached {n}")
+
+    monkeypatch.setattr(arith, "_brent_rho", no_rho)
+    doc = run_json(capsys, "modinfo", str((2**61 - 1) ** 2))
+    assert doc["factors"] == [[2**61 - 1, 2]]
 
 
 def _full_parse(argv):
