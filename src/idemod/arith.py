@@ -3,8 +3,8 @@
 ``factorize`` trial-divides by the primes below 2^10, takes any cofactor
 below 2^20 as prime and tests larger ones with Miller-Rabin (deterministic
 below 3.3e24).  A composite that is an exact k-th power r^k (integer k-th
-root by Newton's method) is split into k copies of r; any other composite is
-split with Brent's variant of Pollard rho.
+root by Newton's method) is replaced by r, counted k times and factored once;
+any other composite is split with Brent's variant of Pollard rho.
 
 Moduli are plain ints at every public boundary of the package; the factored
 ``Modulus`` record is derived from one by the cached ``build_modulus(m)``.
@@ -169,8 +169,8 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"cannot factorize {n}: need a positive integer")
     counts: dict[int, int] = {}
 
-    def _account(p: int):
-        counts[p] = counts.get(p, 0) + 1
+    def _account(p: int, k: int = 1):
+        counts[p] = counts.get(p, 0) + k
 
     rest = n
     for p in (2, 3):
@@ -185,23 +185,25 @@ def factorize(n: int) -> Factorization:
                 rest //= q
         d += 6
 
-    stack = [rest] if rest > 1 else []
+    # (value, multiplicity) pairs: a root r of v = r^k is pushed once with
+    # k times v's multiplicity, so a composite r is split once.
+    stack = [(rest, 1)] if rest > 1 else []
     while stack:
-        v = stack.pop()
+        v, e = stack.pop()
         if v < _SMALL_PRIME_BOUND**2 or _is_probable_prime(v):
-            _account(v)
+            _account(v, e)
             continue
         # No prime below 2^10 divides v, so v = r^k needs r > 2^10 and
         # k <= bits / 10.  r may itself be composite; it is factored in turn.
         for k in range(v.bit_length() // 10, 1, -1):
             r = _exact_root(v, k)
             if r is not None:
-                stack += [r] * k
+                stack.append((r, k * e))
                 break
         else:
             f = _brent_rho(v)
-            stack.append(f)
-            stack.append(v // f)
+            stack.append((f, e))
+            stack.append((v // f, e))
 
     return Factorization(n, tuple(sorted(counts.items())))
 

@@ -26,7 +26,6 @@ from .counting import (
 )
 from .algebra import OPS, idem_op, verify_algebra
 from .quadratic import kernel, sqrt_structure
-from .audit import THEOREMS, run_audit
 
 
 def _fmt_set(values) -> str:
@@ -333,6 +332,9 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    # The claim registry is imported by this command only; no query needs it.
+    from .audit import run_audit
+
     try:
         lo_s, hi_s = args.range.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -399,14 +401,15 @@ _COMMANDS = {
     "tower": (_cmd_tower, _ints("m", "base", "height")),
     "audit": (_cmd_audit, [
         (("range",), {"help": "<lo>..<hi>"}),
-        (("--theorems",), {"help": "comma-separated theorem ids "
-                           f"(known: {', '.join(THEOREMS)})"}),
+        (("--theorems",), {"help": "comma-separated theorem ids"}),
         (("--out",), {"metavar": "FILE"}),
     ]),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .audit import THEOREMS  # the ids the --theorems help lists
+
     parser = argparse.ArgumentParser(
         prog="idemod",
         description="Composite moduli through their idempotent residues "
@@ -423,6 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
             kwargs = {k: v for k, v in kwargs.items() if k != "help"}
             p.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
         for flags, kwargs in arguments:
+            if flags == ("--theorems",):
+                kwargs = dict(kwargs, help=f"{kwargs['help']} "
+                              f"(known: {', '.join(THEOREMS)})")
             p.add_argument(*flags, **kwargs)
         p.set_defaults(fn=fn)
     return parser

@@ -149,6 +149,27 @@ def test_perfect_powers_never_reach_rho(monkeypatch):
     assert factorize(3 * 1000003**2).factors == ((3, 1), (1000003, 2))
 
 
+def test_a_composite_root_is_split_once(monkeypatch):
+    """The root r of a perfect power r^k is factored once, not k times:
+    one rho split for (p*q)^3, two for (p*q*s)^2."""
+    calls = []
+    rho = arith._brent_rho
+
+    def counted(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(arith, "_brent_rho", counted)
+    p, q, s = 1000003, 1000033, 1000037
+    for n, factors, splits in [
+        ((p * q) ** 3, ((p, 3), (q, 3)), 1),
+        ((p * q * s) ** 2, ((p, 2), (q, 2), (s, 2)), 2),
+    ]:
+        calls.clear()
+        assert factorize(n).factors == factors
+        assert len(calls) == splits, calls
+
+
 def _random_prime(rng, bits):
     while True:
         p = rng.randrange(1 << (bits - 1), 1 << bits) | 1

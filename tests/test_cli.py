@@ -156,6 +156,48 @@ def test_audit_empty_theorem_selection_exits_2(capsys, theorems):
     assert "no theorem ids" in err
 
 
+def test_audit_help_lists_the_registered_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--theorems" in out and "rn11" in out and "fs05" in out
+
+
+def test_audit_answers_through_the_command_table(capsys):
+    argv = ["audit", "2..24", "--theorems", "fs05,rn17", "--json"]
+    assert _parse(argv) is not None
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [t["id"] for t in doc["theorems"]] == ["fs05", "rn17"]
+    assert all(t["findings"] for t in doc["theorems"])
+    assert doc == idemod.run_audit(2, 24, ["fs05", "rn17"]).to_json()
+
+
+_NO_AUDIT_ON_START = """\
+import contextlib, io, sys
+import idemod, idemod.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    idemod.cli.main(["modinfo", "1"])
+assert "idemod.audit" not in sys.modules, "a query start imported the audit"
+assert "idemod.oracle" in sys.modules, "the oracle layer is not loaded"
+assert callable(idemod.run_audit) and "rn11" in idemod.THEOREMS
+assert "run_audit" in idemod.__all__
+names = {}
+exec("from idemod import *", names)
+assert names["run_audit"] is idemod.run_audit
+"""
+
+
+def test_a_query_start_imports_no_audit():
+    """`import idemod` and a CLI query leave audit.py unloaded; the audit
+    names still resolve, from the package and through `import *`."""
+    res = subprocess.run([sys.executable, "-c", _NO_AUDIT_ON_START],
+                         env=_src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
 def test_orbit_beyond_the_cap_exits_3_fast(capsys):
     """|2| mod 1000003 is 1000002: the orbit itself counts against the cap,
     while small orbits of the same modulus still answer."""
@@ -317,18 +359,23 @@ def test_help_and_errors_match_the_full_parser(capsys, argv):
     assert (exc.value.code, out.out, out.err) == full
 
 
+def _src_env() -> dict:
+    """The environment with the tested sources first on PYTHONPATH."""
+    src = str(Path(idemod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _run_capped(*argv: str) -> dict:
     """Run `idemod argv --json` in a fresh process limited to 384 MiB of
     address space, within the enum-queries budget of 20 s, and return its
     JSON answer."""
     limit = 384 * 2**20
-    src = str(Path(idemod.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-m", "idemod.cli", *argv, "--json"],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        env=env, capture_output=True, text=True, timeout=20,
+        env=_src_env(), capture_output=True, text=True, timeout=20,
     )
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
