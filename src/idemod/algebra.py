@@ -10,12 +10,11 @@ Boolean ring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice, product
 from math import prod
 
-from .arith import Modulus, canon, canonicalize
+from .arith import Modulus, Record, canon, canonicalize
 from .idempotents import enumerate_idempotents, is_idempotent
 
 # Pairs sampled from Z_m^2 beyond m = 100, and for every m the size of
@@ -100,8 +99,7 @@ def idem_op(m: int, op: str, e1: int, e2: int | None = None) -> int:
     return {"circ": circ, "otimes": otimes, "simdiff": simdiff}[op](m, e1, e2)
 
 
-@dataclass(frozen=True)
-class BasisMap:
+class BasisMap(Record):
     modulus: Modulus
     basis: tuple[int, ...]  # the prime-power divisors p^a || m
     member_sets: dict[int, frozenset[int]]  # e -> {q in basis : q | e}
@@ -114,17 +112,19 @@ def basis_map(m: int) -> BasisMap:
     return BasisMap(idems.modulus, basis, sets)
 
 
-@dataclass
-class LawReport:
+class LawReport(Record, frozen=False):
     law: str
     passed: bool
     counterexample: tuple | None = None
 
 
-@dataclass
-class AlgebraReport:
+class AlgebraReport(Record, frozen=False):
     modulus: Modulus
-    laws: list[LawReport] = field(default_factory=list)
+    laws: list[LawReport]
+
+    def __init__(self, modulus: Modulus, laws: list[LawReport] | None = None):
+        self.modulus = modulus
+        self.laws = [] if laws is None else laws  # a new list per report
 
     @property
     def ok(self) -> bool:

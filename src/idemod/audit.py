@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .arith import build_modulus, canon, lcm_all
+from .arith import Record, build_modulus, canon, lcm_all
 from .idempotents import idem_class, index, order, signed_power
 from .oracle import oracle_idempotents, oracle_is_regular
 from .residues import (
@@ -55,8 +54,7 @@ from .algebra import verify_algebra
 from .quadratic import kernel, root_decompose, sqrt_structure, kernel_op, class_kernel_op
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(Record):
     theorem_id: str
     modulus: int
     witness: dict
@@ -76,15 +74,19 @@ class AuditFinding:
         }
 
 
-@dataclass
-class TheoremResult:
+class TheoremResult(Record, frozen=False):
     theorem_id: str
     status: str  # "verified-on-range" | "counterexamples"
-    findings: list[AuditFinding] = field(default_factory=list)
+    findings: list[AuditFinding]
+
+    def __init__(self, theorem_id: str, status: str,
+                 findings: list[AuditFinding] | None = None):
+        self.theorem_id = theorem_id
+        self.status = status
+        self.findings = [] if findings is None else findings  # a new list per result
 
 
-@dataclass
-class AuditReport:
+class AuditReport(Record, frozen=False):
     lo: int
     hi: int
     results: list[TheoremResult]

@@ -7,10 +7,10 @@ requested enumeration exceeds the cap (IDEM_MAX_ENUM / --max-enum).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .arith import EnumerationCapError, build_modulus, canon, check_enum
 from .idempotents import enumerate_idempotents, idem_class, order, tower_mod
@@ -407,7 +407,11 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    # Only help, errors and other spellings of argv reach the parser, so a
+    # query start imports neither argparse nor the audit.
+    import argparse
+
     from .audit import THEOREMS  # the ids the --theorems help lists
 
     parser = argparse.ArgumentParser(
@@ -463,12 +467,13 @@ def _read_flags(argv: list[str], i: int, flags: dict, values: dict) -> int:
     return i
 
 
-def _parse(argv: list[str]) -> argparse.Namespace | None:
-    """What the full parser makes of argv, read from the command table when
-    argv has the form ``[global flags] command positionals [flags]``: every
-    flag spelled out, a flag's value in the next token, and no other token
-    starting with "-".  None for every other argv, which the full parser
-    judges; building it costs more than most queries do."""
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes the full parser sets for argv, read from the command
+    table when argv has the form ``[global flags] command positionals
+    [flags]``: every flag spelled out, a flag's value in the next token, and
+    no other token starting with "-".  None for every other argv, which the
+    full parser judges; importing argparse and building the parser cost more
+    than most queries do."""
     flags = dict(_GLOBAL_FLAGS)
     values = {}
     try:
@@ -500,7 +505,7 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
             return None
     except ValueError:
         return None
-    return argparse.Namespace(command=command, fn=fn, **values)
+    return SimpleNamespace(command=command, fn=fn, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,11 +19,11 @@ the orbits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import (
     Modulus,
+    Record,
     build_modulus,
     canon,
     canonicalize,
@@ -34,8 +34,7 @@ from .idempotents import is_idempotent
 from .residues import _powers, _regular_order, is_regular, structure_table
 
 
-@dataclass(frozen=True)
-class CongruenceSolution:
+class CongruenceSolution(Record):
     modulus: Modulus
     k: int
     a: int
@@ -45,13 +44,22 @@ class CongruenceSolution:
     bc01_verdict: bool | None  # present only when a is regular
 
 
-@dataclass(frozen=True)
-class OmegaInfo:
+class OmegaInfo(Record):
     modulus: Modulus
     a: int
     omega_a: int
     omega_set: tuple[int, ...]  # the maximizing generators, sorted
     ind_sup: int  # omega_a / |a|_m
+
+    def __init__(self, modulus: Modulus, a: int, omega_a: int,
+                 omega_set: tuple[int, ...], ind_sup: int):
+        # Built by the thousand in an audit: see Record.
+        init = object.__setattr__
+        init(self, "modulus", modulus)
+        init(self, "a", a)
+        init(self, "omega_a", omega_a)
+        init(self, "omega_set", omega_set)
+        init(self, "ind_sup", ind_sup)
 
 
 @lru_cache(maxsize=1 << 12)

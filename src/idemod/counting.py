@@ -7,11 +7,10 @@ closed forms through the totients of the prime-power divisors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
-from .arith import Modulus, build_modulus, canon, check_enum, valuation
+from .arith import Modulus, Record, build_modulus, canon, check_enum, valuation
 from .idempotents import is_idempotent
 from .residues import _powers, structure_table
 
@@ -60,8 +59,7 @@ def rho_prime_power(m: int, q: int, beta: int) -> int:
     return q**s
 
 
-@dataclass(frozen=True)
-class OrbitUnionSize:
+class OrbitUnionSize(Record):
     """Measured size of orb(kR_m^e) next to the k*r/phi(k) formula value.
 
     The two are reported side by side, not asserted equal: distinct order-k
@@ -74,6 +72,16 @@ class OrbitUnionSize:
     k: int
     true_size: int
     formula_value: int
+
+    def __init__(self, modulus: Modulus, e: int, k: int, true_size: int,
+                 formula_value: int):
+        # Built by the thousand in an audit: see Record.
+        init = object.__setattr__
+        init(self, "modulus", modulus)
+        init(self, "e", e)
+        init(self, "k", k)
+        init(self, "true_size", true_size)
+        init(self, "formula_value", formula_value)
 
 
 def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
@@ -93,8 +101,7 @@ def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
     )
 
 
-@dataclass(frozen=True)
-class FunctionClassification:
+class FunctionClassification(Record):
     domain_bound: int
     is_m: bool
     is_qm: bool

@@ -7,12 +7,12 @@ residue, not just units, and extends the classical multiplicative order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .arith import (
     Modulus,
+    Record,
     build_modulus,
     canon,
     canonicalize,
@@ -27,8 +27,7 @@ def is_idempotent(m: int, a: int) -> bool:
     return a * a % m == a % m
 
 
-@dataclass(frozen=True)
-class IdempotentSet:
+class IdempotentSet(Record):
     modulus: Modulus
     elements: tuple[int, ...]  # sorted ascending
 
@@ -51,12 +50,19 @@ def enumerate_idempotents(m: int) -> IdempotentSet:
     return IdempotentSet(mod, tuple(sorted(elems)))
 
 
-@dataclass(frozen=True)
-class OrderInfo:
+class OrderInfo(Record):
     modulus: Modulus
     a: int
     order: int
     idem_class: int
+
+    def __init__(self, modulus: Modulus, a: int, order: int, idem_class: int):
+        # Built by the thousand in an audit: see Record.
+        init = object.__setattr__
+        init(self, "modulus", modulus)
+        init(self, "a", a)
+        init(self, "order", order)
+        init(self, "idem_class", idem_class)
 
 
 def _order_parts(mod: Modulus, a: int) -> tuple[int, int]:

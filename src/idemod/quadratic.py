@@ -7,19 +7,24 @@ the k = 0 equation x^2 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import Modulus, build_modulus, canon, canonicalize, check_enum
+from .arith import Modulus, Record, build_modulus, canon, canonicalize, check_enum
 from .idempotents import is_idempotent
 from .residues import mu, structure_table
 
 
-@dataclass(frozen=True)
-class QuadraticKernel:
+class QuadraticKernel(Record):
     modulus: Modulus
     k: int
     solutions: tuple[int, ...]
+
+    def __init__(self, modulus: Modulus, k: int, solutions: tuple[int, ...]):
+        # Built by the thousand in an audit: see Record.
+        init = object.__setattr__
+        init(self, "modulus", modulus)
+        init(self, "k", k)
+        init(self, "solutions", solutions)
 
     def rbar(self, r: int) -> int:
         """The paired solution (k - r) mod m."""
@@ -62,8 +67,7 @@ def root_decompose(m: int, a: int, b: int, r: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class SqrtStructure:
+class SqrtStructure(Record):
     modulus: Modulus
     e: int
     roots: tuple[int, ...]  # regular solutions of x^2 = e

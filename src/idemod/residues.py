@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, repeat
 
 from .arith import (
     EnumerationCapError,
     Modulus,
+    Record,
     build_modulus,
     canon,
     canonicalize,
@@ -42,8 +42,7 @@ from .idempotents import (
 )
 
 
-@dataclass(frozen=True)
-class ResidueClassification:
+class ResidueClassification(Record):
     modulus: Modulus
     a: int
     is_normal: bool
@@ -146,11 +145,17 @@ def normal_set(m: int, e: int | None = None) -> list[int]:
     return list(compress(range(m + 1), _by_residue(array("B", keep))))
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(Record):
     modulus: Modulus
     generator: int
     elements: frozenset[int]
+
+    def __init__(self, modulus: Modulus, generator: int, elements: frozenset[int]):
+        # Built by the thousand in an audit: see Record.
+        init = object.__setattr__
+        init(self, "modulus", modulus)
+        init(self, "generator", generator)
+        init(self, "elements", elements)
 
 
 def orbit(m: int, a: int) -> OrbitSet:
@@ -172,8 +177,7 @@ def _powers(m: int, a: int, n: int) -> frozenset[int]:
     return frozenset((x := x * a % m) or m for _ in range(n))
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(Record):
     """Per-modulus tables over the residues 1..m, built by CRT from one power
     walk per prime power of m.  orders[a] is |a|_m and classes[a] is a's
     idempotent class when a is regular, and both are 0 when it is not (index

@@ -1,8 +1,10 @@
 """Factored-modulus arithmetic: totients, canonicalization, CRT, and the
 int-modulus boundary of the public API."""
+import copy
 import inspect
 import math
 import random
+from array import array
 from functools import lru_cache
 
 import pytest
@@ -245,3 +247,142 @@ def test_public_api_takes_int_moduli():
     idemod.order(12, 5)
     info = idemod.order.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def _record_samples():
+    """One sample per record class of the package: (class, its field names
+    in order, values for them)."""
+    from idemod.algebra import AlgebraReport, BasisMap, LawReport
+    from idemod.audit import AuditFinding, AuditReport, TheoremResult
+
+    mod = build_modulus(12)
+    idems = idemod.IdempotentSet(mod, (1, 4, 9, 12))
+    regs = array("l", [1, 4, 5])
+    return [
+        (Factorization, ("value", "factors"), (12, ((2, 2), (3, 1)))),
+        (idemod.Modulus,
+         ("m", "factorization", "phi", "psi", "omega", "square_free",
+          "weakly_even", "barely_even"),
+         (12, mod.factorization, 4, 2, 2, False, True, False)),
+        (idemod.IdempotentSet, ("modulus", "elements"), (mod, (1, 4, 9, 12))),
+        (idemod.OrderInfo, ("modulus", "a", "order", "idem_class"), (mod, 5, 2, 1)),
+        (idemod.ResidueClassification,
+         ("modulus", "a", "is_normal", "is_regular", "order", "idem_class",
+          "mu", "delta"),
+         (mod, 5, True, True, 2, 1, 12, 1)),
+        (idemod.OrbitSet, ("modulus", "generator", "elements"),
+         (mod, 5, frozenset({1, 5}))),
+        (idemod.StructureTable,
+         ("modulus", "idempotents", "regulars", "orders", "classes", "by_class"),
+         (mod, idems, regs, array("l", [0, 1, 2]), array("l", [0, 1, 4]),
+          {1: array("l", [1, 5])})),
+        (idemod.CongruenceSolution,
+         ("modulus", "k", "a", "solutions", "regular_solutions", "solvable",
+          "bc01_verdict"),
+         (mod, 2, 4, (2, 4, 8, 10), (4, 8), True, None)),
+        (idemod.OmegaInfo, ("modulus", "a", "omega_a", "omega_set", "ind_sup"),
+         (mod, 5, 2, (5, 7), 1)),
+        (idemod.OrbitUnionSize,
+         ("modulus", "e", "k", "true_size", "formula_value"), (mod, 1, 2, 4, 6)),
+        (idemod.FunctionClassification,
+         ("domain_bound", "is_m", "is_qm", "is_di", "is_di_pp", "witnesses"),
+         (30, False, True, True, True, {"m": (2, 4)})),
+        (BasisMap, ("modulus", "basis", "member_sets"),
+         (mod, (4, 3), {4: frozenset({4})})),
+        (LawReport, ("law", "passed", "counterexample"), ("closure", False, (4, 9))),
+        (AlgebraReport, ("modulus", "laws"), (mod, [LawReport("closure", True)])),
+        (idemod.QuadraticKernel, ("modulus", "k", "solutions"), (mod, 5, (5, 12))),
+        (idemod.SqrtStructure,
+         ("modulus", "e", "roots", "size_formula", "product", "product_formula"),
+         (mod, 1, (1, 5, 7, 11), 4, 1, 1)),
+        (AuditFinding, ("theorem_id", "modulus", "witness", "expected", "actual"),
+         ("fs05", 12, {"a": 5}, 2, 3)),
+        (TheoremResult, ("theorem_id", "status", "findings"),
+         ("fs05", "counterexamples", [AuditFinding("fs05", 12, {}, 1, 2)])),
+        (AuditReport, ("lo", "hi", "results"),
+         (2, 12, [TheoremResult("fs05", "verified-on-range")])),
+    ]
+
+
+_RECORDS = _record_samples()
+_MUTABLE_RECORDS = {"LawReport", "AlgebraReport", "TheoremResult", "AuditReport"}
+
+
+@pytest.mark.parametrize("cls, fields, values", _RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def test_records_are_values(cls, fields, values):
+    """Each record builds from positional or keyword fields, compares equal
+    only to a record of its own class with equal fields, hashes like the
+    tuple of its fields when frozen, and prints its fields in order."""
+    rec = cls(*values)
+    assert all(getattr(rec, f) is v for f, v in zip(fields, values))
+    assert rec == cls(**dict(zip(fields, values)))
+    twin = cls(*copy.deepcopy(values))
+    assert rec == twin and not rec != twin
+    assert rec != values and values != rec and not rec == values
+
+    class Lookalike(cls):
+        pass
+
+    assert rec != Lookalike(*values) and Lookalike(*values) != rec
+    for bad in [(*values, 0), ()]:
+        with pytest.raises(TypeError):
+            cls(*bad)
+    with pytest.raises(TypeError):
+        cls(*values, bogus=0)
+    if cls is idemod.Modulus:
+        assert repr(rec) == "Modulus(12)"
+    else:
+        assert repr(rec) == cls.__qualname__ + "(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+
+    if cls.__name__ in _MUTABLE_RECORDS:
+        with pytest.raises(TypeError):
+            hash(rec)
+        marker = object()
+        setattr(rec, fields[0], marker)
+        assert getattr(rec, fields[0]) is marker and rec != twin
+        return
+    try:
+        expected = hash(values)
+    except TypeError:  # a dict or array field
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(twin) == expected
+    for f in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+    assert all(getattr(rec, f) is v for f, v in zip(fields, values))
+
+
+def test_record_defaults():
+    """A LawReport's counterexample defaults to None; every new AlgebraReport
+    and TheoremResult starts with a list of its own."""
+    from idemod.algebra import AlgebraReport, LawReport
+    from idemod.audit import TheoremResult
+
+    assert LawReport("closure", True) == LawReport("closure", True, None)
+    mod = build_modulus(12)
+    first, second = AlgebraReport(mod), AlgebraReport(modulus=mod)
+    first.laws.append(LawReport("closure", True))
+    assert second.laws == [] and first.laws is not second.laws
+    assert first.ok and second.ok
+    first = TheoremResult("fs05", "verified-on-range")
+    first.findings.append(None)
+    assert TheoremResult("fs05", "verified-on-range").findings == []
+
+
+@pytest.mark.parametrize("value, factors, message", [
+    (4, ((2, 0),), "nonpositive exponent"),
+    (12, ((2, 1), (3, 1)), "do not multiply to 12"),
+    (12, ((3, 1), (2, 2)), "distinct and ascending"),
+    (36, ((2, 1), (2, 1), (3, 2)), "distinct and ascending"),
+])
+def test_factorization_rejects_each_bad_record(value, factors, message):
+    with pytest.raises(ValueError, match=message):
+        Factorization(value, factors)
+    with pytest.raises(ValueError, match=message):
+        Factorization(value=value, factors=factors)
