@@ -38,6 +38,7 @@ from .residues import (
     OrbitSet,
     ResidueClassification,
     StructureTable,
+    class_members,
     class_product,
     classify,
     delta,
@@ -49,6 +50,7 @@ from .residues import (
     normal_set,
     orbit,
     orbit_gcd,
+    order_table,
     regular_set,
     relative_order,
     structure_table,

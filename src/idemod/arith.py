@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections.abc import Callable
 from functools import lru_cache, reduce
-from typing import Callable
 
 DEFAULT_MAX_ENUM = 1_000_000
 

@@ -30,8 +30,15 @@ from .arith import (
     check_enum,
     valuation,
 )
-from .idempotents import is_idempotent
-from .residues import _powers, _regular_order, is_regular, structure_table
+from .idempotents import is_idempotent, order
+from .residues import (
+    _powers,
+    _regular_order,
+    class_members,
+    is_regular,
+    order_table,
+    regular_set,
+)
 
 
 class CongruenceSolution(Record):
@@ -66,22 +73,22 @@ class OmegaInfo(Record):
 def _omega_cache(m: int, a: int) -> OmegaInfo:
     """omega_info's memo, bounded like order's, so that an audit sweep does
     not hold every residue of its range."""
-    check_enum(m)
-    table = structure_table(m)
+    orders = order_table(m)
     a = canon(a, m)
-    n = table.orders[a]
+    n = orders[a]
     if not n:
         raise ValueError(f"{a} is not regular modulo {m}")
-    w = _omega(table.modulus, a, n)
+    info = order(m, a)
+    w = _omega(info.modulus, a, n)
     # orb(b) is cyclic, so it holds a exactly when b^(|b|/|a|), which
     # generates its one subgroup of order |a|, lies in orb(a).
     target = _powers(m, a, n)
     maximizers = tuple(
         b
-        for b in table.by_class[table.classes[a]]
-        if table.orders[b] == w and canon(pow(b, w // n, m), m) in target
+        for b in class_members(m, info.idem_class)
+        if orders[b] == w and canon(pow(b, w // n, m), m) in target
     )
-    return OmegaInfo(table.modulus, a, w, maximizers, w // n)
+    return OmegaInfo(info.modulus, a, w, maximizers, w // n)
 
 
 def omega_info(m: int, a: int) -> OmegaInfo:
@@ -168,12 +175,12 @@ def solve(m: int, k: int, a: int) -> CongruenceSolution:
 @lru_cache(maxsize=None)
 def gen_primitive_roots(m: int) -> tuple[int, ...]:
     """G_m = {g regular: omega_m(g) = |g|_m}; always nonempty."""
-    check_enum(m)
-    table = structure_table(m)
+    orders = order_table(m)
+    mod = build_modulus(m)
     out = []
-    for g in table.regulars:
-        n = table.orders[g]
-        if _omega(table.modulus, g, n) == n:
+    for g in regular_set(m):
+        n = orders[g]
+        if _omega(mod, g, n) == n:
             out.append(g)
     return tuple(out)
 

@@ -7,20 +7,17 @@ closed forms through the totients of the prime-power divisors.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import reduce
-from typing import Callable
 
 from .arith import Modulus, Record, build_modulus, canon, check_enum, valuation
-from .idempotents import is_idempotent
-from .residues import _powers, structure_table
+from .residues import _powers, class_members, order_table
 
 
 def _class_orders(m: int, e: int) -> list[int]:
     """Orders of the elements of R_m^e; rejects a non-idempotent e."""
-    if not is_idempotent(m, e):
-        raise ValueError(f"{e} is not idempotent modulo {m}")
-    table = structure_table(m)
-    return [table.orders[a] for a in table.by_class[canon(e, m)]]
+    members = class_members(m, e)
+    return list(map(order_table(m).__getitem__, members))
 
 
 def r_count(m: int, e: int, k: int) -> int:
@@ -85,19 +82,17 @@ class OrbitUnionSize(Record):
 
 
 def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
-    check_enum(m)
-    if not is_idempotent(m, e):
-        raise ValueError(f"{e} is not idempotent modulo {m}")
-    table = structure_table(m)
-    e = canon(e, m)
+    members = class_members(m, e)  # checks e, and m against the cap
+    orders = order_table(m)
     union: set[int] = set()
     count = 0
-    for a in table.by_class[e]:
-        if table.orders[a] == k:
+    for a in members:
+        if orders[a] == k:
             union |= _powers(m, a, k)
             count += 1
     return OrbitUnionSize(
-        table.modulus, e, k, len(union), k * count // build_modulus(k).phi
+        build_modulus(m), canon(e, m), k, len(union),
+        k * count // build_modulus(k).phi,
     )
 
 
@@ -113,7 +108,9 @@ class FunctionClassification(Record):
 def classify_function(f: Callable[[int], int], n: int) -> FunctionClassification:
     """Empirically classify f on 1..n as multiplicative / quasimultiplicative
     / division-invariant / prime-power division-invariant.  Each flag means
-    only "no counterexample among arguments up to n"."""
+    only "no counterexample among arguments up to n".  n counts against
+    the enumeration cap."""
+    check_enum(n)
     vals = {x: f(x) for x in range(1, n + 1)}
     witnesses: dict[str, tuple] = {}
 

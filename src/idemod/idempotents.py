@@ -11,12 +11,14 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import (
+    EnumerationCapError,
     Modulus,
     Record,
     build_modulus,
     canon,
     canonicalize,
     crt_combine,
+    max_enum,
     multiplicative_order,
     valuation,
 )
@@ -118,7 +120,11 @@ def signed_power(m: int, a: int, z: int) -> int:
 
 def index(m: int, b: int, a: int) -> int | None:
     """Smallest k >= 1 with b^k = a (mod m), or None.  Walks the power
-    sequence of b until it revisits a value (it is eventually periodic)."""
+    sequence of b until it revisits a value (it is eventually periodic).
+    The walk meets T - 1 + L distinct powers, a tail of T - 1 and a cycle
+    of L (see _order_parts), and at most m.  A walk that reaches
+    _PRICED_WALK steps is priced then: one longer than the enumeration cap
+    is refused before it goes on."""
     b = canonicalize(b, m)
     a = canon(a, m)
     seen: set[int] = set()
@@ -127,10 +133,28 @@ def index(m: int, b: int, a: int) -> int | None:
     while x not in seen:
         if x == a:
             return k
+        if k == _PRICED_WALK:
+            _check_walk(m, b)
         seen.add(x)
         x = canon(x * b, m)
         k += 1
     return None
+
+
+# Pricing a walk reads the cap, which costs about as much as 6 of its steps,
+# so a walk is priced only once it has taken this many, when that is under
+# a tenth of what it has cost.  The audit's walks take about 5 steps.
+_PRICED_WALK = 64
+
+
+def _check_walk(m: int, b: int) -> None:
+    """Refuse b's power walk modulo m when it is longer than the cap; it is
+    at most m long, so only a modulus above the cap needs b's orders."""
+    cap = max_enum()
+    if m > cap:
+        L, T = _order_parts(build_modulus(m), b)
+        if T - 1 + L > cap:
+            raise EnumerationCapError(m, cap)
 
 
 def tower_mod(m: int, base: int, height: int) -> int:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .arith import Modulus, Record, build_modulus, canon, canonicalize, check_enum
 from .idempotents import is_idempotent
-from .residues import mu, structure_table
+from .residues import class_members, mu
 
 
 class QuadraticKernel(Record):
@@ -85,17 +85,16 @@ def sqrt_structure(m: int, e: int) -> SqrtStructure:
         raise ValueError(f"{e} is not idempotent modulo {m}")
     check_enum(m)
     e = canon(e, m)
-    table = structure_table(m)
     # A regular x with x^2 = e lies in the group R_m^e, so only that class
     # is scanned.
-    roots = tuple(x for x in table.by_class[e] if x * x % m == e % m)
+    roots = tuple(x for x in class_members(m, e) if x * x % m == e % m)
     om = build_modulus(mu(m, e)).omega
     prod = 1
     for x in roots:
         prod = prod * x % m
     sign = (-1) ** (2 ** (om - 1)) if om >= 1 else -1
     return SqrtStructure(
-        modulus=table.modulus,
+        modulus=build_modulus(m),
         e=e,
         roots=roots,
         size_formula=2**om,

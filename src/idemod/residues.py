@@ -5,11 +5,19 @@ group with identity its idempotent class e.  R_m^e denotes the regular
 residues with class e.  A residue is *normal* when a^k is idempotent exactly
 for the multiples of |a|.  Regular implies normal.
 
-Whole-modulus sets and tables are built by CRT from one array per prime power
-q = p^alpha of m, indexed by the residue's component r = a mod q: a is regular
-exactly when every component is 0 or a unit, |a| is then the lcm of the unit
-components' orders, and its class is the idempotent that is 0 on the zero
-components and 1 on the others.
+R_m^e is a copy of the unit group U(m/z), z = gcd(e, m) the product of the
+prime powers of m on which e is 0: it is exactly z * U(m/z), the z*y with
+1 <= y <= m/z prime to m/z.  class_members builds it from a coprimality mask,
+with no power walk.  order_table and normal_set are built by CRT from one
+array per prime power q = p^alpha of m, indexed by the residue's component
+r = a mod q: a is regular exactly when every component is 0 or a unit, and
+|a| is then the lcm of the unit components' orders.
+
+Each enumerating query builds only the pieces it reads, each cached on its
+own: regular_set and sqrt_structure read class members; r_count, rho_count,
+orbit_union_size and omega_info read class members and order_table;
+gen_primitive_roots reads R_m and order_table.  structure_table composes all
+of them, with the class array, for the audit.
 """
 from __future__ import annotations
 
@@ -108,11 +116,8 @@ def classify(m: int, a: int) -> ResidueClassification:
 def regular_set(m: int, e: int | None = None) -> list[int]:
     """R_m, or the class R_m^e for an idempotent e, ascending."""
     if e is None:
-        return list(structure_table(m).regulars)
-    check_enum(m)
-    if not is_idempotent(m, e):
-        raise ValueError(f"{e} is not idempotent modulo {m}")
-    return list(structure_table(m).by_class[canon(e, m)])
+        return _merged(_class_map(m))
+    return list(class_members(m, e))
 
 
 def normal_set(m: int, e: int | None = None) -> list[int]:
@@ -135,10 +140,7 @@ def normal_set(m: int, e: int | None = None) -> list[int]:
     )
     if e is not None:
         # Bit i of a pattern says that p_i divides a (e: that e is 0 there).
-        bits = [
-            _zero_bits(p, alpha, 1 << i, 1 << i)
-            for i, (p, alpha) in enumerate(factors)
-        ]
+        bits = [_prime_bits(p, alpha, 1 << i) for i, (p, alpha) in enumerate(factors)]
         want = sum(1 << i for i, (p, _) in enumerate(factors) if e % p == 0)
         pattern = _crt_fold(operator.or_, 0, bits, _typecode(1 << len(factors)))
         keep = map(operator.and_, keep, map(want.__eq__, pattern))
@@ -177,14 +179,69 @@ def _powers(m: int, a: int, n: int) -> frozenset[int]:
     return frozenset((x := x * a % m) or m for _ in range(n))
 
 
+def class_members(m: int, e: int) -> array:
+    """R_m^e ascending, for an idempotent e: z * U(m/z), z = gcd(e, m).  The
+    array is cached and shared, so it must not be modified."""
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    return _class_members(m, math.gcd(e, m))
+
+
+@lru_cache(maxsize=None)
+def _class_members(m: int, z: int) -> array:
+    """The z*y for y in 1..m/z prime to m/z, ascending, for a product z of
+    prime powers of m: a mask over the y, cleared at the multiples of each
+    prime of m/z by one slice assignment, compresses the multiples of z."""
+    check_enum(m)  # before build_modulus, which factors m
+    n = m // z
+    keep = bytearray([1]) * n
+    for p, _ in build_modulus(m).factorization.factors:
+        if n % p == 0:
+            keep[p - 1 :: p] = bytes(n // p)
+    return array(_typecode(m), compress(range(z, m + 1, z), keep))
+
+
+def _class_map(m: int) -> dict[int, array]:
+    """{e: R_m^e} over the idempotents e of m, each 0 modulo a product z of
+    prime powers of m and 1 modulo m/z.  The least member of R_m^e is z
+    itself, so ordering the classes by z orders them by least member."""
+    check_enum(m)  # before build_modulus, which factors m
+    qs = build_modulus(m).prime_powers
+    zs = sorted(_zero_part(qs, bits) for bits in range(1 << len(qs)))
+    return {canon(z * pow(z, -1, m // z), m): _class_members(m, z) for z in zs}
+
+
+def _merged(classes: dict[int, array]) -> list[int]:
+    """R_m ascending from its classes, which sorted merges as one ascending
+    run each."""
+    return sorted(chain.from_iterable(classes.values()))
+
+
+@lru_cache(maxsize=None)
+def order_table(m: int) -> array:
+    """|a|_m at each residue a in 1..m that is regular, and 0 at the others
+    (index 0 is no residue and also reads 0): the lcm of the unit
+    components' orders, folded by CRT from one power walk per prime power."""
+    check_enum(m)  # before build_modulus, which factors m
+    cycles = []
+    for p, alpha in build_modulus(m).factorization.factors:
+        units = _unit_orders(p, alpha)
+        units[0] = 1  # a zero component adds nothing to the lcm
+        cycles.append(units)
+    # lcm(0, n) = 0: a component that is neither 0 nor a unit zeroes |a|.
+    return _by_residue(_crt_fold(math.lcm, 1, cycles, _typecode(m)))
+
+
 class StructureTable(Record):
-    """Per-modulus tables over the residues 1..m, built by CRT from one power
-    walk per prime power of m.  orders[a] is |a|_m and classes[a] is a's
+    """Per-modulus tables over the residues 1..m, composed from the pieces
+    the queries read on their own.  orders[a] is |a|_m and classes[a] is a's
     idempotent class when a is regular, and both are 0 when it is not (index
     0 is no residue and also reads 0).  regulars is R_m ascending, and
-    by_class[e] is R_m^e ascending, with the classes in the order of their
-    least members.  Orbits are not stored, since they total sum(|a|)
-    entries; orbit(m, a) builds one."""
+    by_class[e] is R_m^e = z * U(m/z) ascending, with the classes in the
+    order of their least members z.  orders is order_table(m) and by_class
+    holds class_members' arrays, the same objects; classes is filled in
+    from by_class here only, and only the audit reads it.  Orbits are not
+    stored, since they total sum(|a|) entries; orbit(m, a) builds one."""
 
     modulus: Modulus
     idempotents: IdempotentSet
@@ -197,43 +254,17 @@ class StructureTable(Record):
 @lru_cache(maxsize=None)
 def structure_table(m: int) -> StructureTable:
     check_enum(m)  # before build_modulus, which factors m
-    mod = build_modulus(m)
-    factors = mod.factorization.factors
-    qs = mod.prime_powers
     tc = _typecode(m)
-    irregular = 1 << len(qs)  # a pattern bit above the class bits
-    cycles, patterns = [], []
-    for i, (p, alpha) in enumerate(factors):
-        units = _unit_orders(p, alpha)
-        units[0] = 1  # a zero component adds nothing to the lcm
-        cycles.append(units)
-        patterns.append(_zero_bits(p, alpha, 1 << i, irregular))
-    # lcm(0, n) = 0: a component that is neither 0 nor a unit zeroes |a|.
-    orders = _by_residue(_crt_fold(math.lcm, 1, cycles, tc))
-    # Bit i of a regular pattern says component i is 0, so the class is the
-    # sum of ones[j] over the other components j; ones[j] is 1 mod q_j and 0
-    # mod the other q.
-    ones = [m // q * pow(m // q, -1, q) for q in qs]
-    idems = [
-        canon(sum(one for i, one in enumerate(ones) if not bits >> i & 1), m)
-        for bits in range(irregular)
-    ] + [0] * irregular
-    pattern = _crt_fold(operator.or_, 0, patterns, _typecode(2 * irregular))
-    classes = _by_residue(array(tc, map(idems.__getitem__, pattern)))
-    # The members of a class are multiples of z, the product of the q on
-    # which it is 0, and z itself is one, so ordering the classes by z orders
-    # them by least member.
-    by_class = {}
-    for z, bits in sorted((_zero_part(qs, bits), bits) for bits in range(irregular)):
-        e = idems[bits]
-        by_class[e] = array(
-            tc, compress(range(z, m + 1, z), map(e.__eq__, classes[z::z]))
-        )
+    by_class = _class_map(m)
+    classes = array(tc, [0]) * (m + 1)
+    for e, members in by_class.items():
+        for a in members:
+            classes[a] = e
     return StructureTable(
-        modulus=mod,
+        modulus=build_modulus(m),
         idempotents=enumerate_idempotents(m),
-        regulars=array(tc, compress(range(m + 1), orders)),
-        orders=orders,
+        regulars=array(tc, _merged(by_class)),
+        orders=order_table(m),
         classes=classes,
         by_class=by_class,
     )
@@ -250,11 +281,15 @@ def _typecode(n: int) -> str:
 
 def _crt_fold(fn, start: int, parts: list[array], typecode: str) -> array:
     """The array over x in 0..M-1, M the product of the parts' lengths q, of
-    fn folded from start over part[x % q] for each part.  An array of period
-    P run q times and one of period q run P times line up x mod P with
-    x mod q, so each step is one map over the two."""
-    out = array(typecode, [start])
-    for part in parts:
+    fn folded from start over part[x % q] for each part.  start must leave
+    every value of the parts as it is, so the first step is a copy and a
+    single part folds nothing.  An array of period P run q times and one of
+    period q run P times line up x mod P with x mod q, so each later step is
+    one map over the two."""
+    if not parts:
+        return array(typecode, [start])
+    out = array(typecode, parts[0])
+    for part in parts[1:]:
         pairs = _runs(out, len(part)), _runs(part, len(out))
         out = array(typecode, map(fn, *pairs))
     return out
@@ -327,14 +362,11 @@ def _tails(p: int, alpha: int) -> array:
     return out
 
 
-def _zero_bits(p: int, alpha: int, zero: int, other: int) -> array:
-    """zero at r = 0, other at the other multiples of p in 0..p^alpha - 1,
-    and 0 at the units."""
+def _prime_bits(p: int, alpha: int, bit: int) -> array:
+    """bit at the multiples of p in 0..p^alpha - 1, and 0 at the units."""
     q = p**alpha
-    tc = _typecode(max(zero, other))
-    out = array(tc, [0]) * q
-    out[::p] = array(tc, [other]) * (q // p)
-    out[0] = zero
+    out = array(_typecode(bit), [0]) * q
+    out[::p] = array(out.typecode, [bit]) * (q // p)
     return out
 
 

@@ -234,6 +234,26 @@ def test_orbit_beyond_the_cap_exits_3_fast(capsys):
     assert doc["orbit"] == [1, 1000002]
 
 
+def test_classify_fn_beyond_the_cap_exits_3():
+    """classify-fn tabulates f on 1..n, so an n above the cap is refused at
+    once instead of running until it is killed."""
+    res = subprocess.run(
+        [sys.executable, "-m", "idemod.cli", "classify-fn", "phi", "1000000000000"],
+        env=_src_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert res.returncode == 3 and "cap" in res.stderr, res.stderr
+
+
+def test_a_query_start_imports_no_typing():
+    """With no site module, which may import typing itself, loading the CLI
+    leaves typing unloaded: the package's annotations are never evaluated
+    and Callable comes from collections.abc."""
+    code = "import sys, idemod.cli; sys.exit('typing' in sys.modules)"
+    res = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr or "a query start imported typing"
+
+
 def test_max_enum_does_not_outlive_the_call(capsys):
     assert run(capsys, "--max-enum", "10", "idempotents", "50")[0] == 3
     code, out, _ = run(capsys, "idempotents", "50")

@@ -1,7 +1,7 @@
 """Order counting in the regular classes and arithmetic-function classes."""
 import pytest
 
-from idemod.arith import build_modulus
+from idemod.arith import EnumerationCapError, build_modulus
 from idemod.counting import (
     builtin_function,
     classify_function,
@@ -95,6 +95,16 @@ def test_classifier_witnesses_are_counterexamples():
     cls = classify_function(builtin_function("phi"), 150)
     a, b, got, want = cls.witnesses["QM"]
     assert got != want
+
+
+def test_classifier_domain_counts_against_the_cap():
+    """The classifier tabulates f on all of 1..n, so n is checked against
+    the enumeration cap before f is called once."""
+    def never(x):
+        raise AssertionError(f"f({x}) was called")
+
+    with pytest.raises(EnumerationCapError):
+        classify_function(never, 10**12)
 
 
 def test_quasimultiplicative_characterization():

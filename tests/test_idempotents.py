@@ -1,10 +1,17 @@
 """Idempotent enumeration, generalized order, signed powers, towers."""
 import math
 import random
+import time
 
 import pytest
 
-from idemod.arith import build_modulus, canon
+from idemod.arith import (
+    EnumerationCapError,
+    build_modulus,
+    canon,
+    max_enum,
+    multiplicative_order,
+)
 from idemod.idempotents import (
     enumerate_idempotents,
     idem_class,
@@ -112,6 +119,30 @@ def test_index_examples():
     for m in range(2, 60):
         for b in range(1, m + 1):
             assert index(m, b, b) == 1
+
+
+def test_index_refuses_a_walk_beyond_the_cap(monkeypatch):
+    """37 generates U(2^61 - 1), so its powers repeat only after 2^61 - 2
+    steps: index refuses that walk within its first steps, while short
+    walks of the same modulus still answer."""
+    p = 2**61 - 1
+    assert multiplicative_order(37, p) == p - 1 > max_enum()
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationCapError):
+        index(p, 37, 5)
+    assert time.perf_counter() - t0 < 0.5
+    assert index(p, p - 1, 1) == 2
+    assert index(p, p - 1, 5) is None
+    assert index(p, 1, 1) == 1
+    # Modulo 2^9 * 3 = 1536 the powers of 6 are 6, 36, ... and then 0
+    # (1536) for good, 9 values, and those of 5 cycle with period
+    # lcm(128, 2) = 128, its orders modulo 512 and modulo 3.
+    monkeypatch.setenv("IDEM_MAX_ENUM", "127")
+    assert index(1536, 6, 1536) == 9
+    with pytest.raises(EnumerationCapError):
+        index(1536, 5, 1)
+    monkeypatch.setenv("IDEM_MAX_ENUM", "128")
+    assert index(1536, 5, 1) == 128
 
 
 def test_tower_reference_values():

@@ -6,15 +6,19 @@ run for every m <= 120 with the audit layer's deterministic subsampling;
 beyond that the quadratic pair cost dominates the suite budget.
 """
 import math
+import sys
 import tracemalloc
 
 import pytest
 
 from idemod import residues
-from idemod.congruence import _omega_cache
+from idemod.congruence import _omega_cache, omega_info
+from idemod.counting import orbit_union_size, r_count, rho_count
 from idemod.arith import EnumerationCapError, build_modulus, multiplicative_order
 from idemod.idempotents import enumerate_idempotents, idem_class, order, signed_power
+from idemod.quadratic import sqrt_structure
 from idemod.residues import (
+    class_members,
     classify,
     class_product,
     equivalent,
@@ -25,6 +29,7 @@ from idemod.residues import (
     normal_set,
     orbit,
     orbit_gcd,
+    order_table,
     regular_set,
     relative_order,
     structure_table,
@@ -475,3 +480,104 @@ def test_whole_modulus_sets_refuse_before_factoring(monkeypatch):
     for query in (regular_set, normal_set, structure_table):
         with pytest.raises(EnumerationCapError):
             query(big)
+
+
+def test_class_members_and_order_table_are_the_tables_pieces():
+    """structure_table's by_class and orders are class_members' and
+    order_table's arrays themselves, so its agreement with the point queries
+    over AGREEMENT_MODULI above covers them too; here they also match the
+    brute-force oracle where its O(sum |a|) walks are affordable."""
+    for m in AGREEMENT_MODULI:
+        table = structure_table(m)
+        assert order_table(m) is table.orders, m
+        for e, members in table.by_class.items():
+            assert class_members(m, e) is members, (m, e)
+            assert class_members(m, e - m) is members, (m, e)
+        structure_table.cache_clear()
+    residues._class_members.cache_clear()
+    order_table.cache_clear()
+    for m in [*range(1, 301), *(2**alpha * 45 for alpha in range(1, 7))]:
+        orders = order_table(m)
+        regular = oracle_regular_set(m)
+        assert [a for a in range(1, m + 1) if orders[a]] == regular, m
+        groups: dict[int, list[int]] = {}
+        for a in regular:
+            n = oracle_order(m, a)
+            assert orders[a] == n, (m, a)
+            groups.setdefault(pow(a, n, m) or m, []).append(a)
+        for e, members in groups.items():
+            assert list(class_members(m, e)) == members, (m, e)
+        assert sorted(groups) == list(enumerate_idempotents(m).elements), m
+    residues._class_members.cache_clear()
+    order_table.cache_clear()
+
+
+def _clear_query_caches():
+    for cache in (residues._class_members, order_table, structure_table,
+                  _omega_cache):
+        cache.cache_clear()
+
+
+def test_class_queries_build_no_structure_table(monkeypatch):
+    """The queries that read one class, with or without its orders, build
+    neither the class array nor the table; their answers are the table's."""
+    moduli = [45, 105, 360, 1001, 2025, 2003]
+    want = {}
+    for m in moduli:
+        table = structure_table(m)
+        for e, members in table.by_class.items():
+            orders = [table.orders[a] for a in members]
+            a = members[len(members) // 2]
+            want[m, e] = (list(members), orders.count(2),
+                          sum(1 for n in orders if 4 % n == 0),
+                          orbit_union_size(m, e, 2), a, _omega_cache(m, a))
+
+    def no_table(m):
+        raise AssertionError(f"structure_table({m}) was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("idemod") and hasattr(module, "structure_table"):
+            monkeypatch.setattr(module, "structure_table", no_table)
+    _clear_query_caches()
+    for (m, e), (members, r2, rho4, union, a, omega) in want.items():
+        assert regular_set(m, e) == members
+        assert (r_count(m, e, 2), rho_count(m, e, 4)) == (r2, rho4)
+        assert orbit_union_size(m, e, 2) == union
+        assert omega_info(m, a) == omega
+        if m % 2:
+            assert sqrt_structure(m, e).roots == tuple(
+                x for x in members if x * x % m == e % m)
+    _clear_query_caches()
+
+
+def test_sqrt_structure_walks_no_unit_group(monkeypatch):
+    """sqrt_structure reads R_m^e = z * U(m/z) from a coprimality mask, so
+    it walks no generator's powers, even for a prime near the cap."""
+    def no_walk(p, alpha):
+        raise AssertionError(f"walked U({p}^{alpha})")
+
+    monkeypatch.setattr(residues, "_unit_orders", no_walk)
+    _clear_query_caches()
+    assert sqrt_structure(999983, 1).roots == (1, 999982)
+    assert sqrt_structure(3**4 * 5**2 * 7, 1).size_formula == 8
+    for e in enumerate_idempotents(2025).elements:
+        rep = sqrt_structure(2025, e)
+        assert len(rep.roots) == rep.size_formula, e
+    _clear_query_caches()
+
+
+def test_class_queries_refuse_before_factoring(monkeypatch):
+    """Above the cap a class or order query exits at the cap check, before
+    the modulus is factored."""
+    def no_factoring(m):
+        raise AssertionError(f"factored {m} above the cap")
+
+    monkeypatch.setattr(residues, "build_modulus", no_factoring)
+    big = 17592186044423 * 35184372088891
+    for query in (class_members, regular_set):
+        with pytest.raises(EnumerationCapError):
+            query(big, 1)
+    with pytest.raises(EnumerationCapError):
+        order_table(big)
+    with pytest.raises(EnumerationCapError):
+        r_count(big, 1, 2)
