@@ -120,11 +120,11 @@ class LawReport(Record, frozen=False):
 
 class AlgebraReport(Record, frozen=False):
     modulus: Modulus
-    laws: list[LawReport]
+    laws: list[LawReport] = None
 
-    def __init__(self, modulus: Modulus, laws: list[LawReport] | None = None):
-        self.modulus = modulus
-        self.laws = [] if laws is None else laws  # a new list per report
+    def __post_init__(self):
+        if self.laws is None:
+            self.laws = []  # a new list per report
 
     @property
     def ok(self) -> bool:

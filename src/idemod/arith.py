@@ -66,13 +66,16 @@ class Record:
     value, unless its class is declared with ``frozen=False``: then it is
     mutable and unhashable.
 
-    Fields are stored with object.__setattr__, in field order, which is the
-    order equality and hashing read them in.  Writing into __dict__ instead
-    would be quicker to build but slower to read: on CPython 3.11 an instance
-    whose __dict__ was filled reads attributes up to 3.6 times slower.  A
-    record that an audit builds by the thousand defines its own __init__
-    with named parameters, which is quicker than a dataclass's; the generic
-    one is slower for a few fields."""
+    Each record class's ``__init__`` is generated from a ``def`` when the
+    class is defined, as namedtuple's and dataclasses' are: one named
+    parameter per field, defaulting to the class attribute of that name.  It
+    stores the fields in field order, the order equality and hashing read
+    them in, with object.__setattr__ unless the record is mutable, and then
+    calls ``__post_init__`` if the class overrides it.  Writing into
+    __dict__ instead would be quicker to build but slower to read: on
+    CPython 3.11 an instance whose __dict__ was filled reads attributes up
+    to 3.6 times slower.  Each query starts a new process, so a constructor
+    built on first use would be compiled inside every query."""
 
     _fields: tuple[str, ...] = ()
 
@@ -83,32 +86,8 @@ class Record:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
             cls.__hash__ = None
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values of a call that is not one positional value per
-        field: the positionals, then each later field's keyword or default."""
-        cls = type(self)
-        rest = cls._fields[len(args):]
-        if len(args) > len(cls._fields) or not kwargs.keys() <= set(rest):
-            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}; got "
-                            f"{len(args)} positional and {sorted(kwargs)}")
-        values = list(args)
-        for name in rest:
-            if name in kwargs:
-                values.append(kwargs[name])
-            elif hasattr(cls, name):
-                values.append(getattr(cls, name))
-            else:
-                raise TypeError(f"{cls.__name__} is missing field {name!r}")
-        return values
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _record_init(cls)
 
     def __post_init__(self):
         """Validate the fields; a record that checks them overrides this."""
@@ -132,16 +111,29 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _record_init(cls: type[Record]) -> Callable:
+    """The __init__ of a record class, generated from its fields (see Record).
+    A field after a defaulted one needs a default too."""
+    fields = cls._fields
+    params = ", ".join(f + "=None" if hasattr(cls, f) else f for f in fields)
+    lines = [f"def __init__(self, {params}):"]
+    if cls.__setattr__ is object.__setattr__:  # a mutable record
+        lines += [f"    self.{f} = {f}" for f in fields]
+    else:
+        lines += [f"    __set(self, {f!r}, {f})" for f in fields]
+    if cls.__post_init__ is not Record.__post_init__:
+        lines.append("    self.__post_init__()")
+    namespace = {"__set": object.__setattr__}
+    exec(compile("\n".join(lines), "<record>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(getattr(cls, f) for f in fields if hasattr(cls, f))
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Factorization(Record):
     value: int
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-
-    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
-        # Built by the thousand in an audit: see Record.
-        init = object.__setattr__
-        init(self, "value", value)
-        init(self, "factors", factors)
-        self.__post_init__()
 
     def __post_init__(self):
         prod = 1

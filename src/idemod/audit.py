@@ -77,13 +77,11 @@ class AuditFinding(Record):
 class TheoremResult(Record, frozen=False):
     theorem_id: str
     status: str  # "verified-on-range" | "counterexamples"
-    findings: list[AuditFinding]
+    findings: list[AuditFinding] = None
 
-    def __init__(self, theorem_id: str, status: str,
-                 findings: list[AuditFinding] | None = None):
-        self.theorem_id = theorem_id
-        self.status = status
-        self.findings = [] if findings is None else findings  # a new list per result
+    def __post_init__(self):
+        if self.findings is None:
+            self.findings = []  # a new list per result
 
 
 class AuditReport(Record, frozen=False):

@@ -58,16 +58,6 @@ class OmegaInfo(Record):
     omega_set: tuple[int, ...]  # the maximizing generators, sorted
     ind_sup: int  # omega_a / |a|_m
 
-    def __init__(self, modulus: Modulus, a: int, omega_a: int,
-                 omega_set: tuple[int, ...], ind_sup: int):
-        # Built by the thousand in an audit: see Record.
-        init = object.__setattr__
-        init(self, "modulus", modulus)
-        init(self, "a", a)
-        init(self, "omega_a", omega_a)
-        init(self, "omega_set", omega_set)
-        init(self, "ind_sup", ind_sup)
-
 
 @lru_cache(maxsize=1 << 12)
 def _omega_cache(m: int, a: int) -> OmegaInfo:

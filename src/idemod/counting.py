@@ -22,11 +22,15 @@ def _class_orders(m: int, e: int) -> list[int]:
 
 def r_count(m: int, e: int, k: int) -> int:
     """Number of a in R_m^e with |a|_m = k."""
+    if k < 1:
+        raise ValueError(f"order k must be >= 1, got {k}")
     return sum(1 for n in _class_orders(m, e) if n == k)
 
 
 def rho_count(m: int, e: int, k: int) -> int:
     """Number of a in R_m^e with |a|_m dividing k."""
+    if k < 1:
+        raise ValueError(f"order k must be >= 1, got {k}")
     return sum(1 for n in _class_orders(m, e) if k % n == 0)
 
 
@@ -70,18 +74,10 @@ class OrbitUnionSize(Record):
     true_size: int
     formula_value: int
 
-    def __init__(self, modulus: Modulus, e: int, k: int, true_size: int,
-                 formula_value: int):
-        # Built by the thousand in an audit: see Record.
-        init = object.__setattr__
-        init(self, "modulus", modulus)
-        init(self, "e", e)
-        init(self, "k", k)
-        init(self, "true_size", true_size)
-        init(self, "formula_value", formula_value)
-
 
 def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
+    if k < 1:
+        raise ValueError(f"order k must be >= 1, got {k}")
     members = class_members(m, e)  # checks e, and m against the cap
     orders = order_table(m)
     union: set[int] = set()
@@ -110,6 +106,8 @@ def classify_function(f: Callable[[int], int], n: int) -> FunctionClassification
     / division-invariant / prime-power division-invariant.  Each flag means
     only "no counterexample among arguments up to n".  n counts against
     the enumeration cap."""
+    if n < 1:
+        raise ValueError(f"bound n must be >= 1, got {n}")
     check_enum(n)
     vals = {x: f(x) for x in range(1, n + 1)}
     witnesses: dict[str, tuple] = {}

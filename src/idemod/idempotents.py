@@ -58,14 +58,6 @@ class OrderInfo(Record):
     order: int
     idem_class: int
 
-    def __init__(self, modulus: Modulus, a: int, order: int, idem_class: int):
-        # Built by the thousand in an audit: see Record.
-        init = object.__setattr__
-        init(self, "modulus", modulus)
-        init(self, "a", a)
-        init(self, "order", order)
-        init(self, "idem_class", idem_class)
-
 
 def _order_parts(mod: Modulus, a: int) -> tuple[int, int]:
     """(L, T): L = lcm of unit orders over prime powers coprime to a,
@@ -91,9 +83,13 @@ def order(m: int, a: int) -> OrderInfo:
     a = canon(a, m)
     if m == 1:
         return OrderInfo(mod, 1, 1, 1)
-    L, T = _order_parts(mod, a)
+    return _order_info(mod, a, *_order_parts(mod, a))
+
+
+def _order_info(mod: Modulus, a: int, L: int, T: int) -> OrderInfo:
+    """The OrderInfo of a, whose _order_parts are (L, T)."""
     n = L * (-(-T // L))
-    return OrderInfo(mod, a, n, canon(pow(a, n, m), m))
+    return OrderInfo(mod, a, n, canon(pow(a, n, mod.m), mod.m))
 
 
 def idem_class(m: int, a: int) -> int:

@@ -19,13 +19,6 @@ class QuadraticKernel(Record):
     k: int
     solutions: tuple[int, ...]
 
-    def __init__(self, modulus: Modulus, k: int, solutions: tuple[int, ...]):
-        # Built by the thousand in an audit: see Record.
-        init = object.__setattr__
-        init(self, "modulus", modulus)
-        init(self, "k", k)
-        init(self, "solutions", solutions)
-
     def rbar(self, r: int) -> int:
         """The paired solution (k - r) mod m."""
         return canon(self.k - r, self.modulus.m)

@@ -46,6 +46,7 @@ from .idempotents import (
     enumerate_idempotents,
     is_idempotent,
     order,
+    _order_info,
     _order_parts,
 )
 
@@ -99,17 +100,21 @@ def is_normal(m: int, a: int) -> bool:
 
 
 def classify(m: int, a: int) -> ResidueClassification:
-    info = order(m, a)
-    a = info.a
+    """Every property of a, from one _order_parts (L, T): a is normal when
+    T <= L, regular when T = 1, and delta is T."""
+    mod = build_modulus(m)
+    a = canon(a, m)
+    L, T = _order_parts(mod, a)
+    info = _order_info(mod, a, L, T)
     return ResidueClassification(
-        modulus=info.modulus,
+        modulus=mod,
         a=a,
-        is_normal=is_normal(m, a),
-        is_regular=is_regular(m, a),
+        is_normal=T <= L,
+        is_regular=T == 1,
         order=info.order,
         idem_class=info.idem_class,
         mu=mu(m, a),
-        delta=delta(m, a),
+        delta=T,
     )
 
 
@@ -151,13 +156,6 @@ class OrbitSet(Record):
     modulus: Modulus
     generator: int
     elements: frozenset[int]
-
-    def __init__(self, modulus: Modulus, generator: int, elements: frozenset[int]):
-        # Built by the thousand in an audit: see Record.
-        init = object.__setattr__
-        init(self, "modulus", modulus)
-        init(self, "generator", generator)
-        init(self, "elements", elements)
 
 
 def orbit(m: int, a: int) -> OrbitSet:

@@ -375,6 +375,44 @@ def test_record_defaults():
     assert TheoremResult("fs05", "verified-on-range").findings == []
 
 
+def _record_classes(cls=arith.Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_records_take_generated_constructors():
+    """No record of the package, the audit's included, has a hand-written
+    __init__: each takes the one generated from its fields."""
+    import idemod.audit  # noqa: F401  defines the audit's records
+
+    records = [c for c in _record_classes() if c.__module__.startswith("idemod.")]
+    assert len(records) >= 19
+    for cls in records:
+        code = cls.__init__.__code__
+        assert code.co_filename == "<record>", cls
+        assert code.co_varnames[1:code.co_argcount] == cls._fields, cls
+
+
+def test_record_subclass_builds_with_its_own_fields():
+    """A record declared after its parent has built one adds its fields
+    after the parent's and keeps the parent's __post_init__."""
+    parent = Factorization(12, ((2, 2), (3, 1)))
+
+    class Named(Factorization):
+        name: str = ""
+
+    assert Named._fields == ("value", "factors", "name")
+    rec = Named(12, ((2, 2), (3, 1)), "twelve")
+    assert (rec.value, rec.factors, rec.name) == (12, parent.factors, "twelve")
+    assert Named(12, ((2, 2), (3, 1))).name == "" and rec != parent
+    assert Factorization(12, ((2, 2), (3, 1))) == parent
+    with pytest.raises(TypeError):
+        Factorization(12, ((2, 2), (3, 1)), "twelve")
+    with pytest.raises(ValueError, match="do not multiply to 12"):
+        Named(12, ((2, 1),), "twelve")
+
+
 @pytest.mark.parametrize("value, factors, message", [
     (4, ((2, 0),), "nonpositive exponent"),
     (12, ((2, 1), (3, 1)), "do not multiply to 12"),

@@ -104,6 +104,15 @@ def test_bad_input_exits_2(capsys):
     assert run(capsys, "audit", "2..10", "--theorems", "nope")[0] == 2
 
 
+def test_nonpositive_k_and_n_are_named(capsys):
+    """counts rejects an order k < 1 and classify-fn a bound n < 1 by name,
+    not as an invalid modulus."""
+    code, _, err = run(capsys, "counts", "12", "1", "0")
+    assert code == 2 and "order k must be >= 1, got 0" in err
+    code, _, err = run(capsys, "classify-fn", "phi", "0")
+    assert code == 2 and "bound n must be >= 1, got 0" in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "12"])

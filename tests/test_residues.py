@@ -197,6 +197,23 @@ def test_classify_example():
     assert (c.order, c.idem_class, c.mu, c.delta) == (2, 4, 3, 2)
 
 
+def test_classify_reads_order_parts_once(monkeypatch):
+    """classify derives every field from one _order_parts, and each field
+    equals the query it stands for, on every residue of every m <= 300."""
+    for m in range(1, 301):
+        for a in range(1, m + 1):
+            info = order(m, a)
+            assert classify(m, a) == residues.ResidueClassification(
+                info.modulus, a, is_normal(m, a), is_regular(m, a), info.order,
+                info.idem_class, mu(m, a), residues.delta(m, a))
+    real = residues._order_parts
+    calls = []
+    monkeypatch.setattr(residues, "_order_parts",
+                        lambda mod, a: calls.append(a) or real(mod, a))
+    assert classify(4294967291 * 4294967279, 3).is_regular
+    assert calls == [3]
+
+
 def test_mu_delta_edge_cases():
     assert mu(12, 12) == 1
     assert mu(12, 1) == 12
