@@ -32,11 +32,13 @@ def _fmt_set(values) -> str:
     return ",".join(str(v) for v in sorted(values))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> int:
+def _emit(args, payload: dict, text_lines) -> int:
+    """Print payload as JSON under --json, else the lines text_lines()
+    returns, which are built only then."""
     if args.json:
         print(json.dumps(payload))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
     return 0
 
@@ -56,25 +58,24 @@ def _cmd_modinfo(args) -> int:
         "weakly_even": mod.weakly_even,
         "barely_even": mod.barely_even,
     }
-    fact = " * ".join(
-        f"{p}^{a}" if a > 1 else str(p) for p, a in mod.factorization.factors
-    ) or "1"
-    return _emit(args, payload, [
-        f"m = {mod.m} = {fact}",
-        f"phi = {mod.phi}",
-        f"psi = {mod.psi}",
-        f"omega = {mod.omega}",
-        f"square_free = {mod.square_free}",
-        f"weakly_even = {mod.weakly_even}",
-        f"barely_even = {mod.barely_even}",
-    ])
+
+    def lines():
+        fact = " * ".join(
+            f"{p}^{a}" if a > 1 else str(p) for p, a in mod.factorization.factors
+        ) or "1"
+        yield f"m = {mod.m} = {fact}"
+        for name in ("phi", "psi", "omega", "square_free", "weakly_even",
+                     "barely_even"):
+            yield f"{name} = {payload[name]}"
+
+    return _emit(args, payload, lines)
 
 
 def _cmd_idempotents(args) -> int:
     check_enum(args.m)
     es = enumerate_idempotents(args.m).elements
     payload = {"m": args.m, "idempotents": sorted(es)}
-    return _emit(args, payload, [_fmt_set(es)])
+    return _emit(args, payload, lambda: [_fmt_set(es)])
 
 
 def _cmd_order(args) -> int:
@@ -85,7 +86,7 @@ def _cmd_order(args) -> int:
         "order": info.order,
         "idem_class": info.idem_class,
     }
-    return _emit(args, payload, [
+    return _emit(args, payload, lambda: [
         f"|{payload['a']}|_{args.m} = {info.order}",
         f"idempotent class: {info.idem_class}",
     ])
@@ -103,7 +104,7 @@ def _cmd_classify(args) -> int:
         "mu": c.mu,
         "delta": c.delta,
     }
-    return _emit(args, payload, [
+    return _emit(args, payload, lambda: [
         f"a = {c.a} (mod {args.m})",
         f"normal = {c.is_normal}",
         f"regular = {c.is_regular}",
@@ -119,18 +120,16 @@ def _cmd_sets(args) -> int:
     want_regular = args.regular or not args.normal
     want_normal = args.normal or not args.regular
     payload: dict = {"m": args.m}
-    lines = []
     if want_regular:
-        rs = sorted(regular_set(args.m, e))
-        payload["regular"] = rs
-        lines.append(f"regular: {_fmt_set(rs)}")
+        payload["regular"] = regular_set(args.m, e)
     if want_normal:
-        ns = sorted(normal_set(args.m, e))
-        payload["normal"] = ns
-        lines.append(f"normal: {_fmt_set(ns)}")
+        payload["normal"] = normal_set(args.m, e)
     if e is not None:
         payload["class"] = canon(e, args.m)
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        f"{name}: {_fmt_set(payload[name])}"
+        for name in ("regular", "normal") if name in payload
+    ])
 
 
 def _cmd_orbit(args) -> int:
@@ -140,7 +139,7 @@ def _cmd_orbit(args) -> int:
         "a": canon(args.a, args.m),
         "orbit": sorted(ob.elements),
     }
-    return _emit(args, payload, [_fmt_set(ob.elements)])
+    return _emit(args, payload, lambda: [_fmt_set(ob.elements)])
 
 
 def _cmd_solve(args) -> int:
@@ -149,19 +148,21 @@ def _cmd_solve(args) -> int:
         "m": args.m,
         "k": args.k,
         "a": res.a,
-        "solutions": sorted(res.solutions),
-        "regular_solutions": sorted(res.regular_solutions),
+        "solutions": res.solutions,
+        "regular_solutions": res.regular_solutions,
         "solvable": res.solvable,
     }
-    lines = [
-        f"x^{args.k} = {res.a} (mod {args.m})",
-        f"solutions: {_fmt_set(res.solutions) or '(none)'}",
-        f"regular solutions: {_fmt_set(res.regular_solutions) or '(none)'}",
-        f"solvable: {res.solvable}",
-    ]
     if res.bc01_verdict is not None:
         payload["criterion_verdict"] = res.bc01_verdict
-        lines.append(f"criterion verdict: {res.bc01_verdict}")
+
+    def lines():
+        yield f"x^{args.k} = {res.a} (mod {args.m})"
+        yield f"solutions: {_fmt_set(res.solutions) or '(none)'}"
+        yield f"regular solutions: {_fmt_set(res.regular_solutions) or '(none)'}"
+        yield f"solvable: {res.solvable}"
+        if res.bc01_verdict is not None:
+            yield f"criterion verdict: {res.bc01_verdict}"
+
     return _emit(args, payload, lines)
 
 
@@ -171,10 +172,10 @@ def _cmd_omega(args) -> int:
         "m": args.m,
         "a": info.a,
         "omega": info.omega_a,
-        "omega_set": sorted(info.omega_set),
+        "omega_set": info.omega_set,
         "ind_sup": info.ind_sup,
     }
-    return _emit(args, payload, [
+    return _emit(args, payload, lambda: [
         f"omega_{args.m}({info.a}) = {info.omega_a}",
         f"maximizers: {_fmt_set(info.omega_set)}",
         f"ind_sup = {info.ind_sup}",
@@ -183,8 +184,8 @@ def _cmd_omega(args) -> int:
 
 def _cmd_gproots(args) -> int:
     gs = gen_primitive_roots(args.m)
-    payload = {"m": args.m, "gproots": sorted(gs)}
-    return _emit(args, payload, [_fmt_set(gs)])
+    payload = {"m": args.m, "gproots": gs}
+    return _emit(args, payload, lambda: [_fmt_set(gs)])
 
 
 def _cmd_counts(args) -> int:
@@ -202,15 +203,17 @@ def _cmd_counts(args) -> int:
         "union_size": union.true_size,
         "union_formula": union.formula_value,
     }
-    lines = [
-        f"r_{args.m}^{e}({args.k}) = {r}",
-        f"rho_{args.m}^{e}({args.k}) = {rho}",
-        f"orbit union size = {union.true_size} (formula: {union.formula_value})",
-    ]
     if mod.weakly_even and e == canon(1, args.m):
-        cf = rho_closed_form(args.m, args.k)
-        payload["rho_closed_form"] = cf
-        lines.append(f"rho closed form = {cf}")
+        payload["rho_closed_form"] = rho_closed_form(args.m, args.k)
+
+    def lines():
+        yield f"r_{args.m}^{e}({args.k}) = {r}"
+        yield f"rho_{args.m}^{e}({args.k}) = {rho}"
+        yield (f"orbit union size = {union.true_size} "
+               f"(formula: {union.formula_value})")
+        if "rho_closed_form" in payload:
+            yield f"rho closed form = {payload['rho_closed_form']}"
+
     return _emit(args, payload, lines)
 
 
@@ -226,15 +229,16 @@ def _cmd_classify_fn(args) -> int:
         "division_invariant_prime_powers": cls.is_di_pp,
         "witnesses": {k: list(v) for k, v in cls.witnesses.items()},
     }
-    lines = [
-        f"{args.name} on 1..{args.n}:",
-        f"multiplicative = {cls.is_m}",
-        f"quasimultiplicative = {cls.is_qm}",
-        f"division-invariant = {cls.is_di}",
-        f"division-invariant on prime powers = {cls.is_di_pp}",
-    ]
-    for label, w in sorted(cls.witnesses.items()):
-        lines.append(f"counterexample [{label}]: {w}")
+
+    def lines():
+        yield f"{args.name} on 1..{args.n}:"
+        yield f"multiplicative = {cls.is_m}"
+        yield f"quasimultiplicative = {cls.is_qm}"
+        yield f"division-invariant = {cls.is_di}"
+        yield f"division-invariant on prime powers = {cls.is_di_pp}"
+        for label, w in sorted(cls.witnesses.items()):
+            yield f"counterexample [{label}]: {w}"
+
     return _emit(args, payload, lines)
 
 
@@ -252,9 +256,12 @@ def _cmd_algebra(args) -> int:
             for l in rep.laws
         ],
     }
-    lines = [f"{l.law}: {'ok' if l.passed else 'FAIL ' + repr(l.counterexample)}"
-             for l in rep.laws]
-    lines.append(f"all laws: {'ok' if rep.ok else 'FAIL'}")
+
+    def lines():
+        for l in rep.laws:
+            yield f"{l.law}: {'ok' if l.passed else 'FAIL ' + repr(l.counterexample)}"
+        yield f"all laws: {'ok' if rep.ok else 'FAIL'}"
+
     return _emit(args, payload, lines)
 
 
@@ -264,7 +271,7 @@ def _cmd_idemop(args) -> int:
                "result": out}
     if args.e2 is not None:
         payload["e2"] = canon(args.e2, args.m)
-    return _emit(args, payload, [str(out)])
+    return _emit(args, payload, lambda: [str(out)])
 
 
 def _cmd_quadratic(args) -> int:
@@ -272,12 +279,12 @@ def _cmd_quadratic(args) -> int:
     payload = {
         "m": args.m,
         "k": ker.k,
-        "solutions": sorted(ker.solutions),
+        "solutions": ker.solutions,
         "pairs": sorted(
             sorted((r, ker.rbar(r))) for r in ker.solutions if r <= ker.rbar(r)
         ),
     }
-    return _emit(args, payload, [
+    return _emit(args, payload, lambda: [
         f"x^2 = {ker.k}x (mod {args.m})",
         f"solutions: {_fmt_set(ker.solutions)}",
     ])
@@ -288,12 +295,12 @@ def _cmd_sqrt(args) -> int:
     payload = {
         "m": args.m,
         "e": rep.e,
-        "roots": sorted(rep.roots),
+        "roots": rep.roots,
         "size_formula": rep.size_formula,
         "product": rep.product,
         "product_formula": rep.product_formula,
     }
-    return _emit(args, payload, [
+    return _emit(args, payload, lambda: [
         f"regular roots of x^2 = {rep.e} (mod {args.m}): {_fmt_set(rep.roots)}",
         f"count = {len(rep.roots)} (formula: {rep.size_formula})",
         f"product = {rep.product} (formula: {rep.product_formula})",
@@ -318,16 +325,14 @@ def _cmd_tower(args) -> int:
         "chain": chain,
         "idem_power": idem_class(args.m, args.base),
     }
-    lines = [str(value)]
-    for link in chain:
-        lines.append(
-            f"|{canon(args.base, link['modulus'])}|_{link['modulus']}"
-            f" = {link['order']}"
-        )
-    lines.append(
-        f"{canon(args.base, args.m)}^{chain[0]['order'] if chain else 1}"
-        f" = {payload['idem_power']} (mod {args.m})"
-    )
+    def lines():
+        yield str(value)
+        for link in chain:
+            yield (f"|{canon(args.base, link['modulus'])}|_{link['modulus']}"
+                   f" = {link['order']}")
+        yield (f"{canon(args.base, args.m)}^{chain[0]['order'] if chain else 1}"
+               f" = {payload['idem_power']} (mod {args.m})")
+
     return _emit(args, payload, lines)
 
 

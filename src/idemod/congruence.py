@@ -13,13 +13,27 @@ lambda(mu) (Carmichael): its q-part has order q^v_q(lambda) when q does not
 divide |a|, and q^(v_q(|a|) + h) when it does, where h, the q-height of a,
 is the largest h with a a q^h-th power; a is one exactly when it is one in
 every component U(p^alpha).  omega_info's maximizers still need a scan, of
-the members of a's class whose order is omega.  oracle.oracle_omega walks
+the members b of a's class whose order is omega, each tested by whether
+b^(omega/|a|) lies in a byte mask of orb(a).  oracle.oracle_omega walks
 the orbits.
+
+G_m needs no omega at all.  By the q-parts above, omega_m(g) = |g|_m
+exactly when, for each prime q of lambda(mu_g), g is not a q-th power:
+if q does not divide |g|, g is a q-th power of a power of itself, and if
+v_q(|g|) = v_q(lambda), no q-th power has g's order.  So g is in G_m
+exactly when, for each such q, some unit component of g is not a q-th
+power.  In U(p^alpha), p odd, with r = g0^t for the generator g0, that is
+q | phi and q not dividing t; in U(2^alpha) only q = 2 counts, and r is
+not a square exactly when r != 1 (mod 8) (r = 3 in U(4)).
+gen_primitive_roots folds this test over all residues at once.
 """
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from functools import lru_cache
+from itertools import compress
 
 from .arith import (
     Modulus,
@@ -30,14 +44,17 @@ from .arith import (
     check_enum,
     valuation,
 )
-from .idempotents import is_idempotent, order
+from .idempotents import is_idempotent
 from .residues import (
-    _powers,
+    _by_residue,
+    _crt_fold,
+    _orbit_mask,
     _regular_order,
+    _typecode,
+    _unit_logs,
     class_members,
     is_regular,
     order_table,
-    regular_set,
 )
 
 
@@ -68,17 +85,17 @@ def _omega_cache(m: int, a: int) -> OmegaInfo:
     n = orders[a]
     if not n:
         raise ValueError(f"{a} is not regular modulo {m}")
-    info = order(m, a)
-    w = _omega(info.modulus, a, n)
+    mod = build_modulus(m)
+    w = _omega(mod, a, n)
+    members = class_members(m, canon(pow(a, n, m), m))
     # orb(b) is cyclic, so it holds a exactly when b^(|b|/|a|), which
     # generates its one subgroup of order |a|, lies in orb(a).
-    target = _powers(m, a, n)
+    in_orbit = _orbit_mask(m, a, n)
+    ind = w // n
     maximizers = tuple(
-        b
-        for b in class_members(m, info.idem_class)
-        if orders[b] == w and canon(pow(b, w // n, m), m) in target
+        b for b in members if orders[b] == w and in_orbit[pow(b, ind, m)]
     )
-    return OmegaInfo(info.modulus, a, w, maximizers, w // n)
+    return OmegaInfo(mod, a, w, maximizers, ind)
 
 
 def omega_info(m: int, a: int) -> OmegaInfo:
@@ -164,15 +181,56 @@ def solve(m: int, k: int, a: int) -> CongruenceSolution:
 
 @lru_cache(maxsize=None)
 def gen_primitive_roots(m: int) -> tuple[int, ...]:
-    """G_m = {g regular: omega_m(g) = |g|_m}; always nonempty."""
-    orders = order_table(m)
-    mod = build_modulus(m)
-    out = []
-    for g in regular_set(m):
-        n = orders[g]
-        if _omega(mod, g, n) == n:
-            out.append(g)
-    return tuple(out)
+    """G_m = {g regular: omega_m(g) = |g|_m}, ascending; always nonempty.
+    It is read off two bitmasks per prime power p^alpha of m, one bit per
+    prime q of lambda(m), folded over the residues by CRT with OR: the q of
+    lambda(p^alpha) at the units (bit 0 at the nonzero non-units, which
+    make g irregular), and the q for which the unit is not a q-th power.
+    g is in G_m exactly where the two folds agree (see the module
+    docstring)."""
+    check_enum(m)  # before build_modulus, which factors m
+    factors = build_modulus(m).factorization.factors
+    primes = [_primes(p, alpha) for p, alpha in factors]
+    bit = {q: 2 << i for i, q in enumerate(sorted(set().union(*primes)))}
+    tc = _typecode((2 << len(bit)) - 1)
+    exponents, nonpowers = [], []
+    for (p, alpha), qs in zip(factors, primes):
+        size = p**alpha
+        mask = sum(map(bit.__getitem__, qs))
+        exps = array(tc, [mask]) * size
+        exps[::p] = array(tc, [1]) * (size // p)
+        exps[0] = 0
+        exponents.append(exps)
+        if p == 2:
+            # The odd r that are not squares: r != 1 (mod 8), and 3 in U(4).
+            bits = array(tc, [0]) * size
+            if alpha >= 2:
+                step = min(size, 8)
+                bits[1::2] = array(tc, [mask]) * (size // 2)
+                bits[1::step] = array(tc, [0]) * (size // step)
+        else:
+            # g^t is a q-th power exactly when q divides t.  The non-units'
+            # logs read n, where by_log holds 0.
+            n, logs = _unit_logs(p, alpha)
+            by_log = [mask] * n + [0]
+            for q in qs:
+                by_log[:n:q] = [v ^ bit[q] for v in by_log[:n:q]]
+            bits = array(tc, [by_log[t] for t in logs])
+        nonpowers.append(bits)
+    keep = map(
+        operator.eq,
+        _crt_fold(operator.or_, 0, exponents, tc),
+        _crt_fold(operator.or_, 0, nonpowers, tc),
+    )
+    return tuple(compress(range(m + 1), _by_residue(array("B", keep))))
+
+
+def _primes(p: int, alpha: int) -> list[int]:
+    """The primes of lambda(p^alpha)."""
+    if p == 2:
+        return [2] if alpha >= 2 else []
+    qs = [r for r, _ in build_modulus(p - 1).factorization.factors]
+    return qs + [p] if alpha >= 2 else qs
 
 
 def omega_set(m: int, a: int) -> tuple[int, ...]:

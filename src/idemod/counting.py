@@ -14,24 +14,22 @@ from .arith import Modulus, Record, build_modulus, canon, check_enum, valuation
 from .residues import _powers, class_members, order_table
 
 
-def _class_orders(m: int, e: int) -> list[int]:
-    """Orders of the elements of R_m^e; rejects a non-idempotent e."""
-    members = class_members(m, e)
-    return list(map(order_table(m).__getitem__, members))
-
-
 def r_count(m: int, e: int, k: int) -> int:
     """Number of a in R_m^e with |a|_m = k."""
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
-    return sum(1 for n in _class_orders(m, e) if n == k)
+    members = class_members(m, e)  # checks e, and m against the cap
+    orders = order_table(m)
+    return sum(1 for a in members if orders[a] == k)
 
 
 def rho_count(m: int, e: int, k: int) -> int:
     """Number of a in R_m^e with |a|_m dividing k."""
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
-    return sum(1 for n in _class_orders(m, e) if k % n == 0)
+    members = class_members(m, e)  # checks e, and m against the cap
+    orders = order_table(m)
+    return sum(1 for a in members if k % orders[a] == 0)
 
 
 def rho_closed_form(m: int, k: int) -> int:

@@ -40,7 +40,7 @@ def kernel(m: int, k: int) -> QuadraticKernel:
 
 @lru_cache(maxsize=4096)
 def _kernel_cached(m: int, k: int) -> QuadraticKernel:
-    sols = tuple(x for x in range(1, m + 1) if x * x % m == k * x % m)
+    sols = tuple(x for x in range(1, m + 1) if x * (x - k) % m == 0)
     return QuadraticKernel(build_modulus(m), k, sols)
 
 

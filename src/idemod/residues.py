@@ -13,11 +13,18 @@ array per prime power q = p^alpha of m, indexed by the residue's component
 r = a mod q: a is regular exactly when every component is 0 or a unit, and
 |a| is then the lcm of the unit components' orders.
 
+Both the logs and the orders of the units of q come from one Python walk
+over a generator's powers, cached per prime power in _unit_logs: logs[r] = t
+with r = g^t for odd p, and r = +-5^t for q = 2^alpha (Gauss).  The orders
+follow from the logs without a second walk, since g^t has order
+n / gcd(t, n) in a cyclic group of order n: _unit_orders looks them up in
+a table over t filled by slice assignments, one per divisor of n.
+
 Each enumerating query builds only the pieces it reads, each cached on its
 own: regular_set and sqrt_structure read class members; r_count, rho_count,
 orbit_union_size and omega_info read class members and order_table;
-gen_primitive_roots reads R_m and order_table.  structure_table composes all
-of them, with the class array, for the audit.
+gen_primitive_roots reads the logs alone.  structure_table composes the
+class members and order_table, with the class array, for the audit.
 """
 from __future__ import annotations
 
@@ -177,6 +184,18 @@ def _powers(m: int, a: int, n: int) -> frozenset[int]:
     return frozenset((x := x * a % m) or m for _ in range(n))
 
 
+def _orbit_mask(m: int, a: int, n: int) -> bytearray:
+    """1 at the x in 0..m-1 that are a^1, ..., a^n mod m, and 0 at the
+    others: orb_m(a) in m bytes when n = |a|_m, where a frozenset of its
+    ints takes tens of bytes per element."""
+    mask = bytearray(m)
+    x = 1 % m
+    for _ in range(n):
+        x = x * a % m
+        mask[x] = 1
+    return mask
+
+
 def class_members(m: int, e: int) -> array:
     """R_m^e ascending, for an idempotent e: z * U(m/z), z = gcd(e, m).  The
     array is cached and shared, so it must not be modified."""
@@ -325,28 +344,54 @@ def _lift_root(g: int, p: int, alpha: int) -> int:
     return g
 
 
-def _unit_orders(p: int, alpha: int) -> array:
-    """|r| in U(p^alpha) at each unit r in 0..p^alpha - 1, and 0 at the
-    non-units, from one walk over a generator's powers: in a cyclic group of
-    order n, g^k has order n / gcd(k, n).  U(2^alpha) for alpha >= 3 is
-    {+-5^k} (Gauss): the walk covers the 5^k, which are the units 1 mod 4,
-    and -5^k has order lcm(2, |5^k|)."""
+@lru_cache(maxsize=None)
+def _unit_logs(p: int, alpha: int) -> tuple[int, array]:
+    """(n, logs) for U(p^alpha), from the one walk over a generator's
+    powers: logs[r] = t with r = g^t, t in 0..n-1, at each unit r in
+    0..p^alpha - 1, and n at the non-units.  For odd p, U(p^alpha) is cyclic
+    of order n = phi and g its least primitive root, lifted.  U(2^alpha) for
+    alpha >= 2 is {+-5^t} (Gauss), with n = 2^(alpha-2) the order of 5: the
+    walk covers the 5^t, which are the units 1 mod 4, and -5^t has the log t
+    of 5^t; U(2) = {1} has n = 1.  The array is cached and shared, so it
+    must not be modified."""
     q = p**alpha
-    out = array(_typecode(q), [0]) * q
-    if p == 2 and alpha <= 2:  # U(2) = {1}; U(4) = {1, 3}, |3| = 2
-        out[1::2] = array(out.typecode, (1, 2)[:alpha])
-        return out
     if p == 2:
-        g, n = 5, q // 4
+        g, n = 5, max(1, q // 4)
     else:
         g, n = _lift_root(_least_primitive_root(p), p, alpha), q - q // p
+    logs = array(_typecode(q), [n]) * q
     x = 1
-    for k_order in map(n.__floordiv__, map(math.gcd, range(n), repeat(n))):
-        out[x] = k_order
+    for t in range(n):
+        logs[x] = t
         x = x * g % q
-    if p == 2:  # -x for x = 1, 5, ..., q - 3 is q - 1, q - 5, ..., 3
-        out[3::4] = array(out.typecode, map(max, repeat(2), reversed(out[1::4])))
+    if p == 2 and alpha >= 2:  # -x for x = 1, 5, ..., q - 3 is q - 1, ..., 3
+        logs[3::4] = array(logs.typecode, reversed(logs[1::4]))
+    return n, logs
+
+
+def _unit_orders(p: int, alpha: int) -> array:
+    """|r| in U(p^alpha) at each unit r in 0..p^alpha - 1, and 0 at the
+    non-units, looked up by log: in a cyclic group of order n, g^t has order
+    n / gcd(t, n), and in U(2^alpha), -5^t has order lcm(2, |5^t|)."""
+    n, logs = _unit_logs(p, alpha)
+    # Over the divisors d of n in ascending order, the last one to divide t
+    # is gcd(t, n); by_log[n] = 0 is the order the non-units read.
+    by_log = [n] * n
+    for d in _divisors(n)[1:]:
+        by_log[::d] = [n // d] * (n // d)
+    by_log.append(0)
+    out = array(logs.typecode, [by_log[t] for t in logs])
+    if p == 2:
+        out[3::4] = array(out.typecode, map(max, repeat(2), out[3::4]))
     return out
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n, ascending."""
+    out = [1]
+    for r, e in factorize(n).factors:
+        out = [d * r**i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def _tails(p: int, alpha: int) -> array:

@@ -84,6 +84,44 @@ ONE_PER_COMMAND = [
 ]
 
 
+# The text each ONE_PER_COMMAND query prints, byte for byte.
+TEXT_OUTPUT = {
+    "modinfo": "m = 360 = 2^3 * 3^2 * 5\nphi = 96\npsi = 12\nomega = 3\n"
+               "square_free = False\nweakly_even = False\nbarely_even = False\n",
+    "idempotents": "1,16,21,25,36,40,45,60\n",
+    "order": "|5|_12 = 2\nidempotent class: 1\n",
+    "classify": "a = 2 (mod 12)\nnormal = True\nregular = False\norder = 2\n"
+                "idem_class = 4\nmu = 3\ndelta = 2\n",
+    "sets": "regular: 1,3,4,5,7,8,9,11,12\nnormal: 1,2,3,4,5,7,8,9,11,12\n",
+    "orbit": "1,5\n",
+    "solve": "x^2 = 4 (mod 12)\nsolutions: 2,4,8,10\nregular solutions: 4,8\n"
+             "solvable: True\ncriterion verdict: True\n",
+    "omega": "omega_12(5) = 2\nmaximizers: 5\nind_sup = 1\n",
+    "gproots": "3,5,7,8,11,12\n",
+    "counts": "r_12^1(2) = 3\nrho_12^1(2) = 4\norbit union size = 4 (formula: 6)\n"
+              "rho closed form = 4\n",
+    "classify-fn": "phi on 1..30:\nmultiplicative = True\nquasimultiplicative = False\n"
+                   "division-invariant = True\ndivision-invariant on prime powers = True\n"
+                   "counterexample [QM]: (3, 4, 4, 2)\n",
+    "algebra": "mixing-product: ok\nmixing-power: ok\nclosure: ok\ncirc-group: ok\n"
+               "circ-translation-injective: ok\notimes-ring: ok\nidentity-catalog: ok\n"
+               "otimes-nary: ok\nbasis-map: ok\nall laws: ok\n",
+    "idemop": "12\n",
+    "quadratic": "x^2 = 5x (mod 12)\nsolutions: 5,8,9,12\n",
+    "sqrt": "regular roots of x^2 = 10 (mod 45): 10,35\ncount = 2 (formula: 2)\n"
+            "product = 35 (formula: 35)\n",
+    "tower": "56\n|42|_100 = 20\n|2|_20 = 4\n|2|_4 = 2\n|2|_2 = 1\n42^20 = 76 (mod 100)\n",
+}
+
+
+def test_text_output_is_pinned(capsys):
+    """Text mode builds its lines only when it prints them, and prints what
+    it always has."""
+    for argv in ONE_PER_COMMAND:
+        if argv[0] != "audit":
+            assert run(capsys, *argv) == (0, TEXT_OUTPUT[argv[0]], ""), argv
+
+
 def test_json_round_trips(capsys):
     for argv in ONE_PER_COMMAND:
         doc = run_json(capsys, *argv)
@@ -444,10 +482,21 @@ def test_near_cap_solve_fits_384_mib_of_address_space():
 
 
 def test_near_cap_gproots_fits_384_mib_of_address_space():
-    """`gproots 100003` tests each unit's omega in closed form; a class scan
-    per unit made it quadratic and it did not finish.  G_p for a prime p is
-    the phi(p - 1) primitive roots and p itself."""
+    """`gproots 100003` reads G_p off one fold of unit-log masks (a class
+    scan per unit made it quadratic and it did not finish; omega in closed
+    form per unit took 0.4 s).  G_p for a prime p is the phi(p - 1)
+    primitive roots and p itself."""
     out = _run_capped("gproots", "100003")
     gs = out["gproots"]
     assert len(gs) == build_modulus(100002).phi + 1
     assert (gs[0], gs[-1]) == (2, 100003)
+
+
+def test_near_cap_omega_fits_384_mib_of_address_space():
+    """`omega 999983 8` tests each unit of order omega against a byte mask
+    of orb(8) (a frozenset of the orbit's ints needed 84 MiB RSS).  8 has
+    half the order of a primitive root, so its maximizers are the
+    phi(999982) primitive roots."""
+    out = _run_capped("omega", "999983", "8")
+    assert len(out["omega_set"]) == build_modulus(999982).phi
+    assert (out["omega"], out["ind_sup"]) == (999982, 2)

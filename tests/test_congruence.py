@@ -1,8 +1,13 @@
 """Power-congruence solvability, omega, generalized primitive roots."""
+import sys
+
 import pytest
 
+from idemod import congruence
 from idemod.arith import build_modulus
 from idemod.congruence import (
+    _omega,
+    _omega_cache,
     gen_primitive_roots,
     omega_info,
     omega_set,
@@ -11,7 +16,7 @@ from idemod.congruence import (
     solve,
 )
 from idemod.oracle import oracle_omega, oracle_solve
-from idemod.residues import orbit, regular_set, structure_table
+from idemod.residues import order_table, orbit, regular_set, structure_table
 from idemod import audit as _audit
 from conftest import bc01_sweep, no_findings
 
@@ -148,6 +153,24 @@ def test_solve_matches_oracle():
                 assert all(x in res.solutions for x in res.regular_solutions)
 
 
+def test_solve_matches_a_full_scan():
+    """Every m <= 300, every right-hand side a and k = 2, 3: the solutions
+    against one brute-force scan of x^k per (m, k), and the regular ones
+    against order_table's nonzero entries."""
+    for m in range(1, 301):
+        orders = order_table(m)
+        for k in (2, 3):
+            roots: dict[int, list[int]] = {}
+            for x in range(1, m + 1):
+                roots.setdefault(pow(x, k, m), []).append(x)
+            for a in range(1, m + 1):
+                res = solve(m, k, a)
+                sols = roots.get(a % m, [])
+                assert res.solutions == tuple(sols), (m, k, a)
+                assert res.regular_solutions == tuple(x for x in sols if orders[x])
+        order_table.cache_clear()
+
+
 def test_solve_verdict_only_for_regular_targets():
     res = solve(12, 2, 2)  # 2 is not regular mod 12
     assert res.bc01_verdict is None
@@ -167,6 +190,55 @@ def test_generalized_primitive_roots_nonempty():
         assert gs, m
         brute = tuple(g for g, (n, w) in walk_omega(m).items() if n == w)
         assert gs == brute, m
+
+
+def test_generalized_primitive_roots_are_the_closed_form_omega_fixed_points():
+    """The CRT fold of unit-log masks gives exactly the regular g with
+    omega_m(g) = |g|_m in closed form, for every m <= 2000 and beside the
+    non-cyclic U(2^alpha), alpha <= 10."""
+    moduli = set(range(1, 2001)) | {
+        2**alpha * k for alpha in range(11) for k in (1, 3, 5, 9, 15)
+    }
+    for m in sorted(moduli):
+        orders, mod = order_table(m), build_modulus(m)
+        want = tuple(g for g in regular_set(m) if _omega(mod, g, orders[g]) == orders[g])
+        assert gen_primitive_roots(m) == want, m
+        order_table.cache_clear()
+        gen_primitive_roots.cache_clear()
+
+
+def test_generalized_primitive_roots_take_no_omega(monkeypatch):
+    """gen_primitive_roots reads G_m off one fold, with no omega per
+    residue."""
+    moduli = [1, 2, 4, 8, 12, 360, 2048 * 15, 3**7, 2 * 5**4, 9699690 // 19]
+    want = {m: gen_primitive_roots(m) for m in moduli}
+
+    def no_omega(*args):
+        raise AssertionError("gen_primitive_roots took omega")
+
+    monkeypatch.setattr(congruence, "_omega", no_omega)
+    gen_primitive_roots.cache_clear()
+    for m in moduli:
+        assert gen_primitive_roots(m) == want[m], m
+    gen_primitive_roots.cache_clear()
+
+
+def test_omega_info_builds_no_orbit_set(monkeypatch):
+    """omega_info tests its maximizers against a byte mask of orb(a), with
+    no frozenset of the orbit's ints."""
+    queries = [(12, 5), (360, 7), (2003, 2), (2**10 * 45, 7), (3**7, 1)]
+    want = {q: omega_info(*q) for q in queries}
+
+    def no_powers(*args):
+        raise AssertionError("omega_info built an orbit set")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("idemod") and hasattr(module, "_powers"):
+            monkeypatch.setattr(module, "_powers", no_powers)
+    _omega_cache.cache_clear()
+    for q in queries:
+        assert omega_info(*q) == want[q], q
+    _omega_cache.cache_clear()
 
 
 def test_generalized_primitive_roots_match_sympy():

@@ -5,6 +5,7 @@ import pytest
 
 from idemod.arith import canon
 from idemod.idempotents import enumerate_idempotents
+from idemod.oracle import oracle_regular_set
 from idemod.quadratic import (
     class_kernel_op,
     kernel,
@@ -26,6 +27,22 @@ def test_unit_scaled_kernels_match_scan():
             if math.gcd(k, m) == 1:
                 built = sorted(canon(k * e, m) for e in es)
                 assert list(kernel(m, k).solutions) == built, (m, k)
+
+
+def test_kernels_and_square_roots_match_a_full_scan():
+    """Every m <= 300: kernel(m, k) for every k, and, for odd m,
+    sqrt_structure(m, e) for every idempotent e, against a brute-force scan
+    of x^2 over 1..m."""
+    for m in range(1, 301):
+        squares = [x * x % m for x in range(m + 1)]
+        for k in range(1, m + 1):
+            want = tuple(x for x in range(1, m + 1) if squares[x] == k * x % m)
+            assert kernel(m, k).solutions == want, (m, k)
+        if m % 2:
+            regular = oracle_regular_set(m)
+            for e in enumerate_idempotents(m).elements:
+                want = tuple(x for x in regular if squares[x] == e % m)
+                assert sqrt_structure(m, e).roots == want, (m, e)
 
 
 def test_membership_matches_element_lists():

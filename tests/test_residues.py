@@ -471,6 +471,27 @@ def test_root_lift_mod_487_squared():
     assert _lift_root(3, 487, 2) == 3
 
 
+def test_unit_logs_are_logs_of_one_generator():
+    """For every prime power q = p^alpha <= 3000, each unit r is g^t (odd
+    p, g the unit of log 1) or +-5^t (p = 2, the sign that of r mod 4) for
+    t = logs[r] < n, with n the order of g or of 5; the non-units read n."""
+    for q in range(2, 3001):
+        factors = build_modulus(q).factorization.factors
+        if len(factors) != 1:
+            continue
+        (p, alpha), = factors
+        n, logs = residues._unit_logs(p, alpha)
+        g = 5 % q if p == 2 else logs.index(1)
+        assert multiplicative_order(g, q) == n, q
+        for r in range(q):
+            if r % p == 0:
+                assert logs[r] == n, (q, r)
+                continue
+            x = pow(g, logs[r], q)
+            assert logs[r] < n and (q - x if r % 4 == 3 and p == 2 else x) == r, (q, r)
+    residues._unit_logs.cache_clear()
+
+
 def test_near_cap_table_memory():
     """structure_table(999983) holds a few arrays of m entries: it peaks
     under 50 MiB (it took 418 MiB RSS with one OrderInfo per residue)."""
@@ -574,6 +595,7 @@ def test_sqrt_structure_walks_no_unit_group(monkeypatch):
         raise AssertionError(f"walked U({p}^{alpha})")
 
     monkeypatch.setattr(residues, "_unit_orders", no_walk)
+    monkeypatch.setattr(residues, "_unit_logs", no_walk)
     _clear_query_caches()
     assert sqrt_structure(999983, 1).roots == (1, 999982)
     assert sqrt_structure(3**4 * 5**2 * 7, 1).size_formula == 8
