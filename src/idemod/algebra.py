@@ -112,19 +112,15 @@ def basis_map(m: int) -> BasisMap:
     return BasisMap(idems.modulus, basis, sets)
 
 
-class LawReport(Record, frozen=False):
+class LawReport(Record):
     law: str
     passed: bool
-    counterexample: tuple | None = None
+    counterexample: tuple | None
 
 
-class AlgebraReport(Record, frozen=False):
+class AlgebraReport(Record):
     modulus: Modulus
-    laws: list[LawReport] = None
-
-    def __post_init__(self):
-        if self.laws is None:
-            self.laws = []  # a new list per report
+    laws: list[LawReport]
 
     @property
     def ok(self) -> bool:
@@ -300,8 +296,8 @@ def verify_algebra(m: int) -> AlgebraReport:
         "otimes-nary": otimes_nary(),
         "basis-map": basis_bijection(),
     }
-    report = AlgebraReport(idems.modulus)
+    reports = []
     for law, counterexamples in laws.items():
         witness = next(counterexamples, None)
-        report.laws.append(LawReport(law, witness is None, witness))
-    return report
+        reports.append(LawReport(law, witness is None, witness))
+    return AlgebraReport(idems.modulus, reports)

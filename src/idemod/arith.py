@@ -18,7 +18,7 @@ import math
 import os
 import random
 from collections.abc import Callable
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 DEFAULT_MAX_ENUM = 1_000_000
 
@@ -58,34 +58,27 @@ def check_enum(m: int) -> None:
 
 class Record:
     """A value record, the type of the package's results.  Its fields are the
-    class's annotations, in order, after those of the record it extends; a
-    field that is also a class attribute defaults to that value.  A record is
-    built from positional or keyword fields and then runs ``__post_init__``.
-    It equals only a record of its own class with equal fields, and prints
-    as ``Name(field=value, ...)``.  It is frozen, read-only and hashed by
-    value, unless its class is declared with ``frozen=False``: then it is
-    mutable and unhashable.
+    class's annotations, in order, after those of the record it extends, and
+    every one is required.  A record is built from positional or keyword
+    fields and then runs ``__post_init__``.  It equals only a record of its
+    own class with equal fields, prints as ``Name(field=value, ...)``, is
+    read-only and hashes like the tuple of its fields.
 
     Each record class's ``__init__`` is generated from a ``def`` when the
-    class is defined, as namedtuple's and dataclasses' are: one named
-    parameter per field, defaulting to the class attribute of that name.  It
-    stores the fields in field order, the order equality and hashing read
-    them in, with object.__setattr__ unless the record is mutable, and then
-    calls ``__post_init__`` if the class overrides it.  Writing into
-    __dict__ instead would be quicker to build but slower to read: on
-    CPython 3.11 an instance whose __dict__ was filled reads attributes up
-    to 3.6 times slower.  Each query starts a new process, so a constructor
-    built on first use would be compiled inside every query."""
+    class is defined, as namedtuple's and dataclasses' are: one parameter
+    per field, stored in field order (the order equality and hashing read
+    them in) with object.__setattr__, then a call of ``__post_init__`` if
+    the class overrides it.  Writing into __dict__ instead would be quicker
+    to build but slower to read: on CPython 3.11 an instance whose __dict__
+    was filled reads attributes up to 3.6 times slower.  Each query starts a
+    new process, so a constructor built on first use would be compiled
+    inside every query."""
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(f for f in cls.__annotations__ if f not in cls._fields)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
         if "__init__" not in cls.__dict__:
             cls.__init__ = _record_init(cls)
 
@@ -112,21 +105,15 @@ class Record:
 
 
 def _record_init(cls: type[Record]) -> Callable:
-    """The __init__ of a record class, generated from its fields (see Record).
-    A field after a defaulted one needs a default too."""
+    """The __init__ of a record class, generated from its fields (see Record)."""
     fields = cls._fields
-    params = ", ".join(f + "=None" if hasattr(cls, f) else f for f in fields)
-    lines = [f"def __init__(self, {params}):"]
-    if cls.__setattr__ is object.__setattr__:  # a mutable record
-        lines += [f"    self.{f} = {f}" for f in fields]
-    else:
-        lines += [f"    __set(self, {f!r}, {f})" for f in fields]
+    lines = [f"def __init__(self, {', '.join(fields)}):"]
+    lines += [f"    __set(self, {f!r}, {f})" for f in fields]
     if cls.__post_init__ is not Record.__post_init__:
         lines.append("    self.__post_init__()")
     namespace = {"__set": object.__setattr__}
     exec(compile("\n".join(lines), "<record>", "exec"), namespace)
     init = namespace["__init__"]
-    init.__defaults__ = tuple(getattr(cls, f) for f in fields if hasattr(cls, f))
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
 
@@ -357,10 +344,6 @@ def multiplicative_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
     return least_divisor(build_modulus(n).phi, lambda d: pow(a, d, n) == 1)
-
-
-def lcm_all(values) -> int:
-    return reduce(math.lcm, values, 1)
 
 
 def crt_combine(pairs: list[tuple[int, int]]) -> int:

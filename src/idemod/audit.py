@@ -19,7 +19,7 @@ import json
 import math
 from functools import cached_property, lru_cache
 
-from .arith import Record, build_modulus, canon, lcm_all
+from .arith import Record, build_modulus, canon
 from .idempotents import idem_class, index, order, signed_power
 from .oracle import oracle_idempotents, oracle_is_regular
 from .residues import (
@@ -74,17 +74,13 @@ class AuditFinding(Record):
         }
 
 
-class TheoremResult(Record, frozen=False):
+class TheoremResult(Record):
     theorem_id: str
     status: str  # "verified-on-range" | "counterexamples"
-    findings: list[AuditFinding] = None
-
-    def __post_init__(self):
-        if self.findings is None:
-            self.findings = []  # a new list per result
+    findings: list[AuditFinding]
 
 
-class AuditReport(Record, frozen=False):
+class AuditReport(Record):
     lo: int
     hi: int
     results: list[TheoremResult]
@@ -659,7 +655,7 @@ def check_rn23(m):
         if (a in c.Rset) != comp:
             yield {"a": a}, comp, a in c.Rset
         elif a in c.Rset:
-            expect = lcm_all(order(q, a).order for q in pps)
+            expect = math.lcm(*(order(q, a).order for q in pps))
             if order(m, a).order != expect:
                 yield {"a": a, "order": True}, expect, order(m, a).order
     formula = 1

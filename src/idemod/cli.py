@@ -4,6 +4,11 @@ All residue output uses the {1..m} convention: the value m denotes the zero
 class.  Sets print sorted ascending, comma-separated.  Exit codes: 0 for any
 completed query (including "unsolvable" answers), 2 for bad input, 3 when a
 requested enumeration exceeds the cap (IDEM_MAX_ENUM / --max-enum).
+
+The library's memos check the cap only on a miss, so each command that reads
+one checks m itself before its query, after any argument the library rejects
+first: an answer cached under a higher cap is refused under a lower one, as
+in a fresh process.
 """
 from __future__ import annotations
 
@@ -13,7 +18,13 @@ import sys
 from types import SimpleNamespace
 
 from .arith import EnumerationCapError, build_modulus, canon, check_enum
-from .idempotents import enumerate_idempotents, idem_class, order, tower_mod
+from .idempotents import (
+    enumerate_idempotents,
+    idem_class,
+    is_idempotent,
+    order,
+    tower_mod,
+)
 from .residues import classify, normal_set, orbit, regular_set
 from .congruence import gen_primitive_roots, omega_info, solve
 from .counting import (
@@ -117,6 +128,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sets(args) -> int:
     e = args.cls
+    if e is None or is_idempotent(args.m, e):  # else the query rejects e or m
+        check_enum(args.m)
     want_regular = args.regular or not args.normal
     want_normal = args.normal or not args.regular
     payload: dict = {"m": args.m}
@@ -167,6 +180,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    check_enum(args.m)
     info = omega_info(args.m, args.a)
     payload = {
         "m": args.m,
@@ -183,6 +197,7 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_gproots(args) -> int:
+    check_enum(args.m)
     gs = gen_primitive_roots(args.m)
     payload = {"m": args.m, "gproots": gs}
     return _emit(args, payload, lambda: [_fmt_set(gs)])
@@ -191,6 +206,8 @@ def _cmd_gproots(args) -> int:
 def _cmd_counts(args) -> int:
     mod = build_modulus(args.m)
     e = canon(args.e, args.m)
+    if args.k >= 1 and is_idempotent(args.m, e):  # else r_count rejects them
+        check_enum(args.m)
     r = r_count(args.m, e, args.k)
     rho = rho_count(args.m, e, args.k)
     union = orbit_union_size(args.m, e, args.k)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import reduce
 
 from .arith import Modulus, Record, build_modulus, canon, check_enum, valuation
 from .residues import _powers, class_members, order_table
@@ -107,56 +106,45 @@ def classify_function(f: Callable[[int], int], n: int) -> FunctionClassification
     if n < 1:
         raise ValueError(f"bound n must be >= 1, got {n}")
     check_enum(n)
-    vals = {x: f(x) for x in range(1, n + 1)}
-    witnesses: dict[str, tuple] = {}
+    vals = [None, *map(f, range(1, n + 1))]
 
-    is_m = True
-    for a in range(1, n + 1):
-        for b in range(a, n // a + 1):
-            if math.gcd(a, b) == 1 and vals[a * b] != vals[a] * vals[b]:
-                is_m = False
-                witnesses["M"] = (a, b, vals[a * b], vals[a] * vals[b])
-                break
-        if not is_m:
-            break
+    def multiplicative():
+        for a in range(1, n + 1):
+            for b in range(a, n // a + 1):
+                if math.gcd(a, b) == 1 and vals[a * b] != vals[a] * vals[b]:
+                    yield a, b, vals[a * b], vals[a] * vals[b]
 
-    is_qm = True
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            l = math.lcm(a, b)
-            if l <= n and vals[l] != math.lcm(vals[a], vals[b]):
-                is_qm = False
-                witnesses["QM"] = (a, b, vals[l], math.lcm(vals[a], vals[b]))
-                break
-        if not is_qm:
-            break
+    def quasimultiplicative():
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                l = math.lcm(a, b)
+                if l <= n and vals[l] != math.lcm(vals[a], vals[b]):
+                    yield a, b, vals[l], math.lcm(vals[a], vals[b])
 
-    is_di = True
-    for a in range(1, n + 1):
-        for b in range(a, n + 1, a):
-            if vals[b] % vals[a] != 0:
-                is_di = False
-                witnesses["DI"] = (a, b, vals[a], vals[b])
-                break
-        if not is_di:
-            break
+    def division_invariant():
+        for a in range(1, n + 1):
+            for b in range(a, n + 1, a):
+                if vals[b] % vals[a] != 0:
+                    yield a, b, vals[a], vals[b]
 
-    is_di_pp = True
-    for q in _primes_upto(n):
-        chain = []
-        pw = q
-        while pw <= n:
-            chain.append(pw)
-            pw *= q
-        for lo, hi in zip(chain, chain[1:]):
-            if vals[hi] % vals[lo] != 0:
-                is_di_pp = False
-                witnesses["DIpp"] = (lo, hi, vals[lo], vals[hi])
-                break
-        if not is_di_pp:
-            break
+    def prime_power_division_invariant():
+        for q in _primes_upto(n):
+            lo = q
+            while lo * q <= n:
+                if vals[lo * q] % vals[lo] != 0:
+                    yield lo, lo * q, vals[lo], vals[lo * q]
+                lo *= q
 
-    return FunctionClassification(n, is_m, is_qm, is_di, is_di_pp, witnesses)
+    searches = {
+        "M": multiplicative(),
+        "QM": quasimultiplicative(),
+        "DI": division_invariant(),
+        "DIpp": prime_power_division_invariant(),
+    }
+    first = {label: next(search, None) for label, search in searches.items()}
+    witnesses = {label: w for label, w in first.items() if w is not None}
+    return FunctionClassification(
+        n, *(label not in witnesses for label in searches), witnesses)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -177,7 +165,7 @@ def lcm_lift(g: Callable[[int], int], n: int) -> int:
     if n < 1:
         raise ValueError(f"need a positive argument, got {n}")
     fact = build_modulus(n).factorization
-    return reduce(math.lcm, (g(p**a) for p, a in fact.factors), 1)
+    return math.lcm(*(g(p**a) for p, a in fact.factors))
 
 
 # Named corpus for the CLI classifier; gcd:<b> binds the second argument.

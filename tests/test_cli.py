@@ -301,6 +301,20 @@ def test_a_query_start_imports_no_typing():
     assert res.returncode == 0, res.stderr or "a query start imported typing"
 
 
+@pytest.mark.parametrize("argv", [
+    ("gproots", "50"),
+    ("counts", "50", "1", "2"),
+    ("omega", "50", "3"),
+    ("sets", "50", "--class", "1", "--regular"),
+])
+def test_a_held_answer_does_not_lift_the_cap(capsys, argv):
+    """The library's memos check the cap only on a miss, so a query answered
+    once is refused under a lower cap all the same, as in a fresh process."""
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, "--max-enum", "10", *argv)
+    assert code == 3 and not out and "cap" in err
+
+
 def test_max_enum_does_not_outlive_the_call(capsys):
     assert run(capsys, "--max-enum", "10", "idempotents", "50")[0] == 3
     code, out, _ = run(capsys, "idempotents", "50")

@@ -97,6 +97,43 @@ def test_classifier_witnesses_are_counterexamples():
     assert got != want
 
 
+# (function, n) -> (is_m, is_qm, is_di, is_di_pp, witnesses) for the
+# corpus the audit classifies, at bounds on both sides of its first
+# counterexamples; every other pair classifies as all True with none.
+_CLASSIFIER_GOLDEN = {
+    **{("phi", n): (True, False, True, True, {"QM": (3, 4, 4, 2)})
+       for n in (30, 120, 300)},
+    **{("psi", n): (False, True, True, True, {"M": (3, 4, 2, 4)})
+       for n in (30, 120, 300)},
+}
+
+
+@pytest.mark.parametrize("name", _audit._FS_CORPUS)
+def test_classifier_golden_values(name):
+    for n in (1, 2, 7, 30, 120, 300):
+        cls = classify_function(builtin_function(name), n)
+        got = (cls.is_m, cls.is_qm, cls.is_di, cls.is_di_pp, cls.witnesses)
+        assert cls.domain_bound == n
+        assert got == _CLASSIFIER_GOLDEN.get((name, n), (True,) * 4 + ({},))
+
+
+@pytest.mark.parametrize("f, witnesses", [
+    (lambda x: x // 2 + 1, [("M", (3, 4, 7, 6)), ("QM", (2, 3, 4, 2)),
+                            ("DI", (2, 4, 2, 3)), ("DIpp", (2, 4, 2, 3))]),
+    (lambda x: 2 ** (x % 5), [("M", (1, 1, 2, 4)), ("QM", (1, 5, 1, 2)),
+                              ("DI", (1, 5, 2, 1)), ("DIpp", (4, 8, 16, 8))]),
+    (lambda x: x if x % 11 else 1, [("M", (2, 11, 1, 2)), ("QM", (2, 11, 1, 2)),
+                                    ("DI", (2, 22, 2, 1))]),
+], ids=["half", "pow2", "skip11"])
+def test_classifier_first_witness_per_label(f, witnesses):
+    """Each search reports the first counterexample in its scan order, and
+    the labels come in the order M, QM, DI, DIpp."""
+    cls = classify_function(f, 60)
+    assert list(cls.witnesses.items()) == witnesses
+    assert [cls.is_m, cls.is_qm, cls.is_di, cls.is_di_pp] == [
+        label not in cls.witnesses for label in ("M", "QM", "DI", "DIpp")]
+
+
 def test_classifier_domain_counts_against_the_cap():
     """The classifier tabulates f on all of 1..n, so n is checked against
     the enumeration cap before f is called once."""
