@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import types
 from collections.abc import Callable
 from functools import lru_cache
 
@@ -72,7 +73,8 @@ class Record:
     to build but slower to read: on CPython 3.11 an instance whose __dict__
     was filled reads attributes up to 3.6 times slower.  Each query starts a
     new process, so a constructor built on first use would be compiled
-    inside every query."""
+    inside every query, and each class's is a copy of one compiled template
+    per field count, with its own names."""
 
     _fields: tuple[str, ...] = ()
 
@@ -105,17 +107,38 @@ class Record:
 
 
 def _record_init(cls: type[Record]) -> Callable:
-    """The __init__ of a record class, generated from its fields (see Record)."""
+    """The __init__ of a record class, generated from its fields (see
+    Record): the template for its number of fields, with its field names
+    put in for the template's placeholder names and strings."""
     fields = cls._fields
-    lines = [f"def __init__(self, {', '.join(fields)}):"]
-    lines += [f"    __set(self, {f!r}, {f})" for f in fields]
-    if cls.__post_init__ is not Record.__post_init__:
+    template = _init_template(
+        len(fields), cls.__post_init__ is not Record.__post_init__)
+    code = template.__code__
+    names = {f"_{i}": f for i, f in enumerate(fields)}
+    code = code.replace(
+        co_varnames=tuple(names.get(v, v) for v in code.co_varnames),
+        co_consts=tuple(
+            names.get(c, c) if isinstance(c, str) else c for c in code.co_consts
+        ),
+    )
+    init = types.FunctionType(code, template.__globals__, "__init__")
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+@lru_cache(maxsize=None)
+def _init_template(n: int, post_init: bool) -> Callable:
+    """A record __init__ over the fields _0, ..., _(n-1), compiled once per
+    field count, and not once per record class."""
+    params = [f"_{i}" for i in range(n)]
+    # pass: a record with no fields still needs a body.
+    lines = [f"def __init__(self, {', '.join(params)}):", "    pass"]
+    lines += [f"    __set(self, {f!r}, {f})" for f in params]
+    if post_init:
         lines.append("    self.__post_init__()")
     namespace = {"__set": object.__setattr__}
     exec(compile("\n".join(lines), "<record>", "exec"), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    return namespace["__init__"]
 
 
 class Factorization(Record):

@@ -21,7 +21,13 @@ from functools import cached_property, lru_cache
 
 from .arith import Record, build_modulus, canon
 from .idempotents import idem_class, index, order, signed_power
-from .oracle import oracle_idempotents, oracle_is_regular
+from .oracle import (
+    oracle_idempotents,
+    oracle_is_regular,
+    oracle_r_count,
+    oracle_rho_count,
+    oracle_union_size,
+)
 from .residues import (
     class_product,
     is_normal,
@@ -44,10 +50,7 @@ from .counting import (
     builtin_function,
     classify_function,
     lcm_lift,
-    orbit_union_size,
-    r_count,
     rho_closed_form,
-    rho_count,
     rho_prime_power,
 )
 from .algebra import verify_algebra
@@ -1172,28 +1175,28 @@ def check_omega_phi_cyclic(m):
 def check_fs02(m):
     c = _ctx(m)
     phi = c.mod.phi
+    r, rho = oracle_r_count, oracle_rho_count
     for e in c.E:
         mue = mu(m, e)
         for k in range(1, min(phi, 30) + 1):
-            if r_count(m, e, k) != r_count(mue, canon(1, mue), k):
-                yield {"e": e, "k": k}, r_count(mue, canon(1, mue), k), r_count(m, e, k)
-            if rho_count(m, e, k) != rho_count(mue, canon(1, mue), k):
+            if r(m, e, k) != r(mue, canon(1, mue), k):
+                yield {"e": e, "k": k}, r(mue, canon(1, mue), k), r(m, e, k)
+            if rho(m, e, k) != rho(mue, canon(1, mue), k):
                 yield ({"e": e, "k": k, "rho": True},
-                       rho_count(mue, canon(1, mue), k), rho_count(m, e, k))
+                       rho(mue, canon(1, mue), k), rho(m, e, k))
     if c.mod.weakly_even:
         one = canon(1, m)
         for k1 in range(1, min(phi, 30) + 1):
             for k2 in range(k1, min(phi, 30) + 1):
                 if math.gcd(k1, k2) != 1 or k1 * k2 > phi:
                     continue
-                if r_count(m, one, k1 * k2) != r_count(m, one, k1) * r_count(m, one, k2):
+                if r(m, one, k1 * k2) != r(m, one, k1) * r(m, one, k2):
                     yield ({"k1": k1, "k2": k2, "mult": "r"},
-                           r_count(m, one, k1) * r_count(m, one, k2),
-                           r_count(m, one, k1 * k2))
-                if rho_count(m, one, k1 * k2) != rho_count(m, one, k1) * rho_count(m, one, k2):
+                           r(m, one, k1) * r(m, one, k2), r(m, one, k1 * k2))
+                if rho(m, one, k1 * k2) != rho(m, one, k1) * rho(m, one, k2):
                     yield ({"k1": k1, "k2": k2, "mult": "rho"},
-                           rho_count(m, one, k1) * rho_count(m, one, k2),
-                           rho_count(m, one, k1 * k2))
+                           rho(m, one, k1) * rho(m, one, k2),
+                           rho(m, one, k1 * k2))
 
 
 @claim
@@ -1202,25 +1205,26 @@ def check_fs03(m):
     if not c.mod.weakly_even:
         return
     one = canon(1, m)
+    r, rho = oracle_r_count, oracle_rho_count
     for q in (2, 3, 5, 7, 11, 13):
         beta = 1
         while c.mod.psi % q**beta == 0:
             rho_f = rho_prime_power(m, q, beta)
-            if rho_f != rho_count(m, one, q**beta):
-                yield {"q": q, "beta": beta}, rho_count(m, one, q**beta), rho_f
-            prev = rho_count(m, one, q ** (beta - 1)) if beta > 1 else 1
-            if r_count(m, one, q**beta) != rho_f - prev:
+            if rho_f != rho(m, one, q**beta):
+                yield {"q": q, "beta": beta}, rho(m, one, q**beta), rho_f
+            prev = rho(m, one, q ** (beta - 1)) if beta > 1 else 1
+            if r(m, one, q**beta) != rho_f - prev:
                 yield ({"q": q, "beta": beta, "r": True},
-                       rho_f - prev, r_count(m, one, q**beta))
+                       rho_f - prev, r(m, one, q**beta))
             beta += 1
     delta_count = sum(
         1 for p, al in c.mod.factorization.factors
         if (p ** (al - 1) * (p - 1)) % 2 == 0
     )
     if c.mod.psi % 2 == 0:
-        if r_count(m, one, 2) != 2**delta_count - 1:
+        if r(m, one, 2) != 2**delta_count - 1:
             yield ({"q": 2, "beta": 1, "rq": True},
-                   2**delta_count - 1, r_count(m, one, 2))
+                   2**delta_count - 1, r(m, one, 2))
 
 
 @claim
@@ -1230,8 +1234,8 @@ def check_fs04(m):
         return
     one = canon(1, m)
     for k in range(1, min(2 * c.mod.phi, 60) + 1):
-        if rho_closed_form(m, k) != rho_count(m, one, k):
-            yield {"k": k}, rho_count(m, one, k), rho_closed_form(m, k)
+        if rho_closed_form(m, k) != oracle_rho_count(m, one, k):
+            yield {"k": k}, oracle_rho_count(m, one, k), rho_closed_form(m, k)
 
 
 @claim
@@ -1239,9 +1243,10 @@ def check_fs05(m):
     c = _ctx(m)
     for e in c.E:
         for k in range(1, c.mod.phi + 1):
-            res = orbit_union_size(m, e, k)
-            if res.true_size != res.formula_value:
-                yield {"e": e, "k": k}, res.formula_value, res.true_size
+            size = oracle_union_size(m, e, k)
+            formula = k * oracle_r_count(m, e, k) // build_modulus(k).phi
+            if size != formula:
+                yield {"e": e, "k": k}, formula, size
 
 
 @claim
@@ -1255,9 +1260,9 @@ def check_fs06(m):
             for k2 in range(k1, min(phi, 24) + 1):
                 if math.gcd(k1, k2) != 1 or k1 * k2 > phi:
                     continue
-                u12 = orbit_union_size(m, e, k1 * k2).true_size
-                u1 = orbit_union_size(m, e, k1).true_size
-                u2 = orbit_union_size(m, e, k2).true_size
+                u12 = oracle_union_size(m, e, k1 * k2)
+                u1 = oracle_union_size(m, e, k1)
+                u2 = oracle_union_size(m, e, k2)
                 if u12 != u1 * u2:
                     yield {"e": e, "k1": k1, "k2": k2}, u1 * u2, u12
 
@@ -1319,7 +1324,8 @@ def check_fs12(m):
     if not c.mod.weakly_even:
         return
     for e in c.E:
-        vals = {k: rho_count(m, e, k) for k in range(1, min(2 * c.mod.phi, 48) + 1)}
+        vals = {k: oracle_rho_count(m, e, k)
+                for k in range(1, min(2 * c.mod.phi, 48) + 1)}
         for k1 in vals:
             for k2 in range(2 * k1, max(vals) + 1, k1):
                 if vals[k2] % vals[k1] != 0:

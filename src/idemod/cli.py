@@ -5,8 +5,10 @@ class.  Sets print sorted ascending, comma-separated.  Exit codes: 0 for any
 completed query (including "unsolvable" answers), 2 for bad input, 3 when a
 requested enumeration exceeds the cap (IDEM_MAX_ENUM / --max-enum).
 
-The library's memos check the cap only on a miss, so each command that reads
-one checks m itself before its query, after any argument the library rejects
+counts reads no table and answers on any modulus.  solve is priced by its
+answer: it refuses only when its roots outnumber the cap.  The library's
+memos check the cap only on a miss, so each other command that reads one
+checks m itself before its query, after any argument the library rejects
 first: an answer cached under a higher cap is refused under a lower one, as
 in a fresh process.
 """
@@ -206,8 +208,6 @@ def _cmd_gproots(args) -> int:
 def _cmd_counts(args) -> int:
     mod = build_modulus(args.m)
     e = canon(args.e, args.m)
-    if args.k >= 1 and is_idempotent(args.m, e):  # else r_count rejects them
-        check_enum(args.m)
     r = r_count(args.m, e, args.k)
     rho = rho_count(args.m, e, args.k)
     union = orbit_union_size(args.m, e, args.k)
@@ -391,7 +391,9 @@ def _ints(*names):
 _GLOBAL_FLAGS = {
     "--json": {"action": "store_true", "help": "structured output"},
     "--max-enum": {"type": int, "metavar": "N",
-                   "help": "override the enumeration cap (IDEM_MAX_ENUM)"},
+                   "help": "override the enumeration cap (IDEM_MAX_ENUM); "
+                   "counts answers on any modulus, and solve counts its "
+                   "roots against the cap"},
 }
 
 # Each command's handler and the add_argument calls of its subparser, in the

@@ -1,5 +1,28 @@
-"""Solvability of x^k = a (mod m): exhaustive solving, the idempotent-power
-criterion for regular a, the omega invariant, and generalized primitive roots.
+"""Solvability of x^k = a (mod m): the roots by prime power, the
+idempotent-power criterion for regular a, the omega invariant, and
+generalized primitive roots.
+
+solve scans no residues.  The roots modulo m are the CRT products of the
+roots modulo each prime power p^alpha of m, of a_p = a mod p^alpha:
+- a_p = 0: the multiples of p^ceil(alpha/k), since x^k = 0 exactly when
+  k v_p(x) >= alpha.
+- a_p = p^v u, 0 < v < alpha, u a unit: a root has k v_p(x) = v, so there
+  is none unless k | v, and then x = p^(v/k) y with y^k = u modulo
+  p^(alpha-v); each such y, taken modulo p^(alpha-v/k), gives p^(v-v/k)
+  roots.
+- a_p a unit: U(p^alpha) is a product of cyclic factors
+  (residues._unit_group), and x^k = a_p splits into one equation per
+  factor on a_p's component.  In a cyclic group of order n, y is a k-th
+  power exactly when y^(n/g) = 1, g = (k, n), and then it has g roots:
+  one found as _cyclic_root describes (Adleman, Manders and Miller 1977),
+  once per prime of g, with a non-residue found by trial and no primes of
+  p - 1, times the g-th roots of unity.  For 2^alpha the factors are <-1>
+  and <5>, whose generators are known, and the log of a unit's 5-part is
+  read one bit at a time.
+The number of roots is the product of the local counts, so the answer is
+priced before it is listed.  A root is regular exactly when each component
+is 0 or a unit, so the regular roots join those local roots only.
+oracle.oracle_solve scans.
 
 omega_m(a) is the largest order among regular residues whose orbit contains
 a.  The solvability criterion for regular a reads: x^k = a is solvable iff
@@ -36,12 +59,14 @@ from functools import lru_cache
 from itertools import compress
 
 from .arith import (
+    EnumerationCapError,
     Modulus,
     Record,
     build_modulus,
     canon,
     canonicalize,
     check_enum,
+    max_enum,
     valuation,
 )
 from .idempotents import is_idempotent
@@ -51,6 +76,7 @@ from .residues import (
     _orbit_mask,
     _regular_order,
     _typecode,
+    _unit_group,
     _unit_logs,
     class_members,
     is_regular,
@@ -135,21 +161,18 @@ def _omega(mod: Modulus, a: int, n: int) -> int:
 
 def _carmichael(p: int, alpha: int) -> int:
     """lambda(p^alpha), the exponent of U(p^alpha)."""
-    if p == 2 and alpha >= 3:
-        return 2 ** (alpha - 2)
-    return p ** (alpha - 1) * (p - 1)
+    return math.lcm(*_unit_group(p, alpha).orders)
 
 
 def _is_power(x: int, p: int, alpha: int, q: int, h: int) -> bool:
-    """Whether the unit x is a q^h-th power modulo p^alpha, for h >= 1.
-    U(p^alpha) is cyclic of order phi for odd p, where that holds exactly
-    when x^(phi/(phi, q^h)) = 1.  U(2^alpha) = {+-5^k} is a 2-group, all of
-    it q^h-th powers for odd q, and its 2^h-th powers are the units
-    = 1 (mod 2^(h+2)), only 1 once h + 2 >= alpha."""
-    if p == 2:
-        return q != 2 or x % 2 ** min(h + 2, alpha) == 1
-    phi = p ** (alpha - 1) * (p - 1)
-    return pow(x, phi // math.gcd(phi, q**h), p**alpha) == 1
+    """Whether the unit x is a q^h-th power modulo p^alpha, for h >= 1: in
+    each cyclic factor of order n, that its component y has
+    y^(n/(n, q^h)) = 1."""
+    group = _unit_group(p, alpha)
+    return all(
+        pow(y, n // math.gcd(n, q**h), group.q) == 1
+        for y, n in zip(group.split(x % group.q), group.orders)
+    )
 
 
 def solvable_bc01(m: int, k: int, a: int) -> bool:
@@ -165,18 +188,151 @@ def solvable_bc01(m: int, k: int, a: int) -> bool:
 
 
 def solve(m: int, k: int, a: int) -> CongruenceSolution:
-    """Exhaustive solution set of x^k = a, with the regular subset and, for
-    regular a, the criterion verdict alongside."""
-    check_enum(m)
+    """The solution set of x^k = a, with the regular subset and, for
+    regular a, the criterion verdict alongside.  Each prime power p^alpha
+    of m gives its local roots (see the module docstring); the answer is
+    priced by the product of their counts, which is refused over the cap
+    before anything is listed, and is then joined by CRT."""
+    a = canonicalize(a, m)
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    a = canon(a, m)
-    sols = tuple(x for x in range(1, m + 1) if pow(x, k, m) == a % m)
-    regs = tuple(x for x in sols if is_regular(m, x))
+    factors = build_modulus(m).factorization.factors
+    local = [_local_roots(p, alpha, k, a) for p, alpha in factors]
+    cap = max_enum()
+    if math.prod(count for count, _ in local) > cap:
+        raise EnumerationCapError(m, cap)
+    roots = [list(listing()) for _, listing in local]
+    # x is regular exactly when each component is 0 or a unit.
+    regular = [
+        [x for x in xs if x == 0 or x % p] for xs, (p, _) in zip(roots, factors)
+    ]
+    qs = [p**alpha for p, alpha in factors]
+    sols = _crt_join(m, qs, roots)
     verdict = solvable_bc01(m, k, a) if is_regular(m, a) else None
     return CongruenceSolution(
-        build_modulus(m), k, a, sols, regs, bool(sols), verdict
+        build_modulus(m), k, a, sols, _crt_join(m, qs, regular), bool(sols),
+        verdict,
     )
+
+
+def _crt_join(m: int, qs: list[int], parts: list[list[int]]) -> tuple[int, ...]:
+    """The x in 1..m, ascending, whose residue modulo each q of qs lies in
+    its part: sums of one term per part, each term 1 modulo its q and 0
+    modulo the others."""
+    out = [0]
+    for q, xs in zip(qs, parts):
+        unit = m // q * pow(m // q, -1, q) % m
+        out = [(s + x * unit) % m for s in out for x in xs]
+    return tuple(sorted(x or m for x in out))
+
+
+def _local_roots(p: int, alpha: int, k: int, a: int):
+    """(count, listing) for x^k = a (mod p^alpha): the number of roots x in
+    0..p^alpha - 1, and a function that lists them."""
+    q = p**alpha
+    a %= q
+    if not a:
+        step = p ** -(-alpha // k)
+        return q // step, lambda: range(0, q, step)
+    v = valuation(a, p)
+    if v:
+        if v % k:
+            return 0, list
+        low, lifts = p ** (alpha - v), p ** (v - v // k)
+        count, listing = _local_roots(p, alpha - v, k, a // p**v)
+        return count * lifts, lambda: [
+            p ** (v // k) * (y + j * low) for y in listing() for j in range(lifts)
+        ]
+    group = _unit_group(p, alpha)
+    parts = [
+        (y, n, gen, math.gcd(k, n))
+        for y, n, gen in zip(group.split(a), group.orders, group.generators)
+    ]
+    if any(pow(y, n // g, q) != 1 for y, n, _, g in parts):
+        return 0, list
+    return math.prod(g for *_, g in parts), lambda: _unit_roots(k, q, parts)
+
+
+def _unit_roots(k: int, q: int, parts) -> list[int]:
+    """The roots of x^k = a in U(q), from a's components in the cyclic
+    factors: one root and the k-th roots of unity per factor."""
+    roots = [1]
+    for y, n, gen, g in parts:
+        x, zeta = _cyclic_root(y, k, n, g, gen, q)
+        twists = [x]
+        for _ in range(g - 1):
+            twists.append(twists[-1] * zeta % q)
+        roots = [r * t % q for r in roots for t in twists]
+    return roots
+
+
+def _cyclic_root(y: int, k: int, n: int, g: int, gen: int, P: int):
+    """(x, zeta) for a k-th power y of a cyclic group C of units modulo P,
+    of order n and generated by gen (or all of U(P) when gen is 0), with
+    g = (k, n): one root x of x^k = y in C, and a generator zeta of C's
+    k-th roots of unity, which number g.
+
+    x^k = y is (x^g)^(k/g) = y, and k/g is prime to n/g, which y's order
+    divides: so y' = y^((k/g)^-1 mod n/g) leaves x^g = y' to solve.  Split
+    n = n_g * t, n_g holding the primes of g.  x0 = y'^(g^-1 mod t) leaves
+    y' / x0^g of order dividing n_g; its component in the Sylow q-subgroup
+    is a q^e-th power there (q^e || g), and the subgroup is cyclic,
+    generated by gamma = c^(n/q^s) (q^s || n) for any c with c^(n/q) != 1.
+    One q^e-th root of that component, read off its log to the base gamma,
+    fixes x's q-part (Adleman, Manders and Miller 1977)."""
+    y = pow(y, pow(k // g, -1, n // g), P)
+    primes = build_modulus(g).factorization.factors
+    t = n
+    for q, _ in primes:
+        t //= q ** valuation(n, q)
+    x = pow(y, pow(g, -1, t), P)
+    rest = y * pow(x, -g, P) % P
+    zeta = 1
+    for q, e in primes:
+        qs = q ** valuation(n, q)
+        gamma = pow(gen or _nonresidue(q, n, P), n // qs, P)
+        # The projection onto the Sylow q-subgroup, a power of rest.
+        other = n // t // qs
+        part = pow(rest, other * pow(other, -1, qs), P)
+        root = pow(gamma, _sylow_log(part, gamma, q, qs, P) // q**e, P)
+        x = x * pow(root, pow(g // q**e, -1, qs), P) % P
+        zeta = zeta * pow(gamma, qs // q**e, P) % P
+    return x, zeta
+
+
+def _nonresidue(q: int, n: int, P: int) -> int:
+    """The least c prime to P with c^(n/q) != 1 (mod P), for U(P) cyclic of
+    order n and q a prime of n: a q-th power non-residue, by trial."""
+    c = 2
+    while math.gcd(c, P) != 1 or pow(c, n // q, P) == 1:
+        c += 1
+    return c
+
+
+def _sylow_log(x: int, gamma: int, q: int, qs: int, P: int) -> int:
+    """The l in 0..qs-1 with gamma^l = x (mod P), for gamma of order qs, a
+    power of the prime q: l's base-q digits one at a time, the i-th the log
+    of (x / gamma^(l mod q^i))^(qs/q^(i+1)) to the base zeta = gamma^(qs/q),
+    of order q, by baby steps and giant steps (Pohlig and Hellman 1978)."""
+    zeta = pow(gamma, qs // q, P)
+    steps = math.isqrt(q - 1) + 1
+    baby = {}
+    z = 1
+    for j in range(steps):
+        baby.setdefault(z, j)
+        z = z * zeta % P
+    giant = pow(z, -1, P)
+    inverse = pow(gamma, -1, P)
+    l, place = 0, 1
+    while place < qs:
+        w = pow(x * pow(inverse, l, P) % P, qs // (place * q), P)
+        i = 0
+        while w not in baby:
+            w = w * giant % P
+            i += 1
+        l += (i * steps + baby[w]) * place
+        place *= q
+    return l
 
 
 @lru_cache(maxsize=None)
@@ -227,10 +383,7 @@ def gen_primitive_roots(m: int) -> tuple[int, ...]:
 
 def _primes(p: int, alpha: int) -> list[int]:
     """The primes of lambda(p^alpha)."""
-    if p == 2:
-        return [2] if alpha >= 2 else []
-    qs = [r for r, _ in build_modulus(p - 1).factorization.factors]
-    return qs + [p] if alpha >= 2 else qs
+    return [r for r, _ in build_modulus(_carmichael(p, alpha)).factorization.factors]
 
 
 def omega_set(m: int, a: int) -> tuple[int, ...]:

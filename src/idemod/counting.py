@@ -3,6 +3,37 @@
 r_m^e(k) counts the elements of R_m^e of order exactly k; rho_m^e(k) counts
 those of order dividing k.  For weakly even m (2-part at most 4) both have
 closed forms through the totients of the prime-power divisors.
+
+All three counts are products over the cyclic factors of the class group,
+with no table and no scan of the residues.  R_m^e is isomorphic to U(m/z),
+z = gcd(e, m), the product of the U(p^alpha) of the prime powers of m on
+which e is 1; residues._unit_group gives each one's cyclic factor orders
+(phi for odd p; 2 and 2^(alpha-2) for 2^alpha, alpha >= 3).  Let n_i be
+all of them.  The x with x^k = 1 in a cyclic group of order n number
+(k, n), so rho(k) = prod (k, n_i).  Moebius inversion gives
+r(k) = sum over d | k of mu(k/d) rho(d), and the sum factors over the
+primes of k: an element has order k exactly when its component in each
+Sylow q-subgroup G_q has order q^j, q^j || k (and 1 in the others), so
+r(k) is the product over the q^j || k of rho(q^j) - rho(q^(j-1)), and 0
+when k does not divide the exponent lcm(n_i).
+
+orbit_union_size counts orb(kR_m^e), the union of the orbits <x> of the x
+of order k.  It is 0 when r(k) = 0.  Otherwise, since <x> is the product
+of the <x_q>, and x has order k exactly when each x_q has order q^j, a y
+lies in the union exactly when each y_q lies in a cyclic subgroup of G_q
+of order q^j: the size is the product over the q^j || k of U_q, the
+number of such y_q in G_q.  Claim: a y of order q^i, 1 <= i <= j, lies in
+a cyclic subgroup of order q^j exactly when y is a q^(j-i)-th power in
+G_q.  If y is in <w>, |w| = q^j, then y lies in the one subgroup of <w>
+of order q^i, generated by w^(q^(j-i)), so y = (w^c)^(q^(j-i)).
+Conversely if y = w^(q^(j-i)) with |w| = q^a, then y has order
+q^(a-(j-i)) when a >= j - i and 1 otherwise; as i >= 1, a = j, and y is
+in <w>.  So U_q = 1 + sum over i = 1..j of the number of elements of
+order q^i in H = q^(j-i) G_q.  With G_q the product of cyclic groups of
+order q^v_q(n_t), H is the product of those of order q^f_t,
+f_t = max(v_q(n_t) - (j - i), 0); its elements with x^(q^i) = 1 number
+prod q^min(i, f_t), and those of order q^i are these less the ones with
+x^(q^(i-1)) = 1.  oracle.oracle_union_size walks the orbits.
 """
 from __future__ import annotations
 
@@ -10,25 +41,49 @@ import math
 from collections.abc import Callable
 
 from .arith import Modulus, Record, build_modulus, canon, check_enum, valuation
-from .residues import _powers, class_members, order_table
+from .idempotents import is_idempotent
+from .residues import _unit_group
 
 
 def r_count(m: int, e: int, k: int) -> int:
-    """Number of a in R_m^e with |a|_m = k."""
-    if k < 1:
-        raise ValueError(f"order k must be >= 1, got {k}")
-    members = class_members(m, e)  # checks e, and m against the cap
-    orders = order_table(m)
-    return sum(1 for a in members if orders[a] == k)
+    """Number of a in R_m^e with |a|_m = k: the product, over the q^j || k,
+    of rho(q^j) - rho(q^(j-1)), and 0 when k does not divide the exponent
+    of R_m^e."""
+    return _r(_class_orders(m, e, k), k)
 
 
 def rho_count(m: int, e: int, k: int) -> int:
-    """Number of a in R_m^e with |a|_m dividing k."""
+    """Number of a in R_m^e with |a|_m dividing k: prod of (k, n_i)."""
+    return _rho(_class_orders(m, e, k), k)
+
+
+def _rho(orders: list[int], k: int) -> int:
+    return math.prod(math.gcd(k, n) for n in orders)
+
+
+def _r(orders: list[int], k: int) -> int:
+    if math.lcm(*orders) % k:
+        return 0
+    return math.prod(
+        _rho(orders, q**j) - _rho(orders, q ** (j - 1))
+        for q, j in build_modulus(k).factorization.factors
+    )
+
+
+def _class_orders(m: int, e: int, k: int) -> list[int]:
+    """The cyclic factor orders of R_m^e = U(m/z): those of the U(p^alpha)
+    of m on which e is a unit, i.e. 1.  It rejects a k below 1 first, and
+    then an e that is not idempotent, for each count."""
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
-    members = class_members(m, e)  # checks e, and m against the cap
-    orders = order_table(m)
-    return sum(1 for a in members if k % orders[a] == 0)
+    if not is_idempotent(m, e):
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    return [
+        n
+        for p, alpha in build_modulus(m).factorization.factors
+        if e % p
+        for n in _unit_group(p, alpha).orders
+    ]
 
 
 def rho_closed_form(m: int, k: int) -> int:
@@ -73,20 +128,30 @@ class OrbitUnionSize(Record):
 
 
 def orbit_union_size(m: int, e: int, k: int) -> OrbitUnionSize:
-    if k < 1:
-        raise ValueError(f"order k must be >= 1, got {k}")
-    members = class_members(m, e)  # checks e, and m against the cap
-    orders = order_table(m)
-    union: set[int] = set()
-    count = 0
-    for a in members:
-        if orders[a] == k:
-            union |= _powers(m, a, k)
-            count += 1
-    return OrbitUnionSize(
-        build_modulus(m), canon(e, m), k, len(union),
-        k * count // build_modulus(k).phi,
-    )
+    """|orb(kR_m^e)|: 0 when no member has order k, and otherwise the
+    product over the q^j || k of the U_q of the module docstring."""
+    orders = _class_orders(m, e, k)
+    r = _r(orders, k)
+    size = 0
+    if r:
+        size = math.prod(
+            _sylow_union(orders, q, j)
+            for q, j in build_modulus(k).factorization.factors
+        )
+    formula = k * r // build_modulus(k).phi if r else 0
+    return OrbitUnionSize(build_modulus(m), canon(e, m), k, size, formula)
+
+
+def _sylow_union(orders: list[int], q: int, j: int) -> int:
+    """The number of x in the Sylow q-subgroup that lie in a cyclic
+    subgroup of order q^j: 1, and for each i in 1..j those of order q^i in
+    q^(j-i) G_q, a product of cyclic groups of orders q^f_t."""
+    vs = [valuation(n, q) for n in orders]
+    size = 1
+    for i in range(1, j + 1):
+        fs = [max(v - (j - i), 0) for v in vs]
+        size += q ** sum(min(i, f) for f in fs) - q ** sum(min(i - 1, f) for f in fs)
+    return size
 
 
 class FunctionClassification(Record):

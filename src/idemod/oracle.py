@@ -7,6 +7,7 @@ these on small moduli.  All entry points honor the enumeration cap.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .arith import build_modulus, canon, check_enum
 
@@ -121,3 +122,54 @@ def oracle_orbit_gcd(m: int, b: int, c: int) -> int:
         if pow(b, n, m) in target:
             g = math.gcd(g, n)
     return g
+
+
+@lru_cache(maxsize=32)
+def _class_table(m: int) -> dict[int, dict[int, tuple[int, int]]]:
+    """{e: {n: (count, union)}}: for each idempotent class e, the regular a
+    of class e grouped by order n, with how many there are and the size of
+    the union of their orbits.  Each a's powers are walked up to the first
+    idempotent one, a^|a|, which is its class when a^(|a|+1) = a.  Cached
+    per modulus, and more than one, since a claim compares m with its
+    divisors."""
+    check_enum(m)
+    groups: dict[int, dict[int, tuple[int, set[int]]]] = {}
+    for a in range(1, m + 1):
+        x = a % m
+        walk = [x]
+        while x * x % m != x:
+            x = x * a % m
+            walk.append(x)
+        if x * a % m == a % m:
+            by_order = groups.setdefault(canon(x, m), {})
+            count, union = by_order.get(len(walk), (0, set()))
+            union.update(walk)
+            by_order[len(walk)] = count + 1, union
+    return {
+        e: {n: (count, len(union)) for n, (count, union) in by_order.items()}
+        for e, by_order in groups.items()
+    }
+
+
+def _class_counts(m: int, e: int) -> dict[int, tuple[int, int]]:
+    table = _class_table(m)
+    e = canon(e, m)
+    if e not in table:
+        raise ValueError(f"{e} is not idempotent modulo {m}")
+    return table[e]
+
+
+def oracle_r_count(m: int, e: int, k: int) -> int:
+    """The number of regular a of class e with |a| = k, from the walks."""
+    return _class_counts(m, e).get(k, (0, 0))[0]
+
+
+def oracle_rho_count(m: int, e: int, k: int) -> int:
+    """The number of regular a of class e with |a| dividing k."""
+    return sum(c for n, (c, _) in _class_counts(m, e).items() if k % n == 0)
+
+
+def oracle_union_size(m: int, e: int, k: int) -> int:
+    """|orb(kR_m^e)|: the size of the union of the walked orbits of the
+    regular a of class e with |a| = k."""
+    return _class_counts(m, e).get(k, (0, 0))[1]

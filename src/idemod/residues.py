@@ -21,10 +21,15 @@ n / gcd(t, n) in a cyclic group of order n: _unit_orders looks them up in
 a table over t filled by slice assignments, one per divisor of n.
 
 Each enumerating query builds only the pieces it reads, each cached on its
-own: regular_set and sqrt_structure read class members; r_count, rho_count,
-orbit_union_size and omega_info read class members and order_table;
-gen_primitive_roots reads the logs alone.  structure_table composes the
-class members and order_table, with the class array, for the audit.
+own: regular_set and sqrt_structure read class members; omega_info reads
+class members and order_table; gen_primitive_roots reads the logs alone.
+structure_table composes the class members and order_table, with the class
+array, for the audit.
+
+The queries that build nothing per residue read _unit_group(p, alpha):
+U(p^alpha) as a product of cyclic factors, with their orders, the
+generators at hand and a unit's components in them.  The counts, solve,
+and the power tests of omega read it, so none of them asks whether p = 2.
 """
 from __future__ import annotations
 
@@ -342,6 +347,39 @@ def _lift_root(g: int, p: int, alpha: int) -> int:
     if alpha >= 2 and pow(g, p - 1, p * p) == 1:
         return g + p
     return g
+
+
+class UnitGroup(Record):
+    """U(q), q = p^alpha, as a direct product of cyclic factors: orders[i]
+    is the order of factor i and generators[i] generates it, or is 0 where
+    the factor is all of U(q) and no generator is at hand (odd p, where
+    finding one needs the primes of p - 1).  split(x) gives a unit's
+    components, one per factor, whose product is x."""
+
+    q: int
+    orders: tuple[int, ...]
+    generators: tuple[int, ...]
+
+    def split(self, x: int) -> tuple[int, ...]:
+        """The components of the unit x in 0..q-1.  A group of two factors
+        is <-1> x <5>, where x = -5^t exactly when x = 3 (mod 4)."""
+        if len(self.orders) == 1:
+            return (x,)
+        return (self.q - 1, self.q - x) if x % 4 == 3 else (1, x)
+
+
+@lru_cache(maxsize=None)
+def _unit_group(p: int, alpha: int) -> UnitGroup:
+    """The cyclic factors of U(p^alpha): one of order phi for odd p, which
+    is cyclic; U(2) = {1} and U(4) = <-1>, cyclic of order phi too; and
+    <-1> x <5>, of orders 2 and 2^(alpha-2), for 2^alpha with alpha >= 3
+    (Gauss)."""
+    q = p**alpha
+    if p != 2:
+        return UnitGroup(q, (q - q // p,), (0,))
+    if alpha < 3:
+        return UnitGroup(q, (q // 2,), (q - 1,))
+    return UnitGroup(q, (2, q // 4), (q - 1, 5))
 
 
 @lru_cache(maxsize=None)

@@ -253,6 +253,7 @@ def _record_samples():
     in order, values for them)."""
     from idemod.algebra import AlgebraReport, BasisMap, LawReport
     from idemod.audit import AuditFinding, AuditReport, TheoremResult
+    from idemod.residues import UnitGroup
 
     mod = build_modulus(12)
     idems = idemod.IdempotentSet(mod, (1, 4, 9, 12))
@@ -271,6 +272,7 @@ def _record_samples():
          (mod, 5, True, True, 2, 1, 12, 1)),
         (idemod.OrbitSet, ("modulus", "generator", "elements"),
          (mod, 5, frozenset({1, 5}))),
+        (UnitGroup, ("q", "orders", "generators"), (16, (2, 4), (15, 5))),
         (idemod.StructureTable,
          ("modulus", "idempotents", "regulars", "orders", "classes", "by_class"),
          (mod, idems, regs, array("l", [0, 1, 2]), array("l", [0, 1, 4]),

@@ -303,7 +303,6 @@ def test_a_query_start_imports_no_typing():
 
 @pytest.mark.parametrize("argv", [
     ("gproots", "50"),
-    ("counts", "50", "1", "2"),
     ("omega", "50", "3"),
     ("sets", "50", "--class", "1", "--regular"),
 ])
@@ -312,6 +311,22 @@ def test_a_held_answer_does_not_lift_the_cap(capsys, argv):
     once is refused under a lower cap all the same, as in a fresh process."""
     assert run(capsys, *argv)[0] == 0
     code, out, err = run(capsys, "--max-enum", "10", *argv)
+    assert code == 3 and not out and "cap" in err
+
+
+def test_counts_answer_past_the_cap(capsys):
+    """counts reads no table, so no cap refuses it: r, rho and the union
+    size of the units of order 6 modulo 2^61 - 1 under a cap of 10."""
+    doc = run_json(capsys, "--max-enum", "10", "counts", str(2**61 - 1), "1", "6")
+    assert (doc["r"], doc["rho"], doc["union_size"]) == (2, 6, 6)
+
+
+def test_solve_is_refused_only_past_the_cap_in_roots(capsys):
+    """x^3 = 8 has 3 roots modulo 2^61 - 1, and x^6 = 64 has 6."""
+    p = str(2**61 - 1)
+    doc = run_json(capsys, "--max-enum", "5", "solve", p, "3", "8")
+    assert doc["solutions"] == [2, 1033321771269002679, 1272521237944691270]
+    code, out, err = run(capsys, "--max-enum", "5", "solve", p, "6", "64")
     assert code == 3 and not out and "cap" in err
 
 
@@ -488,9 +503,9 @@ def _run_capped(*argv: str) -> dict:
 
 
 def test_near_cap_solve_fits_384_mib_of_address_space():
-    """`solve 999983 3 8` scans every residue of a prime near the cap and
-    takes omega in closed form (it needed 479 MiB with per-residue orders,
-    and 89 MiB with a structure table and a class scan for omega)."""
+    """`solve 999983 3 8` takes its one root from the unit group and omega
+    in closed form (it needed 479 MiB with per-residue orders, and 89 MiB
+    with a structure table and a class scan for omega)."""
     out = _run_capped("solve", "999983", "3", "8")
     assert (out["solutions"], out["criterion_verdict"]) == ([2], True)
 

@@ -1,10 +1,12 @@
 """Power-congruence solvability, omega, generalized primitive roots."""
+import random
 import sys
+import time
 
 import pytest
 
 from idemod import congruence
-from idemod.arith import build_modulus
+from idemod.arith import EnumerationCapError, build_modulus
 from idemod.congruence import (
     _omega,
     _omega_cache,
@@ -15,7 +17,7 @@ from idemod.congruence import (
     solvable_bc01,
     solve,
 )
-from idemod.oracle import oracle_omega, oracle_solve
+from idemod.oracle import oracle_is_regular, oracle_omega, oracle_solve
 from idemod.residues import order_table, orbit, regular_set, structure_table
 from idemod import audit as _audit
 from conftest import bc01_sweep, no_findings
@@ -169,6 +171,80 @@ def test_solve_matches_a_full_scan():
                 assert res.solutions == tuple(sols), (m, k, a)
                 assert res.regular_solutions == tuple(x for x in sols if orders[x])
         order_table.cache_clear()
+
+
+def test_solve_matches_a_scan_for_each_exponent_to_8():
+    """Every m <= 200, every a and every k <= 8: the roots, the regular
+    ones, the flag and the verdict, against one scan of x^k per (m, k)."""
+    for m in range(1, 201):
+        regular = [None] + [oracle_is_regular(m, x) for x in range(1, m + 1)]
+        for k in range(1, 9):
+            roots: dict[int, list[int]] = {}
+            for x in range(1, m + 1):
+                roots.setdefault(pow(x, k, m), []).append(x)
+            for a in range(1, m + 1):
+                res = solve(m, k, a)
+                sols = tuple(roots.get(a % m, ()))
+                assert res.solutions == sols, (m, k, a)
+                assert res.regular_solutions == tuple(x for x in sols if regular[x])
+                assert res.solvable == bool(sols)
+                assert res.bc01_verdict == (bool(sols) if regular[a] else None)
+
+
+def test_local_roots_of_prime_powers():
+    """Every p^alpha <= 4096 with alpha >= 2, every a and every k <= 12:
+    the roots modulo p^alpha, and their count, against one scan of x^k per
+    (p^alpha, k).  These reach the zero, the p^v u and the 2-adic cases."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        alpha = 2
+        while p**alpha <= 4096:
+            q = p**alpha
+            for k in range(1, 13):
+                roots: dict[int, list[int]] = {}
+                for x in range(q):
+                    roots.setdefault(pow(x, k, q), []).append(x)
+                for a in range(q):
+                    count, listing = congruence._local_roots(p, alpha, k, a)
+                    want = roots.get(a, [])
+                    assert (count, sorted(listing())) == (len(want), want), (q, k, a)
+            alpha += 1
+
+
+def test_solve_matches_sympy_on_large_moduli():
+    """Seeded random 40-64-bit moduli and k-th powers (and some other
+    right-hand sides): the roots against sympy's nthroot_mod, and the
+    criterion's verdict against whether there are any."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20160)
+    for _ in range(60):
+        m = rng.randrange(2**40, 2**64)
+        k = rng.randrange(2, 7)
+        a = rng.randrange(1, m)
+        if rng.random() < 0.8:
+            a = pow(a, k, m)
+        res = solve(m, k, a)
+        want = sympy.ntheory.residue_ntheory.nthroot_mod(a, k, m, all_roots=True)
+        assert res.solutions == tuple(sorted(x or m for x in want)), (m, k, a)
+        if res.bc01_verdict is not None:
+            assert res.bc01_verdict == res.solvable
+
+
+def test_solve_answers_a_61_bit_prime_at_once():
+    t0 = time.perf_counter()
+    res = solve(2**61 - 1, 3, 8)
+    assert res.solutions == (2, 1033321771269002679, 1272521237944691270)
+    assert res.regular_solutions == res.solutions and res.bc01_verdict
+    assert time.perf_counter() - t0 < 1
+
+
+def test_solve_is_priced_by_its_roots(monkeypatch):
+    """x^12 = 0 (mod 4096) has the 2^11 multiples of 2 as roots."""
+    monkeypatch.setenv("IDEM_MAX_ENUM", "2047")
+    with pytest.raises(EnumerationCapError):
+        solve(4096, 12, 0)
+    assert solve(4096, 12, 1).solvable  # 2^2 roots, of a modulus over the cap
+    monkeypatch.setenv("IDEM_MAX_ENUM", "2048")
+    assert len(solve(4096, 12, 0).solutions) == 2048
 
 
 def test_solve_verdict_only_for_regular_targets():

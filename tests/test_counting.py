@@ -1,6 +1,9 @@
 """Order counting in the regular classes and arithmetic-function classes."""
+import math
+
 import pytest
 
+from idemod import cli, counting, residues
 from idemod.arith import EnumerationCapError, build_modulus
 from idemod.counting import (
     builtin_function,
@@ -12,7 +15,9 @@ from idemod.counting import (
     rho_count,
     rho_prime_power,
 )
-from idemod.residues import structure_table
+from idemod.idempotents import enumerate_idempotents
+from idemod.oracle import oracle_r_count, oracle_rho_count, oracle_union_size
+from idemod.residues import class_members, order_table, structure_table
 from idemod import audit as _audit
 from conftest import counting_sweep, no_findings
 
@@ -72,6 +77,69 @@ def test_orbit_union_reports_truth_and_formula_side_by_side():
     assert res.formula_value == 6
     res13 = orbit_union_size(13, 1, 12)
     assert res13.true_size == res13.formula_value == 12
+
+
+def _agree_with_oracle(m, ks):
+    """r, rho and the orbit union (with its formula value) of every class
+    of m at each k against the brute-force walks."""
+    for e in enumerate_idempotents(m).elements:
+        for k in ks:
+            union = orbit_union_size(m, e, k)
+            r = oracle_r_count(m, e, k)
+            assert (r_count(m, e, k), rho_count(m, e, k), union.true_size,
+                    union.formula_value) == (
+                r, oracle_rho_count(m, e, k), oracle_union_size(m, e, k),
+                k * r // build_modulus(k).phi), (m, e, k)
+
+
+def test_counts_match_the_oracle():
+    for m in range(1, 301):
+        _agree_with_oracle(m, range(1, 41))
+
+
+def test_counts_match_the_oracle_on_two_power_multiples():
+    """2^alpha k, whose unit group has the two factors <-1> and <5>."""
+    for alpha in range(3, 12):
+        for c in (1, 3, 5, 7, 9, 15):
+            if 2**alpha * c <= 4096:
+                _agree_with_oracle(2**alpha * c, range(1, 41))
+
+
+def test_unit_counts_match_one_pass_of_order_table():
+    """Every m <= 2000, e = 1 and every k dividing lambda(m): r and rho
+    against the orders of the unit class, read once per m."""
+    for m in range(1, 2001):
+        orders = order_table(m)
+        seen: dict[int, int] = {}
+        for a in class_members(m, 1):
+            seen[orders[a]] = seen.get(orders[a], 0) + 1
+        lam = math.lcm(*seen)
+        for k in (d for d in range(1, lam + 1) if lam % d == 0):
+            assert r_count(m, 1, k) == seen.get(k, 0), (m, k)
+            assert rho_count(m, 1, k) == sum(
+                c for n, c in seen.items() if k % n == 0), (m, k)
+        order_table.cache_clear()
+        residues._class_members.cache_clear()
+
+
+def test_counts_read_no_residue_table(monkeypatch, capsys):
+    """The counts are products over the unit group's cyclic factors: they
+    answer with every per-residue piece unreadable, on a modulus far past
+    the cap."""
+    def unreadable(*args):
+        raise AssertionError("a count read a per-residue table")
+
+    for name in ("order_table", "class_members", "_powers"):
+        for module in (residues, counting):
+            monkeypatch.setattr(module, name, unreadable, raising=False)
+    assert (r_count(360, 136, 4), rho_count(360, 136, 4)) == (4, 8)
+    assert orbit_union_size(360, 136, 4).true_size == 6
+    p = 2**61 - 1
+    assert cli.main(["--max-enum", "10", "counts", str(p), "1", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        f"r_{p}^1(6) = 2", f"rho_{p}^1(6) = 6",
+        "orbit union size = 6 (formula: 6)",
+    ]
 
 
 def test_orbit_union_multiplicative_on_weakly_even_range():

@@ -618,5 +618,3 @@ def test_class_queries_refuse_before_factoring(monkeypatch):
             query(big, 1)
     with pytest.raises(EnumerationCapError):
         order_table(big)
-    with pytest.raises(EnumerationCapError):
-        r_count(big, 1, 2)
