@@ -303,6 +303,7 @@ def test_a_query_start_imports_no_typing():
 
 @pytest.mark.parametrize("argv", [
     ("gproots", "50"),
+    ("idempotents", "50"),
     ("omega", "50", "3"),
     ("sets", "50", "--class", "1", "--regular"),
 ])
