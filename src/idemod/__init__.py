@@ -21,6 +21,7 @@ from .arith import (
     max_enum,
     mod_pow,
     multiplicative_order,
+    set_max_enum,
     valuation,
 )
 from .idempotents import (

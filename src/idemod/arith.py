@@ -35,17 +35,30 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class EnumerationCapError(Exception):
-    """A full-set enumeration was requested for a modulus beyond the cap."""
+    """A modulus, or a count of things to list (what), beyond the cap."""
 
-    def __init__(self, m: int, cap: int):
-        super().__init__(f"modulus {m} exceeds enumeration cap {cap}")
-        self.m = m
+    def __init__(self, count: int, cap: int, what: str = "modulus"):
+        size = (f"modulus {count} exceeds" if what == "modulus"
+                else f"{count} {what} exceed")
+        super().__init__(f"{size} enumeration cap {cap}")
+        self.count = count
         self.cap = cap
 
 
+_max_enum = int(os.environ.get("IDEM_MAX_ENUM", DEFAULT_MAX_ENUM))
+
+
 def max_enum() -> int:
-    """Current enumeration cap (env IDEM_MAX_ENUM, default 1,000,000)."""
-    return int(os.environ.get("IDEM_MAX_ENUM", DEFAULT_MAX_ENUM))
+    """The enumeration cap: IDEM_MAX_ENUM as it was when idemod loaded
+    (default 1,000,000), or the value set_max_enum set since."""
+    return _max_enum
+
+
+def set_max_enum(cap: int) -> int:
+    """Make cap the enumeration cap, and return the cap it replaces."""
+    global _max_enum
+    old, _max_enum = _max_enum, cap
+    return old
 
 
 def check_enum(m: int) -> None:

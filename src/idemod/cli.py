@@ -15,11 +15,10 @@ in a fresh process.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from types import SimpleNamespace
 
-from .arith import EnumerationCapError, build_modulus, canon, check_enum
+from .arith import EnumerationCapError, build_modulus, canon, check_enum, set_max_enum
 from .idempotents import (
     enumerate_idempotents,
     idem_class,
@@ -539,9 +538,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_enum is not None and args.max_enum < 1:
         print(f"invalid --max-enum {args.max_enum}", file=sys.stderr)
         return 2
-    saved_cap = os.environ.get("IDEM_MAX_ENUM")
     if args.max_enum is not None:
-        os.environ["IDEM_MAX_ENUM"] = str(args.max_enum)
+        saved_cap = set_max_enum(args.max_enum)
     try:
         return args.fn(args)
     except EnumerationCapError as exc:
@@ -551,11 +549,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # --max-enum holds for this call only.
-        if saved_cap is None:
-            os.environ.pop("IDEM_MAX_ENUM", None)
-        else:
-            os.environ["IDEM_MAX_ENUM"] = saved_cap
+        if args.max_enum is not None:  # --max-enum holds for this call only
+            set_max_enum(saved_cap)
 
 
 if __name__ == "__main__":

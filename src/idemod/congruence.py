@@ -35,10 +35,14 @@ cyclic subgroup through a splits over the primes q of its exponent
 lambda(mu) (Carmichael): its q-part has order q^v_q(lambda) when q does not
 divide |a|, and q^(v_q(|a|) + h) when it does, where h, the q-height of a,
 is the largest h with a a q^h-th power; a is one exactly when it is one in
-every component U(p^alpha).  omega_info's maximizers still need a scan, of
-the members b of a's class whose order is omega, each tested by whether
-b^(omega/|a|) lies in a byte mask of orb(a).  oracle.oracle_omega walks
-the orbits.
+every component U(p^alpha).  omega <= lambda(mu) <= phi(mu), and
+lambda(mu) = phi(mu) exactly when U(mu) is cyclic, for mu = 1, 2, 4,
+p^alpha and 2 p^alpha (Gauss).  So omega = phi(mu) exactly on a cyclic
+class, where the orbit of each generator is the whole class: the maximizers
+are its generators, the b whose component is q - 1 at q = 2, 4 and has a
+log prime to phi at an odd p^alpha.  On the other classes omega_info scans
+the members b of order omega, each tested by whether b^(omega/|a|) lies in
+a byte mask of orb(a).  oracle.oracle_omega walks the orbits.
 
 G_m needs no omega at all.  By the q-parts above, omega_m(g) = |g|_m
 exactly when, for each prime q of lambda(mu_g), g is not a q-th power:
@@ -63,7 +67,6 @@ from .arith import (
     Modulus,
     Record,
     build_modulus,
-    canon,
     canonicalize,
     check_enum,
     max_enum,
@@ -71,15 +74,17 @@ from .arith import (
 )
 from .idempotents import is_idempotent
 from .residues import (
-    _by_residue,
     _crt_fold,
+    _listed,
     _orbit_mask,
     _regular_order,
+    _spread,
     _typecode,
     _unit_group,
     _unit_logs,
     class_members,
     is_regular,
+    mu,
     order_table,
 )
 
@@ -106,14 +111,14 @@ class OmegaInfo(Record):
 def _omega_cache(m: int, a: int) -> OmegaInfo:
     """omega_info's memo, bounded like order's, so that an audit sweep does
     not hold every residue of its range."""
-    orders = order_table(m)
-    a = canon(a, m)
-    n = orders[a]
-    if not n:
-        raise ValueError(f"{a} is not regular modulo {m}")
-    mod = build_modulus(m)
+    check_enum(m)  # before build_modulus, which factors m
+    info = _regular_order(m, a)
+    a, n, mod = info.a, info.order, info.modulus
     w = _omega(mod, a, n)
-    members = class_members(m, canon(pow(a, n, m), m))
+    if w == build_modulus(mu(m, a)).phi:  # a's class, U(mu), is cyclic
+        return OmegaInfo(mod, a, w, _generators(m, a), w // n)
+    orders = order_table(m)
+    members = class_members(m, info.idem_class)
     # orb(b) is cyclic, so it holds a exactly when b^(|b|/|a|), which
     # generates its one subgroup of order |a|, lies in orb(a).
     in_orbit = _orbit_mask(m, a, n)
@@ -122,6 +127,26 @@ def _omega_cache(m: int, a: int) -> OmegaInfo:
         b for b in members if orders[b] == w and in_orbit[pow(b, ind, m)]
     )
     return OmegaInfo(mod, a, w, maximizers, ind)
+
+
+def _generators(m: int, a: int) -> tuple[int, ...]:
+    """The generators of a's class, ascending, when it is cyclic (see the
+    module docstring)."""
+    keep = _spread(m, b"\x01")
+    for p, alpha in build_modulus(m).factorization.factors:
+        q = p**alpha
+        if a % p == 0:
+            pattern = b"\x01" + bytes(q - 1)
+        elif p == 2:
+            pattern = bytes(q - 1) + b"\x01"
+        else:
+            n, logs = _unit_logs(p, alpha)
+            coprime = bytearray([1]) * (n + 1)  # at n, the non-units' log: 0
+            for r, _ in build_modulus(n).factorization.factors:
+                coprime[::r] = bytes(n // r + 1)
+            pattern = bytes(map(coprime.__getitem__, logs))
+        keep &= _spread(m, pattern)
+    return tuple(_listed(m, keep))
 
 
 def omega_info(m: int, a: int) -> OmegaInfo:
@@ -199,8 +224,8 @@ def solve(m: int, k: int, a: int) -> CongruenceSolution:
     factors = build_modulus(m).factorization.factors
     local = [_local_roots(p, alpha, k, a) for p, alpha in factors]
     cap = max_enum()
-    if math.prod(count for count, _ in local) > cap:
-        raise EnumerationCapError(m, cap)
+    if (size := math.prod(count for count, _ in local)) > cap:
+        raise EnumerationCapError(size, cap, "roots")
     roots = [list(listing()) for _, listing in local]
     # x is regular exactly when each component is 0 or a unit.
     regular = [
@@ -378,7 +403,8 @@ def gen_primitive_roots(m: int) -> tuple[int, ...]:
         _crt_fold(operator.or_, 0, exponents, tc),
         _crt_fold(operator.or_, 0, nonpowers, tc),
     )
-    return tuple(compress(range(m + 1), _by_residue(array("B", keep))))
+    mask = bytes(keep)  # over x in 0..m-1, where x = 0 is the residue m
+    return tuple(compress(range(1, m + 1), mask[1:] + mask[:1]))
 
 
 def _primes(p: int, alpha: int) -> list[int]:

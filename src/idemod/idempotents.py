@@ -137,9 +137,8 @@ def index(m: int, b: int, a: int) -> int | None:
     return None
 
 
-# Pricing a walk reads the cap, which costs about as much as 6 of its steps,
-# so a walk is priced only once it has taken this many, when that is under
-# a tenth of what it has cost.  The audit's walks take about 5 steps.
+# A walk is priced only once it has taken this many steps; the audit's walks
+# take about 5.
 _PRICED_WALK = 64
 
 
@@ -150,7 +149,7 @@ def _check_walk(m: int, b: int) -> None:
     if m > cap:
         L, T = _order_parts(build_modulus(m), b)
         if T - 1 + L > cap:
-            raise EnumerationCapError(m, cap)
+            raise EnumerationCapError(T - 1 + L, cap, "powers")
 
 
 def tower_mod(m: int, base: int, height: int) -> int:

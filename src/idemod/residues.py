@@ -8,10 +8,11 @@ for the multiples of |a|.  Regular implies normal.
 R_m^e is a copy of the unit group U(m/z), z = gcd(e, m) the product of the
 prime powers of m on which e is 0: it is exactly z * U(m/z), the z*y with
 1 <= y <= m/z prime to m/z.  class_members builds it from a coprimality mask,
-with no power walk.  order_table and normal_set are built by CRT from one
-array per prime power q = p^alpha of m, indexed by the residue's component
-r = a mod q: a is regular exactly when every component is 0 or a unit, and
-|a| is then the lcm of the unit components' orders.
+with no power walk.  order_table is built by CRT from one array, and
+regular_set and normal_set from byte patterns (_spread), per prime power
+q = p^alpha of m, indexed by the residue's component r = a mod q: a is
+regular exactly when every component is 0 or a unit, and |a| is then the
+lcm of the unit components' orders.
 
 Both the logs and the orders of the units of q come from one Python walk
 over a generator's powers, cached per prime power in _unit_logs: logs[r] = t
@@ -21,10 +22,10 @@ n / gcd(t, n) in a cyclic group of order n: _unit_orders looks them up in
 a table over t filled by slice assignments, one per divisor of n.
 
 Each enumerating query builds only the pieces it reads, each cached on its
-own: regular_set and sqrt_structure read class members; omega_info reads
-class members and order_table; gen_primitive_roots reads the logs alone.
-structure_table composes the class members and order_table, with the class
-array, for the audit.
+own: regular_set(m, e) and sqrt_structure read class members; omega_info
+reads the logs on a cyclic class, and class members and order_table on the
+others; gen_primitive_roots reads the logs alone.  structure_table composes
+the class members and order_table, with the class array, for the audit.
 
 The queries that build nothing per residue read _unit_group(p, alpha):
 U(p^alpha) as a product of cyclic factors, with their orders, the
@@ -34,7 +35,6 @@ and the power tests of omega read it, so none of them asks whether p = 2.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -131,37 +131,80 @@ def classify(m: int, a: int) -> ResidueClassification:
 
 
 def regular_set(m: int, e: int | None = None) -> list[int]:
-    """R_m, or the class R_m^e for an idempotent e, ascending."""
-    if e is None:
-        return _merged(_class_map(m))
-    return list(class_members(m, e))
+    """R_m, or the class R_m^e for an idempotent e, ascending: the a whose
+    every component is 0 or a unit."""
+    if e is not None:
+        return list(class_members(m, e))
+    check_enum(m)  # before build_modulus, which factors m
+    keep = _spread(m, b"\x01")
+    for p, alpha in build_modulus(m).factorization.factors:
+        keep &= _spread(m, _multiples(p, p**alpha, 0, p**alpha))
+    return _listed(m, keep)
 
 
 def normal_set(m: int, e: int | None = None) -> list[int]:
-    """N_m, or its members of idempotent class e, ascending.  T <= L is
-    is_normal's test, with L the lcm of the unit components' orders and T the
-    largest component tail; the class of any a is 0 exactly on the
+    """N_m, or its members of idempotent class e, ascending.  a is normal
+    when T <= L (is_normal): L is the lcm of the unit components' orders,
+    and T <= max alpha the largest tail, ceil(alpha / v) at a component
+    p^v * u, 0 < v < alpha.  So a is not normal exactly when, for some
+    d < max alpha, each unit component is a d-th root of 1 and some
+    component has v < ceil(alpha / d).  The class of a is 0 exactly on the
     components that p divides."""
     check_enum(m)
     if e is not None and not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
     factors = build_modulus(m).factorization.factors
-    cycles = []
-    for p, alpha in factors:
-        units = _unit_orders(p, alpha)
-        cycles.append(array(units.typecode, map(max, repeat(1), units)))
-    keep = map(
-        operator.le,
-        _crt_fold(max, 1, [_tails(p, alpha) for p, alpha in factors], "B"),
-        _crt_fold(math.lcm, 1, cycles, _typecode(m)),
-    )
-    if e is not None:
-        # Bit i of a pattern says that p_i divides a (e: that e is 0 there).
-        bits = [_prime_bits(p, alpha, 1 << i) for i, (p, alpha) in enumerate(factors)]
-        want = sum(1 << i for i, (p, _) in enumerate(factors) if e % p == 0)
-        pattern = _crt_fold(operator.or_, 0, bits, _typecode(1 << len(factors)))
-        keep = map(operator.and_, keep, map(want.__eq__, pattern))
-    return list(compress(range(m + 1), _by_residue(array("B", keep))))
+    abnormal = 0
+    for d in range(1, max((alpha for _, alpha in factors), default=1)):
+        fits, long = -1, 0
+        for p, alpha in factors:
+            fits &= _spread(m, _fits(p, alpha, d))
+            long |= _spread(m, _multiples(p, p**alpha, 1, p ** -(-alpha // d)))
+        abnormal |= fits & long
+    keep = _spread(m, b"\x01") ^ abnormal
+    for p, alpha in factors if e is not None else ():
+        keep &= _spread(m, _multiples(p, p**alpha, e % p == 0))
+    return _listed(m, keep)
+
+
+def _multiples(p: int, q: int, bit: int, step: int = 0) -> bytes:
+    """The bytes over r in 0..q-1 that read bit at the multiples of p (but
+    not at those of step, if given), and 1 - bit elsewhere."""
+    out = bytearray([1 - bit]) * q
+    out[::p] = bytes([bit]) * (q // p)
+    if step:
+        out[::step] = bytes([1 - bit]) * (q // step)
+    return bytes(out)
+
+
+def _spread(m: int, pattern: bytes) -> int:
+    """pattern, over r in 0..q-1 for a q dividing m, read at a mod q for
+    each residue a in 1..m, as an int whose byte a - 1 is for a: the bytes
+    from r = 1 on, then r = 0, run m/q times.  The patterns of the prime
+    powers of m so combine by CRT with & and |."""
+    return int.from_bytes((pattern[1:] + pattern[:1]) * (m // len(pattern)), "big")
+
+
+def _listed(m: int, keep: int) -> list[int]:
+    """The residues a in 1..m whose byte a - 1 in keep is 1, ascending."""
+    return list(compress(range(1, m + 1), keep.to_bytes(m, "big")))
+
+
+def _fits(p: int, alpha: int, d: int) -> bytearray:
+    """1 at the r in 0..p^alpha - 1 that are not units or have r^d = 1, and
+    0 elsewhere.  The units with r^d = 1 are, in each cyclic factor of order
+    n, the (n, d) powers of its generator to the n / (n, d)."""
+    group = _unit_group(p, alpha)
+    roots = [1]
+    for n, gen in zip(group.orders, group.generators):
+        k = math.gcd(n, d)
+        gen = gen or _lift_root(_least_primitive_root(p), p, alpha)
+        h = pow(gen, n // k, group.q)
+        roots = [r * pow(h, i, group.q) % group.q for r in roots for i in range(k)]
+    out = bytearray(_multiples(p, group.q, 1))
+    for r in roots:
+        out[r] = 1
+    return out
 
 
 class OrbitSet(Record):
@@ -177,7 +220,7 @@ def orbit(m: int, a: int) -> OrbitSet:
     info = order(m, a)
     cap = max_enum()
     if info.order > cap:
-        raise EnumerationCapError(m, cap)
+        raise EnumerationCapError(info.order, cap, "orbit elements")
     return OrbitSet(info.modulus, info.a, _powers(m, info.a, info.order))
 
 
@@ -223,22 +266,6 @@ def _class_members(m: int, z: int) -> array:
     return array(_typecode(m), compress(range(z, m + 1, z), keep))
 
 
-def _class_map(m: int) -> dict[int, array]:
-    """{e: R_m^e} over the idempotents e of m, each 0 modulo a product z of
-    prime powers of m and 1 modulo m/z.  The least member of R_m^e is z
-    itself, so ordering the classes by z orders them by least member."""
-    check_enum(m)  # before build_modulus, which factors m
-    qs = build_modulus(m).prime_powers
-    zs = sorted(_zero_part(qs, bits) for bits in range(1 << len(qs)))
-    return {canon(z * pow(z, -1, m // z), m): _class_members(m, z) for z in zs}
-
-
-def _merged(classes: dict[int, array]) -> list[int]:
-    """R_m ascending from its classes, which sorted merges as one ascending
-    run each."""
-    return sorted(chain.from_iterable(classes.values()))
-
-
 @lru_cache(maxsize=None)
 def order_table(m: int) -> array:
     """|a|_m at each residue a in 1..m that is regular, and 0 at the others
@@ -251,7 +278,10 @@ def order_table(m: int) -> array:
         units[0] = 1  # a zero component adds nothing to the lcm
         cycles.append(units)
     # lcm(0, n) = 0: a component that is neither 0 nor a unit zeroes |a|.
-    return _by_residue(_crt_fold(math.lcm, 1, cycles, _typecode(m)))
+    table = _crt_fold(math.lcm, 1, cycles, _typecode(m))
+    table.append(table[0])  # the zero class reads at index m, and 0 at 0
+    table[0] = 0
+    return table
 
 
 class StructureTable(Record):
@@ -277,23 +307,25 @@ class StructureTable(Record):
 def structure_table(m: int) -> StructureTable:
     check_enum(m)  # before build_modulus, which factors m
     tc = _typecode(m)
-    by_class = _class_map(m)
+    # The idempotent 0 modulo a product z of prime powers of m and 1 modulo
+    # m/z; z is the least member of its class.
+    qs = build_modulus(m).prime_powers
+    zs = sorted(math.prod(q for i, q in enumerate(qs) if bits >> i & 1)
+                for bits in range(1 << len(qs)))
+    by_class = {canon(z * pow(z, -1, m // z), m): _class_members(m, z) for z in zs}
     classes = array(tc, [0]) * (m + 1)
     for e, members in by_class.items():
         for a in members:
             classes[a] = e
+    orders = order_table(m)
     return StructureTable(
         modulus=build_modulus(m),
         idempotents=enumerate_idempotents(m),
-        regulars=array(tc, _merged(by_class)),
-        orders=order_table(m),
+        regulars=array(tc, compress(range(m + 1), orders)),  # no list of R_m
+        orders=orders,
         classes=classes,
         by_class=by_class,
     )
-
-
-def _zero_part(qs: tuple[int, ...], bits: int) -> int:
-    return math.prod(q for i, q in enumerate(qs) if bits >> i & 1)
 
 
 def _typecode(n: int) -> str:
@@ -320,14 +352,6 @@ def _crt_fold(fn, start: int, parts: list[array], typecode: str) -> array:
 def _runs(xs: array, times: int):
     """The items of xs, times times over, without building the copy."""
     return chain.from_iterable(repeat(xs, times))
-
-
-def _by_residue(xs: array) -> array:
-    """xs over x in 0..m-1 indexed by the residues 1..m instead: the zero
-    class moves from index 0 to index m, and index 0 reads 0."""
-    xs.append(xs[0])
-    xs[0] = 0
-    return xs
 
 
 def _least_primitive_root(p: int) -> int:
@@ -430,25 +454,6 @@ def _divisors(n: int) -> list[int]:
     for r, e in factorize(n).factors:
         out = [d * r**i for d in out for i in range(e + 1)]
     return sorted(out)
-
-
-def _tails(p: int, alpha: int) -> array:
-    """T's component at each r in 0..p^alpha - 1: ceil(alpha / v_p(r)) where
-    p divides r (1 at r = 0, where v = alpha), and 1 at the units."""
-    q = p**alpha
-    out = array("B", [1]) * q
-    for v in range(1, alpha):
-        out[:: p**v] = array("B", [-(-alpha // v)]) * (q // p**v)
-    out[0] = 1
-    return out
-
-
-def _prime_bits(p: int, alpha: int, bit: int) -> array:
-    """bit at the multiples of p in 0..p^alpha - 1, and 0 at the units."""
-    q = p**alpha
-    out = array(_typecode(bit), [0]) * q
-    out[::p] = array(out.typecode, [bit]) * (q // p)
-    return out
 
 
 def _regular_order(m: int, x: int) -> OrderInfo:

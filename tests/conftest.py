@@ -3,7 +3,9 @@ for each expensive computation once per session.  Brute-force references
 come from idemod.oracle, the layer the audit uses too."""
 from functools import lru_cache
 
-from idemod.arith import build_modulus, canon
+import pytest
+
+from idemod.arith import build_modulus, canon, max_enum, set_max_enum
 from idemod.audit import run_audit
 from idemod.algebra import verify_algebra
 from idemod.counting import rho_closed_form
@@ -25,6 +27,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def enum_cap():
+    """set_max_enum for one test: enum_cap(n) sets the enumeration cap,
+    and the cap it found is put back when the test ends."""
+    saved = max_enum()
+    yield set_max_enum
+    set_max_enum(saved)
 
 
 def no_findings(check, moduli):

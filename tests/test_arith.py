@@ -226,8 +226,8 @@ def test_multiplicative_order_matches_brute_force():
             assert multiplicative_order(a, n) == k
 
 
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("IDEM_MAX_ENUM", "100")
+def test_enumeration_cap(enum_cap):
+    enum_cap(100)
     with pytest.raises(EnumerationCapError):
         check_enum(101)
     check_enum(100)

@@ -157,15 +157,15 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_cap_exceeded_exits_3(capsys, monkeypatch):
-    monkeypatch.setenv("IDEM_MAX_ENUM", "1000000")
+def test_cap_exceeded_exits_3(capsys, enum_cap):
+    enum_cap(1000000)
     code, _, err = run(capsys, "--max-enum", "10", "idempotents", "50")
     assert code == 3
-    assert "cap" in err
+    assert "modulus 50 exceeds enumeration cap 10" in err
 
 
-def test_max_enum_override_allows_work(capsys, monkeypatch):
-    monkeypatch.setenv("IDEM_MAX_ENUM", "10")
+def test_max_enum_override_allows_work(capsys, enum_cap):
+    enum_cap(10)
     code, out, _ = run(capsys, "idempotents", "50", "--max-enum", "100")
     assert code == 0
     assert out.strip() == "1,25,26,50"
@@ -276,7 +276,7 @@ def test_orbit_beyond_the_cap_exits_3_fast(capsys):
     t0 = time.perf_counter()
     code, _, err = run(capsys, "--max-enum", "1000", "orbit", "1000003", "2")
     assert time.perf_counter() - t0 < 0.5
-    assert code == 3 and "cap" in err
+    assert code == 3 and "1000002 orbit elements exceed enumeration cap 1000" in err
     doc = run_json(capsys, "--max-enum", "1000", "orbit", "1000003", "1000002")
     assert doc["orbit"] == [1, 1000002]
 
@@ -328,7 +328,8 @@ def test_solve_is_refused_only_past_the_cap_in_roots(capsys):
     doc = run_json(capsys, "--max-enum", "5", "solve", p, "3", "8")
     assert doc["solutions"] == [2, 1033321771269002679, 1272521237944691270]
     code, out, err = run(capsys, "--max-enum", "5", "solve", p, "6", "64")
-    assert code == 3 and not out and "cap" in err
+    assert code == 3 and not out
+    assert err.strip() == "error: 6 roots exceed enumeration cap 5"
 
 
 def test_max_enum_does_not_outlive_the_call(capsys):
@@ -336,6 +337,21 @@ def test_max_enum_does_not_outlive_the_call(capsys):
     code, out, _ = run(capsys, "idempotents", "50")
     assert code == 0
     assert out.strip() == "1,25,26,50"
+
+
+def test_the_environment_cap_is_read_once_per_process():
+    """IDEM_MAX_ENUM is read when idemod loads: it refuses a query in a
+    fresh process, and a later change to the environment does not move the
+    cap, while --max-enum still does for one call."""
+    code = ("import os, sys; from idemod.cli import main; "
+            "os.environ['IDEM_MAX_ENUM'] = '1000'; "
+            "sys.exit(10 * main(['omega', '2557', '7']) "
+            "+ main(['--max-enum', '3000', 'omega', '2557', '7']))")
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=dict(_src_env(), IDEM_MAX_ENUM="10"),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 30, res.stderr
+    assert "modulus 2557 exceeds enumeration cap 10" in res.stderr
 
 
 def test_modinfo_on_a_large_prime_square_needs_no_rho(capsys, monkeypatch):

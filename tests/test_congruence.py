@@ -18,7 +18,15 @@ from idemod.congruence import (
     solve,
 )
 from idemod.oracle import oracle_is_regular, oracle_omega, oracle_solve
-from idemod.residues import order_table, orbit, regular_set, structure_table
+from idemod.residues import (
+    class_members,
+    is_regular,
+    mu,
+    order_table,
+    orbit,
+    regular_set,
+    structure_table,
+)
 from idemod import audit as _audit
 from conftest import bc01_sweep, no_findings
 
@@ -26,10 +34,11 @@ SWEEP_150 = range(2, 151)
 
 
 def walk_omega(m):
-    """{a: (|a|_m, omega_m(a))} over the regular residues a in 1..m, from
-    one power walk per residue b: b is regular when its powers return to b,
-    and then each power a takes the largest |b| among the orbits holding
-    it."""
+    """{a: (|a|_m, omega_m(a), maximizers)} over the regular residues a in
+    1..m, from one power walk per residue b: b is regular when its powers
+    return to b, and then each power a takes the largest |b| among the
+    orbits holding it, and the b of that order, ascending.  This is
+    oracle_omega's scan, with each orbit walked once for all the a in it."""
     orders, best = {}, {}
     for b in range(1, m + 1):
         orb, x = [b % m], b * b % m
@@ -38,10 +47,14 @@ def walk_omega(m):
             x = x * b % m
         if x != b % m:
             continue
-        orders[b] = len(orb)
+        n = orders[b] = len(orb)
         for y in orb:
-            best[y] = max(best.get(y, 0), len(orb))
-    return {a: (n, best[a % m]) for a, n in orders.items()}
+            w, maximizers = best.get(y, (0, []))
+            if n > w:
+                best[y] = n, [b]
+            elif n == w:
+                maximizers.append(b)
+    return {a: (n, *best[a % m]) for a, n in orders.items()}
 
 
 def test_criterion_matches_exhaustive_solvability():
@@ -119,6 +132,65 @@ def test_omega_matches_oracle():
             assert (info.omega_a, info.omega_set) == oracle_omega(m, a), (m, a)
 
 
+def test_omega_info_matches_the_oracle_to_400():
+    """omega and the maximizers of every regular a of every m <= 400,
+    against oracle_omega's scan with each orbit walked once per modulus
+    (oracle_omega itself walks every orbit once per a: 18 s at m = 397),
+    and that scan against oracle_omega where it is quick."""
+    for m in range(1, 401):
+        walked = walk_omega(m)
+        for a, (_, w, maximizers) in walked.items():
+            info = omega_info(m, a)
+            assert (info.omega_a, info.omega_set) == (w, tuple(maximizers)), (m, a)
+            if m <= 60:
+                assert oracle_omega(m, a) == (w, tuple(maximizers)), (m, a)
+
+
+def _odd_prime_power(n):
+    factors = build_modulus(n).factorization.factors
+    return len(factors) == 1 and factors[0][0] != 2
+
+
+def test_omega_on_a_cyclic_class_is_its_generators():
+    """On p^alpha and 2 p^alpha <= 4100, p odd, every class R_m^e = U(mu)
+    is cyclic (Gauss): omega is phi(mu), and the maximizers are the
+    members of order phi(mu).  8 seeded regular a per modulus, against
+    order_table and class_members."""
+    rng = random.Random(4100)
+    for m in range(3, 4101):
+        if not (_odd_prime_power(m) or m % 4 == 2 and _odd_prime_power(m // 2)):
+            continue
+        orders = order_table(m)
+        regular = [a for a in range(1, m + 1) if orders[a]]
+        for a in rng.sample(regular, min(8, len(regular))):
+            phi = build_modulus(mu(m, a)).phi
+            members = class_members(m, pow(a, orders[a], m) or m)
+            info = omega_info(m, a)
+            assert info.omega_a == phi, (m, a)
+            assert info.omega_set == tuple(b for b in members if orders[b] == phi), (m, a)
+        order_table.cache_clear()
+
+
+def test_omega_on_a_cyclic_class_scans_nothing(monkeypatch):
+    """omega_info on p^alpha and 2 p^alpha reads the generators off the
+    unit logs, with no order table, class scan or orbit mask; the a include
+    a unit, an even unit modulo p^alpha, p^alpha itself and the zero."""
+    moduli = [3, 9, 2 * 3, 2 * 27, 2003, 2 * 2003, 5**4, 2 * 5**4, 3**7, 2 * 3**7]
+    queries = [(m, a) for m in moduli for a in (1, 2, 7, m // 2, m)
+               if is_regular(m, a)]
+    want = {q: omega_info(*q) for q in queries}
+
+    def no_scan(*args):
+        raise AssertionError("omega_info scanned a cyclic class")
+
+    for name in ("order_table", "class_members", "_orbit_mask"):
+        monkeypatch.setattr(congruence, name, no_scan)
+    _omega_cache.cache_clear()
+    for q in queries:
+        assert omega_info(*q) == want[q], q
+    _omega_cache.cache_clear()
+
+
 def test_omega_closed_form_matches_orbit_walk():
     """Every m <= 300, and 2^alpha * k beside the non-cyclic U(2^alpha),
     where q = p = 2 meets the odd q of the other components."""
@@ -126,7 +198,7 @@ def test_omega_closed_form_matches_orbit_walk():
         2**alpha * k for alpha in range(10) for k in (1, 3, 5, 9, 15)
     }
     for m in sorted(moduli):
-        for a, (n, w) in walk_omega(m).items():
+        for a, (n, w, _) in walk_omega(m).items():
             assert omega_value(m, a) == w, (m, a)
             assert omega_value(m, a - m) == w, (m, a)
 
@@ -237,13 +309,13 @@ def test_solve_answers_a_61_bit_prime_at_once():
     assert time.perf_counter() - t0 < 1
 
 
-def test_solve_is_priced_by_its_roots(monkeypatch):
+def test_solve_is_priced_by_its_roots(enum_cap):
     """x^12 = 0 (mod 4096) has the 2^11 multiples of 2 as roots."""
-    monkeypatch.setenv("IDEM_MAX_ENUM", "2047")
+    enum_cap(2047)
     with pytest.raises(EnumerationCapError):
         solve(4096, 12, 0)
     assert solve(4096, 12, 1).solvable  # 2^2 roots, of a modulus over the cap
-    monkeypatch.setenv("IDEM_MAX_ENUM", "2048")
+    enum_cap(2048)
     assert len(solve(4096, 12, 0).solutions) == 2048
 
 
@@ -264,7 +336,7 @@ def test_generalized_primitive_roots_nonempty():
     for m in SWEEP_150:
         gs = gen_primitive_roots(m)
         assert gs, m
-        brute = tuple(g for g, (n, w) in walk_omega(m).items() if n == w)
+        brute = tuple(g for g, (n, w, _) in walk_omega(m).items() if n == w)
         assert gs == brute, m
 
 

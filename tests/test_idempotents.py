@@ -121,7 +121,7 @@ def test_index_examples():
             assert index(m, b, b) == 1
 
 
-def test_index_refuses_a_walk_beyond_the_cap(monkeypatch):
+def test_index_refuses_a_walk_beyond_the_cap(enum_cap):
     """37 generates U(2^61 - 1), so its powers repeat only after 2^61 - 2
     steps: index refuses that walk within its first steps, while short
     walks of the same modulus still answer."""
@@ -137,11 +137,11 @@ def test_index_refuses_a_walk_beyond_the_cap(monkeypatch):
     # Modulo 2^9 * 3 = 1536 the powers of 6 are 6, 36, ... and then 0
     # (1536) for good, 9 values, and those of 5 cycle with period
     # lcm(128, 2) = 128, its orders modulo 512 and modulo 3.
-    monkeypatch.setenv("IDEM_MAX_ENUM", "127")
+    enum_cap(127)
     assert index(1536, 6, 1536) == 9
     with pytest.raises(EnumerationCapError):
         index(1536, 5, 1)
-    monkeypatch.setenv("IDEM_MAX_ENUM", "128")
+    enum_cap(128)
     assert index(1536, 5, 1) == 128
 
 

@@ -56,8 +56,8 @@ def test_solvability_agreement():
                 assert scan == direct
 
 
-def test_oracles_honor_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("IDEM_MAX_ENUM", "50")
+def test_oracles_honor_enumeration_cap(enum_cap):
+    enum_cap(50)
     with pytest.raises(EnumerationCapError):
         oracle_idempotents(51)
     with pytest.raises(EnumerationCapError):

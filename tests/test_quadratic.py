@@ -144,9 +144,9 @@ def test_kernel_ops_validate():
         class_kernel_op(12, 4, 5, 4, "circ")  # 5 not in kernel of x^2=4x
 
 
-def test_kernel_ops_answer_above_the_cap(monkeypatch):
+def test_kernel_ops_answer_above_the_cap(enum_cap):
     """Kernel membership is r^2 = kr, O(1), so no enumeration is needed."""
-    monkeypatch.setenv("IDEM_MAX_ENUM", "50")
+    enum_cap(50)
     r, e = 22, 56  # 22^2 = 22 and 56^2 = 56 (mod 77)
     assert kernel_op(77, 1, r, e, "circ") == canon(r * e + (1 - r) * (1 - e), 77)
     assert class_kernel_op(77, e, e, e, "otimes") == e

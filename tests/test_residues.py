@@ -424,23 +424,31 @@ AGREEMENT_MODULI = sorted(
 def test_table_matches_point_queries_exhaustively():
     """For every residue, the CRT-built table's regular flag, order and class
     are is_regular's and order()'s (0 and 0 off R_m), by_class groups R_m by
-    order()'s class in first-seen order, and normal_set is the residues
-    is_normal accepts.  The point queries take each residue on its own, with
-    no table."""
+    order()'s class in first-seen order, and regular_set and normal_set,
+    whole and for every class, are the residues is_regular and is_normal
+    accept.  The point queries take each residue on its own, with no
+    table."""
     for m in AGREEMENT_MODULI:
         table = structure_table(m)
         regular = [a for a in range(1, m + 1) if is_regular(m, a)]
-        assert list(table.regulars) == regular, m
-        flags = set(regular)
+        normal = [a for a in range(1, m + 1) if is_normal(m, a)]
+        assert list(table.regulars) == regular_set(m) == regular, m
+        assert normal_set(m) == normal, m
+        flags, normal_flags = set(regular), set(normal)
         groups: dict[int, list[int]] = {}
+        normal_groups: dict[int, list[int]] = {}
         for a in range(1, m + 1):
             info = order(m, a)
             want = (info.order, info.idem_class) if a in flags else (0, 0)
             assert (table.orders[a], table.classes[a]) == want, (m, a)
             if a in flags:
                 groups.setdefault(info.idem_class, []).append(a)
+            if a in normal_flags:
+                normal_groups.setdefault(info.idem_class, []).append(a)
         assert [(e, list(c)) for e, c in table.by_class.items()] == list(groups.items())
-        assert normal_set(m) == [a for a in range(1, m + 1) if is_normal(m, a)], m
+        for e in table.idempotents.elements:
+            assert regular_set(m, e) == groups[e], (m, e)
+            assert normal_set(m, e) == normal_groups[e], (m, e)
         # Otherwise the caches would hold every residue of the sweep.
         order.cache_clear()
         structure_table.cache_clear()
