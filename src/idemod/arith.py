@@ -9,8 +9,9 @@ any other composite is split with Brent's variant of Pollard rho.
 Moduli are plain ints at every public boundary of the package; the factored
 ``Modulus`` record is derived from one by the cached ``build_modulus(m)``.
 Residues are canonical integers in {1..m}, where the value m itself stands
-for the residue class of 0.  Every public operation canonicalizes its integer
-inputs at the boundary, so callers may pass arbitrary integers.
+for the residue class of 0.  Callers may pass arbitrary integers: each public
+operation checks m once, reduces each residue once, inline (``x % m or m``,
+i.e. ``canon``), and reads factorizations from ``build_modulus(n)``'s cache.
 """
 from __future__ import annotations
 
@@ -45,12 +46,18 @@ class EnumerationCapError(Exception):
         self.cap = cap
 
 
-_max_enum = int(os.environ.get("IDEM_MAX_ENUM", DEFAULT_MAX_ENUM))
+_env_cap = os.environ.get("IDEM_MAX_ENUM", str(DEFAULT_MAX_ENUM))
+try:
+    _max_enum: int | None = int(_env_cap)
+except ValueError:  # refused by the queries that read the cap, not at import
+    _max_enum = None
 
 
 def max_enum() -> int:
     """The enumeration cap: IDEM_MAX_ENUM as it was when idemod loaded
     (default 1,000,000), or the value set_max_enum set since."""
+    if _max_enum is None:
+        raise ValueError(f"invalid IDEM_MAX_ENUM {_env_cap!r}: need an integer")
     return _max_enum
 
 
@@ -332,14 +339,13 @@ def build_modulus(n: int) -> Modulus:
 
 def canon(a: int, m: int) -> int:
     """Representative of a mod m in {1..m} (m stands for the zero class)."""
-    b = a % m
-    return m if b == 0 else b
+    return a % m or m
 
 
 def canonicalize(a: int, m: int) -> int:
     if m < 1:
         raise ValueError(f"invalid modulus {m}: need a positive integer")
-    return canon(a, m)
+    return a % m or m
 
 
 def mod_pow(m: int, a: int, k: int) -> int:

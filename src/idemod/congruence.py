@@ -72,7 +72,6 @@ from .arith import (
     max_enum,
     valuation,
 )
-from .idempotents import is_idempotent
 from .residues import (
     _crt_fold,
     _listed,
@@ -203,13 +202,16 @@ def _is_power(x: int, p: int, alpha: int, q: int, h: int) -> bool:
 def solvable_bc01(m: int, k: int, a: int) -> bool:
     """Criterion for regular a: x^k = a solvable iff a^(w/(k,w)) is
     idempotent, where w = omega_m(a)."""
-    a = canonicalize(a, m)
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    a = a % m or m
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     if not is_regular(m, a):
         raise ValueError(f"{a} is not regular modulo {m}: criterion inapplicable")
     w = omega_value(m, a)
-    return is_idempotent(m, pow(a, w // math.gcd(k, w), m))
+    x = pow(a, w // math.gcd(k, w), m)
+    return x * x % m == x
 
 
 def solve(m: int, k: int, a: int) -> CongruenceSolution:

@@ -179,13 +179,6 @@ def classify_function(f: Callable[[int], int], n: int) -> FunctionClassification
                 if math.gcd(a, b) == 1 and vals[a * b] != vals[a] * vals[b]:
                     yield a, b, vals[a * b], vals[a] * vals[b]
 
-    def quasimultiplicative():
-        for a in range(1, n + 1):
-            for b in range(a, n + 1):
-                l = math.lcm(a, b)
-                if l <= n and vals[l] != math.lcm(vals[a], vals[b]):
-                    yield a, b, vals[l], math.lcm(vals[a], vals[b])
-
     def division_invariant():
         for a in range(1, n + 1):
             for b in range(a, n + 1, a):
@@ -193,7 +186,10 @@ def classify_function(f: Callable[[int], int], n: int) -> FunctionClassification
                     yield a, b, vals[a], vals[b]
 
     def prime_power_division_invariant():
-        for q in _primes_upto(n):
+        # Only the primes q with q^2 <= n have a pair (q^i, q^(i+1)) in 1..n.
+        for q in range(2, math.isqrt(n) + 1):
+            if any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+                continue
             lo = q
             while lo * q <= n:
                 if vals[lo * q] % vals[lo] != 0:
@@ -202,7 +198,7 @@ def classify_function(f: Callable[[int], int], n: int) -> FunctionClassification
 
     searches = {
         "M": multiplicative(),
-        "QM": quasimultiplicative(),
+        "QM": _quasimultiplicative(vals, n),
         "DI": division_invariant(),
         "DIpp": prime_power_division_invariant(),
     }
@@ -212,15 +208,21 @@ def classify_function(f: Callable[[int], int], n: int) -> FunctionClassification
         n, *(label not in witnesses for label in searches), witnesses)
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = 0
-    return out
+def _quasimultiplicative(vals: list, n: int):
+    """The QM witnesses over the pairs a <= b with lcm(a, b) <= n, a first
+    and then b ascending.  With h = a / gcd(a, b), b = (a/h)*t for a t prime
+    to h, and lcm(a, b) = a*t; so a's pairs are those of the h | a and the t
+    prime to h in h..n//a, and no other pair is visited."""
+    for a in range(1, n + 1):
+        top = n // a
+        pairs = sorted(
+            (a // h * t, a * t)
+            for h in range(1, top + 1) if a % h == 0
+            for t in range(h, top + 1) if math.gcd(h, t) == 1
+        )
+        for b, l in pairs:
+            if vals[l] != (want := math.lcm(vals[a], vals[b])):
+                yield a, b, vals[l], want
 
 
 def lcm_lift(g: Callable[[int], int], n: int) -> int:

@@ -16,7 +16,6 @@ from .arith import (
     Record,
     build_modulus,
     canon,
-    canonicalize,
     crt_combine,
     max_enum,
     multiplicative_order,
@@ -25,7 +24,8 @@ from .arith import (
 
 
 def is_idempotent(m: int, a: int) -> bool:
-    a = canonicalize(a, m)
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
     return a * a % m == a % m
 
 
@@ -80,7 +80,7 @@ def order(m: int, a: int) -> OrderInfo:
     class a^{|a|_m}.  The bound keeps an audit sweep from holding every
     residue of its range."""
     mod = build_modulus(m)
-    a = canon(a, m)
+    a = a % m or m
     if m == 1:
         return OrderInfo(mod, 1, 1, 1)
     return _order_info(mod, a, *_order_parts(mod, a))
@@ -89,7 +89,7 @@ def order(m: int, a: int) -> OrderInfo:
 def _order_info(mod: Modulus, a: int, L: int, T: int) -> OrderInfo:
     """The OrderInfo of a, whose _order_parts are (L, T)."""
     n = L * (-(-T // L))
-    return OrderInfo(mod, a, n, canon(pow(a, n, mod.m), mod.m))
+    return OrderInfo(mod, a, n, pow(a, n, mod.m) or mod.m)
 
 
 def idem_class(m: int, a: int) -> int:
@@ -100,18 +100,17 @@ def signed_power(m: int, a: int, z: int) -> int:
     """a^z with the extended exponent conventions: a^0 := a^{|a|_m} (the
     idempotent class) and a^{-1} := a^{|a|_m - 1}, negative z iterating the
     latter."""
-    a = canonicalize(a, m)
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    a = a % m or m
     if z >= 1:
-        return canon(pow(a, z, m), m)
+        return pow(a, z, m) or m
     info = order(m, a)
     if z == 0:
         return info.idem_class
     # a^{-1}: when |a| = 1 the exponent |a|-1 is 0, which again means a^0.
-    if info.order == 1:
-        inv = info.idem_class
-    else:
-        inv = canon(pow(a, info.order - 1, m), m)
-    return canon(pow(inv, -z, m), m)
+    inv = pow(a, info.order - 1, m) if info.order > 1 else info.idem_class
+    return pow(inv, -z, m) or m
 
 
 def index(m: int, b: int, a: int) -> int | None:
@@ -121,18 +120,18 @@ def index(m: int, b: int, a: int) -> int | None:
     of L (see _order_parts), and at most m.  A walk that reaches
     _PRICED_WALK steps is priced then: one longer than the enumeration cap
     is refused before it goes on."""
-    b = canonicalize(b, m)
-    a = canon(a, m)
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    b, a = b % m or m, a % m or m
     seen: set[int] = set()
-    x = b
-    k = 1
+    x, k = b, 1
     while x not in seen:
         if x == a:
             return k
         if k == _PRICED_WALK:
             _check_walk(m, b)
         seen.add(x)
-        x = canon(x * b, m)
+        x = x * b % m or m
         k += 1
     return None
 

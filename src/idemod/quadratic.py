@@ -24,12 +24,9 @@ class QuadraticKernel(Record):
         return canon(self.k - r, self.modulus.m)
 
     def __contains__(self, r: int) -> bool:
-        return _in_kernel(self.modulus.m, self.k, r)
-
-
-def _in_kernel(m: int, k: int, r: int) -> bool:
-    """r solves x^2 = kx (mod m): O(1), so no enumeration cap applies."""
-    return r * r % m == k * r % m
+        """r solves x^2 = kx (mod m): O(1), so no enumeration cap applies."""
+        m = self.modulus.m
+        return r * r % m == self.k * r % m
 
 
 def kernel(m: int, k: int) -> QuadraticKernel:
@@ -99,35 +96,35 @@ def sqrt_structure(m: int, e: int) -> SqrtStructure:
 def kernel_op(m: int, k: int, r: int, e: int, which: str) -> int:
     """Mix a kernel element with an idempotent: r o e = re + (k-r)(1-e) or
     r (x) e = k - (k-r)(1-e); both land back in the kernel."""
-    k = canonicalize(k, m)
-    r = canon(r, m)
-    if not _in_kernel(m, k, r):
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    k, r, e = k % m or m, r % m or m, e % m or m
+    if r * r % m != k * r % m:
         raise ValueError(f"{r} does not solve x^2 = {k}x modulo {m}")
-    if not is_idempotent(m, e):
+    if e * e % m != e % m:
         raise ValueError(f"{e} is not idempotent modulo {m}")
-    e = canon(e, m)
     rb = k - r
     if which == "circ":
-        return canon(r * e + rb * (1 - e), m)
+        return (r * e + rb * (1 - e)) % m or m
     if which == "otimes":
-        return canon(k - rb * (1 - e), m)
+        return (k - rb * (1 - e)) % m or m
     raise ValueError(f"unknown kernel operator {which!r}")
 
 
 def class_kernel_op(m: int, e: int, r1: int, r2: int, which: str) -> int:
     """Combine two elements of the kernel of x^2 = ex (bars taken against
     k = e): r1 o r2 = r1 r2 + rbar1 rbar2, r1 (x) r2 = e - rbar1 rbar2."""
-    if not is_idempotent(m, e):
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    e, r1, r2 = e % m or m, r1 % m or m, r2 % m or m
+    if e * e % m != e % m:
         raise ValueError(f"{e} is not idempotent modulo {m}")
-    e = canon(e, m)
-    r1 = canon(r1, m)
-    r2 = canon(r2, m)
     for r in (r1, r2):
-        if not _in_kernel(m, e, r):
+        if r * r % m != e * r % m:
             raise ValueError(f"{r} does not solve x^2 = {e}x modulo {m}")
     rb1, rb2 = e - r1, e - r2
     if which == "circ":
-        return canon(r1 * r2 + rb1 * rb2, m)
+        return (r1 * r2 + rb1 * rb2) % m or m
     if which == "otimes":
-        return canon(e - rb1 * rb2, m)
+        return (e - rb1 * rb2) % m or m
     raise ValueError(f"unknown kernel operator {which!r}")

@@ -45,9 +45,7 @@ from .arith import (
     Record,
     build_modulus,
     canon,
-    canonicalize,
     check_enum,
-    factorize,
     least_divisor,
     max_enum,
     valuation,
@@ -77,11 +75,9 @@ class ResidueClassification(Record):
 def mu(m: int, a: int) -> int:
     """The divisor m1 of m on which a's idempotent class is congruent to 1
     (the complementary divisor m/m1 carries the zero part)."""
-    mod = build_modulus(m)
-    a = canon(a, m)
     out = 1
-    for p, alpha in mod.factorization.factors:
-        if a % p != 0:
+    for p, alpha in build_modulus(m).factorization.factors:
+        if a % p:
             out *= p**alpha
     return out
 
@@ -89,25 +85,21 @@ def mu(m: int, a: int) -> int:
 def delta(m: int, a: int) -> int:
     """Smallest n with a^n regular: max over shared primes p of
     ceil(alpha_p / v_p(a)), and 1 for (a, m) = 1."""
-    mod = build_modulus(m)
-    _, T = _order_parts(mod, canon(a, m))
-    return T
+    return _order_parts(build_modulus(m), a % m or m)[1]
 
 
 def is_regular(m: int, a: int) -> bool:
     """Every prime of m dividing a must divide a to the full power in m."""
-    mod = build_modulus(m)
-    a = canon(a, m)
-    return all(
-        a % p != 0 or a % p**alpha == 0 for p, alpha in mod.factorization.factors
-    )
+    for p, alpha in build_modulus(m).factorization.factors:
+        if a % p == 0 and a % p**alpha:
+            return False
+    return True
 
 
 def is_normal(m: int, a: int) -> bool:
     """Normal exactly when the tail length T does not exceed the cycle
     length L, so the idempotent exponents are the multiples of |a|."""
-    mod = build_modulus(m)
-    L, T = _order_parts(mod, canon(a, m))
+    L, T = _order_parts(build_modulus(m), a % m or m)
     return T <= L
 
 
@@ -115,7 +107,7 @@ def classify(m: int, a: int) -> ResidueClassification:
     """Every property of a, from one _order_parts (L, T): a is normal when
     T <= L, regular when T = 1, and delta is T."""
     mod = build_modulus(m)
-    a = canon(a, m)
+    a = a % m or m
     L, T = _order_parts(mod, a)
     info = _order_info(mod, a, L, T)
     return ResidueClassification(
@@ -451,7 +443,7 @@ def _unit_orders(p: int, alpha: int) -> array:
 def _divisors(n: int) -> list[int]:
     """The divisors of n, ascending."""
     out = [1]
-    for r, e in factorize(n).factors:
+    for r, e in build_modulus(n).factorization.factors:
         out = [d * r**i for d in out for i in range(e + 1)]
     return sorted(out)
 
@@ -466,13 +458,11 @@ def _regular_order(m: int, x: int) -> OrderInfo:
 
 
 def _same_class(m: int, b: int, c: int) -> tuple[OrderInfo, OrderInfo]:
-    ib = _regular_order(m, b)
-    ic = _regular_order(m, c)
+    ib, ic = _regular_order(m, b), _regular_order(m, c)
     if ib.idem_class != ic.idem_class:
         raise ValueError(
             f"operands {ib.a} and {ic.a} lie in different classes modulo {m} "
-            f"({ib.idem_class} vs {ic.idem_class})"
-        )
+            f"({ib.idem_class} vs {ic.idem_class})")
     return ib, ic
 
 
@@ -485,8 +475,9 @@ def orbit_gcd(m: int, b: int, c: int) -> int:
     of D, and D is the least divisor d of |b| with b^d in orb(c).  Hence
     D(b, c) = 1 exactly when b lies in orb(c): equivalent and join_witness
     test orbit membership this way."""
-    # canonicalize also rejects a modulus below 1.
-    return _orbit_gcd(m, canonicalize(b, m), canon(c, m))
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    return _orbit_gcd(m, b % m or m, c % m or m)
 
 
 @lru_cache(maxsize=4096)
@@ -499,12 +490,15 @@ def _orbit_gcd(m: int, b: int, c: int) -> int:
     holding every pair of a sweep."""
     ib, _ = _same_class(m, b, c)
     target = orbit(m, c).elements
-    return least_divisor(ib.order, lambda d: canon(pow(b, d, m), m) in target)
+    return least_divisor(ib.order, lambda d: (pow(b, d, m) or m) in target)
 
 
 def relative_order(m: int, a: int, b: int) -> int:
     """|a,b|_m = |orb(a) ∩ orb(b)| = |a|_m / D_m(a, b)."""
-    return order(m, a).order // orbit_gcd(m, a, b)
+    if m < 1:
+        raise ValueError(f"invalid modulus {m}: need a positive integer")
+    a, b = a % m or m, b % m or m
+    return order(m, a).order // _orbit_gcd(m, a, b)
 
 
 def equivalent(m: int, a: int, b: int) -> bool:
@@ -524,11 +518,12 @@ def _coprime_split(x: int, y: int) -> tuple[int, int]:
     of gcd(x, y) keeps its full power on the side holding more of it (x on a
     tie) and leaves the other side."""
     u, v = x, y
-    for p, _ in factorize(math.gcd(x, y)).factors:
-        if valuation(x, p) >= valuation(y, p):
-            v //= p ** valuation(y, p)
+    for p, _ in build_modulus(math.gcd(x, y)).factorization.factors:
+        px, py = p ** valuation(x, p), p ** valuation(y, p)
+        if px >= py:
+            v //= py
         else:
-            u //= p ** valuation(x, p)
+            u //= px
     return u, v
 
 
@@ -546,16 +541,12 @@ def join_witness(m: int, b: int, c: int, a: int) -> int:
     intersection is cyclic, the product of its q-parts, so it lies in orb(d)
     and a does too.
     """
-    ib, ic = _same_class(m, b, c)
-    if orbit_gcd(m, a, ib.a) != 1 or orbit_gcd(m, a, ic.a) != 1:
-        raise ValueError(
-            f"{canon(a, m)} is not in both orbits of {ib.a} and {ic.a} "
-            f"modulo {m}"
-        )
+    ib, ic = _same_class(m, b, c)  # rejects a modulus below 1 first
+    a = a % m or m
+    if _orbit_gcd(m, a, ib.a) != 1 or _orbit_gcd(m, a, ic.a) != 1:
+        raise ValueError(f"{a} is not in both orbits of {ib.a} and {ic.a} modulo {m}")
     u, v = _coprime_split(ib.order, ic.order)
-    return canon(
-        pow(ib.a, ib.order // u, m) * pow(ic.a, ic.order // v, m), m
-    )
+    return pow(ib.a, ib.order // u, m) * pow(ic.a, ic.order // v, m) % m or m
 
 
 def class_product(m: int, e: int) -> int:

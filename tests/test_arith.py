@@ -25,6 +25,9 @@ from idemod.arith import (
     multiplicative_order,
     valuation,
 )
+from idemod.congruence import solvable_bc01
+from idemod.idempotents import signed_power
+from idemod.quadratic import class_kernel_op, kernel_op
 
 
 def _brute_phi_sieve(n):
@@ -246,6 +249,88 @@ def test_public_api_takes_int_moduli():
     idemod.order(12, 5)
     info = idemod.order.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def _outcome(fn, m, *args):
+    """fn(m, *args), or the class and text of the ValueError it raises."""
+    try:
+        return fn(m, *args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _boundary_cases(m):
+    """(entry point, base arguments) for the entry points that reduce their
+    residues at the boundary, each wrapped to take m and residues only.
+    The bases are canonical, and each residue position takes every value
+    in 1..m in some base."""
+    res = range(1, m + 1)
+    kernels = {k: [r for r in res if r * r % m == k * r % m] for k in res}
+    # Each list of valid operands, and one that fails where there is one.
+    bad = {k: ks + [r for r in res if r not in ks][:1] for k, ks in kernels.items()}
+    idems = bad[1]
+    cases = [(lambda m, a: canonicalize(a, m), (a,)) for a in res]
+    for fn in (idemod.is_idempotent, idemod.is_regular, idemod.mu):
+        cases += [(fn, (a,)) for a in res]
+    cases += [(lambda m, a: tuple(signed_power(m, a, z) for z in range(-3, 4)), (a,))
+              for a in res]
+    cases += [(lambda m, a: tuple(_outcome(solvable_bc01, m, k, a)
+                                  for k in range(0, 5)), (a,)) for a in res]
+    for fn in (idemod.index, idemod.orbit_gcd, idemod.relative_order):
+        cases += [(fn, (b, c)) for b in res for c in res]
+    cases += [(idemod.join_witness, (b, c, b)) for b in res for c in res]
+
+    def kernel_ops(m, k, r, e):
+        return tuple(_outcome(kernel_op, m, k, r, e, which)
+                     for which in ("circ", "otimes", "neither"))
+
+    def class_kernel_ops(m, e, r1, r2):
+        return tuple(_outcome(class_kernel_op, m, e, r1, r2, which)
+                     for which in ("circ", "otimes", "neither"))
+
+    cases += [(kernel_ops, (k, r, e)) for k in res for r in bad[k] for e in idems]
+    cases += [(kernel_ops, (m, m, e)) for e in res]
+    cases += [(class_kernel_ops, (e, r, s))
+              for e in res for r in bad[e] for s in bad[e][:1]]
+    cases += [(class_kernel_ops, (e, bad[e][0], s)) for e in res for s in bad[e]]
+    return cases
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_entry_points_reduce_any_integer_residue(m):
+    """Each entry point that reduces its residues at the boundary answers,
+    or raises the same error, with any residue argument moved to a value in
+    -2m..3m as with its canonical residue, and with all of them moved at
+    once."""
+    for fn, base in _boundary_cases(m):
+        want = _outcome(fn, m, *base)
+        for j in (-3, -2, -1, 1, 2):
+            moved = [(*base[:i], x + j * m, *base[i + 1:]) for i, x in enumerate(base)]
+            moved.append(tuple(x + j * m for x in base))
+            for args in moved:
+                if min(args) >= -2 * m:
+                    assert _outcome(fn, m, *args) == want, (fn, m, args)
+
+
+@pytest.mark.parametrize("m", [0, -5])
+@pytest.mark.parametrize("call", [
+    lambda m: canonicalize(1, m),
+    lambda m: idemod.is_idempotent(m, 1),
+    lambda m: idemod.is_regular(m, 1),
+    lambda m: idemod.mu(m, 1),
+    lambda m: signed_power(m, 1, 2),
+    lambda m: signed_power(m, 1, -1),
+    lambda m: idemod.index(m, 1, 1),
+    lambda m: idemod.orbit_gcd(m, 1, 1),
+    lambda m: idemod.relative_order(m, 1, 1),
+    lambda m: idemod.join_witness(m, 1, 1, 1),
+    lambda m: kernel_op(m, 1, 1, 1, "circ"),
+    lambda m: class_kernel_op(m, 1, 1, 1, "circ"),
+    lambda m: solvable_bc01(m, 2, 1),
+])
+def test_entry_points_reject_a_modulus_below_1(call, m):
+    with pytest.raises(ValueError, match="invalid modulus"):
+        call(m)
 
 
 def _record_samples():

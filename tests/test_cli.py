@@ -354,6 +354,20 @@ def test_the_environment_cap_is_read_once_per_process():
     assert "modulus 2557 exceeds enumeration cap 10" in res.stderr
 
 
+def test_an_invalid_environment_cap_refuses_only_the_queries_that_read_it():
+    """A non-integer IDEM_MAX_ENUM does not stop idemod from loading: a
+    query that reads no cap answers, and one that reads it exits 2 with one
+    error line that names the variable."""
+    env = dict(_src_env(), IDEM_MAX_ENUM="abc")
+    runs = [subprocess.run([sys.executable, "-m", "idemod.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for argv in (["modinfo", "360"], ["idempotents", "360"])]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout.startswith("m = 360 = 2^3 * 3^2 * 5")
+    assert runs[1].returncode == 2 and not runs[1].stdout
+    assert runs[1].stderr == "error: invalid IDEM_MAX_ENUM 'abc': need an integer\n"
+
+
 def test_modinfo_on_a_large_prime_square_needs_no_rho(capsys, monkeypatch):
     """(2^61 - 1)^2 is split by its exact square root; Pollard rho would need
     about 2^30 steps on it."""

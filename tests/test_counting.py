@@ -202,6 +202,27 @@ def test_classifier_first_witness_per_label(f, witnesses):
         label not in cls.witnesses for label in ("M", "QM", "DI", "DIpp")]
 
 
+@pytest.mark.parametrize("f", [
+    *map(builtin_function, _audit._FS_CORPUS), lambda x: x // 2 + 1,
+    lambda x: 2 ** (x % 5),
+], ids=[*_audit._FS_CORPUS, "half", "pow2"])
+def test_qm_search_yields_every_witness_of_a_full_scan(f):
+    """The QM search visits only the pairs with lcm(a, b) <= n, and yields
+    the witnesses of a scan of every pair a <= b <= n, in the scan's order,
+    for each n <= 200.  The scan is made once, at n = 200: its pairs with
+    lcm <= n, in order, are the scan at n."""
+    vals = [None, *map(f, range(1, 201))]
+    scan = [
+        (l, (a, b, vals[l], math.lcm(vals[a], vals[b])))
+        for a in range(1, 201)
+        for b in range(a, 201)
+        if (l := math.lcm(a, b)) <= 200 and vals[l] != math.lcm(vals[a], vals[b])
+    ]
+    for n in range(1, 201):
+        want = [w for l, w in scan if l <= n]
+        assert list(counting._quasimultiplicative(vals[: n + 1], n)) == want, n
+
+
 def test_classifier_domain_counts_against_the_cap():
     """The classifier tabulates f on all of 1..n, so n is checked against
     the enumeration cap before f is called once."""
