@@ -106,9 +106,19 @@ class AuditReport(Record):
 
 
 class _Ctx:
-    """Shared per-modulus scratch tables for the checks.  The power walks and
-    the algebra report are built on first use, so a check that needs none
-    of them does not pay for them."""
+    """Shared per-modulus reference tables for the checks, which read them
+    rather than recompute them.
+
+    Built with the context: E and Eset (the idempotents), R and Rset (the
+    regular residues), N and Nset (the normal ones), orders and classes
+    (|a| and a's idempotent class, 0 for a non-regular a) and by_class (each
+    class R_m^e ascending), from the library's tables.  Built on first use,
+    so a check that needs none of them does not pay for them: ind (the walk
+    of each regular b's powers), powers (the same walk as a list, so that
+    b^n = powers[b][(n - 1) % |b|] for n >= 1), orbits (each orb(b) as a
+    set), images(k) (the k-th powers of all residues) and algebra (the
+    operator-law report).  Everything dies with the context, when the sweep
+    moves to the next modulus."""
 
     def __init__(self, m: int):
         self.m = m
@@ -135,9 +145,19 @@ class _Ctx:
             x = 1 % m
             for k in range(1, self.orders[b] + 1):
                 x = x * b % m
-                walk.setdefault(canon(x, m), k)
+                walk.setdefault(x or m, k)
             ind[b] = walk
         return ind
+
+    @cached_property
+    def powers(self) -> dict[int, list[int]]:
+        """For each regular b: [b^1, ..., b^|b|], in canonical form."""
+        return {b: list(walk) for b, walk in self.ind.items()}
+
+    def first_powers(self, b: int, count: int) -> list[int]:
+        """[b^1, ..., b^count] for a regular b, read off powers[b]."""
+        seq = self.powers[b]
+        return [seq[n % len(seq)] for n in range(count)]
 
     @cached_property
     def orbits(self) -> dict[int, frozenset[int]]:
@@ -205,7 +225,7 @@ def claim(fn=None, *, scope="sweep"):
 def check_in02(m):
     c = _ctx(m)
     for a in range(1, m + 1):
-        if canon(pow(a, c.mod.phi, m), m) not in c.Eset:
+        if (pow(a, c.mod.phi, m) or m) not in c.Eset:
             yield {"a": a}, "a^phi idempotent", "not idempotent"
 
 
@@ -217,7 +237,7 @@ def check_in03(m):
         x = 1 % m
         for k in range(1, 2 * c.mod.phi + 1):
             x = x * a % m
-            v = canon(x, m)
+            v = x or m
             if v in c.Eset:
                 idems.add(v)
         if len(idems) > 1:
@@ -268,20 +288,23 @@ def check_in08(m):
 @claim
 def check_in11(m):
     c = _ctx(m)
+    top = min(2 * c.mod.phi, 40)
     for a in range(1, m + 1, max(1, m // 40)):
-        for k in range(1, min(2 * c.mod.phi, 40) + 1):
+        pa = [1 % m]  # pa[j] == pow(a, j, m), for every k + n below
+        for _ in range(2 * top + 5):
+            pa.append(pa[-1] * a % m)
+        for k in range(1, top + 1):
             for n in range(k, k + 6):
-                if pow(a, k + n, m) == pow(a, k, m):
-                    if canon(pow(a, n, m), m) not in c.Eset:
-                        yield ({"a": a, "k": k, "n": n},
-                               "a^n idempotent", "not idempotent")
+                if pa[k + n] == pa[k] and (pa[n] or m) not in c.Eset:
+                    yield ({"a": a, "k": k, "n": n},
+                           "a^n idempotent", "not idempotent")
 
 
 @claim
 def check_in12(m):
     c = _ctx(m)
     for a in range(1, m + 1):
-        if canon(pow(a, c.mod.psi, m), m) not in c.Eset:
+        if (pow(a, c.mod.psi, m) or m) not in c.Eset:
             yield {"a": a}, "a^psi idempotent", "not idempotent"
 
 
@@ -318,7 +341,7 @@ def check_nn03(m):
         n = order(m, a).order
         for k in range(1, min(2 * c.mod.phi, 60) + 1):
             expect = n // math.gcd(k, n)
-            actual = order(m, canon(pow(a, k, m), m)).order
+            actual = order(m, pow(a, k, m) or m).order
             if actual != expect:
                 yield {"a": a, "k": k}, expect, actual
 
@@ -346,7 +369,7 @@ def check_nn05(m):
         x = 1 % m
         for n in range(1, min(2 * c.mod.phi, 40) + 1):
             x = x * a % m
-            if canon(x, m) not in c.Nset:
+            if (x or m) not in c.Nset:
                 yield {"a": a, "n": n}, "normal", "not normal"
 
 
@@ -373,13 +396,15 @@ def check_nn07(m):
         x = 1 % m
         for k in range(1, 2 * c.mod.phi + 1):
             x = x * b % m
-            seen.setdefault(canon(x, m), k)
+            seen.setdefault(x or m, k)
+        gs = [(k, math.gcd(k, nb)) for k in range(1, 16)]
+        gset = {g for _, g in gs}
         for a, ind in seen.items():
             if a not in c.Nset or idem_class(m, a) != eb:
                 continue
-            for k in range(1, 16):
-                g = math.gcd(k, nb)
-                if canon(pow(a, nb // g, m), m) in c.Eset and ind % g != 0:
+            idem = {g: (pow(a, nb // g, m) or m) in c.Eset for g in gset}
+            for k, g in gs:
+                if idem[g] and ind % g != 0:
                     yield {"a": a, "b": b, "k": k}, "(k,|b|) | ind_b(a)", (g, ind)
 
 
@@ -402,7 +427,7 @@ def check_nn08_third(m):
     c = _ctx(m)
     for a in c.N:
         inv2 = signed_power(m, signed_power(m, a, -1), -1)
-        rhs = canon(pow(a, order(m, a).order + 1, m), m)
+        rhs = pow(a, order(m, a).order + 1, m) or m
         if inv2 != rhs:
             yield {"a": a}, inv2, rhs
 
@@ -448,17 +473,17 @@ def check_rn06(m):
     for e, members in c.by_class.items():
         ms = set(members)
         for a in members:
-            if canon(a * e, m) != a:
+            if (a * e % m or m) != a:
                 yield {"e": e, "a": a}, "e is identity", "fails"
             inv = signed_power(m, a, -1)
             if inv not in ms or canon(a * inv, m) != e:
                 yield {"e": e, "a": a}, "inverse in class", inv
-            if sum(1 for b in members if canon(a * b, m) == e) != 1:
+            if sum(1 for b in members if (a * b % m or m) == e) != 1:
                 yield {"e": e, "a": a}, "unique inverse", "fails"
         for a in members[::3] or members:
             for b in members[::3] or members:
-                if canon(a * b, m) not in ms:
-                    yield {"e": e, "a": a, "b": b}, "closure", canon(a * b, m)
+                if (a * b % m or m) not in ms:
+                    yield {"e": e, "a": a, "b": b}, "closure", a * b % m or m
 
 
 @claim
@@ -470,13 +495,16 @@ def check_rn07(m):
     zs = {i + j for i in pts for j in pts}.union(pts, (-n for n in ns))
     for a in c.R[:: max(1, len(c.R) // 25)]:
         power = {z: signed_power(m, a, z) for z in zs}
+        x = 1 % m
         for n in ns:
-            if signed_power(m, pow(a, n, m), -1) != power[-n]:
+            x = x * a % m  # pow(a, n, m)
+            if signed_power(m, x, -1) != power[-n]:
                 yield {"a": a, "n": n}, "(a^n)^-1 == a^-n", "differs"
         for i in pts:
+            pi = power[i]
             for j in pts:
                 lhs = power[i + j]
-                rhs = canon(power[i] * power[j], m)
+                rhs = pi * power[j] % m or m
                 if lhs != rhs:
                     yield {"a": a, "i": i, "j": j}, lhs, rhs
 
@@ -484,18 +512,23 @@ def check_rn07(m):
 @claim
 def check_rn09(m):
     c = _ctx(m)
+    pairs = [(n, k, math.gcd(n, k)) for n in range(1, 13) for k in range(n, 13)]
+    # The (n, k, rhs, lhs) that differ, once per membership vector: both
+    # sides read nothing else.
+    failures: dict[tuple[bool, ...], list[tuple[int, int, bool, bool]]] = {}
     for b in c.R[:: max(1, len(c.R) // 20)]:
         top = min(2 * c.orders[b], 12)
-        powers = [canon(pow(b, n, m), m) for n in range(top + 1)]
+        powers = [1 % m or m] + c.first_powers(b, top)
         for cc in c.by_class[c.classes[b]]:
             tgt = c.orbits[cc]
-            inside = [x in tgt for x in powers]  # inside[n]: b^n in orb(c)
-            for n in range(1, top + 1):
-                for k in range(n, top + 1):
-                    lhs = inside[n] and inside[k]
-                    rhs = inside[math.gcd(n, k)]
-                    if lhs != rhs:
-                        yield {"b": b, "c": cc, "n": n, "k": k}, rhs, lhs
+            inside = tuple(x in tgt for x in powers)  # inside[n]: b^n in orb(c)
+            if inside not in failures:
+                failures[inside] = [
+                    (n, k, inside[g], lhs) for n, k, g in pairs
+                    if k <= top and (lhs := inside[n] and inside[k]) != inside[g]
+                ]
+            for n, k, rhs, lhs in failures[inside]:
+                yield {"b": b, "c": cc, "n": n, "k": k}, rhs, lhs
 
 
 @claim
@@ -504,20 +537,24 @@ def check_rn11(m):
     for e, members in c.by_class.items():
         for b in members:
             nb = c.orders[b]
+            ob = c.orbits[b]
+            bk = c.first_powers(b, min(2 * nb, 10))
             for cc in members:
                 D = orbit_gcd(m, b, cc)
-                inter = c.orbits[b] & c.orbits[cc]
+                oc = c.orbits[cc]
+                inter = ob & oc
                 if nb % D != 0:
                     yield {"b": b, "c": cc}, "D | |b|", D
-                if canon(pow(b, D, m), m) not in c.orbits[cc]:
+                bD = pow(b, D, m) or m
+                if bD not in oc:
                     yield {"b": b, "c": cc, "power": True}, "b^D in orb(c)", D
-                if inter != c.orbits[canon(pow(b, D, m), m)]:
+                if inter != c.orbits[bD]:
                     yield ({"b": b, "c": cc, "orbits": True},
                            "orb(b) & orb(c) == orb(b^D)", D)
                 if len(inter) != nb // D:
                     yield {"b": b, "c": cc, "size": True}, nb // D, len(inter)
-                for k in range(1, min(2 * nb, 10) + 1):
-                    if (canon(pow(b, k, m), m) in c.orbits[cc]) != (k % D == 0):
+                for k, x in enumerate(bk, 1):
+                    if (x in oc) != (k % D == 0):
                         yield ({"b": b, "c": cc, "k": k},
                                k % D == 0, "membership differs")
 
@@ -528,11 +565,15 @@ def check_rn13(m):
     for e, members in c.by_class.items():
         for b in members:
             nb = c.orders[b]
+            gs = [(k, math.gcd(k, nb)) for k in range(1, 13)]
+            gset = {g for _, g in gs}
             for a, ind in c.ind[b].items():
-                for k in range(1, 13):
-                    g = math.gcd(k, nb)
+                seq = c.powers[a]
+                # a^(nb/g) is idempotent, for each g = (k, nb).
+                idem = {g: seq[(nb // g - 1) % len(seq)] in c.Eset for g in gset}
+                for k, g in gs:
                     lhs = ind % g == 0
-                    rhs = canon(pow(a, nb // g, m), m) in c.Eset
+                    rhs = idem[g]
                     if lhs != rhs:
                         yield {"a": a, "b": b, "k": k}, lhs, rhs
 
@@ -543,16 +584,18 @@ def check_rn14(m):
     for e, members in c.by_class.items():
         for a in members:
             na = c.orders[a]
+            pa = c.powers[a]
             for b in members:
                 nb = c.orders[b]
-                nab = c.orders[canon(a * b, m)]
+                pb = c.powers[b]
+                nab = c.orders[a * b % m or m]
                 g, l = math.gcd(na, nb), math.lcm(na, nb)
                 if (g == 1) != (nab == na * nb):
                     yield {"a": a, "b": b, "first": True}, g == 1, nab == na * nb
                 if l % nab != 0 or nab % (l // g) != 0:
                     yield ({"a": a, "b": b, "second": True},
                            f"{l // g} | |ab| | {l}", nab)
-                if pow(a, nb, m) == pow(b, na, m) and na != nb:
+                if pa[(nb - 1) % len(pa)] == pb[(na - 1) % len(pb)] and na != nb:
                     yield {"a": a, "b": b, "third": True}, "equal orders", (na, nb)
 
 
@@ -671,28 +714,35 @@ def check_rn23(m):
 @claim
 def check_rn24(m):
     c = _ctx(m)
+    # (b, |b|, [b^1, ..., b^10]) for each normal b.
+    normals = [(b, order(m, b).order, [pow(b, n, m) or m for n in range(1, 11)])
+               for b in c.N]
     for a in c.R[:: max(1, len(c.R) // 20)]:
         na = c.orders[a]
-        for b in c.N:
-            nbm = order(m, b).order
+        oa = c.orbits[a]
+        pa = c.first_powers(a, 10)
+        for b, nbm, pb in normals:
             if nbm % na != 0:
                 continue
             for n in range(1, 11):
-                if canon(pow(b, n, m), m) in c.orbits[a]:
-                    if index(m, b, canon(pow(a, n, m), m)) is None:
+                if pb[n - 1] in oa:
+                    if index(m, b, pa[n - 1]) is None:
                         yield {"a": a, "b": b, "n": n}, "ind_b(a^n) exists", "missing"
 
 
 @claim
 def check_rn25(m):
     c = _ctx(m)
-    for a in c.R[:: max(1, len(c.R) // 20)]:
-        for b in c.R[:: max(1, len(c.R) // 20)]:
+    sampled = c.R[:: max(1, len(c.R) // 20)]
+    first = {x: c.first_powers(x, 10) for x in sampled}
+    for a in sampled:
+        for b in sampled:
             if c.orders[a] != c.orders[b]:
                 continue
-            for n in range(1, 11):
-                lhs = canon(pow(b, n, m), m) in c.orbits[a]
-                rhs = canon(pow(a, n, m), m) in c.orbits[b]
+            oa, ob = c.orbits[a], c.orbits[b]
+            for n, (an, bn) in enumerate(zip(first[a], first[b]), 1):
+                lhs = bn in oa
+                rhs = an in ob
                 if lhs != rhs:
                     yield {"a": a, "b": b, "n": n}, lhs, rhs
 
@@ -700,30 +750,45 @@ def check_rn25(m):
 @claim
 def check_rn26(m):
     c = _ctx(m)
-    for a in c.R[:: max(1, len(c.R) // 20)]:
-        for b in c.R[:: max(1, len(c.R) // 20)]:
-            nb = c.orders[b]
-            for n in range(1, min(2 * nb, 10) + 1):
-                if math.gcd(n, nb) == 1 and canon(pow(b, n, m), m) in c.orbits[a]:
-                    if not c.orbits[b] <= c.orbits[a]:
-                        yield ({"a": a, "b": b, "n": n},
-                               "orb(b) subset of orb(a)", "not contained")
+    sampled = c.R[:: max(1, len(c.R) // 20)]
+    # (n, b^n) for the n <= min(2|b|, 10) prime to |b|.
+    coprime = {}
+    for b in sampled:
+        nb = c.orders[b]
+        first = c.first_powers(b, min(2 * nb, 10))
+        coprime[b] = [(n, x) for n, x in enumerate(first, 1) if math.gcd(n, nb) == 1]
+    for a in sampled:
+        oa = c.orbits[a]
+        for b in sampled:
+            hits = [n for n, x in coprime[b] if x in oa]
+            if hits and not c.orbits[b] <= oa:
+                for n in hits:
+                    yield ({"a": a, "b": b, "n": n},
+                           "orb(b) subset of orb(a)", "not contained")
 
 
 @claim
 def check_rn27(m):
     c = _ctx(m)
-    for a in c.R[:: max(1, len(c.R) // 20)]:
+    sampled = c.R[:: max(1, len(c.R) // 20)]
+    coprime: dict[int, list[int]] = {}  # |b| -> the n <= min(2|b|, 10) prime to it
+    for a in sampled:
         na = c.orders[a]
-        for b in c.R[:: max(1, len(c.R) // 20)]:
+        oa = c.orbits[a]
+        first = c.first_powers(a, 10)
+        for b in sampled:
             nb = c.orders[b]
             if na % nb != 0:
                 continue
-            for n in range(1, min(2 * nb, 10) + 1):
-                if math.gcd(n, nb) == 1 and canon(pow(a, n, m), m) in c.orbits[b]:
-                    if not c.orbits[b] <= c.orbits[a]:
-                        yield ({"a": a, "b": b, "n": n},
-                               "orb(b) subset of orb(a)", "not contained")
+            if nb not in coprime:
+                coprime[nb] = [n for n in range(1, min(2 * nb, 10) + 1)
+                               if math.gcd(n, nb) == 1]
+            ob = c.orbits[b]
+            hits = [n for n in coprime[nb] if first[n - 1] in ob]
+            if hits and not ob <= oa:
+                for n in hits:
+                    yield ({"a": a, "b": b, "n": n},
+                           "orb(b) subset of orb(a)", "not contained")
 
 
 @claim
@@ -731,12 +796,12 @@ def check_rn28(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 20)]:
         na = c.orders[a]
+        # The generators a^n of orb(a), n prime to |a|, in ascending n.
+        gens = [x for n, x in enumerate(c.first_powers(a, na), 1)
+                if math.gcd(n, na) == 1]
         for b in c.R[:: max(1, len(c.R) // 20)]:
             lhs = c.orbits[a] == c.orbits[b]
-            rhs = c.orders[b] == na and any(
-                math.gcd(n, na) == 1 and canon(pow(a, n, m), m) in c.orbits[b]
-                for n in range(1, na + 1)
-            )
+            rhs = c.orders[b] == na and any(x in c.orbits[b] for x in gens)
             if lhs != rhs:
                 yield {"a": a, "b": b}, lhs, rhs
 
@@ -746,12 +811,11 @@ def check_rn29(m):
     c = _ctx(m)
     for a in c.R[:: max(1, len(c.R) // 16)]:
         na = c.orders[a]
+        holders = [cc for cc in c.R if a in c.orbits[cc]]
         for b in c.R[:: max(1, len(c.R) // 16)]:
             if c.orders[b] % na != 0:
                 continue
-            joint = any(
-                a in c.orbits[cc] and b in c.orbits[cc] for cc in c.R
-            )
+            joint = any(b in c.orbits[cc] for cc in holders)
             if joint != (a in c.orbits[b]):
                 yield {"a": a, "b": b}, a in c.orbits[b], joint
 
@@ -761,10 +825,9 @@ def check_rn30(m):
     c = _ctx(m)
     for b in c.R:
         nb = c.orders[b]
+        divisors = [d for d in range(1, nb + 1) if nb % d == 0]
         for a, ind in c.ind[b].items():
-            for d in range(1, nb + 1):
-                if nb % d != 0:
-                    continue
+            for d in divisors:
                 lhs = c.orders[a] == d
                 q, r = divmod(ind * d, nb)
                 rhs = r == 0 and math.gcd(q, d) == 1
@@ -775,13 +838,11 @@ def check_rn30(m):
 @claim
 def check_rn31(m):
     c = _ctx(m)
+    # (a, a^|a|) for every residue a.
+    tops = [(a, pow(a, order(m, a).order, m) or m) for a in range(1, m + 1)]
     for e in c.E:
         lhs = set(c.by_class.get(e, []))
-        rhs = {
-            canon(e * a, m)
-            for a in range(1, m + 1)
-            if canon(pow(a, order(m, a).order, m), m) == e
-        }
+        rhs = {e * a % m or m for a, top in tops if top == e}
         if lhs != rhs:
             yield {"e": e}, sorted(lhs), sorted(rhs)
 
@@ -802,9 +863,11 @@ def check_rn33(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
         step = max(1, len(members) // 14)
-        for a in members[::step]:
+        sampled = members[::step]
+        first = {x: c.first_powers(x, 6) for x in sampled}
+        for a in sampled:
             na = c.orders[a]
-            for b in members[::step]:
+            for b in sampled:
                 nb = c.orders[b]
                 dab = orbit_gcd(m, a, b)
                 dba = orbit_gcd(m, b, a)
@@ -813,18 +876,18 @@ def check_rn33(m):
                 if dab * nb != dba * na:
                     yield ({"a": a, "b": b, "second": True},
                            "D(a,b)/D(b,a) == |a|/|b|", (dab, dba, na, nb))
-                inner = c.orders[canon(pow(a, dab, m), m)]
-                outer = c.orders[canon(pow(a, inner, m), m)]
+                inner = c.orders[pow(a, dab, m) or m]
+                outer = c.orders[pow(a, inner, m) or m]
                 if dab != outer:
                     yield {"a": a, "b": b, "third": True}, dab, outer
                 fifth = math.gcd(na // dab, dba) == 1
-                for n in range(1, 7):
-                    got = orbit_gcd(m, canon(pow(a, n, m), m), b)
+                for n, (an, bn) in enumerate(zip(first[a], first[b]), 1):
+                    got = orbit_gcd(m, an, b)
                     want = dab // math.gcd(n, dab)
                     if got != want:
                         yield {"a": a, "b": b, "n": n, "fourth": True}, want, got
                     if fifth:
-                        got = orbit_gcd(m, a, canon(pow(b, n, m), m))
+                        got = orbit_gcd(m, a, bn)
                         want = dab * math.gcd(n, na // dab)
                         if got != want:
                             yield {"a": a, "b": b, "n": n, "fifth": True}, want, got
@@ -835,14 +898,17 @@ def check_rn35(m):
     c = _ctx(m)
     for e, members in c.by_class.items():
         step = max(1, len(members) // 14)
-        for a in members[::step]:
+        sampled = members[::step]
+        first = {x: c.first_powers(x, 6) for x in sampled}
+        for a in sampled:
             na = c.orders[a]
             raa = relative_order(m, a, a)
-            for b in members[::step]:
+            for b in sampled:
                 nb = c.orders[b]
                 rab = relative_order(m, a, b)
-                if rab != relative_order(m, b, a):
-                    yield {"a": a, "b": b, "sym": True}, rab, relative_order(m, b, a)
+                rba = relative_order(m, b, a)
+                if rab != rba:
+                    yield {"a": a, "b": b, "sym": True}, rab, rba
                 if raa != na:
                     yield {"a": a, "self": True}, na, raa
                 if math.gcd(na, nb) == 1 and rab != 1:
@@ -853,20 +919,18 @@ def check_rn35(m):
                 dba = orbit_gcd(m, b, a)
                 # The sixth statement's hypothesis does not depend on n.
                 sixth = []
-                for k in range(1, 5):
-                    bk = canon(pow(b, k, m), m)
+                for k, bk in enumerate(first[b][:4], 1):
                     if math.gcd(rab, orbit_gcd(m, a, bk) * dba) == 1:
-                        sixth.append((k, bk))
-                for n in range(1, 7):
-                    an = canon(pow(a, n, m), m)
+                        sixth.append((k, bk, math.gcd(k, rab)))
+                for n, an in enumerate(first[a], 1):
                     if fifth:
                         got = relative_order(m, an, b)
                         want = rab // math.gcd(n, rab)
                         if got != want:
                             yield {"a": a, "b": b, "n": n, "fifth": True}, want, got
-                    for k, bk in sixth:
+                    for k, bk, gk in sixth:
                         got = relative_order(m, an, bk)
-                        want = rab // math.gcd(n * math.gcd(k, rab), rab)
+                        want = rab // math.gcd(n * gk, rab)
                         if got != want:
                             yield ({"a": a, "b": b, "n": n, "k": k, "sixth": True},
                                    want, got)
@@ -900,10 +964,13 @@ def check_rn38(m):
     c = _ctx(m)
     for a in c.R:
         na = c.orders[a]
+        counts: dict[int, int] = {}  # order -> members of orb(a) of that order
+        for b in c.orbits[a]:
+            counts[c.orders[b]] = counts.get(c.orders[b], 0) + 1
         for d in range(1, na + 1):
             if na % d:
                 continue
-            count = sum(1 for b in c.orbits[a] if c.orders[b] == d)
+            count = counts.get(d, 0)
             if count != build_modulus(d).phi:
                 yield {"a": a, "d": d}, build_modulus(d).phi, count
         eq_count = sum(
@@ -918,16 +985,20 @@ def check_rn38(m):
 @claim
 def check_rn40(m):
     c = _ctx(m)
-    equiv = c.equivalent
     sampled = c.R[:: max(1, len(c.R) // 14)]
-    for a in sampled:
-        if not equiv(a, a):
+    # rel[i][j] = S[i] ~ S[j], each pair of the sample S asked once.
+    rel = [[c.equivalent(a, b) for b in sampled] for a in sampled]
+    for i, a in enumerate(sampled):
+        row = rel[i]
+        if not row[i]:
             yield {"a": a}, "reflexive", "fails"
-        for b in sampled:
-            if equiv(a, b) != equiv(b, a):
+        for j, b in enumerate(sampled):
+            if row[j] != rel[j][i]:
                 yield {"a": a, "b": b}, "symmetric", "fails"
-            for cc in sampled:
-                if equiv(a, b) and equiv(b, cc) and not equiv(a, cc):
+            if not row[j]:
+                continue
+            for cc, bc, ac in zip(sampled, rel[j], row):
+                if bc and not ac:
                     yield {"a": a, "b": b, "c": cc}, "transitive", "fails"
 
 
@@ -939,13 +1010,13 @@ def check_rn41(m):
         x = 1 % m
         for _ in range(2 * c.mod.phi):
             x = x * b % m
-            walk.add(canon(x, m))
+            walk.add(x or m)
         nbm = order(m, b).order
         for a in walk:
             if a not in c.Rset:
                 continue
             e = c.classes[a]
-            cand = canon(b * e, m)
+            cand = b * e % m or m
             ok = (
                 c.classes[cand] == e
                 and c.orders[cand] == nbm
@@ -992,10 +1063,11 @@ def check_bc01(m):
 def check_bc03(m):
     c = _ctx(m)
     phi = c.mod.phi
+    ks = [(k, c.images(k), phi // math.gcd(k, phi)) for k in range(1, 31)]
     for a in range(1, m + 1):
-        for k in range(1, 31):
-            if a % m in c.images(k):
-                if canon(pow(a, phi // math.gcd(k, phi), m), m) not in c.Eset:
+        for k, img, exp in ks:
+            if a % m in img:
+                if (pow(a, exp, m) or m) not in c.Eset:
                     yield {"a": a, "k": k}, "necessary condition", "violated"
 
 
@@ -1004,10 +1076,11 @@ def check_bc04(m):
     c = _ctx(m)
     for b in c.R[:: max(1, len(c.R) // 16)]:
         nb = c.orders[b]
+        ks = [(k, math.gcd(k, nb), c.images(k)) for k in range(1, 13)]
         for a, ind in c.ind[b].items():
-            for k in range(1, 13):
-                if ind % math.gcd(k, nb) == 0:
-                    if a % m not in c.images(k):
+            for k, g, img in ks:
+                if ind % g == 0:
+                    if a % m not in img:
                         yield {"a": a, "b": b, "k": k}, "solvable", "unsolvable"
 
 
@@ -1016,20 +1089,28 @@ def check_bc05(m):
     c = _ctx(m)
     for b in c.R[:: max(1, len(c.R) // 10)]:
         nb = c.orders[b]
+        seq = c.powers[b]
+        ks = []  # (k, k-th powers, nb / (k, nb), {canon(k l, nb): the l in 1..nb})
+        for k in range(1, 9):
+            ls: dict[int, list[int]] = {}
+            for l in range(1, nb + 1):
+                ls.setdefault(k * l % nb or nb, []).append(l)
+            ks.append((k, c.images(k), nb // math.gcd(k, nb), ls))
+        regular: dict[int, bool] = {}  # kl -> is_regular(nb, kl)
         for a, ind in c.ind[b].items():
             if not is_regular(nb, ind):
                 continue
             e = idem_class(nb, ind)
-            for k in range(1, 9):
-                if a % m not in c.images(k):
+            for k, img, step, ls in ks:
+                if a % m not in img:
                     continue
-                for l in range(1, nb + 1):
-                    kl = canon(k * l, nb)
-                    if kl != e or not is_regular(nb, kl):
+                for l in ls.get(e, ()):  # the l with canon(k l, nb) == e
+                    if e not in regular:
+                        regular[e] = is_regular(nb, e)
+                    if not regular[e]:
                         continue
                     for n in range(1, 4):
-                        exp = l * ind + n * (nb // math.gcd(k, nb))
-                        x = canon(pow(b, exp, m), m)
+                        x = seq[(l * ind + n * step - 1) % len(seq)]  # b^exp
                         if pow(x, k, m) != a % m:
                             yield ({"a": a, "b": b, "k": k, "l": l, "n": n},
                                    "power lands in solution set", x)
@@ -1038,12 +1119,15 @@ def check_bc05(m):
 @claim
 def check_bc06(m):
     c = _ctx(m)
+    counts = []  # for each k: x^k mod m -> the regular x with that power
+    for k in range(1, 13):
+        reg_count: dict[int, int] = {}
+        for x in c.R:
+            t = pow(x, k, m)
+            reg_count[t] = reg_count.get(t, 0) + 1
+        counts.append(reg_count)
     for e, members in c.by_class.items():
-        for k in range(1, 13):
-            reg_count: dict[int, int] = {}
-            for x in c.R:
-                t = pow(x, k, m)
-                reg_count[t] = reg_count.get(t, 0) + 1
+        for k, reg_count in enumerate(counts, 1):
             se = reg_count.get(e % m, 0)
             for a in members:
                 na = reg_count.get(a % m, 0)
@@ -1065,25 +1149,31 @@ def check_bc07(m):
 @claim
 def check_bc08(m):
     c = _ctx(m)
-    ks = list(range(1, 9))
+    pairs = [(k1, k2, math.lcm(k1, k2)) for k1 in range(1, 9) for k2 in range(1, 9)]
+    imgs = {k: c.images(k) for pair in pairs for k in pair}
     for a in c.R:
-        for k1 in ks:
-            for k2 in ks:
-                both = a % m in c.images(k1) and a % m in c.images(k2)
-                joint = a % m in c.images(math.lcm(k1, k2))
-                if both != joint:
-                    yield {"a": a, "k1": k1, "k2": k2}, both, joint
+        x = a % m
+        solvable = {k: x in img for k, img in imgs.items()}
+        for k1, k2, l in pairs:
+            both = solvable[k1] and solvable[k2]
+            joint = solvable[l]
+            if both != joint:
+                yield {"a": a, "k1": k1, "k2": k2}, both, joint
 
 
 @claim
 def check_bc09(m):
     c = _ctx(m)
     phi, psi = c.mod.phi, c.mod.psi
+    ks = [(k, c.images(k), [(k2, c.images(k2))
+                            for k2 in (math.gcd(k, phi), math.gcd(k, psi))])
+          for k in range(1, 31)]
     for a in c.R:
-        for k in range(1, 31):
-            mk = a % m in c.images(k)
-            for k2 in (math.gcd(k, phi), math.gcd(k, psi)):
-                if mk != (a % m in c.images(k2)):
+        x = a % m
+        for k, img, reduced in ks:
+            mk = x in img
+            for k2, img2 in reduced:
+                if mk != (x in img2):
                     yield {"a": a, "k": k, "k2": k2}, mk, not mk
 
 
@@ -1133,14 +1223,18 @@ def check_pr04(m):
 @claim
 def check_pr05(m):
     c = _ctx(m)
+    coprime: dict[int, list[bool]] = {}  # |g| -> [(n, |g|) == 1 for n in 1..2|g|]
     for a in c.R[:: max(1, len(c.R) // 16)]:
         info = omega_info(m, a)
         oset = frozenset(info.omega_set)
         for g in info.omega_set:
             ng = c.orders[g]
-            for n in range(1, 2 * ng + 1):
-                lhs = canon(pow(g, n, m), m) in oset
-                rhs = math.gcd(n, ng) == 1
+            if ng not in coprime:
+                coprime[ng] = [math.gcd(n, ng) == 1 for n in range(1, 2 * ng + 1)]
+            x = 1 % m
+            for n, rhs in enumerate(coprime[ng], 1):
+                x = x * g % m  # pow(g, n, m)
+                lhs = (x or m) in oset
                 if lhs != rhs:
                     yield {"a": a, "g": g, "n": n}, rhs, lhs
 
@@ -1273,32 +1367,26 @@ _FS_BOUND = 120
 
 @claim(scope="global")
 def check_fs09(_m):
+    coprime = [(a, b) for a in range(1, _FS_BOUND + 1)
+               for b in range(a, _FS_BOUND // a + 1) if math.gcd(a, b) == 1]
     for name in _FS_CORPUS:
         f = builtin_function(name)
         cls = classify_function(f, _FS_BOUND)
         vals = {x: f(x) for x in range(1, _FS_BOUND + 1)}
-        split = all(
-            vals[a * b] == math.lcm(vals[a], vals[b])
-            for a in range(1, _FS_BOUND + 1)
-            for b in range(a, _FS_BOUND // a + 1)
-            if math.gcd(a, b) == 1
-        )
+        split = all(vals[a * b] == math.lcm(vals[a], vals[b]) for a, b in coprime)
         if cls.is_qm != (cls.is_di and split):
             yield {"f": name}, cls.is_qm, (cls.is_di, split)
 
 
 @claim(scope="global")
 def check_fs10(_m):
+    lcms = [(a, b, l) for a in range(1, _FS_BOUND + 1)
+            for b in range(a, _FS_BOUND + 1) if (l := math.lcm(a, b)) <= _FS_BOUND]
     for name in _FS_CORPUS:
         f = builtin_function(name)
         cls = classify_function(f, _FS_BOUND)
         vals = {x: f(x) for x in range(1, _FS_BOUND + 1)}
-        lcm_div = all(
-            vals[l] % math.lcm(vals[a], vals[b]) == 0
-            for a in range(1, _FS_BOUND + 1)
-            for b in range(a, _FS_BOUND + 1)
-            if (l := math.lcm(a, b)) <= _FS_BOUND
-        )
+        lcm_div = all(vals[l] % math.lcm(vals[a], vals[b]) == 0 for a, b, l in lcms)
         if cls.is_di != lcm_div:
             yield {"f": name}, cls.is_di, lcm_div
 
@@ -1519,19 +1607,22 @@ def check_sd11(m):
         members = c.by_class.get(e, [])
         ker = kernel(m, e)
         step = max(1, len(members) // 8)
+        sampled = members[::step]
+        powers = {x: [pow(x, n, m) for n in (2, 3, 5)] for x in sampled}
         for r in list(ker.solutions)[:: max(1, len(ker.solutions) // 6)]:
             rb = canon(e - r, m)
-            for a in members[::step]:
-                for b in members[::step]:
+            for a in sampled:
+                for b in sampled:
+                    x = a * r + b * rb
                     for cd, d in ((2, 5), (3, 7), (m - 1, 11)):
-                        lhs = (a * r + b * rb) * (cd * r + d * rb) % m
+                        lhs = x * (cd * r + d * rb) % m
                         rhs = (a * cd % m * r + b * d % m * rb) % m
                         if lhs != rhs:
                             yield ({"e": e, "r": r, "a": a, "b": b, "c": cd, "d": d},
                                    rhs, lhs)
-                    for n in (2, 3, 5):
-                        lhs = pow(a * r + b * rb, n, m)
-                        rhs = (pow(a, n, m) * r + pow(b, n, m) * rb) % m
+                    for n, an, bn in zip((2, 3, 5), powers[a], powers[b]):
+                        lhs = pow(x, n, m)
+                        rhs = (an * r + bn * rb) % m
                         if lhs != rhs:
                             yield {"e": e, "r": r, "a": a, "b": b, "n": n}, rhs, lhs
 
@@ -1550,23 +1641,24 @@ def check_sd12(m):
 @claim
 def check_sd13(m):
     c = _ctx(m)
+    bar = {e: canon(1 - e, m) for e in c.E}
+    # e e2 + (1 - e)(1 - e2), an idempotent, for each pair of E.
+    joined = {(e, e2): canon(e * e2 + (1 - e) * (1 - e2), m) for e in c.E for e2 in c.E}
     for k in range(1, m + 1, max(1, m // 12)):
         ker = kernel(m, k)
         for r in ker.solutions:
+            circ = {e: kernel_op(m, k, r, e, "circ") for e in c.E}  # r o e
+            rbar = ker.rbar(r)
             for e in c.E:
-                eb = canon(1 - e, m)
-                lhs = canon(k - kernel_op(m, k, r, e, "circ"), m)
-                if lhs != kernel_op(m, k, r, eb, "circ"):
+                lhs = canon(k - circ[e], m)
+                if lhs != circ[bar[e]]:
                     yield {"k": k, "r": r, "e": e}, "bar of r o e == r o ebar", lhs
-                if lhs != kernel_op(m, k, ker.rbar(r), e, "circ"):
+                if lhs != kernel_op(m, k, rbar, e, "circ"):
                     yield ({"k": k, "r": r, "e": e, "second": True},
                            "bar of r o e == rbar o e", lhs)
                 for e2 in c.E:
-                    left = kernel_op(m, k, kernel_op(m, k, r, e, "circ"), e2, "circ")
-                    right = kernel_op(
-                        m, k, r,
-                        canon(e * e2 + (1 - e) * (1 - e2), m), "circ",
-                    )
+                    left = kernel_op(m, k, circ[e], e2, "circ")
+                    right = circ[joined[e, e2]]
                     if left != right:
                         yield ({"k": k, "r": r, "e1": e, "e2": e2, "assoc": True},
                                right, left)

@@ -237,10 +237,8 @@ def lcm_lift(g: Callable[[int], int], n: int) -> int:
 
 # Named corpus for the CLI classifier; gcd:<b> binds the second argument.
 def builtin_function(name: str) -> Callable[[int], int]:
-    if name == "phi":
-        return lambda x: build_modulus(x).phi
-    if name == "psi":
-        return lambda x: build_modulus(x).psi
+    if name in ("phi", "psi"):  # uncached, so that no Modulus stays in the cache
+        return lambda x: getattr(build_modulus.__wrapped__(x), name)
     if name == "identity":
         return lambda x: x
     if name == "const":

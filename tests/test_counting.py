@@ -257,6 +257,19 @@ def test_lcm_lift_values():
         lcm_lift(lambda q: q, 0)
 
 
+def test_phi_and_psi_leave_no_modulus_in_the_cache():
+    """classify-fn tabulates f on all of 1..n; phi and psi compute each value
+    from an uncached Modulus, so the table does not fill build_modulus's
+    cache, and they classify as the cached values do."""
+    build_modulus.cache_clear()
+    for name in ("phi", "psi"):
+        cls = classify_function(builtin_function(name), 2000)
+        assert build_modulus.cache_info().currsize == 0
+        cached = classify_function(lambda x: getattr(build_modulus(x), name), 2000)
+        assert cls == cached
+        build_modulus.cache_clear()
+
+
 def test_builtin_function_names():
     assert builtin_function("gcd:6")(4) == 2
     with pytest.raises(ValueError):

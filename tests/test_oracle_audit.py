@@ -2,6 +2,8 @@
 import gc
 import hashlib
 import json
+from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -148,6 +150,196 @@ def test_audit_json_pinned():
     every finding, not only the three pinned errata."""
     doc = json.dumps(audit_100().to_json()) + "\n"
     assert hashlib.md5(doc.encode()).hexdigest() == "75ba622a5053dce1a3c4fb16215e3d49"
+
+
+def test_audit_findings_pinned_on_larger_moduli():
+    """The sampled checks (a stride of len(R) // 14 and the like) take
+    strides above 1 only past the range the 2..100 pin covers.  The sha256
+    of the (id, status, findings) projection of run_audit(m, m) for six such
+    moduli."""
+    doc = [[m, [{k: t[k] for k in ("id", "status", "findings")}
+                for t in run_audit(m, m).to_json()["theorems"]]]
+           for m in (120, 128, 144, 210, 240, 360)]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "0e19cdc24ec3690f6f0dbd684892408837a335007993e3daca79aa292ae336a7"
+
+
+# Faults for test_checks_catch_a_fault.  Each makes one value that a check
+# compares wrong on small moduli: a table or relation of the per-modulus
+# context, or a library function as the audit module binds it.  rn07, rn33
+# and rn35 are test_residues.py's test_orbit_checks_catch_a_wrong_library.
+
+
+def _ctx_fault(change):
+    """Build each modulus's context afresh, then change(ctx, m) it."""
+
+    def install(monkeypatch):
+        @lru_cache(maxsize=1)
+        def ctx(m):
+            c = audit._Ctx(m)
+            _ = c.ind, c.orbits  # walk the true powers before a table changes
+            change(c, m)
+            return c
+
+        monkeypatch.setattr(audit, "_ctx", ctx)
+
+    return install
+
+
+def _lib_fault(name, wrap):
+    """Replace audit.<name> (or a _Ctx method) by wrap(the original)."""
+
+    def install(monkeypatch):
+        owner = audit._Ctx if hasattr(audit._Ctx, name) else audit
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+
+    return install
+
+
+def _long_element(c):
+    """The least regular residue of order at least 3, if any."""
+    return next((x for x in c.R if c.orders[x] >= 3), None)
+
+
+def _drop_unit_idempotent(c, m):
+    c.Eset = c.Eset - {1}
+
+
+def _all_idempotent(c, m):
+    c.Eset = set(range(1, m + 1))
+
+
+def _drop_unit_normal(c, m):
+    c.Nset = c.Nset - {1}
+
+
+def _drop_first_regular(c, m):
+    c.R = c.R[1:]
+
+
+def _orbit_without_idempotent(c, m):
+    x = _long_element(c)
+    if x is not None:
+        c.orbits = {**c.orbits, x: c.orbits[x] - {c.classes[x]}}
+
+
+def _order_table_off(c, m):
+    x = _long_element(c)
+    if x is not None:
+        c.orders = list(c.orders)
+        c.orders[x] += 1
+
+
+def _order_off(real):
+    def order(m, a):
+        n = real(m, a).order
+        return SimpleNamespace(order=n + (n > 1))
+
+    return order
+
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _signed_power_off(real):
+    def signed_power(m, a, z):
+        x = real(m, a, z)
+        return x % m + 1 if z == -1 else x
+
+    return signed_power
+
+
+def _circ_off(real):
+    """r o 1 answered as r o 0, which is still in the kernel."""
+    return lambda m, k, r, e, which: real(m, k, r, m if e == 1 else e, which)
+
+
+def _circ_complement(real):
+    """r o e answered as r o (1 - e): the bar identities still hold, and the
+    composition law fails."""
+    return lambda m, k, r, e, which: real(m, k, r, (1 - e) % m or m, which)
+
+
+def _images_cut(real):
+    return lambda c, k: real(c, k) if k <= 8 else frozenset()
+
+
+def _images_all(real):
+    return lambda c, k: frozenset(range(c.m)) if k == 2 else real(c, k)
+
+
+def _omega_set_cut(real):
+    return lambda m, a: SimpleNamespace(omega_set=tuple(real(m, a).omega_set)[1:])
+
+
+def _flip(flag):
+    def wrap(real):
+        def classify(f, n):
+            cls = real(f, n)
+            flags = {k: getattr(cls, k) for k in ("is_m", "is_qm", "is_di", "is_di_pp")}
+            flags[flag] = not flags[flag]
+            return SimpleNamespace(**flags, witnesses=cls.witnesses)
+
+        return classify
+
+    return wrap
+
+
+_CHECK_FAULTS = {
+    "in02": _ctx_fault(_drop_unit_idempotent),
+    "in03": _ctx_fault(_all_idempotent),
+    "in11": _ctx_fault(_drop_unit_idempotent),
+    "in12": _ctx_fault(_drop_unit_idempotent),
+    "nn03": _lib_fault("order", _order_off),
+    "nn05": _ctx_fault(_drop_unit_normal),
+    "nn07": _ctx_fault(_all_idempotent),
+    "nn08-third": _lib_fault("order", _order_off),
+    "rn06": _lib_fault("signed_power", _signed_power_off),
+    "rn09": _ctx_fault(_orbit_without_idempotent),
+    "rn11": _lib_fault("orbit_gcd", _plus_one),
+    "rn13": _ctx_fault(_all_idempotent),
+    "rn14": _ctx_fault(_order_table_off),
+    "rn24": _lib_fault("index", lambda real: lambda m, b, a: None),
+    "rn25": _ctx_fault(_orbit_without_idempotent),
+    "rn26": _ctx_fault(_orbit_without_idempotent),
+    "rn27": _ctx_fault(_orbit_without_idempotent),
+    "rn28": _ctx_fault(_orbit_without_idempotent),
+    "rn29": _ctx_fault(_orbit_without_idempotent),
+    "rn30": _ctx_fault(_order_table_off),
+    "rn31": _lib_fault("order", _order_off),
+    "rn38": _ctx_fault(_orbit_without_idempotent),
+    "rn40": _lib_fault("equivalent", lambda real: lambda c, x, y: x <= y),
+    "rn41": _lib_fault("order", _order_off),
+    "bc03": _lib_fault("images", _images_all),
+    "bc04": _lib_fault("images", _images_cut),
+    "bc05": _lib_fault("idem_class", lambda real: lambda m, a: m),
+    "bc06": _ctx_fault(_drop_first_regular),
+    "bc08": _lib_fault("images", _images_cut),
+    "bc09": _lib_fault("images", _images_cut),
+    "pr05": _lib_fault("omega_info", _omega_set_cut),
+    "fs09": _lib_fault("classify_function", _flip("is_qm")),
+    "fs10": _lib_fault("classify_function", _flip("is_di")),
+    "sd11": _lib_fault(
+        "kernel", lambda real: lambda m, k: SimpleNamespace(solutions=range(1, m + 1))),
+    "sd13": _lib_fault("kernel_op", _circ_off),
+    "sd13-composition": _lib_fault("kernel_op", _circ_complement),
+}
+
+
+@pytest.mark.parametrize("case", _CHECK_FAULTS)
+def test_checks_catch_a_fault(case, monkeypatch):
+    """A check that computes its reference values once per modulus or per
+    operand still compares them: with one compared value made wrong, it
+    reports a finding on some small modulus (one it does not report with
+    the value right, for the pinned errata).  The 2..100 pin cannot show a
+    comparison turned vacuous, since with a correct library it reports
+    nothing either way."""
+    scope, check = THEOREMS[case.removesuffix("-composition")]
+    moduli = [0] if scope == "global" else range(2, 31)
+    clean = {m: list(check(m)) for m in moduli}
+    _CHECK_FAULTS[case](monkeypatch)
+    assert any((found := list(check(m))) and found != clean[m] for m in moduli)
 
 
 def test_registry_covers_every_family():
