@@ -6,13 +6,24 @@ product of complements, and the difference-style simdiff.  Mapping each e to
 the set of prime-power divisors of m dividing it turns these into the usual
 set operations (symmetric difference, intersection, set minus), making E_m a
 Boolean ring.
+
+verify_algebra checks the laws by brute force, over all pairs and triples of
+E_m.  Each operator is evaluated once per pair, into a table.  When |E_m| is
+at most 256, so that an element's index fits in a byte, and every value of
+circ, otimes and the product lies in E_m, the tables are also held as byte
+rows, and the cubic laws are screened: for each outer pair they compare the
+rows of the law's two sides, composed by bytes.translate, and run their
+scalar loop over the third operand only where the rows differ.  That scalar
+loop is the only source of counterexamples, so a screened run reports the
+same first counterexample as an unscreened one.  Past 256, or with a value
+outside E_m, no rows are held and every law runs its scalar loop throughout.
 """
 from __future__ import annotations
 
 import random
-from functools import partial, reduce
+from functools import partial
 from itertools import islice, product
-from math import prod
+from operator import itemgetter
 
 from .arith import Modulus, Record, canon, canonicalize
 from .idempotents import enumerate_idempotents, is_idempotent
@@ -127,6 +138,30 @@ class AlgebraReport(Record):
         return all(l.passed for l in self.laws)
 
 
+def _index_row(values: list[int], idx: dict[int, int]) -> bytes | None:
+    """The indices of values in E_m as bytes, or None if one lies outside
+    E_m, which has no index."""
+    try:
+        return bytes([idx[v] for v in values])
+    except KeyError:
+        return None
+
+
+def _byte_rows(T: _Memo, es: tuple[int, ...],
+               idx: dict[int, int]) -> dict[int, bytes] | None:
+    """T's rows over E_m as bytes: rows[x][i] is the index of T[x][es[i]].
+    None if a value of T lies outside E_m."""
+    rows = {x: _index_row([T[x][e] for e in es], idx) for x in es}
+    return None if None in rows.values() else rows
+
+
+def _padded(rows: dict[int, bytes]) -> dict[int, bytes]:
+    """T's rows, each padded to the 256 bytes bytes.translate takes as its
+    table: for U's row r = rows_U[y], r.translate(tabs_T[x]) is the row of
+    e -> T[x][U[y][e]]."""
+    return {x: row.ljust(256, b"\0") for x, row in rows.items()}
+
+
 def verify_algebra(m: int) -> AlgebraReport:
     """Check the group/ring laws and identity catalog on E_m.  Each law is a
     generator of its counterexamples, and the report records the first, so
@@ -136,7 +171,10 @@ def verify_algebra(m: int) -> AlgebraReport:
 
     Each binary operator, and the product, is evaluated once per operand
     pair: the laws read them through tables that live for this call, so the
-    cubic laws cost |E_m|^2 formula evaluations, not |E_m|^3."""
+    cubic laws cost |E_m|^2 formula evaluations, not |E_m|^3.
+
+    The cubic laws, and closure, are screened by byte rows of the tables
+    where those can be held (see the module docstring)."""
     idems = enumerate_idempotents(m)
     es = idems.elements
     one = canon(1, m)
@@ -147,36 +185,56 @@ def verify_algebra(m: int) -> AlgebraReport:
         rng = random.Random(m)
         coeffs = [(rng.randrange(m), rng.randrange(m)) for _ in range(SAMPLE)]
     # C[x][y] is _circ(m, x, y); O, S and P hold otimes, simdiff and the
-    # product.  The formulas are looked up here, so one patched on the module
-    # reaches every law.  The cubic laws read the rows that depend only on
-    # their outer operands once, outside the innermost loop.
+    # product, and comp[e] is e's complement.  The formulas are looked up
+    # here, so one patched on the module reaches every law.  The cubic laws
+    # read the rows that depend only on their outer operands once, outside
+    # the innermost loop.
     C, O, S, P = (_table(m, f) for f in (_circ, _otimes, _simdiff, _product))
+    comp = {e: _complement(m, e) for e in es}
+    # The screens: rC[x] is C's row for x as bytes and tC[x] the same row as
+    # a translate table (likewise for O and P); screen is False, and they are
+    # not read, when the rows cannot be held.
+    idx = {e: i for i, e in enumerate(es)}
+    rows = [_byte_rows(T, es, idx) for T in (C, O, P)] if len(es) <= 256 else [None]
+    screen = None not in rows
+    if screen:
+        rC, rO, rP = rows
+        tC, tO, tP = map(_padded, rows)
 
     def mixing_product():
         """(ae + b(1-e))(ce + d(1-e)) = (ac)e + (bd)(1-e)."""
+        terms = [(a, b, c, d, a * c % m, b * d % m)
+                 for (a, b), (c, d) in zip(coeffs, reversed(coeffs))]
         for e in es:
-            for (a, b), (c, d) in zip(coeffs, reversed(coeffs)):
+            for a, b, c, d, ac, bd in terms:
                 lhs = (a * e + b * (1 - e)) * (c * e + d * (1 - e)) % m
-                rhs = (a * c % m * e + b * d % m * (1 - e)) % m
+                rhs = (ac * e + bd * (1 - e)) % m
                 if lhs != rhs:
                     yield e, a, b, c, d, lhs, rhs
 
     def mixing_power():
         """(ae + b(1-e))^n = a^n e + b^n (1-e): first SAMPLE pairs, then a spread."""
         pairs = coeffs[:SAMPLE] + coeffs[SAMPLE::max(1, len(coeffs) // SAMPLE)]
-        for e, (a, b) in product(es, pairs):
+        terms = []
+        for a, b in pairs:
             n = (a + b) % 7 + 2
+            terms.append((a, b, n, pow(a, n, m), pow(b, n, m)))
+        for e, (a, b, n, an, bn) in product(es, terms):
             lhs = pow(a * e + b * (1 - e), n, m)
-            rhs = (pow(a, n, m) * e + pow(b, n, m) * (1 - e)) % m
+            rhs = (an * e + bn * (1 - e)) % m
             if lhs != rhs:
                 yield e, a, b, n, lhs, rhs
 
     def closure():
         """All four operators map E_m into E_m."""
         binary = {"circ": C, "otimes": O, "simdiff": S}
+        # Held rows index only elements of E_m: circ and otimes are closed.
+        closed = screen and _byte_rows(S, es, idx) is not None
         for e1 in es:
-            if not is_idempotent(m, _complement(m, e1)):
+            if not is_idempotent(m, comp[e1]):
                 yield "complement", e1
+            if closed:
+                continue
             for e2, op in product(es, binary):
                 if not is_idempotent(m, binary[op][e1][e2]):
                     yield op, e1, e2
@@ -190,6 +248,8 @@ def verify_algebra(m: int) -> AlgebraReport:
             c12 = C[e1][e2]
             if c12 != C[e2][e1]:
                 yield "commutativity", e1, e2
+            if screen and rC[c12] == rC[e2].translate(tC[e1]):
+                continue
             C1, C2, C12 = C[e1], C[e2], C[c12]
             for e3 in es:
                 if C12[e3] != C1[C2[e3]]:
@@ -207,6 +267,10 @@ def verify_algebra(m: int) -> AlgebraReport:
             o, p = O[e1][e2], P[e1][e2]
             if o != O[e2][e1]:
                 yield "otimes-commutativity", e1, e2
+            if (screen and rO[o] == rO[e2].translate(tO[e1])
+                    and rO[e2].translate(tP[e1]) == rP[e1].translate(tO[p])
+                    and rC[e2].translate(tO[e1]) == rO[e1].translate(tC[o])):
+                continue
             O1, O2, P1, C2 = O[e1], O[e2], P[e1], C[e2]
             Oo, Op, Co = O[o], O[p], C[o]
             for e3 in es:
@@ -221,7 +285,7 @@ def verify_algebra(m: int) -> AlgebraReport:
     def identity_catalog():
         """Complement pairing, circ specials, otimes specials."""
         for e in es:
-            eb = _complement(m, e)
+            eb = comp[e]
             checks = [
                 P[e][eb] == zero,
                 canon(e + eb, m) == one,
@@ -235,7 +299,7 @@ def verify_algebra(m: int) -> AlgebraReport:
             if not all(checks):
                 yield "specials", e, checks
         for e1, e2 in product(es, repeat=2):
-            eb1, eb2 = _complement(m, e1), _complement(m, e2)
+            eb1, eb2 = comp[e1], comp[e2]
             c, o, ob = C[e1][e2], O[e1][e2], O[eb1][eb2]
             checks = [
                 _complement(m, c) == C[eb1][e2],
@@ -253,34 +317,57 @@ def verify_algebra(m: int) -> AlgebraReport:
 
     def otimes_nary():
         """(e1 o e)(x)(e2 o e) decomposition; n-ary otimes on the first 512 triples."""
-        for e1, e2 in product(es, repeat=2):
-            o, ob = O[e1][e2], O[_complement(m, e1)][_complement(m, e2)]
-            C1, C2 = C[e1], C[e2]
-            for e in es:
-                if O[C1[e]][C2[e]] != canon(o * e + ob * (1 - e), m):
-                    yield "shift-decomposition", e1, e2, e
+        if screen:
+            # The left side's row for (e1, e2): H[j*n + i] is the index of
+            # O[C[e1][es[i]]][es[j]], composed from O's columns, and at[e2]
+            # reads O[C[e1][e]][C[e2][e]] off it for each e.  The right
+            # side's row depends on the pair only through (o, ob).
+            n = len(es)
+            cols = [bytes(col).ljust(256, b"\0") for col in zip(*rO.values())]
+            at = {e2: itemgetter(*(j * n + i for i, j in enumerate(rC[e2])))
+                  for e2 in es}
+
+            def rhs_row(key):
+                o, ob = key
+                return _index_row([canon(o * e + ob * (1 - e), m) for e in es], idx)
+
+            rhs = _Memo(rhs_row)
+        for e1 in es:
+            if screen:
+                H = b"".join(map(rC[e1].translate, cols))
+            for e2 in es:
+                o, ob = O[e1][e2], O[comp[e1]][comp[e2]]
+                if screen and bytes(at[e2](H)) == rhs[o, ob]:
+                    continue
+                C1, C2 = C[e1], C[e2]
+                for e in es:
+                    if O[C1[e]][C2[e]] != canon(o * e + ob * (1 - e), m):
+                        yield "shift-decomposition", e1, e2, e
         if len(es) < 2:
             return
         for tup in islice(product(es, repeat=3), 512):
-            acc = reduce(lambda x, y: O[x][y], tup)
-            if acc != canon(1 - prod(1 - e for e in tup), m):
+            x, y, z = tup
+            if O[O[x][y]][z] != canon(1 - (1 - x) * (1 - y) * (1 - z), m):
                 yield "nary-otimes", tup
 
     def basis_bijection():
-        """Basis bijection: five operator/set-operation correspondences.  A
-        result outside E_m has no set, so it is a counterexample too."""
+        """Basis bijection: five operator/set-operation correspondences, with
+        each member set as a bitmask over the basis.  A result outside E_m
+        has no set, so it is a counterexample too."""
         bm = basis_map(m)
-        sets = bm.member_sets
-        full = frozenset(bm.basis)
-        if len(set(sets.values())) != len(es):
+        bits = {e: sum(1 << i for i, q in enumerate(bm.basis) if q in s)
+                for e, s in bm.member_sets.items()}
+        full = (1 << len(bm.basis)) - 1
+        if len(set(bits.values())) != len(es):
             yield ("bijection",)
         for e1, e2 in product(es, repeat=2):
+            b1, b2 = bits[e1], bits[e2]
             pairs = [
-                (sets.get(_complement(m, e1)), full - sets[e1]),
-                (sets[P[e1][e2]], sets[e1] | sets[e2]),
-                (sets.get(O[e1][e2]), sets[e1] & sets[e2]),
-                (sets.get(S[e1][e2]), sets[e1] - sets[e2]),
-                (sets.get(C[e1][e2]), sets[e1] ^ sets[e2]),
+                (bits.get(comp[e1]), full ^ b1),
+                (bits.get(P[e1][e2]), b1 | b2),
+                (bits.get(O[e1][e2]), b1 & b2),
+                (bits.get(S[e1][e2]), b1 & ~b2),
+                (bits.get(C[e1][e2]), b1 ^ b2),
             ]
             if any(x != y for x, y in pairs):
                 yield "basis-identity", e1, e2

@@ -1,10 +1,12 @@
 """Factored-modulus arithmetic.
 
-``factorize`` trial-divides by the primes below 2^10, takes any cofactor
-below 2^20 as prime and tests larger ones with Miller-Rabin (deterministic
-below 3.3e24).  A composite that is an exact k-th power r^k (integer k-th
-root by Newton's method) is replaced by r, counted k times and factored once;
-any other composite is split with Brent's variant of Pollard rho.
+``factorize`` finds the primes below 2^10 that divide n from one gcd with
+their product, and trial-divides only that gcd.  It takes any cofactor
+below 2^20 as prime and tests larger ones with Miller-Rabin, on the fewest
+leading prime bases proven for the cofactor's size (deterministic below
+3.3e24).  A composite that is an exact k-th power r^k (integer k-th root by
+Newton's method) is replaced by r, counted k times and factored once; any
+other composite is split with Brent's variant of Pollard rho.
 
 Moduli are plain ints at every public boundary of the package; the factored
 ``Modulus`` record is derived from one by the cached ``build_modulus(m)``.
@@ -21,18 +23,47 @@ import random
 import types
 from collections.abc import Callable
 from functools import lru_cache
+from itertools import compress
 
 DEFAULT_MAX_ENUM = 1_000_000
 
-# factorize trial-divides by the primes below this bound; a cofactor with no
-# such prime factor that is below its square is therefore prime.
+# factorize finds the primes below this bound that divide n; a cofactor
+# with no such prime factor that is below its square is therefore prime.
 _SMALL_PRIME_BOUND = 1 << 10
 # Differences Brent's rho multiplies together before taking one gcd.
 _RHO_BATCH = 128
-# The first 13 primes: as Miller-Rabin bases they admit no strong pseudoprime
-# below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2015); the
-# first 12 already admit 318,665,857,834,031,151,167,461.
+# The first 13 primes, as Miller-Rabin bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_t, t): no composite below psi_t is a strong pseudoprime to the first
+# t bases.  psi_t is the least one (Jaeschke 1993; psi_8 = psi_7).  Beyond
+# the last, all 13 bases, which admit none below
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2015); the first
+# 12 already admit 318,665,857,834,031,151,167,461.
+_MR_SPANS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
+
+
+def _primorial_below(n: int) -> int:
+    """The product of the primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return math.prod(compress(range(n), sieve))
+
+
+# gcd(n, _SMALL_PRIMORIAL) is the product of the primes below
+# _SMALL_PRIME_BOUND that divide n.
+_SMALL_PRIMORIAL = _primorial_below(_SMALL_PRIME_BOUND)
 
 
 class EnumerationCapError(Exception):
@@ -207,7 +238,8 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    t = next((t for bound, t in _MR_SPANS if n < bound), len(_MR_BASES))
+    for a in _MR_BASES[:t]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -274,18 +306,28 @@ def factorize(n: int) -> Factorization:
     def _account(p: int, k: int = 1):
         counts[p] = counts.get(p, 0) + k
 
-    rest = n
-    for p in (2, 3):
-        while rest % p == 0:
-            _account(p)
-            rest //= p
+    # g is the product of the primes below 2^10 that divide n, each once;
+    # trial division splits g, not n.
+    g = math.gcd(n, _SMALL_PRIMORIAL)
+    small = []
+    for q in (2, 3):
+        if g % q == 0:
+            small.append(q)
+            g //= q
     d = 5
-    while d < _SMALL_PRIME_BOUND and d * d <= rest:
+    while d * d <= g:
         for q in (d, d + 2):
-            while rest % q == 0:
-                _account(q)
-                rest //= q
+            if g % q == 0:
+                small.append(q)
+                g //= q
         d += 6
+    if g > 1:
+        small.append(g)
+    rest = n
+    for q in small:
+        while rest % q == 0:
+            _account(q)
+            rest //= q
 
     # (value, multiplicity) pairs: a root r of v = r^k is pushed once with
     # k times v's multiplicity, so a composite r is split once.

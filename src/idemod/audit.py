@@ -1365,14 +1365,25 @@ _FS_CORPUS = ("phi", "psi", "identity", "const", "gcd:6", "gcd:12", "gcd:30")
 _FS_BOUND = 120
 
 
+@lru_cache(maxsize=1)
+def _fs_corpus(classify) -> dict[str, tuple]:
+    """name -> (classify(f, _FS_BOUND), {x: f(x) for x <= _FS_BOUND}) for
+    each _FS_CORPUS function f, which fs09 and fs10 share.  Keyed by the
+    classifier the caller read at call time, so a replaced one is never
+    answered from here; run_audit clears it, so it lives for one audit."""
+    table = {}
+    for name in _FS_CORPUS:
+        f = builtin_function(name)
+        table[name] = (classify(f, _FS_BOUND),
+                       {x: f(x) for x in range(1, _FS_BOUND + 1)})
+    return table
+
+
 @claim(scope="global")
 def check_fs09(_m):
     coprime = [(a, b) for a in range(1, _FS_BOUND + 1)
                for b in range(a, _FS_BOUND // a + 1) if math.gcd(a, b) == 1]
-    for name in _FS_CORPUS:
-        f = builtin_function(name)
-        cls = classify_function(f, _FS_BOUND)
-        vals = {x: f(x) for x in range(1, _FS_BOUND + 1)}
+    for name, (cls, vals) in _fs_corpus(classify_function).items():
         split = all(vals[a * b] == math.lcm(vals[a], vals[b]) for a, b in coprime)
         if cls.is_qm != (cls.is_di and split):
             yield {"f": name}, cls.is_qm, (cls.is_di, split)
@@ -1382,10 +1393,7 @@ def check_fs09(_m):
 def check_fs10(_m):
     lcms = [(a, b, l) for a in range(1, _FS_BOUND + 1)
             for b in range(a, _FS_BOUND + 1) if (l := math.lcm(a, b)) <= _FS_BOUND]
-    for name in _FS_CORPUS:
-        f = builtin_function(name)
-        cls = classify_function(f, _FS_BOUND)
-        vals = {x: f(x) for x in range(1, _FS_BOUND + 1)}
+    for name, (cls, vals) in _fs_corpus(classify_function).items():
         lcm_div = all(vals[l] % math.lcm(vals[a], vals[b]) == 0 for a, b, l in lcms)
         if cls.is_di != lcm_div:
             yield {"f": name}, cls.is_di, lcm_div
@@ -1714,12 +1722,14 @@ def run_audit(lo: int, hi: int, theorems: list[str] | None = None) -> AuditRepor
         if tid not in THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}")
     findings: dict[str, list[AuditFinding]] = {tid: [] for tid in ids}
+    _fs_corpus.cache_clear()
     global_ids = [tid for tid in ids if THEOREMS[tid][0] == "global"]
     sweep_ids = [tid for tid in ids if tid not in global_ids]
     for m, tids in [(0, global_ids)] + [(m, sweep_ids) for m in range(lo, hi + 1)]:
         for tid in tids:
             check = THEOREMS[tid][1]  # read per call, so callers may wrap it
             findings[tid].extend(AuditFinding(tid, m, *f) for f in check(m))
+    _fs_corpus.cache_clear()
     results = []
     for tid, found in findings.items():
         found.sort(key=AuditFinding.sort_key)

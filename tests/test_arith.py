@@ -201,6 +201,46 @@ def test_factorize_matches_sympy():
         assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
+# Jaeschke's psi_t, the least strong pseudoprime to the first t prime bases,
+# for t = 1..7 and 9; psi_8 = psi_7.
+_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+        3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051)
+
+
+@pytest.mark.parametrize("psi", _PSI)
+def test_least_strong_pseudoprimes_are_composite(psi):
+    """Miller-Rabin takes the fewest bases proven below n's size: psi_t
+    itself needs one more base than the numbers below it."""
+    assert not arith._is_probable_prime(psi)
+    assert len(factorize(psi).factors) > 1
+
+
+def _trial_factors(n):
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_factorize_matches_trial_division_exhaustively():
+    for n in range(1, 200_001):
+        assert dict(factorize(n).factors) == _trial_factors(n), n
+
+
+def test_factorize_matches_sympy_on_random_40_to_64_bit():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4064)
+    for _ in range(300):
+        n = rng.randrange(1 << 39, 1 << 64)
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
 def test_mod_pow_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
         mod_pow(12, 5, 0)
