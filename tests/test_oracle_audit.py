@@ -164,6 +164,90 @@ def test_audit_findings_pinned_on_larger_moduli():
     assert digest == "0e19cdc24ec3690f6f0dbd684892408837a335007993e3daca79aa292ae336a7"
 
 
+def _library_names():
+    """The library functions audit.py binds, by name, canon left out."""
+    return [name for name, fn in vars(audit).items()
+            if callable(fn) and not isinstance(fn, type) and name != "canon"
+            and getattr(fn, "__module__", "").startswith("idemod.")
+            and fn.__module__ != audit.__name__]
+
+
+# For each claim, the first 16 hex digits of the sha256 of its sorted distinct
+# (library name, m, args) over m <= 16 and m = 29 (m = 0 for the global
+# claims), taken when every check still asked each repeated question again.
+# 29 is the least modulus with a class of 28 members, where rn33 and rn35
+# first sample with a stride of 2.
+_QUESTIONS = dict(zip(*[iter("""
+in02 e3b0c44298fc1c14   in03 e3b0c44298fc1c14   in05 6a2abcc7a5ff6e53
+in06 d23b15ed69666783   in07 6872a9e5fceda795   in08 e3b0c44298fc1c14
+in11 e3b0c44298fc1c14   in12 e3b0c44298fc1c14   nn02 44d5f19d794e9875
+nn03 8cd480998df86a10   nn04 4360ec235e67ae15   nn05 e3b0c44298fc1c14
+nn06 035f09f269c25f4b   nn07 f6186d84f4d52605   nn08 87578e013996d770
+nn08-third b98c208db4ee0478   rn02 e3b0c44298fc1c14   rn03 44d5f19d794e9875
+rn06 b9d111cf9b8d3aca   rn07 2051b00be8d80ef4   rn09 e3b0c44298fc1c14
+rn11 3195dbd00a6fd6f3   rn13 e3b0c44298fc1c14   rn14 e3b0c44298fc1c14
+rn15 db79a991af61d395   rn16 ada836f69eb17a09   rn17 aff30f70cc1988d4
+rn18 c224dba335ca5226   rn19 e3b0c44298fc1c14   rn20 ada836f69eb17a09
+rn21 e3b0c44298fc1c14   rn22 718bec222e92ccc9   rn23 e6aa9d1855129094
+rn24 5f631e48b662f80b   rn25 e3b0c44298fc1c14   rn26 e3b0c44298fc1c14
+rn27 e3b0c44298fc1c14   rn28 e3b0c44298fc1c14   rn29 e3b0c44298fc1c14
+rn30 e3b0c44298fc1c14   rn31 44d5f19d794e9875   rn32 e3b0c44298fc1c14
+rn33 7ae79209d9d1112b   rn35 9fd42ca8e739f87e   rn36 31a0539ddb090db8
+rn38 7da572468870dc12   rn40 e3b0c44298fc1c14   rn41 8cd480998df86a10
+rn42 71b701158874a0e4   bc01 77e59b0f88cdce85   bc03 e3b0c44298fc1c14
+bc04 e3b0c44298fc1c14   bc05 9dd7147db494e232   bc06 e3b0c44298fc1c14
+bc07 e3b0c44298fc1c14   bc08 e3b0c44298fc1c14   bc09 e3b0c44298fc1c14
+pr02 712fc8be12c442d5   pr03 f4d603cf38ef6c99   pr04 809df55193c9c416
+pr05 0e5acccc5d1308b6   pr06 6bcfc559b6fdd15a   omega-phi-cyclic f329382fd99ace99
+fs02 578157b2c8dfd5b4   fs03 f8b4bd97886900b8   fs04 5e9e3246840307a8
+fs05 dfccfca17b9996db   fs06 4f5fa0d86868c53a   fs09 50d1be33dbd99b1a
+fs10 50d1be33dbd99b1a   fs11 b39d5ab97334601a   fs12 0ad93ca99ffb523e
+fs13 3a633596e09504fc   ia02 e3b0c44298fc1c14   ia03 e3b0c44298fc1c14
+ia05 e3b0c44298fc1c14   ia06 e3b0c44298fc1c14   ia07 e3b0c44298fc1c14
+ia08 e3b0c44298fc1c14   ia09 e3b0c44298fc1c14   ia10 e3b0c44298fc1c14
+ia11 e3b0c44298fc1c14   sd02 e3b0c44298fc1c14   sd03 503be6c2f72f4684
+sd04 e3b0c44298fc1c14   sd05 e3b0c44298fc1c14   sd07 e112967458bae5cd
+sd08 46a267c63ba3eacb   sd10 e17d0e6cc01d3ad7   sd11 2a0cb605a61f04c9
+sd12 dc4e1bc28b6f159c   sd13 46a267c63ba3eacb   sd14 ab6df8508de0aebe
+sd15 efd31b0a0fda7e37
+""".split())] * 2))
+
+
+def test_checks_ask_the_same_distinct_questions(monkeypatch):
+    """A check that keeps library answers to reuse them still asks every
+    distinct question it asked before, and no new one: each library name
+    audit.py binds is wrapped in audit's namespace, as perfbench's tracer
+    does, and records (name, m, args), a callable argument by its qualified
+    name.  The per-modulus context is built before recording starts."""
+    log = None
+
+    def recorder(name, fn):
+        def record(*args):
+            if log is not None:
+                log.add(repr((name, m, [getattr(x, "__qualname__", x) for x in args])))
+            return fn(*args)
+
+        return record
+
+    for name in _library_names():
+        monkeypatch.setattr(audit, name, recorder(name, getattr(audit, name)))
+    asked = {tid: set() for tid in THEOREMS}
+    for m in (0, *range(2, 17), 29):
+        if m:
+            audit._ctx(m).algebra
+        for tid, (scope, check) in THEOREMS.items():
+            if (scope == "global") == (m == 0):
+                audit._fs_corpus.cache_clear()
+                log = asked[tid]
+                list(check(m))
+                log = None
+    audit._fs_corpus.cache_clear()
+    digests = {tid: hashlib.sha256("\n".join(sorted(qs)).encode()).hexdigest()[:16]
+               for tid, qs in asked.items()}
+    assert digests == _QUESTIONS, {tid: d for tid, d in digests.items()
+                                   if d != _QUESTIONS.get(tid)}
+
+
 # Faults for test_checks_catch_a_fault.  Each makes one value that a check
 # compares wrong on small moduli: a table or relation of the per-modulus
 # context, or a library function as the audit module binds it.  rn07, rn33
