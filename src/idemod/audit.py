@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .arith import Record, build_modulus, canon
 from .idempotents import idem_class, index, order, signed_power
@@ -105,6 +105,28 @@ class AuditReport(Record):
         return json.dumps(self.to_json(), indent=2)
 
 
+class _table:
+    """A context table built on first use, as functools.cached_property
+    builds one, but kept with setattr.  cached_property writes to the
+    instance __dict__, and on CPython 3.11 that moves the context's
+    attributes out of their inline slots: every later c.Nset, c.orders, ...
+    in every check's loops then takes the slow lookup (rn02 and nn05 took
+    1.5 to 1.8 times as long once one table was built)."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, c, owner=None):
+        if c is None:
+            return self
+        table = self.build(c)
+        setattr(c, self.name, table)
+        return table
+
+
 class _Ctx:
     """Shared per-modulus reference tables for the checks, which read them
     rather than recompute them.
@@ -116,9 +138,10 @@ class _Ctx:
     so a check that needs none of them does not pay for them: ind (the walk
     of each regular b's powers), powers (the same walk as a list, so that
     b^n = powers[b][(n - 1) % |b|] for n >= 1), orbits (each orb(b) as a
-    set), images(k) (the k-th powers of all residues) and algebra (the
-    operator-law report).  Everything dies with the context, when the sweep
-    moves to the next modulus."""
+    set), repeats (where each residue's powers first repeat), images(k) (the
+    k-th powers of all residues) and algebra (the operator-law report).
+    Everything dies with the context, when the sweep moves to the next
+    modulus."""
 
     def __init__(self, m: int):
         self.m = m
@@ -135,7 +158,7 @@ class _Ctx:
         self.by_class = self.table.by_class
         self._images: dict[int, frozenset[int]] = {}
 
-    @cached_property
+    @_table
     def ind(self) -> dict[int, dict[int, int]]:
         """For each regular b: power of b -> smallest exponent."""
         m = self.m
@@ -149,7 +172,7 @@ class _Ctx:
             ind[b] = walk
         return ind
 
-    @cached_property
+    @_table
     def powers(self) -> dict[int, list[int]]:
         """For each regular b: [b^1, ..., b^|b|], in canonical form."""
         return {b: list(walk) for b, walk in self.ind.items()}
@@ -159,11 +182,31 @@ class _Ctx:
         seq = self.powers[b]
         return [seq[n % len(seq)] for n in range(count)]
 
-    @cached_property
+    @_table
     def orbits(self) -> dict[int, frozenset[int]]:
         return {b: frozenset(walk) for b, walk in self.ind.items()}
 
-    @cached_property
+    @_table
+    def repeats(self) -> list[int]:
+        """repeats[a] for each residue a: the step of the first repeat among
+        a^1, ..., a^(2 phi), or 0 if there is none.  From that repeat on the
+        powers are periodic, so two of them are equal only if their exponents
+        differ by a multiple of the step: n divides every such difference
+        iff n divides repeats[a]."""
+        m, top = self.m, 2 * self.mod.phi
+        repeats = [0] * (m + 1)
+        for a in range(1, m + 1):
+            first: dict[int, int] = {}
+            x = 1 % m
+            for k in range(1, top + 1):
+                x = x * a % m
+                k0 = first.setdefault(x, k)
+                if k0 != k:
+                    repeats[a] = k - k0
+                    break
+        return repeats
+
+    @_table
     def algebra(self):
         return verify_algebra(self.m)
 
@@ -311,25 +354,12 @@ def check_in12(m):
 # ---------------------------------------------------------------- nn series
 
 
-def _power_groups(m, a, bound):
-    groups: dict[int, list[int]] = {}
-    x = 1 % m
-    for k in range(1, bound + 1):
-        x = x * a % m
-        groups.setdefault(x, []).append(k)
-    return groups
-
-
 @claim
 def check_nn02(m):
     c = _ctx(m)
-    phi = c.mod.phi
     for a in range(1, m + 1):
-        n = order(m, a).order
-        inference = all(
-            all((k - ks[0]) % n == 0 for k in ks)
-            for ks in _power_groups(m, a, 2 * phi).values()
-        )
+        # a^i == a^j (i, j <= 2 phi) only where |a| divides j - i.
+        inference = c.repeats[a] % order(m, a).order == 0
         if inference != (a in c.Nset):
             yield {"a": a}, a in c.Nset, inference
 
@@ -337,11 +367,13 @@ def check_nn02(m):
 @claim
 def check_nn03(m):
     c = _ctx(m)
+    orders: dict[int, int] = {}  # x -> |x|, each residue asked once
     for a in c.N:
-        n = order(m, a).order
+        n = orders.get(a) or orders.setdefault(a, order(m, a).order)
         for k in range(1, min(2 * c.mod.phi, 60) + 1):
             expect = n // math.gcd(k, n)
-            actual = order(m, pow(a, k, m) or m).order
+            x = pow(a, k, m) or m
+            actual = orders.get(x) or orders.setdefault(x, order(m, x).order)
             if actual != expect:
                 yield {"a": a, "k": k}, expect, actual
 
@@ -446,13 +478,9 @@ def check_rn02(m):
 @claim
 def check_rn03(m):
     c = _ctx(m)
-    phi = c.mod.phi
     for a in range(1, m + 1):
         n = order(m, a).order
-        groups = _power_groups(m, a, 2 * phi)
-        forward = all(
-            all((k - ks[0]) % n == 0 for k in ks) for ks in groups.values()
-        )
+        forward = c.repeats[a] % n == 0  # as nn02's inference
         backward = all(
             pow(a, k, m) == pow(a, k + n, m) for k in range(1, min(n, 30) + 1)
         )
@@ -717,6 +745,7 @@ def check_rn24(m):
     # (b, |b|, [b^1, ..., b^10]) for each normal b.
     normals = [(b, order(m, b).order, [pow(b, n, m) or m for n in range(1, 11)])
                for b in c.N]
+    found: dict[tuple[int, int], int | None] = {}  # (b, x) -> ind_b(x), asked once
     for a in c.R[:: max(1, len(c.R) // 20)]:
         na = c.orders[a]
         oa = c.orbits[a]
@@ -726,7 +755,9 @@ def check_rn24(m):
                 continue
             for n in range(1, 11):
                 if pb[n - 1] in oa:
-                    if index(m, b, pa[n - 1]) is None:
+                    x = pa[n - 1]
+                    ind = found.get((b, x)) or found.setdefault((b, x), index(m, b, x))
+                    if ind is None:
                         yield {"a": a, "b": b, "n": n}, "ind_b(a^n) exists", "missing"
 
 
@@ -861,6 +892,7 @@ def check_rn32(m):
 @claim
 def check_rn33(m):
     c = _ctx(m)
+    gcds: dict[tuple[int, int], int] = {}  # (x, y) -> D(x, y), each pair asked once
     for e, members in c.by_class.items():
         step = max(1, len(members) // 14)
         sampled = members[::step]
@@ -869,8 +901,8 @@ def check_rn33(m):
             na = c.orders[a]
             for b in sampled:
                 nb = c.orders[b]
-                dab = orbit_gcd(m, a, b)
-                dba = orbit_gcd(m, b, a)
+                dab = gcds.get((a, b)) or gcds.setdefault((a, b), orbit_gcd(m, a, b))
+                dba = gcds.get((b, a)) or gcds.setdefault((b, a), orbit_gcd(m, b, a))
                 if (dab == dba) != (na == nb):
                     yield {"a": a, "b": b, "first": True}, na == nb, dab == dba
                 if dab * nb != dba * na:
@@ -882,12 +914,14 @@ def check_rn33(m):
                     yield {"a": a, "b": b, "third": True}, dab, outer
                 fifth = math.gcd(na // dab, dba) == 1
                 for n, (an, bn) in enumerate(zip(first[a], first[b]), 1):
-                    got = orbit_gcd(m, an, b)
+                    got = (gcds.get((an, b))
+                           or gcds.setdefault((an, b), orbit_gcd(m, an, b)))
                     want = dab // math.gcd(n, dab)
                     if got != want:
                         yield {"a": a, "b": b, "n": n, "fourth": True}, want, got
                     if fifth:
-                        got = orbit_gcd(m, a, bn)
+                        got = (gcds.get((a, bn))
+                               or gcds.setdefault((a, bn), orbit_gcd(m, a, bn)))
                         want = dab * math.gcd(n, na // dab)
                         if got != want:
                             yield {"a": a, "b": b, "n": n, "fifth": True}, want, got
@@ -896,6 +930,9 @@ def check_rn33(m):
 @claim
 def check_rn35(m):
     c = _ctx(m)
+    # (x, y) -> |x, y| and (x, y) -> D(x, y), each pair asked once.
+    rel: dict[tuple[int, int], int] = {}
+    gcds: dict[tuple[int, int], int] = {}
     for e, members in c.by_class.items():
         step = max(1, len(members) // 14)
         sampled = members[::step]
@@ -903,33 +940,38 @@ def check_rn35(m):
         for a in sampled:
             na = c.orders[a]
             raa = relative_order(m, a, a)
+            if raa != na:
+                yield {"a": a, "self": True}, na, raa
             for b in sampled:
                 nb = c.orders[b]
-                rab = relative_order(m, a, b)
-                rba = relative_order(m, b, a)
+                rab = rel.get((a, b)) or rel.setdefault((a, b), relative_order(m, a, b))
+                rba = rel.get((b, a)) or rel.setdefault((b, a), relative_order(m, b, a))
                 if rab != rba:
                     yield {"a": a, "b": b, "sym": True}, rab, rba
-                if raa != na:
-                    yield {"a": a, "self": True}, na, raa
                 if math.gcd(na, nb) == 1 and rab != 1:
                     yield {"a": a, "b": b, "coprime": True}, 1, rab
                 if b in c.orbits[a] and rab != nb:
                     yield {"a": a, "b": b, "member": True}, nb, rab
-                fifth = math.gcd(rab, orbit_gcd(m, a, b)) == 1
-                dba = orbit_gcd(m, b, a)
+                dab = gcds.get((a, b)) or gcds.setdefault((a, b), orbit_gcd(m, a, b))
+                fifth = math.gcd(rab, dab) == 1
+                dba = gcds.get((b, a)) or gcds.setdefault((b, a), orbit_gcd(m, b, a))
                 # The sixth statement's hypothesis does not depend on n.
                 sixth = []
                 for k, bk in enumerate(first[b][:4], 1):
-                    if math.gcd(rab, orbit_gcd(m, a, bk) * dba) == 1:
+                    dabk = (gcds.get((a, bk))
+                            or gcds.setdefault((a, bk), orbit_gcd(m, a, bk)))
+                    if math.gcd(rab, dabk * dba) == 1:
                         sixth.append((k, bk, math.gcd(k, rab)))
                 for n, an in enumerate(first[a], 1):
                     if fifth:
-                        got = relative_order(m, an, b)
+                        got = (rel.get((an, b))
+                               or rel.setdefault((an, b), relative_order(m, an, b)))
                         want = rab // math.gcd(n, rab)
                         if got != want:
                             yield {"a": a, "b": b, "n": n, "fifth": True}, want, got
                     for k, bk, gk in sixth:
-                        got = relative_order(m, an, bk)
+                        got = (rel.get((an, bk))
+                               or rel.setdefault((an, bk), relative_order(m, an, bk)))
                         want = rab // math.gcd(n * gk, rab)
                         if got != want:
                             yield ({"a": a, "b": b, "n": n, "k": k, "sixth": True},
@@ -1242,11 +1284,13 @@ def check_pr05(m):
 @claim
 def check_pr06(m):
     c = _ctx(m)
+    inverse: dict[int, int] = {}  # g -> g^-1, each asked once
     for a in c.R[:: max(1, len(c.R) // 16)]:
         info = omega_info(m, a)
         oset = set(info.omega_set)
         for g in c.by_class[c.classes[a]]:
-            if (g in oset) != (signed_power(m, g, -1) in oset):
+            inv = inverse.get(g) or inverse.setdefault(g, signed_power(m, g, -1))
+            if (g in oset) != (inv in oset):
                 yield {"a": a, "g": g}, "closed under inverse", g
 
 
@@ -1654,18 +1698,25 @@ def check_sd13(m):
     joined = {(e, e2): canon(e * e2 + (1 - e) * (1 - e2), m) for e in c.E for e2 in c.E}
     for k in range(1, m + 1, max(1, m // 12)):
         ker = kernel(m, k)
+        ops: dict[tuple[int, int], int] = {}  # (x, e) -> x o e, over all roots r
         for r in ker.solutions:
-            circ = {e: kernel_op(m, k, r, e, "circ") for e in c.E}  # r o e
+            circ = {e: ops.get((r, e))
+                    or ops.setdefault((r, e), kernel_op(m, k, r, e, "circ"))
+                    for e in c.E}  # r o e
             rbar = ker.rbar(r)
             for e in c.E:
                 lhs = canon(k - circ[e], m)
                 if lhs != circ[bar[e]]:
                     yield {"k": k, "r": r, "e": e}, "bar of r o e == r o ebar", lhs
-                if lhs != kernel_op(m, k, rbar, e, "circ"):
+                rbar_e = (ops.get((rbar, e))
+                          or ops.setdefault((rbar, e), kernel_op(m, k, rbar, e, "circ")))
+                if lhs != rbar_e:
                     yield ({"k": k, "r": r, "e": e, "second": True},
                            "bar of r o e == rbar o e", lhs)
+                x = circ[e]
                 for e2 in c.E:
-                    left = kernel_op(m, k, circ[e], e2, "circ")
+                    left = (ops.get((x, e2))
+                            or ops.setdefault((x, e2), kernel_op(m, k, x, e2, "circ")))
                     right = circ[joined[e, e2]]
                     if left != right:
                         yield ({"k": k, "r": r, "e1": e, "e2": e2, "assoc": True},

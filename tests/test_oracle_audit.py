@@ -307,6 +307,10 @@ def _orbit_without_idempotent(c, m):
         c.orbits = {**c.orbits, x: c.orbits[x] - {c.classes[x]}}
 
 
+def _repeats_off(c, m):
+    c.repeats = [r + 1 if r else 0 for r in c.repeats]
+
+
 def _order_table_off(c, m):
     x = _long_element(c)
     if x is not None:
@@ -375,10 +379,14 @@ _CHECK_FAULTS = {
     "in03": _ctx_fault(_all_idempotent),
     "in11": _ctx_fault(_drop_unit_idempotent),
     "in12": _ctx_fault(_drop_unit_idempotent),
+    "nn02": _lib_fault("order", _order_off),
+    "nn02-repeats": _ctx_fault(_repeats_off),
     "nn03": _lib_fault("order", _order_off),
     "nn05": _ctx_fault(_drop_unit_normal),
     "nn07": _ctx_fault(_all_idempotent),
     "nn08-third": _lib_fault("order", _order_off),
+    "rn03": _lib_fault("order", _order_off),
+    "rn03-repeats": _ctx_fault(_repeats_off),
     "rn06": _lib_fault("signed_power", _signed_power_off),
     "rn09": _ctx_fault(_orbit_without_idempotent),
     "rn11": _lib_fault("orbit_gcd", _plus_one),
@@ -402,6 +410,7 @@ _CHECK_FAULTS = {
     "bc08": _lib_fault("images", _images_cut),
     "bc09": _lib_fault("images", _images_cut),
     "pr05": _lib_fault("omega_info", _omega_set_cut),
+    "pr06": _lib_fault("signed_power", _signed_power_off),
     "fs09": _lib_fault("classify_function", _flip("is_qm")),
     "fs10": _lib_fault("classify_function", _flip("is_di")),
     "sd11": _lib_fault(
@@ -419,7 +428,7 @@ def test_checks_catch_a_fault(case, monkeypatch):
     the value right, for the pinned errata).  The 2..100 pin cannot show a
     comparison turned vacuous, since with a correct library it reports
     nothing either way."""
-    scope, check = THEOREMS[case.removesuffix("-composition")]
+    scope, check = THEOREMS[case if case in THEOREMS else case.rsplit("-", 1)[0]]
     moduli = [0] if scope == "global" else range(2, 31)
     clean = {m: list(check(m)) for m in moduli}
     _CHECK_FAULTS[case](monkeypatch)

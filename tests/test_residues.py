@@ -370,6 +370,17 @@ def test_orbit_checks_catch_a_wrong_library(monkeypatch, name, wrong, check, kin
         assert kinds <= seen, (m, seen)
 
 
+def test_rn35_reports_its_self_statement_once_per_element(monkeypatch):
+    """|a, a| = |a| does not depend on b: with relative_order wrong only on
+    (a, a), rn35 reports one self finding per a, not one per pair."""
+    monkeypatch.setattr(_audit, "relative_order",
+                        lambda m, a, b: relative_order(m, a, b) + (a == b))
+    for m in (13, 15):  # every regular a is sampled
+        selfs = [witness["a"] for witness, _, _ in _audit.check_rn35(m)
+                 if "self" in witness]
+        assert sorted(selfs) == regular_set(m), (m, selfs)
+
+
 def test_join_witness_validates_preconditions():
     with pytest.raises(ValueError):
         join_witness(12, 5, 8, 1)  # different classes
