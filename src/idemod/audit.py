@@ -20,13 +20,15 @@ import math
 from functools import lru_cache
 
 from .arith import Record, build_modulus, canon
-from .idempotents import idem_class, index, order, signed_power
+from .idempotents import enumerate_idempotents, idem_class, index, order, signed_power
 from .oracle import (
     oracle_idempotents,
     oracle_is_regular,
+    oracle_normal_set,
     oracle_r_count,
     oracle_rho_count,
     oracle_union_size,
+    oracle_walks,
 )
 from .residues import (
     class_product,
@@ -38,7 +40,6 @@ from .residues import (
     orbit_gcd,
     regular_set,
     relative_order,
-    structure_table,
 )
 from .congruence import (
     gen_primitive_roots,
@@ -129,53 +130,46 @@ class _table:
 
 class _Ctx:
     """Shared per-modulus reference tables for the checks, which read them
-    rather than recompute them.
+    rather than recompute them, built from oracle.py alone so that no check
+    compares a fast path with itself.
 
     Built with the context: E and Eset (the idempotents), R and Rset (the
     regular residues), N and Nset (the normal ones), orders and classes
-    (|a| and a's idempotent class, 0 for a non-regular a) and by_class (each
-    class R_m^e ascending), from the library's tables.  Built on first use,
-    so a check that needs none of them does not pay for them: ind (the walk
-    of each regular b's powers), powers (the same walk as a list, so that
-    b^n = powers[b][(n - 1) % |b|] for n >= 1), orbits (each orb(b) as a
-    set), repeats (where each residue's powers first repeat), images(k) (the
-    k-th powers of all residues) and algebra (the operator-law report).
+    (|a| and a's idempotent class, 0 for a non-regular a), by_class (each
+    class R_m^e ascending) and powers (each regular b's oracle walk
+    [b^1, ..., b^|b|], so b^n = powers[b][(n - 1) % |b|] for n >= 1).
+    Built on first use, so a check that needs none of them does not pay for
+    them: ind (b^k -> k for each regular b), orbits (each orb(b) as a set),
+    repeats (where each residue's powers first repeat), images(k) (the k-th
+    powers of all residues) and algebra (the operator-law report).
     Everything dies with the context, when the sweep moves to the next
     modulus."""
 
     def __init__(self, m: int):
         self.m = m
         self.mod = build_modulus(m)
-        self.table = structure_table(m)
-        self.E = list(self.table.idempotents.elements)
+        self.E = oracle_idempotents(m)
         self.Eset = set(self.E)
-        self.R = list(self.table.regulars)
+        self.orders = [0] * (m + 1)
+        self.classes = [0] * (m + 1)
+        self.by_class: dict[int, list[int]] = {}
+        self.powers: dict[int, list[int]] = {}
+        for a, walk in enumerate(oracle_walks(m), 1):
+            e = walk[-1]
+            if e * a % m == a % m:  # oracle_is_regular's test
+                self.orders[a], self.classes[a] = len(walk), e
+                self.by_class.setdefault(e, []).append(a)
+                self.powers[a] = walk
+        self.R = list(self.powers)
         self.Rset = set(self.R)
-        self.orders = self.table.orders
-        self.classes = self.table.classes
-        self.N = normal_set(m)
+        self.N = oracle_normal_set(m)
         self.Nset = set(self.N)
-        self.by_class = self.table.by_class
         self._images: dict[int, frozenset[int]] = {}
 
     @_table
     def ind(self) -> dict[int, dict[int, int]]:
-        """For each regular b: power of b -> smallest exponent."""
-        m = self.m
-        ind = {}
-        for b in self.R:
-            walk: dict[int, int] = {}
-            x = 1 % m
-            for k in range(1, self.orders[b] + 1):
-                x = x * b % m
-                walk.setdefault(x or m, k)
-            ind[b] = walk
-        return ind
-
-    @_table
-    def powers(self) -> dict[int, list[int]]:
-        """For each regular b: [b^1, ..., b^|b|], in canonical form."""
-        return {b: list(walk) for b, walk in self.ind.items()}
+        """For each regular b: b^k -> k, for k in 1..|b|, all distinct."""
+        return {b: {x: k for k, x in enumerate(w, 1)} for b, w in self.powers.items()}
 
     def first_powers(self, b: int, count: int) -> list[int]:
         """[b^1, ..., b^count] for a regular b, read off powers[b]."""
@@ -184,7 +178,7 @@ class _Ctx:
 
     @_table
     def orbits(self) -> dict[int, frozenset[int]]:
-        return {b: frozenset(walk) for b, walk in self.ind.items()}
+        return {b: frozenset(walk) for b, walk in self.powers.items()}
 
     @_table
     def repeats(self) -> list[int]:
@@ -303,9 +297,9 @@ def check_in05(m):
 @claim
 def check_in06(m):
     c = _ctx(m)
-    brute = oracle_idempotents(m)
-    if list(c.E) != brute:
-        yield {}, brute, list(c.E)
+    fast = list(enumerate_idempotents(m).elements)
+    if fast != c.E:
+        yield {}, c.E, fast
     if len(c.E) != 2**c.mod.omega:
         yield {"size": True}, 2**c.mod.omega, len(c.E)
 

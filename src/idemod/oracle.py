@@ -2,7 +2,9 @@
 
 Everything here works by exhaustive scan or naive iteration with no clever
 shortcuts, so the fast implementations elsewhere can be validated against
-these on small moduli.  All entry points honor the enumeration cap.
+these on small moduli.  All entry points honor the enumeration cap.  The
+tests and the audit share this one brute-force layer: the audit builds its
+per-modulus context from it alone.
 """
 from __future__ import annotations
 
@@ -27,6 +29,22 @@ def oracle_order(m: int, a: int) -> int:
         x = x * a % m
         n += 1
     return n
+
+
+def oracle_walks(m: int) -> list[list[int]]:
+    """[a^1, ..., a^n] in 1..m form for each a in 1..m, n the first exponent
+    with a^n idempotent (oracle_order's walk, kept): n = |a|, a^n is a's
+    class, and a is regular exactly when a^n * a = a."""
+    check_enum(m)
+    walks = []
+    for a in range(1, m + 1):
+        x = a % m
+        walk = [x or m]
+        while x * x % m != x:
+            x = x * a % m
+            walk.append(x or m)
+        walks.append(walk)
+    return walks
 
 
 def oracle_is_regular(m: int, a: int) -> bool:
@@ -128,20 +146,13 @@ def oracle_orbit_gcd(m: int, b: int, c: int) -> int:
 def _class_table(m: int) -> dict[int, dict[int, tuple[int, int]]]:
     """{e: {n: (count, union)}}: for each idempotent class e, the regular a
     of class e grouped by order n, with how many there are and the size of
-    the union of their orbits.  Each a's powers are walked up to the first
-    idempotent one, a^|a|, which is its class when a^(|a|+1) = a.  Cached
-    per modulus, and more than one, since a claim compares m with its
-    divisors."""
-    check_enum(m)
+    the union of their orbits, from oracle_walks.  Cached per modulus, and
+    more than one, since a claim compares m with its divisors."""
     groups: dict[int, dict[int, tuple[int, set[int]]]] = {}
-    for a in range(1, m + 1):
-        x = a % m
-        walk = [x]
-        while x * x % m != x:
-            x = x * a % m
-            walk.append(x)
-        if x * a % m == a % m:
-            by_order = groups.setdefault(canon(x, m), {})
+    for a, walk in enumerate(oracle_walks(m), 1):
+        e = walk[-1]
+        if e * a % m == a % m:
+            by_order = groups.setdefault(e, {})
             count, union = by_order.get(len(walk), (0, set()))
             union.update(walk)
             by_order[len(walk)] = count + 1, union

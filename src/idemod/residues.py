@@ -25,7 +25,7 @@ Each enumerating query builds only the pieces it reads, each cached on its
 own: regular_set(m, e) and sqrt_structure read class members; omega_info
 reads the logs on a cyclic class, and class members and order_table on the
 others; gen_primitive_roots reads the logs alone.  structure_table composes
-the class members and order_table, with the class array, for the audit.
+the class members and order_table; only the tests read it.
 
 The queries that build nothing per residue read _unit_group(p, alpha):
 U(p^alpha) as a product of cyclic factors, with their orders, the
@@ -278,44 +278,36 @@ def order_table(m: int) -> array:
 
 class StructureTable(Record):
     """Per-modulus tables over the residues 1..m, composed from the pieces
-    the queries read on their own.  orders[a] is |a|_m and classes[a] is a's
-    idempotent class when a is regular, and both are 0 when it is not (index
-    0 is no residue and also reads 0).  regulars is R_m ascending, and
-    by_class[e] is R_m^e = z * U(m/z) ascending, with the classes in the
-    order of their least members z.  orders is order_table(m) and by_class
-    holds class_members' arrays, the same objects; classes is filled in
-    from by_class here only, and only the audit reads it.  Orbits are not
-    stored, since they total sum(|a|) entries; orbit(m, a) builds one."""
+    the queries read on their own.  orders[a] is |a|_m when a is regular,
+    and 0 when it is not (index 0 is no residue and also reads 0).
+    regulars is R_m ascending, and by_class[e] is R_m^e = z * U(m/z)
+    ascending, with the classes in the order of their least members z.
+    orders is order_table(m) and by_class holds class_members' arrays, the
+    same objects.  Orbits are not stored, since they total sum(|a|)
+    entries; orbit(m, a) builds one."""
 
     modulus: Modulus
     idempotents: IdempotentSet
     regulars: array
     orders: array
-    classes: array
     by_class: dict[int, array]
 
 
 @lru_cache(maxsize=None)
 def structure_table(m: int) -> StructureTable:
     check_enum(m)  # before build_modulus, which factors m
-    tc = _typecode(m)
     # The idempotent 0 modulo a product z of prime powers of m and 1 modulo
     # m/z; z is the least member of its class.
     qs = build_modulus(m).prime_powers
     zs = sorted(math.prod(q for i, q in enumerate(qs) if bits >> i & 1)
                 for bits in range(1 << len(qs)))
     by_class = {canon(z * pow(z, -1, m // z), m): _class_members(m, z) for z in zs}
-    classes = array(tc, [0]) * (m + 1)
-    for e, members in by_class.items():
-        for a in members:
-            classes[a] = e
     orders = order_table(m)
     return StructureTable(
         modulus=build_modulus(m),
         idempotents=enumerate_idempotents(m),
-        regulars=array(tc, compress(range(m + 1), orders)),  # no list of R_m
+        regulars=array(orders.typecode, compress(range(m + 1), orders)),
         orders=orders,
-        classes=classes,
         by_class=by_class,
     )
 

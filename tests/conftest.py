@@ -85,10 +85,7 @@ def counting_sweep(bound: int = 500, kmax: int = 60):
         if not mod.weakly_even:
             continue
         table = structure_table(m)
-        one = canon(1, m)
-        unit_orders = [
-            table.orders[a] for a in table.regulars if table.classes[a] == one
-        ]
+        unit_orders = [table.orders[a] for a in table.by_class[canon(1, m)]]
         for k in range(1, kmax + 1):
             direct = sum(1 for n in unit_orders if k % n == 0)
             if rho_closed_form(m, k) != direct:

@@ -2,6 +2,7 @@
 import gc
 import hashlib
 import json
+import sys
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -21,7 +22,17 @@ from idemod.oracle import (
     oracle_regular_set,
     oracle_solve,
 )
-from idemod.residues import delta, is_normal, is_regular, mu, normal_set, regular_set
+from idemod.idempotents import enumerate_idempotents, idem_class
+from idemod.residues import (
+    class_members,
+    delta,
+    is_normal,
+    is_regular,
+    mu,
+    normal_set,
+    order_table,
+    regular_set,
+)
 from conftest import audit_100
 
 
@@ -145,6 +156,51 @@ def test_audit_keeps_one_modulus_context_alive():
     assert sum(isinstance(o, audit._Ctx) for o in gc.get_objects()) <= 1
 
 
+# The fast paths the audit's context must not read, by defining module.
+_FAST_PATHS = {
+    "residues": ["_unit_logs", "_crt_fold", "order_table", "_class_members",
+                 "structure_table", "normal_set"],
+    "idempotents": ["enumerate_idempotents"],
+}
+
+
+def test_context_reads_only_the_oracle(monkeypatch):
+    """_Ctx builds its tables, the lazy ones too, with every fast path it
+    checks raising, in every idemod namespace that binds one, so no check
+    compares a fast path with itself."""
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("idemod")]
+    for short, names in _FAST_PATHS.items():
+        for name in names:
+            real = getattr(sys.modules[f"idemod.{short}"], name)
+
+            def refuse(*args, _name=name):
+                raise AssertionError(f"the context called {_name}{args}")
+
+            for mod in modules:
+                if vars(mod).get(name) is real:
+                    monkeypatch.setattr(mod, name, refuse)
+    for m in range(2, 61):
+        c = audit._Ctx(m)
+        _ = c.ind, c.orbits, c.repeats, c.images(2)
+
+
+def test_context_tables_match_the_library():
+    """The audit compares its context with the library only through the
+    claims, so the context's tables are checked against the fast paths
+    here."""
+    for m in range(2, 201):
+        c = audit._Ctx(m)
+        assert c.E == list(enumerate_idempotents(m).elements), m
+        assert c.R == regular_set(m), m
+        assert c.N == normal_set(m), m
+        assert c.orders == list(order_table(m)), m
+        assert c.classes == [idem_class(m, a) if a in c.Rset else 0
+                             for a in range(m + 1)], m
+        least = sorted(c.E, key=lambda e: class_members(m, e)[0])
+        assert list(c.by_class.items()) == [
+            (e, list(class_members(m, e))) for e in least], m
+
+
 def test_audit_json_pinned():
     """The digest of `idemod audit 2..100 --json`: every claim's status and
     every finding, not only the three pinned errata."""
@@ -174,12 +230,13 @@ def _library_names():
 
 # For each claim, the first 16 hex digits of the sha256 of its sorted distinct
 # (library name, m, args) over m <= 16 and m = 29 (m = 0 for the global
-# claims), taken when every check still asked each repeated question again.
-# 29 is the least modulus with a class of 28 members, where rn33 and rn35
-# first sample with a stride of 2.
+# claims), taken when every check still asked each repeated question again;
+# in06's since it compares the context's oracle idempotents with
+# enumerate_idempotents.  29 is the least modulus with a class of 28 members,
+# where rn33 and rn35 first sample with a stride of 2.
 _QUESTIONS = dict(zip(*[iter("""
 in02 e3b0c44298fc1c14   in03 e3b0c44298fc1c14   in05 6a2abcc7a5ff6e53
-in06 d23b15ed69666783   in07 6872a9e5fceda795   in08 e3b0c44298fc1c14
+in06 e00d94fcbda096b5   in07 6872a9e5fceda795   in08 e3b0c44298fc1c14
 in11 e3b0c44298fc1c14   in12 e3b0c44298fc1c14   nn02 44d5f19d794e9875
 nn03 8cd480998df86a10   nn04 4360ec235e67ae15   nn05 e3b0c44298fc1c14
 nn06 035f09f269c25f4b   nn07 f6186d84f4d52605   nn08 87578e013996d770
@@ -297,8 +354,21 @@ def _drop_unit_normal(c, m):
     c.Nset = c.Nset - {1}
 
 
+def _drop_least_idempotent(c, m):
+    c.E = c.E[1:]
+
+
+def _drop_unit_regular(c, m):
+    c.Rset = c.Rset - {1}
+
+
 def _drop_first_regular(c, m):
     c.R = c.R[1:]
+
+
+def _unit_in_zero_class(c, m):
+    c.classes = list(c.classes)
+    c.classes[1] = m
 
 
 def _orbit_without_idempotent(c, m):
@@ -357,6 +427,10 @@ def _images_all(real):
     return lambda c, k: frozenset(range(c.m)) if k == 2 else real(c, k)
 
 
+def _elements_cut(real):
+    return lambda m: SimpleNamespace(elements=real(m).elements[1:])
+
+
 def _omega_set_cut(real):
     return lambda m, a: SimpleNamespace(omega_set=tuple(real(m, a).omega_set)[1:])
 
@@ -377,6 +451,8 @@ def _flip(flag):
 _CHECK_FAULTS = {
     "in02": _ctx_fault(_drop_unit_idempotent),
     "in03": _ctx_fault(_all_idempotent),
+    "in06": _lib_fault("enumerate_idempotents", _elements_cut),
+    "in07": _ctx_fault(_drop_least_idempotent),
     "in11": _ctx_fault(_drop_unit_idempotent),
     "in12": _ctx_fault(_drop_unit_idempotent),
     "nn02": _lib_fault("order", _order_off),
@@ -385,6 +461,7 @@ _CHECK_FAULTS = {
     "nn05": _ctx_fault(_drop_unit_normal),
     "nn07": _ctx_fault(_all_idempotent),
     "nn08-third": _lib_fault("order", _order_off),
+    "rn02": _ctx_fault(_drop_unit_normal),
     "rn03": _lib_fault("order", _order_off),
     "rn03-repeats": _ctx_fault(_repeats_off),
     "rn06": _lib_fault("signed_power", _signed_power_off),
@@ -392,6 +469,10 @@ _CHECK_FAULTS = {
     "rn11": _lib_fault("orbit_gcd", _plus_one),
     "rn13": _ctx_fault(_all_idempotent),
     "rn14": _ctx_fault(_order_table_off),
+    "rn17": _ctx_fault(_drop_unit_regular),
+    "rn19": _ctx_fault(_drop_first_regular),
+    "rn21": _ctx_fault(_drop_unit_regular),
+    "rn23": _ctx_fault(_drop_first_regular),
     "rn24": _lib_fault("index", lambda real: lambda m, b, a: None),
     "rn25": _ctx_fault(_orbit_without_idempotent),
     "rn26": _ctx_fault(_orbit_without_idempotent),
@@ -400,6 +481,8 @@ _CHECK_FAULTS = {
     "rn29": _ctx_fault(_orbit_without_idempotent),
     "rn30": _ctx_fault(_order_table_off),
     "rn31": _lib_fault("order", _order_off),
+    "rn32": _ctx_fault(_orbit_without_idempotent),
+    "rn36": _ctx_fault(_unit_in_zero_class),
     "rn38": _ctx_fault(_orbit_without_idempotent),
     "rn40": _lib_fault("equivalent", lambda real: lambda c, x, y: x <= y),
     "rn41": _lib_fault("order", _order_off),

@@ -280,10 +280,9 @@ def test_orbit_gcd_matches_oracle():
 
 def test_relative_order_symmetric_on_sample():
     for m in (12, 20, 45, 60):
-        table = structure_table(m)
-        for a in table.regulars:
-            for b in table.regulars:
-                if table.classes[a] == table.classes[b]:
+        for members in structure_table(m).by_class.values():
+            for a in members:
+                for b in members:
                     assert relative_order(m, a, b) == relative_order(m, b, a)
                     assert relative_order(m, a, b) == len(
                         orbit(m, a).elements & orbit(m, b).elements
@@ -403,7 +402,7 @@ def test_structure_table_consistency():
         assert list(table.regulars) == oracle_regular_set(m)
         for a in table.regulars:
             assert table.orders[a] == order(m, a).order
-            assert table.classes[a] == idem_class(m, a)
+            assert a in table.by_class[idem_class(m, a)]
             assert len(orbit(m, a).elements) == table.orders[a]
         assert sorted(table.by_class) == list(table.idempotents.elements)
         for e in table.idempotents.elements:
@@ -433,8 +432,8 @@ AGREEMENT_MODULI = sorted(
 
 
 def test_table_matches_point_queries_exhaustively():
-    """For every residue, the CRT-built table's regular flag, order and class
-    are is_regular's and order()'s (0 and 0 off R_m), by_class groups R_m by
+    """For every residue, the CRT-built table's regular flag and order are
+    is_regular's and order()'s (0 off R_m), by_class groups R_m by
     order()'s class in first-seen order, and regular_set and normal_set,
     whole and for every class, are the residues is_regular and is_normal
     accept.  The point queries take each residue on its own, with no
@@ -450,8 +449,7 @@ def test_table_matches_point_queries_exhaustively():
         normal_groups: dict[int, list[int]] = {}
         for a in range(1, m + 1):
             info = order(m, a)
-            want = (info.order, info.idem_class) if a in flags else (0, 0)
-            assert (table.orders[a], table.classes[a]) == want, (m, a)
+            assert table.orders[a] == (info.order if a in flags else 0), (m, a)
             if a in flags:
                 groups.setdefault(info.idem_class, []).append(a)
             if a in normal_flags:
@@ -577,7 +575,7 @@ def _clear_query_caches():
 
 def test_class_queries_build_no_structure_table(monkeypatch):
     """The queries that read one class, with or without its orders, build
-    neither the class array nor the table; their answers are the table's."""
+    no structure table; their answers are the table's."""
     moduli = [45, 105, 360, 1001, 2025, 2003]
     want = {}
     for m in moduli:
