@@ -99,13 +99,18 @@ def set_max_enum(cap: int) -> int:
     return old
 
 
+def check_work(count: int, what: str) -> None:
+    """Refuse a listing of count things (what) beyond the cap."""
+    cap = max_enum()
+    if count > cap:
+        raise EnumerationCapError(count, cap, what)
+
+
 def check_enum(m: int) -> None:
     """Reject a modulus that is not positive or lies beyond the cap."""
     if m < 1:
         raise ValueError(f"invalid modulus {m}: need a positive integer")
-    cap = max_enum()
-    if m > cap:
-        raise EnumerationCapError(m, cap)
+    check_work(m, "modulus")
 
 
 class Record:

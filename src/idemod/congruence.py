@@ -39,10 +39,11 @@ every component U(p^alpha).  omega <= lambda(mu) <= phi(mu), and
 lambda(mu) = phi(mu) exactly when U(mu) is cyclic, for mu = 1, 2, 4,
 p^alpha and 2 p^alpha (Gauss).  So omega = phi(mu) exactly on a cyclic
 class, where the orbit of each generator is the whole class: the maximizers
-are its generators, the b whose component is q - 1 at q = 2, 4 and has a
-log prime to phi at an odd p^alpha.  On the other classes omega_info scans
-the members b of order omega, each tested by whether b^(omega/|a|) lies in
-a byte mask of orb(a).  oracle.oracle_omega walks the orbits.
+are its generators, the b whose component is q - 1 at q = 2, 4 and, at an
+odd p^alpha, a q-th power for no prime q of phi.  On the other classes
+omega_info scans the members b of order omega, each tested by whether
+b^(omega/|a|) lies in a byte mask of orb(a).  oracle.oracle_omega walks
+the orbits.
 
 G_m needs no omega at all.  By the q-parts above, omega_m(g) = |g|_m
 exactly when, for each prime q of lambda(mu_g), g is not a q-th power:
@@ -52,35 +53,33 @@ exactly when, for each such q, some unit component of g is not a q-th
 power.  In U(p^alpha), p odd, with r = g0^t for the generator g0, that is
 q | phi and q not dividing t; in U(2^alpha) only q = 2 counts, and r is
 not a square exactly when r != 1 (mod 8) (r = 3 in U(4)).
-gen_primitive_roots folds this test over all residues at once.
+gen_primitive_roots tests all residues at once, with a byte pattern per
+prime power p^alpha and prime q, joined by CRT as regular_set's are.
 """
 from __future__ import annotations
 
 import math
-import operator
-from array import array
 from functools import lru_cache
-from itertools import compress
 
 from .arith import (
-    EnumerationCapError,
     Modulus,
     Record,
     build_modulus,
     canonicalize,
     check_enum,
-    max_enum,
+    check_work,
     valuation,
 )
 from .residues import (
-    _crt_fold,
     _listed,
+    _multiples,
     _orbit_mask,
+    _regular_mask,
     _regular_order,
     _spread,
-    _typecode,
+    _least_primitive_root,
+    _lift_root,
     _unit_group,
-    _unit_logs,
     class_members,
     is_regular,
     mu,
@@ -133,17 +132,10 @@ def _generators(m: int, a: int) -> tuple[int, ...]:
     module docstring)."""
     keep = _spread(m, b"\x01")
     for p, alpha in build_modulus(m).factorization.factors:
-        q = p**alpha
         if a % p == 0:
-            pattern = b"\x01" + bytes(q - 1)
-        elif p == 2:
-            pattern = bytes(q - 1) + b"\x01"
+            pattern = b"\x01" + bytes(p**alpha - 1)
         else:
-            n, logs = _unit_logs(p, alpha)
-            coprime = bytearray([1]) * (n + 1)  # at n, the non-units' log: 0
-            for r, _ in build_modulus(n).factorization.factors:
-                coprime[::r] = bytes(n // r + 1)
-            pattern = bytes(map(coprime.__getitem__, logs))
+            pattern = _nonpowers(p, alpha, _primes(p, alpha))
         keep &= _spread(m, pattern)
     return tuple(_listed(m, keep))
 
@@ -225,9 +217,7 @@ def solve(m: int, k: int, a: int) -> CongruenceSolution:
         raise ValueError(f"exponent must be >= 1, got {k}")
     factors = build_modulus(m).factorization.factors
     local = [_local_roots(p, alpha, k, a) for p, alpha in factors]
-    cap = max_enum()
-    if (size := math.prod(count for count, _ in local)) > cap:
-        raise EnumerationCapError(size, cap, "roots")
+    check_work(math.prod(count for count, _ in local), "roots")
     roots = [list(listing()) for _, listing in local]
     # x is regular exactly when each component is 0 or a unit.
     regular = [
@@ -365,48 +355,45 @@ def _sylow_log(x: int, gamma: int, q: int, qs: int, P: int) -> int:
 @lru_cache(maxsize=None)
 def gen_primitive_roots(m: int) -> tuple[int, ...]:
     """G_m = {g regular: omega_m(g) = |g|_m}, ascending; always nonempty.
-    It is read off two bitmasks per prime power p^alpha of m, one bit per
-    prime q of lambda(m), folded over the residues by CRT with OR: the q of
-    lambda(p^alpha) at the units (bit 0 at the nonzero non-units, which
-    make g irregular), and the q for which the unit is not a q-th power.
-    g is in G_m exactly where the two folds agree (see the module
-    docstring)."""
+    It is read off byte patterns per prime power p^alpha of m, combined by
+    CRT (_spread): the regular residues, and then, for each prime q of
+    lambda(m), those at which no unit component carries q (q dividing
+    lambda(p^alpha)) or some carrying component is not a q-th power (see
+    the module docstring)."""
     check_enum(m)  # before build_modulus, which factors m
     factors = build_modulus(m).factorization.factors
+    keep = _regular_mask(m)
     primes = [_primes(p, alpha) for p, alpha in factors]
-    bit = {q: 2 << i for i, q in enumerate(sorted(set().union(*primes)))}
-    tc = _typecode((2 << len(bit)) - 1)
-    exponents, nonpowers = [], []
-    for (p, alpha), qs in zip(factors, primes):
-        size = p**alpha
-        mask = sum(map(bit.__getitem__, qs))
-        exps = array(tc, [mask]) * size
-        exps[::p] = array(tc, [1]) * (size // p)
-        exps[0] = 0
-        exponents.append(exps)
-        if p == 2:
-            # The odd r that are not squares: r != 1 (mod 8), and 3 in U(4).
-            bits = array(tc, [0]) * size
-            if alpha >= 2:
-                step = min(size, 8)
-                bits[1::2] = array(tc, [mask]) * (size // 2)
-                bits[1::step] = array(tc, [0]) * (size // step)
-        else:
-            # g^t is a q-th power exactly when q divides t.  The non-units'
-            # logs read n, where by_log holds 0.
-            n, logs = _unit_logs(p, alpha)
-            by_log = [mask] * n + [0]
-            for q in qs:
-                by_log[:n:q] = [v ^ bit[q] for v in by_log[:n:q]]
-            bits = array(tc, [by_log[t] for t in logs])
-        nonpowers.append(bits)
-    keep = map(
-        operator.eq,
-        _crt_fold(operator.or_, 0, exponents, tc),
-        _crt_fold(operator.or_, 0, nonpowers, tc),
-    )
-    mask = bytes(keep)  # over x in 0..m-1, where x = 0 is the residue m
-    return tuple(compress(range(1, m + 1), mask[1:] + mask[:1]))
+    for q in sorted(set().union(*primes)):
+        carried = nonpower = 0
+        for (p, alpha), qs in zip(factors, primes):
+            if q in qs:
+                carried |= _spread(m, _multiples(p, p, 0))
+                nonpower |= _spread(m, _nonpowers(p, alpha, [q]))
+        keep &= ~carried | nonpower
+    return tuple(_listed(m, keep))
+
+
+def _nonpowers(p: int, alpha: int, primes: list[int]) -> bytes:
+    """1 at the units r in 0..p^alpha - 1 that are a q-th power for no q of
+    primes, primes of lambda(p^alpha), and 0 elsewhere.  In U(2^alpha) only
+    q = 2 can occur, and the squares are the r = 1 (mod 8), 1 alone in
+    U(4).  For odd p, U(p^alpha) is cyclic of order n, generated by g, so
+    r = g^t is a q-th power exactly when q divides t, and the q-th powers,
+    the n/q powers of g^q, are walked."""
+    size = p**alpha
+    out = bytearray(_multiples(p, size, 0))
+    if p == 2:
+        if primes:
+            out[1::8] = bytes(len(range(1, size, 8)))
+        return bytes(out)
+    n, g = size - size // p, _lift_root(_least_primitive_root(p), p, alpha)
+    for q in primes:
+        h, x = pow(g, q, size), 1
+        for _ in range(n // q):
+            out[x] = 0
+            x = x * h % size
+    return bytes(out)
 
 
 def _primes(p: int, alpha: int) -> list[int]:

@@ -11,13 +11,12 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import (
-    EnumerationCapError,
     Modulus,
     Record,
     build_modulus,
     canon,
+    check_work,
     crt_combine,
-    max_enum,
     multiplicative_order,
     valuation,
 )
@@ -114,41 +113,22 @@ def signed_power(m: int, a: int, z: int) -> int:
 
 
 def index(m: int, b: int, a: int) -> int | None:
-    """Smallest k >= 1 with b^k = a (mod m), or None.  Walks the power
-    sequence of b until it revisits a value (it is eventually periodic).
-    The walk meets T - 1 + L distinct powers, a tail of T - 1 and a cycle
-    of L (see _order_parts), and at most m.  A walk that reaches
-    _PRICED_WALK steps is priced then: one longer than the enumeration cap
-    is refused before it goes on."""
+    """Smallest k >= 1 with b^k = a (mod m), or None.  The powers of b are
+    eventually periodic: they take T - 1 + L distinct values, a tail of
+    T - 1 and a cycle of L (see _order_parts), and at most m.  So a walk of
+    that many steps meets every power; one longer than the enumeration cap
+    is refused before it starts."""
     if m < 1:
         raise ValueError(f"invalid modulus {m}: need a positive integer")
     b, a = b % m or m, a % m or m
-    seen: set[int] = set()
-    x, k = b, 1
-    while x not in seen:
+    L, T = _order_parts(build_modulus(m), b)
+    check_work(T - 1 + L, "powers")
+    x = b
+    for k in range(1, T + L):
         if x == a:
             return k
-        if k == _PRICED_WALK:
-            _check_walk(m, b)
-        seen.add(x)
         x = x * b % m or m
-        k += 1
     return None
-
-
-# A walk is priced only once it has taken this many steps; the audit's walks
-# take about 5.
-_PRICED_WALK = 64
-
-
-def _check_walk(m: int, b: int) -> None:
-    """Refuse b's power walk modulo m when it is longer than the cap; it is
-    at most m long, so only a modulus above the cap needs b's orders."""
-    cap = max_enum()
-    if m > cap:
-        L, T = _order_parts(build_modulus(m), b)
-        if T - 1 + L > cap:
-            raise EnumerationCapError(T - 1 + L, cap, "powers")
 
 
 def tower_mod(m: int, base: int, height: int) -> int:

@@ -77,8 +77,20 @@ def oracle_regular_set(m: int) -> list[int]:
 
 
 def oracle_normal_set(m: int) -> list[int]:
+    """The a that oracle_is_normal accepts, its window read on from the end
+    of oracle_walks' walk of n = |a| steps, which pass it."""
     check_enum(m)
-    return [a for a in range(1, m + 1) if oracle_is_normal(m, a)]
+    top = 2 * build_modulus(m).phi
+    out = []
+    for a, walk in enumerate(oracle_walks(m), 1):
+        n, x = len(walk), walk[-1] % m
+        for k in range(n + 1, max(top, 2 * n) + 1):
+            x = x * a % m
+            if (x * x % m == x) != (k % n == 0):
+                break
+        else:
+            out.append(a)
+    return out
 
 
 def oracle_solve(m: int, k: int, a: int) -> list[int]:

@@ -2,16 +2,25 @@
 
 For (k, m) = 1 the solution set of x^2 = kx is exactly k*E_m, so it inherits
 the idempotent combinatorics.  k is canonicalized, with k = m standing for
-the k = 0 equation x^2 = 0.
+the k = 0 equation x^2 = 0.  kernel scans 1..m.  sqrt_structure scans
+nothing: it joins congruence.solve's local roots of x^2 = 1 by CRT.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .arith import Modulus, Record, build_modulus, canon, canonicalize, check_enum
+from .arith import (
+    Modulus,
+    Record,
+    build_modulus,
+    canon,
+    canonicalize,
+    check_enum,
+    check_work,
+)
+from .congruence import _crt_join, _local_roots
 from .idempotents import is_idempotent
-from .residues import class_members, mu
 
 
 class QuadraticKernel(Record):
@@ -68,17 +77,20 @@ class SqrtStructure(Record):
 
 def sqrt_structure(m: int, e: int) -> SqrtStructure:
     """Regular square roots of an idempotent e over odd m, with the size and
-    product formulas evaluated alongside."""
+    product formulas evaluated alongside.  A regular root lies in R_m^e,
+    whose identity is e: it is 0 on the prime powers of m that e kills and
+    a root of x^2 = 1 on those of mu, 2^omega(mu) roots, priced first."""
     if m % 2 == 0:
         raise ValueError(f"modulus {m} is even: structure result needs odd m")
     if not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
-    check_enum(m)
     e = canon(e, m)
-    # A regular x with x^2 = e lies in the group R_m^e, so only that class
-    # is scanned.
-    roots = tuple(x for x in class_members(m, e) if x * x % m == e % m)
-    om = build_modulus(mu(m, e)).omega
+    factors = build_modulus(m).factorization.factors
+    om = sum(e % p > 0 for p, _ in factors)  # omega(mu)
+    check_work(2**om, "roots")
+    parts = [list(_local_roots(p, alpha, 2, 1)[1]()) if e % p else [0]
+             for p, alpha in factors]
+    roots = _crt_join(m, [p**alpha for p, alpha in factors], parts)
     prod = 1
     for x in roots:
         prod = prod * x % m

@@ -8,11 +8,11 @@ for the multiples of |a|.  Regular implies normal.
 R_m^e is a copy of the unit group U(m/z), z = gcd(e, m) the product of the
 prime powers of m on which e is 0: it is exactly z * U(m/z), the z*y with
 1 <= y <= m/z prime to m/z.  class_members builds it from a coprimality mask,
-with no power walk.  order_table is built by CRT from one array, and
-regular_set and normal_set from byte patterns (_spread), per prime power
-q = p^alpha of m, indexed by the residue's component r = a mod q: a is
-regular exactly when every component is 0 or a unit, and |a| is then the
-lcm of the unit components' orders.
+with no power walk.  order_table is built by CRT from one array (_crt_fold
+serves it alone), and regular_set, normal_set and G_m from byte patterns
+(_spread), per prime power q = p^alpha of m, indexed by the residue's
+component r = a mod q: a is regular exactly when every component is 0 or a
+unit, and |a| is then the lcm of the unit components' orders.
 
 Both the logs and the orders of the units of q come from one Python walk
 over a generator's powers, cached per prime power in _unit_logs: logs[r] = t
@@ -22,10 +22,11 @@ n / gcd(t, n) in a cyclic group of order n: _unit_orders looks them up in
 a table over t filled by slice assignments, one per divisor of n.
 
 Each enumerating query builds only the pieces it reads, each cached on its
-own: regular_set(m, e) and sqrt_structure read class members; omega_info
-reads the logs on a cyclic class, and class members and order_table on the
-others; gen_primitive_roots reads the logs alone.  structure_table composes
-the class members and order_table; only the tests read it.
+own: regular_set(m, e) reads class members, and omega_info reads them and
+order_table on a class that is not cyclic; G_m, and omega_info on a cyclic
+class, walk subgroups of q-th powers (congruence._nonpowers), not logs.
+structure_table composes the class members and order_table; only the
+tests read it.
 
 The queries that build nothing per residue read _unit_group(p, alpha):
 U(p^alpha) as a product of cyclic factors, with their orders, the
@@ -40,14 +41,13 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 
 from .arith import (
-    EnumerationCapError,
     Modulus,
     Record,
     build_modulus,
     canon,
     check_enum,
+    check_work,
     least_divisor,
-    max_enum,
     valuation,
 )
 from .idempotents import (
@@ -128,10 +128,15 @@ def regular_set(m: int, e: int | None = None) -> list[int]:
     if e is not None:
         return list(class_members(m, e))
     check_enum(m)  # before build_modulus, which factors m
+    return _listed(m, _regular_mask(m))
+
+
+def _regular_mask(m: int) -> int:
+    """R_m as a _spread mask: 1 at the a whose components are 0 or units."""
     keep = _spread(m, b"\x01")
     for p, alpha in build_modulus(m).factorization.factors:
         keep &= _spread(m, _multiples(p, p**alpha, 0, p**alpha))
-    return _listed(m, keep)
+    return keep
 
 
 def normal_set(m: int, e: int | None = None) -> list[int]:
@@ -142,9 +147,9 @@ def normal_set(m: int, e: int | None = None) -> list[int]:
     d < max alpha, each unit component is a d-th root of 1 and some
     component has v < ceil(alpha / d).  The class of a is 0 exactly on the
     components that p divides."""
-    check_enum(m)
     if e is not None and not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
+    check_enum(m)
     factors = build_modulus(m).factorization.factors
     abnormal = 0
     for d in range(1, max((alpha for _, alpha in factors), default=1)):
@@ -210,9 +215,7 @@ def orbit(m: int, a: int) -> OrbitSet:
     against the enumeration cap, so a small orbit of a huge modulus still
     answers."""
     info = order(m, a)
-    cap = max_enum()
-    if info.order > cap:
-        raise EnumerationCapError(info.order, cap, "orbit elements")
+    check_work(info.order, "orbit elements")
     return OrbitSet(info.modulus, info.a, _powers(m, info.a, info.order))
 
 

@@ -157,6 +157,14 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [(), ("--regular",), ("--normal",)])
+def test_sets_rejects_a_bad_class_before_the_cap(capsys, flags):
+    """A class that is not idempotent is bad input, exit 2, under any cap."""
+    code, out, err = run(capsys, "--max-enum", "10", "sets", "50", "--class", "7",
+                         *flags)
+    assert code == 2 and not out and "7 is not idempotent modulo 50" in err
+
+
 def test_cap_exceeded_exits_3(capsys, enum_cap):
     enum_cap(1000000)
     code, _, err = run(capsys, "--max-enum", "10", "idempotents", "50")

@@ -333,7 +333,9 @@ def test_solve_example_unsolvable():
 
 
 def test_generalized_primitive_roots_nonempty():
-    for m in SWEEP_150:
+    """G_m is nonempty and is the regular g with omega_m(g) = |g|_m, both
+    walked by walk_omega, for every m <= 600."""
+    for m in range(1, 601):
         gs = gen_primitive_roots(m)
         assert gs, m
         brute = tuple(g for g, (n, w, _) in walk_omega(m).items() if n == w)

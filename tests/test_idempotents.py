@@ -121,6 +121,24 @@ def test_index_examples():
             assert index(m, b, b) == 1
 
 
+def test_index_matches_a_walk():
+    """index(m, b, a) against the least k with b^k = a among b^1, ..., b^m,
+    which meet every power of b: for every b and a modulo m <= 150, and
+    for every b and every 7th a modulo 2^alpha * j, where U(2^alpha) is
+    not cyclic and tails reach alpha."""
+    moduli = [(m, 1) for m in range(1, 151)] + [
+        (2**alpha * j, 7) for alpha in range(1, 8) for j in (3, 5, 9)
+    ]
+    for m, step in moduli:
+        for b in range(1, m + 1):
+            first, x = {}, 1
+            for k in range(1, m + 1):
+                x = x * b % m
+                first.setdefault(x or m, k)
+            for a in range(1, m + 1, step):
+                assert index(m, b, a) == first.get(a), (m, b, a)
+
+
 def test_index_refuses_a_walk_beyond_the_cap(enum_cap):
     """37 generates U(2^61 - 1), so its powers repeat only after 2^61 - 2
     steps: index refuses that walk within its first steps, while short

@@ -1,11 +1,12 @@
 """Kernels of x^2 = kx and square-root structure over odd moduli."""
 import math
+import random
 
 import pytest
 
 from idemod.arith import canon
 from idemod.idempotents import enumerate_idempotents
-from idemod.oracle import oracle_regular_set
+from idemod.oracle import oracle_is_regular
 from idemod.quadratic import (
     class_kernel_op,
     kernel,
@@ -30,19 +31,37 @@ def test_unit_scaled_kernels_match_scan():
 
 
 def test_kernels_and_square_roots_match_a_full_scan():
-    """Every m <= 300: kernel(m, k) for every k, and, for odd m,
+    """Every m <= 300: kernel(m, k) for every k; and every odd m <= 2000:
     sqrt_structure(m, e) for every idempotent e, against a brute-force scan
-    of x^2 over 1..m."""
-    for m in range(1, 301):
+    of x^2 over 1..m, each root tested for regularity by the oracle."""
+    for m in range(1, 2001):
         squares = [x * x % m for x in range(m + 1)]
-        for k in range(1, m + 1):
+        for k in range(1, m + 1) if m <= 300 else ():
             want = tuple(x for x in range(1, m + 1) if squares[x] == k * x % m)
             assert kernel(m, k).solutions == want, (m, k)
         if m % 2:
-            regular = oracle_regular_set(m)
             for e in enumerate_idempotents(m).elements:
-                want = tuple(x for x in regular if squares[x] == e % m)
+                want = tuple(x for x in range(1, m + 1)
+                             if squares[x] == e % m and oracle_is_regular(m, x))
                 assert sqrt_structure(m, e).roots == want, (m, e)
+
+
+def test_square_roots_match_sympy_on_large_moduli():
+    """sqrt_structure(m, e) for every idempotent e of seeded random odd
+    squarefree m of 40 to 64 bits, against sympy's roots of x^2 = e: every
+    residue of a squarefree m is regular, so all of sympy's roots count."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2016)
+    for _ in range(12):
+        while True:
+            primes = {sympy.nextprime(rng.getrandbits(rng.randrange(8, 33)))
+                      for _ in range(rng.randrange(2, 5))} - {2}
+            m = math.prod(primes)
+            if 40 <= m.bit_length() <= 64:
+                break
+        for e in enumerate_idempotents(m).elements:
+            want = sorted(x or m for x in sympy.sqrt_mod(e, m, all_roots=True))
+            assert list(sqrt_structure(m, e).roots) == want, (m, e)
 
 
 def test_membership_matches_element_lists():

@@ -606,8 +606,8 @@ def test_class_queries_build_no_structure_table(monkeypatch):
 
 
 def test_sqrt_structure_walks_no_unit_group(monkeypatch):
-    """sqrt_structure reads R_m^e = z * U(m/z) from a coprimality mask, so
-    it walks no generator's powers, even for a prime near the cap."""
+    """sqrt_structure joins the local roots of x^2 = 1 by CRT, so it walks
+    no generator's powers, even for a prime near the cap."""
     def no_walk(p, alpha):
         raise AssertionError(f"walked U({p}^{alpha})")
 
