@@ -58,7 +58,7 @@ class OrderInfo(Record):
     idem_class: int
 
 
-def _order_parts(mod: Modulus, a: int) -> tuple[int, int]:
+def order_parts(mod: Modulus, a: int) -> tuple[int, int]:
     """(L, T): L = lcm of unit orders over prime powers coprime to a,
     T = max over shared primes of ceil(alpha_p / v_p(a)), each 1 if empty."""
     L = 1
@@ -82,11 +82,11 @@ def order(m: int, a: int) -> OrderInfo:
     a = a % m or m
     if m == 1:
         return OrderInfo(mod, 1, 1, 1)
-    return _order_info(mod, a, *_order_parts(mod, a))
+    return order_info(mod, a, *order_parts(mod, a))
 
 
-def _order_info(mod: Modulus, a: int, L: int, T: int) -> OrderInfo:
-    """The OrderInfo of a, whose _order_parts are (L, T)."""
+def order_info(mod: Modulus, a: int, L: int, T: int) -> OrderInfo:
+    """The OrderInfo of a, whose order_parts are (L, T)."""
     n = L * (-(-T // L))
     return OrderInfo(mod, a, n, pow(a, n, mod.m) or mod.m)
 
@@ -115,13 +115,13 @@ def signed_power(m: int, a: int, z: int) -> int:
 def index(m: int, b: int, a: int) -> int | None:
     """Smallest k >= 1 with b^k = a (mod m), or None.  The powers of b are
     eventually periodic: they take T - 1 + L distinct values, a tail of
-    T - 1 and a cycle of L (see _order_parts), and at most m.  So a walk of
+    T - 1 and a cycle of L (see order_parts), and at most m.  So a walk of
     that many steps meets every power; one longer than the enumeration cap
     is refused before it starts."""
     if m < 1:
         raise ValueError(f"invalid modulus {m}: need a positive integer")
     b, a = b % m or m, a % m or m
-    L, T = _order_parts(build_modulus(m), b)
+    L, T = order_parts(build_modulus(m), b)
     check_work(T - 1 + L, "powers")
     x = b
     for k in range(1, T + L):

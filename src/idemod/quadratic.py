@@ -3,7 +3,7 @@
 For (k, m) = 1 the solution set of x^2 = kx is exactly k*E_m, so it inherits
 the idempotent combinatorics.  k is canonicalized, with k = m standing for
 the k = 0 equation x^2 = 0.  kernel scans 1..m.  sqrt_structure scans
-nothing: it joins congruence.solve's local roots of x^2 = 1 by CRT.
+nothing: it joins the local roots of x^2 = 1 (units.local_roots) by CRT.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from .arith import (
     check_enum,
     check_work,
 )
-from .congruence import _crt_join, _local_roots
 from .idempotents import is_idempotent
+from .units import crt_join, local_roots
 
 
 class QuadraticKernel(Record):
@@ -88,9 +88,9 @@ def sqrt_structure(m: int, e: int) -> SqrtStructure:
     factors = build_modulus(m).factorization.factors
     om = sum(e % p > 0 for p, _ in factors)  # omega(mu)
     check_work(2**om, "roots")
-    parts = [list(_local_roots(p, alpha, 2, 1)[1]()) if e % p else [0]
+    parts = [list(local_roots(p, alpha, 2, 1)[1]()) if e % p else [0]
              for p, alpha in factors]
-    roots = _crt_join(m, [p**alpha for p, alpha in factors], parts)
+    roots = crt_join(m, [p**alpha for p, alpha in factors], parts)
     prod = 1
     for x in roots:
         prod = prod * x % m

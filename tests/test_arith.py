@@ -378,7 +378,7 @@ def _record_samples():
     in order, values for them)."""
     from idemod.algebra import AlgebraReport, BasisMap, LawReport
     from idemod.audit import AuditFinding, AuditReport, TheoremResult
-    from idemod.residues import UnitGroup
+    from idemod.units import UnitGroup
 
     mod = build_modulus(12)
     idems = idemod.IdempotentSet(mod, (1, 4, 9, 12))

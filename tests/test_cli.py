@@ -1,5 +1,6 @@
 """Command-line frontend: routing, JSON round-trips, exit codes."""
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -307,6 +308,20 @@ def test_a_query_start_imports_no_typing():
     res = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr or "a query start imported typing"
+
+
+def test_no_private_name_crosses_between_modules():
+    """No module of the package imports another's private name: what one
+    module serves the others is named without a leading underscore."""
+    package = Path(idemod.__file__).resolve().parent
+    crossing = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not crossing, crossing
 
 
 @pytest.mark.parametrize("argv", [

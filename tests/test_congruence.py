@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from idemod import congruence
+from idemod import congruence, units
 from idemod.arith import EnumerationCapError, build_modulus
 from idemod.congruence import (
     _omega,
@@ -276,7 +276,7 @@ def test_local_roots_of_prime_powers():
                 for x in range(q):
                     roots.setdefault(pow(x, k, q), []).append(x)
                 for a in range(q):
-                    count, listing = congruence._local_roots(p, alpha, k, a)
+                    count, listing = units.local_roots(p, alpha, k, a)
                     want = roots.get(a, [])
                     assert (count, sorted(listing())) == (len(want), want), (q, k, a)
             alpha += 1

@@ -158,8 +158,8 @@ def test_audit_keeps_one_modulus_context_alive():
 
 # The fast paths the audit's context must not read, by defining module.
 _FAST_PATHS = {
-    "residues": ["_unit_logs", "_crt_fold", "order_table", "_class_members",
-                 "structure_table", "normal_set"],
+    "units": ["unit_logs", "crt_fold"],
+    "residues": ["order_table", "_class_members", "structure_table", "normal_set"],
     "idempotents": ["enumerate_idempotents"],
 }
 

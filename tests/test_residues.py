@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from idemod import residues
+from idemod import residues, units
 from idemod.congruence import _omega_cache, omega_info
 from idemod.counting import orbit_union_size, r_count, rho_count
 from idemod.arith import EnumerationCapError, build_modulus, multiplicative_order
@@ -33,9 +33,9 @@ from idemod.residues import (
     regular_set,
     relative_order,
     structure_table,
-    _lift_root,
     _orbit_gcd,
 )
+from idemod.units import _lift_root
 from idemod import audit as _audit
 from idemod.oracle import (
     oracle_normal_set,
@@ -198,7 +198,7 @@ def test_classify_example():
 
 
 def test_classify_reads_order_parts_once(monkeypatch):
-    """classify derives every field from one _order_parts, and each field
+    """classify derives every field from one order_parts, and each field
     equals the query it stands for, on every residue of every m <= 300."""
     for m in range(1, 301):
         for a in range(1, m + 1):
@@ -206,9 +206,9 @@ def test_classify_reads_order_parts_once(monkeypatch):
             assert classify(m, a) == residues.ResidueClassification(
                 info.modulus, a, is_normal(m, a), is_regular(m, a), info.order,
                 info.idem_class, mu(m, a), residues.delta(m, a))
-    real = residues._order_parts
+    real = residues.order_parts
     calls = []
-    monkeypatch.setattr(residues, "_order_parts",
+    monkeypatch.setattr(residues, "order_parts",
                         lambda mod, a: calls.append(a) or real(mod, a))
     assert classify(4294967291 * 4294967279, 3).is_regular
     assert calls == [3]
@@ -479,7 +479,7 @@ def test_normal_set_matches_oracle_beside_powers_of_two():
 def test_root_lift_mod_487_squared():
     """10 generates U(487) but not U(487^2); the lift 10 + 487 does.  The
     least primitive root (3 for 487) first needs the lift at p = 40487,
-    above the cap, so the lift is tested here directly."""
+    where test_units checks generator; the lift is tested here directly."""
     assert multiplicative_order(10, 487) == 486
     assert multiplicative_order(10, 487**2) == 486
     assert _lift_root(10, 487, 2) == 497
@@ -497,7 +497,7 @@ def test_unit_logs_are_logs_of_one_generator():
         if len(factors) != 1:
             continue
         (p, alpha), = factors
-        n, logs = residues._unit_logs(p, alpha)
+        n, logs = units.unit_logs(p, alpha)
         g = 5 % q if p == 2 else logs.index(1)
         assert multiplicative_order(g, q) == n, q
         for r in range(q):
@@ -506,7 +506,7 @@ def test_unit_logs_are_logs_of_one_generator():
                 continue
             x = pow(g, logs[r], q)
             assert logs[r] < n and (q - x if r % 4 == 3 and p == 2 else x) == r, (q, r)
-    residues._unit_logs.cache_clear()
+    units.unit_logs.cache_clear()
 
 
 def test_near_cap_table_memory():
@@ -611,8 +611,8 @@ def test_sqrt_structure_walks_no_unit_group(monkeypatch):
     def no_walk(p, alpha):
         raise AssertionError(f"walked U({p}^{alpha})")
 
-    monkeypatch.setattr(residues, "_unit_orders", no_walk)
-    monkeypatch.setattr(residues, "_unit_logs", no_walk)
+    monkeypatch.setattr(units, "unit_orders", no_walk)
+    monkeypatch.setattr(units, "unit_logs", no_walk)
     _clear_query_caches()
     assert sqrt_structure(999983, 1).roots == (1, 999982)
     assert sqrt_structure(3**4 * 5**2 * 7, 1).size_formula == 8
