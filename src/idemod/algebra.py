@@ -7,23 +7,40 @@ the set of prime-power divisors of m dividing it turns these into the usual
 set operations (symmetric difference, intersection, set minus), making E_m a
 Boolean ring.
 
-verify_algebra checks the laws by brute force, over all pairs and triples of
-E_m.  Each operator is evaluated once per pair, into a table.  When |E_m| is
-at most 256, so that an element's index fits in a byte, and every value of
-circ, otimes and the product lies in E_m, the tables are also held as byte
-rows, and the cubic laws are screened: for each outer pair they compare the
-rows of the law's two sides, composed by bytes.translate, and run their
-scalar loop over the third operand only where the rows differ.  That scalar
-loop is the only source of counterexamples, so a screened run reports the
-same first counterexample as an unscreened one.  Past 256, or with a value
-outside E_m, no rows are held and every law runs its scalar loop throughout.
+verify_algebra checks nine laws by brute force on E_m.  Each binary operator,
+and the product, is evaluated once per pair of E_m into a table (C, O, S and
+P for circ, otimes, simdiff and the product; comp for the complement), and
+the basis-map law compares every entry with the set operation it should be.
+The mixing laws and the pair-level laws run exhaustively.  The cubic laws,
+and closure's binary operators, are scanned only when the basis map fails,
+since when it passes they hold.  Law by law, with ab for the product:
+
+  circ-group    (a o b) o c = a o (b o c)
+  otimes-ring   (a (x) b) (x) c = a (x) (b (x) c),  a(b (x) c) = ab (x) ac,
+                a (x) (b o c) = (a (x) b) o (a (x) c)
+  otimes-nary   (a o e) (x) (b o e) = o e + ob (1-e), with o = a (x) b and
+                ob = (1-a) (x) (1-b);  (a (x) b) (x) c = 1 - (1-a)(1-b)(1-c)
+  closure       a o b, a (x) b and simdiff(a, b) lie in E_m
+
+- Each side reads only C, O, S, P and comp on E_m, or is an integer
+  polynomial in idempotents.  By CRT an idempotent is 0 or 1 in each
+  prime-power component, and there the polynomials are the Boolean terms
+  "o if e else ob" and "a or b or c".
+- A passing basis map gives every table entry a member set, so closure
+  holds, and makes each table the set operation it stands for.  Each side is
+  then a Boolean term in its operands' member sets.
+- An equation of Boolean terms holds on the subsets of the omega prime
+  powers iff it holds on {0, 1} (Birkhoff, 1935), and each law above holds
+  there, as its eight assignments show.
+
+A formula wrong at any pair fails the basis map, and the scans then run in
+full: they are the only source of the cubic laws' counterexamples.
 """
 from __future__ import annotations
 
 import random
 from functools import partial
 from itertools import islice, product
-from operator import itemgetter
 
 from .arith import Modulus, Record, canon, canonicalize
 from .idempotents import enumerate_idempotents, is_idempotent
@@ -138,30 +155,6 @@ class AlgebraReport(Record):
         return all(l.passed for l in self.laws)
 
 
-def _index_row(values: list[int], idx: dict[int, int]) -> bytes | None:
-    """The indices of values in E_m as bytes, or None if one lies outside
-    E_m, which has no index."""
-    try:
-        return bytes([idx[v] for v in values])
-    except KeyError:
-        return None
-
-
-def _byte_rows(T: _Memo, es: tuple[int, ...],
-               idx: dict[int, int]) -> dict[int, bytes] | None:
-    """T's rows over E_m as bytes: rows[x][i] is the index of T[x][es[i]].
-    None if a value of T lies outside E_m."""
-    rows = {x: _index_row([T[x][e] for e in es], idx) for x in es}
-    return None if None in rows.values() else rows
-
-
-def _padded(rows: dict[int, bytes]) -> dict[int, bytes]:
-    """T's rows, each padded to the 256 bytes bytes.translate takes as its
-    table: for U's row r = rows_U[y], r.translate(tabs_T[x]) is the row of
-    e -> T[x][U[y][e]]."""
-    return {x: row.ljust(256, b"\0") for x, row in rows.items()}
-
-
 def verify_algebra(m: int) -> AlgebraReport:
     """Check the group/ring laws and identity catalog on E_m.  Each law is a
     generator of its counterexamples, and the report records the first, so
@@ -169,12 +162,10 @@ def verify_algebra(m: int) -> AlgebraReport:
     all of E_m; the mixing identities take their integer coefficients from
     all of Z_m^2 for m <= 100 and from a fixed-seed sample beyond.
 
-    Each binary operator, and the product, is evaluated once per operand
-    pair: the laws read them through tables that live for this call, so the
-    cubic laws cost |E_m|^2 formula evaluations, not |E_m|^3.
-
-    The cubic laws, and closure, are screened by byte rows of the tables
-    where those can be held (see the module docstring)."""
+    The tables live for this call, so a scan costs |E_m|^2 formula
+    evaluations, not |E_m|^3.  The basis-map law runs first, and the cubic
+    scans only if it fails (see the module docstring); the reports keep
+    the laws' order."""
     idems = enumerate_idempotents(m)
     es = idems.elements
     one = canon(1, m)
@@ -191,15 +182,6 @@ def verify_algebra(m: int) -> AlgebraReport:
     # the innermost loop.
     C, O, S, P = (_table(m, f) for f in (_circ, _otimes, _simdiff, _product))
     comp = {e: _complement(m, e) for e in es}
-    # The screens: rC[x] is C's row for x as bytes and tC[x] the same row as
-    # a translate table (likewise for O and P); screen is False, and they are
-    # not read, when the rows cannot be held.
-    idx = {e: i for i, e in enumerate(es)}
-    rows = [_byte_rows(T, es, idx) for T in (C, O, P)] if len(es) <= 256 else [None]
-    screen = None not in rows
-    if screen:
-        rC, rO, rP = rows
-        tC, tO, tP = map(_padded, rows)
 
     def mixing_product():
         """(ae + b(1-e))(ce + d(1-e)) = (ac)e + (bd)(1-e)."""
@@ -228,12 +210,10 @@ def verify_algebra(m: int) -> AlgebraReport:
     def closure():
         """All four operators map E_m into E_m."""
         binary = {"circ": C, "otimes": O, "simdiff": S}
-        # Held rows index only elements of E_m: circ and otimes are closed.
-        closed = screen and _byte_rows(S, es, idx) is not None
         for e1 in es:
             if not is_idempotent(m, comp[e1]):
                 yield "complement", e1
-            if closed:
+            if not scan:
                 continue
             for e2, op in product(es, binary):
                 if not is_idempotent(m, binary[op][e1][e2]):
@@ -248,7 +228,7 @@ def verify_algebra(m: int) -> AlgebraReport:
             c12 = C[e1][e2]
             if c12 != C[e2][e1]:
                 yield "commutativity", e1, e2
-            if screen and rC[c12] == rC[e2].translate(tC[e1]):
+            if not scan:
                 continue
             C1, C2, C12 = C[e1], C[e2], C[c12]
             for e3 in es:
@@ -267,9 +247,7 @@ def verify_algebra(m: int) -> AlgebraReport:
             o, p = O[e1][e2], P[e1][e2]
             if o != O[e2][e1]:
                 yield "otimes-commutativity", e1, e2
-            if (screen and rO[o] == rO[e2].translate(tO[e1])
-                    and rO[e2].translate(tP[e1]) == rP[e1].translate(tO[p])
-                    and rC[e2].translate(tO[e1]) == rO[e1].translate(tC[o])):
+            if not scan:
                 continue
             O1, O2, P1, C2 = O[e1], O[e2], P[e1], C[e2]
             Oo, Op, Co = O[o], O[p], C[o]
@@ -317,32 +295,14 @@ def verify_algebra(m: int) -> AlgebraReport:
 
     def otimes_nary():
         """(e1 o e)(x)(e2 o e) decomposition; n-ary otimes on the first 512 triples."""
-        if screen:
-            # The left side's row for (e1, e2): H[j*n + i] is the index of
-            # O[C[e1][es[i]]][es[j]], composed from O's columns, and at[e2]
-            # reads O[C[e1][e]][C[e2][e]] off it for each e.  The right
-            # side's row depends on the pair only through (o, ob).
-            n = len(es)
-            cols = [bytes(col).ljust(256, b"\0") for col in zip(*rO.values())]
-            at = {e2: itemgetter(*(j * n + i for i, j in enumerate(rC[e2])))
-                  for e2 in es}
-
-            def rhs_row(key):
-                o, ob = key
-                return _index_row([canon(o * e + ob * (1 - e), m) for e in es], idx)
-
-            rhs = _Memo(rhs_row)
-        for e1 in es:
-            if screen:
-                H = b"".join(map(rC[e1].translate, cols))
-            for e2 in es:
-                o, ob = O[e1][e2], O[comp[e1]][comp[e2]]
-                if screen and bytes(at[e2](H)) == rhs[o, ob]:
-                    continue
-                C1, C2 = C[e1], C[e2]
-                for e in es:
-                    if O[C1[e]][C2[e]] != canon(o * e + ob * (1 - e), m):
-                        yield "shift-decomposition", e1, e2, e
+        if not scan:
+            return
+        for e1, e2 in product(es, repeat=2):
+            o, ob = O[e1][e2], O[comp[e1]][comp[e2]]
+            C1, C2 = C[e1], C[e2]
+            for e in es:
+                if O[C1[e]][C2[e]] != canon(o * e + ob * (1 - e), m):
+                    yield "shift-decomposition", e1, e2, e
         if len(es) < 2:
             return
         for tup in islice(product(es, repeat=3), 512):
@@ -372,6 +332,9 @@ def verify_algebra(m: int) -> AlgebraReport:
             if any(x != y for x, y in pairs):
                 yield "basis-identity", e1, e2
 
+    # The basis map's verdict decides whether the cubic laws scan.
+    basis_witness = next(basis_bijection(), None)
+    scan = basis_witness is not None
     laws = {
         "mixing-product": mixing_product(),
         "mixing-power": mixing_power(),
@@ -381,10 +344,8 @@ def verify_algebra(m: int) -> AlgebraReport:
         "otimes-ring": otimes_ring(),
         "identity-catalog": identity_catalog(),
         "otimes-nary": otimes_nary(),
-        "basis-map": basis_bijection(),
     }
-    reports = []
-    for law, counterexamples in laws.items():
-        witness = next(counterexamples, None)
-        reports.append(LawReport(law, witness is None, witness))
-    return AlgebraReport(idems.modulus, reports)
+    witnesses = {law: next(gen, None) for law, gen in laws.items()}
+    witnesses["basis-map"] = basis_witness
+    return AlgebraReport(idems.modulus, [LawReport(law, w is None, w)
+                                         for law, w in witnesses.items()])

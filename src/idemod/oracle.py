@@ -77,14 +77,17 @@ def oracle_regular_set(m: int) -> list[int]:
 
 
 def oracle_normal_set(m: int) -> list[int]:
-    """The a that oracle_is_normal accepts, its window read on from the end
-    of oracle_walks' walk of n = |a| steps, which pass it."""
+    """The a that oracle_is_normal accepts, read on from the end of
+    oracle_walks' walk of n = |a| steps, which pass it, up to 2n.  That
+    window suffices: a^k is idempotent iff k is at least the tail T and a
+    multiple of the cycle length L, so n = L*ceil(T/L).  Past n the powers
+    are idempotent exactly at the multiples of L, and n + L <= 2n is the
+    first of those that n does not divide, unless n = L."""
     check_enum(m)
-    top = 2 * build_modulus(m).phi
     out = []
     for a, walk in enumerate(oracle_walks(m), 1):
         n, x = len(walk), walk[-1] % m
-        for k in range(n + 1, max(top, 2 * n) + 1):
+        for k in range(n + 1, 2 * n + 1):
             x = x * a % m
             if (x * x % m == x) != (k % n == 0):
                 break
