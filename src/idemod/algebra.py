@@ -7,34 +7,51 @@ the set of prime-power divisors of m dividing it turns these into the usual
 set operations (symmetric difference, intersection, set minus), making E_m a
 Boolean ring.
 
-verify_algebra checks nine laws by brute force on E_m.  Each binary operator,
-and the product, is evaluated once per pair of E_m into a table (C, O, S and
-P for circ, otimes, simdiff and the product; comp for the complement), and
-the basis-map law compares every entry with the set operation it should be.
-The mixing laws and the pair-level laws run exhaustively.  The cubic laws,
-and closure's binary operators, are scanned only when the basis map fails,
-since when it passes they hold.  Law by law, with ab for the product:
+verify_algebra checks nine laws by brute force on E_m.  The basis map
+compares each operator's value at every pair with the set operation it
+should be.  When it passes, the laws below hold, so they are scanned only
+when it fails, and then in full: they are the only source of their
+counterexamples.  With ab for the product, a' for 1 - a, o = a (x) b and
+ob = a' (x) b':
 
-  circ-group    (a o b) o c = a o (b o c)
-  otimes-ring   (a (x) b) (x) c = a (x) (b (x) c),  a(b (x) c) = ab (x) ac,
-                a (x) (b o c) = (a (x) b) o (a (x) c)
-  otimes-nary   (a o e) (x) (b o e) = o e + ob (1-e), with o = a (x) b and
-                ob = (1-a) (x) (1-b);  (a (x) b) (x) c = 1 - (1-a)(1-b)(1-c)
-  closure       a o b, a (x) b and simdiff(a, b) lie in E_m
+  closure       a', a o b, a (x) b and simdiff(a, b) lie in E_m
+  circ-group    a o 1 = a,  a o a = 1,  a o b = b o a,
+                (a o b) o c = a o (b o c)
+  circ-translation-injective   b -> a o b is one-to-one on E_m
+  otimes-ring   a (x) b = b (x) a,  (a (x) b) (x) c = a (x) (b (x) c),
+                a(b (x) c) = ab (x) ac,  a (x) (b o c) = (a (x) b) o (a (x) c)
+  identity-catalog
+                aa' = 0,  a + a' = 1,  a o a' = 0,  a o 0 = a',  a (x) a = a,
+                a (x) 1 = 1,  a (x) a' = 1,  a (x) 0 = a;  (a o b)' = a' o b
+                = a o b',  a o b = (a + b')(a' + b) = (a - b')^2 = (o - ob)^2,
+                o - ob = ab - a'b',  ob' = ab,  ab (x) a'b' = a o b,
+                o = a + b - ab
+  otimes-nary   (a o e) (x) (b o e) = o e + ob e',
+                (a (x) b) (x) c = 1 - a'b'c'
 
-- Each side reads only C, O, S, P and comp on E_m, or is an integer
-  polynomial in idempotents.  By CRT an idempotent is 0 or 1 in each
-  prime-power component, and there the polynomials are the Boolean terms
-  "o if e else ob" and "a or b or c".
-- A passing basis map gives every table entry a member set, so closure
-  holds, and makes each table the set operation it stands for.  Each side is
-  then a Boolean term in its operands' member sets.
-- An equation of Boolean terms holds on the subsets of the omega prime
-  powers iff it holds on {0, 1} (Birkhoff, 1935), and each law above holds
-  there, as its eight assignments show.
+The premise is that the members of E_m that enumerate_idempotents returns
+are idempotents.  The mixing laws test it (mixing-product's sides differ by
+(a - b)(c - d)(e^2 - e)), and the audit's in06 compares the list with brute
+force.  Given it:
 
-A formula wrong at any pair fails the basis map, and the scans then run in
-full: they are the only source of the cubic laws' counterexamples.
+- By CRT an idempotent is 0 or 1 in each prime-power component p^a of m, and
+  its member set holds the components where it is 0.  On 0/1 components the
+  formulas are the Boolean operations a' = 1 - a, ab, a o b = ab + a'b',
+  a (x) b = 1 - a'b' and simdiff(a, b) = 1 - a'b.
+- A passing basis map says that distinct members have distinct sets, and
+  that at every pair each formula's value has a member set, the set
+  operation on its operands' sets.  So every value lies in E_m (closure),
+  with the 0/1 components its Boolean operation gives.
+- Then each side of each equation above is, component by component, an
+  integer polynomial in its operands' 0/1 components, and the equation holds
+  modulo every p^a, hence modulo m, if its sides are equal integers at each
+  of the 2, 4 or 8 assignments of 0 and 1.  They are.  Between operator
+  terms alone this is Birkhoff's theorem (1935): a Boolean equation holds on
+  the subsets of the omega prime powers iff it holds on {0, 1}.  The
+  catalog's other sides, such as (a - b')^2 or ab - a'b' (which takes the
+  value -1), equal their partners as integers at every assignment.
+- Translation by a is symmetric difference with a's set, a permutation of
+  the subsets, and distinct members have distinct sets: it is one-to-one.
 """
 from __future__ import annotations
 
@@ -69,23 +86,6 @@ def _simdiff(m: int, e1: int, e2: int) -> int:
 
 def _product(m: int, e1: int, e2: int) -> int:
     return canon(e1 * e2, m)
-
-
-class _Memo(dict):
-    """A dict that computes the value of a missing key with fn, once."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
-
-
-def _table(m: int, formula) -> _Memo:
-    """table[x][y] is formula(m, x, y), each computed on first use."""
-    return _Memo(lambda x: _Memo(partial(formula, m, x)))
 
 
 OPS = ("complement", "circ", "otimes", "simdiff")
@@ -155,17 +155,19 @@ class AlgebraReport(Record):
         return all(l.passed for l in self.laws)
 
 
+
+
 def verify_algebra(m: int) -> AlgebraReport:
     """Check the group/ring laws and identity catalog on E_m.  Each law is a
-    generator of its counterexamples, and the report records the first, so
-    no law runs past it or holds E_m^3.  The idempotent-only laws range over
-    all of E_m; the mixing identities take their integer coefficients from
-    all of Z_m^2 for m <= 100 and from a fixed-seed sample beyond.
+    generator of its counterexamples, and the report records the first, in
+    the laws' order.  The mixing identities take their integer coefficients
+    from all of Z_m^2 for m <= 100 and from a fixed-seed sample beyond.
 
-    The tables live for this call, so a scan costs |E_m|^2 formula
-    evaluations, not |E_m|^3.  The basis-map law runs first, and the cubic
-    scans only if it fails (see the module docstring); the reports keep
-    the laws' order."""
+    The mixing laws and the basis map always run, and the basis map keeps no
+    table.  The other laws hold when it passes (see the module docstring),
+    so they scan E_m, in full and through the formulas, only when it fails:
+    a sound E_m costs |E_m|^2 calls of each binary formula and O(|E_m|)
+    memory."""
     idems = enumerate_idempotents(m)
     es = idems.elements
     one = canon(1, m)
@@ -175,13 +177,10 @@ def verify_algebra(m: int) -> AlgebraReport:
     else:
         rng = random.Random(m)
         coeffs = [(rng.randrange(m), rng.randrange(m)) for _ in range(SAMPLE)]
-    # C[x][y] is _circ(m, x, y); O, S and P hold otimes, simdiff and the
-    # product, and comp[e] is e's complement.  The formulas are looked up
-    # here, so one patched on the module reaches every law.  The cubic laws
-    # read the rows that depend only on their outer operands once, outside
-    # the innermost loop.
-    C, O, S, P = (_table(m, f) for f in (_circ, _otimes, _simdiff, _product))
-    comp = {e: _complement(m, e) for e in es}
+    # The formulas are looked up here, so one patched on the module reaches
+    # every law.
+    comp = partial(_complement, m)
+    C, O, S, P = (partial(f, m) for f in (_circ, _otimes, _simdiff, _product))
 
     def mixing_product():
         """(ae + b(1-e))(ce + d(1-e)) = (ac)e + (bd)(1-e)."""
@@ -211,83 +210,74 @@ def verify_algebra(m: int) -> AlgebraReport:
         """All four operators map E_m into E_m."""
         binary = {"circ": C, "otimes": O, "simdiff": S}
         for e1 in es:
-            if not is_idempotent(m, comp[e1]):
+            if not is_idempotent(m, comp(e1)):
                 yield "complement", e1
-            if not scan:
-                continue
             for e2, op in product(es, binary):
-                if not is_idempotent(m, binary[op][e1][e2]):
+                if not is_idempotent(m, binary[op](e1, e2)):
                     yield op, e1, e2
 
     def circ_group():
         """(E_m, o): Abelian group, identity 1, every element self-inverse."""
         for e in es:
-            if C[e][one] != e or C[e][e] != one:
+            if C(e, one) != e or C(e, e) != one:
                 yield "identity/involution", e
         for e1, e2 in product(es, repeat=2):
-            c12 = C[e1][e2]
-            if c12 != C[e2][e1]:
+            c12 = C(e1, e2)
+            if c12 != C(e2, e1):
                 yield "commutativity", e1, e2
-            if not scan:
-                continue
-            C1, C2, C12 = C[e1], C[e2], C[c12]
             for e3 in es:
-                if C12[e3] != C1[C2[e3]]:
+                if C(c12, e3) != C(e1, C(e2, e3)):
                     yield "associativity", e1, e2, e3
 
     def circ_translation():
         """Translation by a fixed element permutes E_m."""
         for e2 in es:
-            if len({C[e2][e] for e in es}) != len(es):
+            if len({C(e2, e) for e in es}) != len(es):
                 yield "translation", e2
 
     def otimes_ring():
         """otimes: commutative, associative, distributive laws."""
         for e1, e2 in product(es, repeat=2):
-            o, p = O[e1][e2], P[e1][e2]
-            if o != O[e2][e1]:
+            o, p = O(e1, e2), P(e1, e2)
+            if o != O(e2, e1):
                 yield "otimes-commutativity", e1, e2
-            if not scan:
-                continue
-            O1, O2, P1, C2 = O[e1], O[e2], P[e1], C[e2]
-            Oo, Op, Co = O[o], O[p], C[o]
             for e3 in es:
-                o23 = O2[e3]
-                if Oo[e3] != O1[o23]:
+                o23 = O(e2, e3)
+                if O(o, e3) != O(e1, o23):
                     yield "otimes-associativity", e1, e2, e3
-                if P1[o23] != Op[P1[e3]]:
+                if P(e1, o23) != O(p, P(e1, e3)):
                     yield "mul-distributes-over-otimes", e1, e2, e3
-                if O1[C2[e3]] != Co[O1[e3]]:
+                if O(e1, C(e2, e3)) != C(o, O(e1, e3)):
                     yield "otimes-distributes-over-circ", e1, e2, e3
 
     def identity_catalog():
         """Complement pairing, circ specials, otimes specials."""
         for e in es:
-            eb = comp[e]
+            eb = comp(e)
             checks = [
-                P[e][eb] == zero,
+                P(e, eb) == zero,
                 canon(e + eb, m) == one,
-                C[e][eb] == zero,
-                C[e][zero] == eb,
-                O[e][e] == e,
-                O[e][one] == one,
-                O[e][eb] == one,
-                O[e][zero] == e,
+                C(e, eb) == zero,
+                C(e, zero) == eb,
+                O(e, e) == e,
+                O(e, one) == one,
+                O(e, eb) == one,
+                O(e, zero) == e,
             ]
             if not all(checks):
                 yield "specials", e, checks
         for e1, e2 in product(es, repeat=2):
-            eb1, eb2 = comp[e1], comp[e2]
-            c, o, ob = C[e1][e2], O[e1][e2], O[eb1][eb2]
+            eb1, eb2 = comp(e1), comp(e2)
+            c, o, ob = C(e1, e2), O(e1, e2), O(eb1, eb2)
             checks = [
-                _complement(m, c) == C[eb1][e2],
-                C[eb1][e2] == C[e1][eb2],
+                comp(c) == C(eb1, e2),
+                C(eb1, e2) == C(e1, eb2),
                 c == canon((e1 + eb2) * (eb1 + e2), m),
                 c == canon((e1 - eb2) ** 2, m),
                 canon(o - ob, m) == canon(e1 * e2 - eb1 * eb2, m),
                 canon((o - ob) ** 2, m) == c,
-                _complement(m, ob) == P[e1][e2],
-                O[P[e1][e2]][P[eb1][eb2]] == c,
+                comp(ob) == P(e1, e2),
+                O(P(e1, e2), P(eb1, eb2)) == c,
                 o == canon(e1 + e2 - e1 * e2, m),
             ]
             if not all(checks):
@@ -295,19 +285,16 @@ def verify_algebra(m: int) -> AlgebraReport:
 
     def otimes_nary():
         """(e1 o e)(x)(e2 o e) decomposition; n-ary otimes on the first 512 triples."""
-        if not scan:
-            return
         for e1, e2 in product(es, repeat=2):
-            o, ob = O[e1][e2], O[comp[e1]][comp[e2]]
-            C1, C2 = C[e1], C[e2]
+            o, ob = O(e1, e2), O(comp(e1), comp(e2))
             for e in es:
-                if O[C1[e]][C2[e]] != canon(o * e + ob * (1 - e), m):
+                if O(C(e1, e), C(e2, e)) != canon(o * e + ob * (1 - e), m):
                     yield "shift-decomposition", e1, e2, e
         if len(es) < 2:
             return
         for tup in islice(product(es, repeat=3), 512):
             x, y, z = tup
-            if O[O[x][y]][z] != canon(1 - (1 - x) * (1 - y) * (1 - z), m):
+            if O(O(x, y), z) != canon(1 - (1 - x) * (1 - y) * (1 - z), m):
                 yield "nary-otimes", tup
 
     def basis_bijection():
@@ -320,32 +307,24 @@ def verify_algebra(m: int) -> AlgebraReport:
         full = (1 << len(bm.basis)) - 1
         if len(set(bits.values())) != len(es):
             yield ("bijection",)
-        for e1, e2 in product(es, repeat=2):
-            b1, b2 = bits[e1], bits[e2]
-            pairs = [
-                (bits.get(comp[e1]), full ^ b1),
-                (bits.get(P[e1][e2]), b1 | b2),
-                (bits.get(O[e1][e2]), b1 & b2),
-                (bits.get(S[e1][e2]), b1 & ~b2),
-                (bits.get(C[e1][e2]), b1 ^ b2),
-            ]
-            if any(x != y for x, y in pairs):
-                yield "basis-identity", e1, e2
+        for e1 in es:
+            b1, bc = bits[e1], bits.get(comp(e1))
+            for e2 in es:
+                b2 = bits[e2]
+                if (bc != full ^ b1 or bits.get(P(e1, e2)) != b1 | b2
+                        or bits.get(O(e1, e2)) != b1 & b2
+                        or bits.get(S(e1, e2)) != b1 & ~b2
+                        or bits.get(C(e1, e2)) != b1 ^ b2):
+                    yield "basis-identity", e1, e2
 
-    # The basis map's verdict decides whether the cubic laws scan.
+    witnesses = {"mixing-product": next(mixing_product(), None),
+                 "mixing-power": next(mixing_power(), None)}
     basis_witness = next(basis_bijection(), None)
-    scan = basis_witness is not None
-    laws = {
-        "mixing-product": mixing_product(),
-        "mixing-power": mixing_power(),
-        "closure": closure(),
-        "circ-group": circ_group(),
-        "circ-translation-injective": circ_translation(),
-        "otimes-ring": otimes_ring(),
-        "identity-catalog": identity_catalog(),
-        "otimes-nary": otimes_nary(),
-    }
-    witnesses = {law: next(gen, None) for law, gen in laws.items()}
+    for law, scan in {"closure": closure, "circ-group": circ_group,
+                      "circ-translation-injective": circ_translation,
+                      "otimes-ring": otimes_ring, "identity-catalog": identity_catalog,
+                      "otimes-nary": otimes_nary}.items():
+        witnesses[law] = None if basis_witness is None else next(scan(), None)
     witnesses["basis-map"] = basis_witness
     return AlgebraReport(idems.modulus, [LawReport(law, w is None, w)
                                          for law, w in witnesses.items()])

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from idemod.algebra import verify_algebra
-from idemod.arith import EnumerationCapError
-from idemod import audit
+from idemod.arith import EnumerationCapError, canon
+from idemod import algebra, audit
 from idemod.audit import THEOREMS, run_audit
 from idemod.oracle import (
     oracle_delta,
@@ -307,7 +307,8 @@ def test_checks_ask_the_same_distinct_questions(monkeypatch):
 
 # Faults for test_checks_catch_a_fault.  Each makes one value that a check
 # compares wrong on small moduli: a table or relation of the per-modulus
-# context, or a library function as the audit module binds it.  rn07, rn33
+# context, a library function as the audit module binds it, or a formula
+# or the enumeration that algebra.verify_algebra reads (the ia claims).  rn07, rn33
 # and rn35 are test_residues.py's test_orbit_checks_catch_a_wrong_library.
 
 
@@ -335,6 +336,35 @@ def _lib_fault(name, wrap):
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
 
     return install
+
+
+def _algebra_fault(name, wrap):
+    """Replace algebra.<name>, which verify_algebra reads at call time, by
+    wrap(the original).  A sound E_m scans no law past the basis map, so a
+    wrong formula reaches the ia claims through the basis map's verdict."""
+
+    def install(monkeypatch):
+        monkeypatch.setattr(algebra, name, wrap(getattr(algebra, name)))
+
+    return install
+
+
+def _as_product(real):
+    return algebra._product
+
+
+def _as_sum(real):
+    return lambda m, e1, e2: canon(e1 + e2, m)
+
+
+def _with_non_idempotent(real):
+    """E_m with 2 appended, which is not idempotent modulo m > 2."""
+
+    def enumerate_idempotents(m):
+        idems = real(m)
+        return SimpleNamespace(modulus=idems.modulus, elements=(*idems.elements, 2))
+
+    return enumerate_idempotents
 
 
 def _long_element(c):
@@ -496,6 +526,15 @@ _CHECK_FAULTS = {
     "pr06": _lib_fault("signed_power", _signed_power_off),
     "fs09": _lib_fault("classify_function", _flip("is_qm")),
     "fs10": _lib_fault("classify_function", _flip("is_di")),
+    "ia02": _algebra_fault("enumerate_idempotents", _with_non_idempotent),
+    "ia03": _algebra_fault("_simdiff", _as_sum),
+    "ia05": _algebra_fault("_otimes", _as_product),
+    "ia06": _algebra_fault("_circ", _as_product),
+    "ia07": _algebra_fault("_otimes", _as_product),
+    "ia08": _algebra_fault("_circ", _as_product),
+    "ia09": _algebra_fault("_otimes", _as_product),
+    "ia10": _algebra_fault("_otimes", _as_product),
+    "ia11": _algebra_fault("_otimes", _as_product),
     "sd11": _lib_fault(
         "kernel", lambda real: lambda m, k: SimpleNamespace(solutions=range(1, m + 1))),
     "sd13": _lib_fault("kernel_op", _circ_off),
