@@ -19,7 +19,7 @@ import json
 import math
 from functools import lru_cache
 
-from .arith import Record, build_modulus, canon
+from .arith import Record, build_modulus, canon, check_enum
 from .idempotents import enumerate_idempotents, idem_class, index, order, signed_power
 from .oracle import (
     oracle_idempotents,
@@ -1770,6 +1770,8 @@ def run_audit(lo: int, hi: int, theorems: list[str] | None = None) -> AuditRepor
     _fs_corpus.cache_clear()
     global_ids = [tid for tid in ids if THEOREMS[tid][0] == "global"]
     sweep_ids = [tid for tid in ids if tid not in global_ids]
+    if sweep_ids:  # each modulus of the sweep counts: refuse before any check
+        check_enum(hi)
     for m, tids in [(0, global_ids)] + [(m, sweep_ids) for m in range(lo, hi + 1)]:
         for tid in tids:
             check = THEOREMS[tid][1]  # read per call, so callers may wrap it

@@ -5,12 +5,9 @@ class.  Sets print sorted ascending, comma-separated.  Exit codes: 0 for any
 completed query (including "unsolvable" answers), 2 for bad input, 3 when a
 requested enumeration exceeds the cap (IDEM_MAX_ENUM / --max-enum).
 
-counts reads no table and answers on any modulus.  solve is priced by its
-answer: it refuses only when its roots outnumber the cap.  The library's
-memos check the cap only on a miss, so each other command that reads one
-checks m itself before its query, after any argument the library rejects
-first: an answer cached under a higher cap is refused under a lower one, as
-in a fresh process.
+The library refuses each query over the cap (see --max-enum), but
+enumerate_idempotents has no cap, since verify_algebra reads it on 40-64-bit
+moduli: so idempotents is the one command whose m the CLI checks itself.
 """
 from __future__ import annotations
 
@@ -22,7 +19,6 @@ from .arith import EnumerationCapError, build_modulus, canon, check_enum, set_ma
 from .idempotents import (
     enumerate_idempotents,
     idem_class,
-    is_idempotent,
     order,
     tower_mod,
 )
@@ -129,8 +125,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sets(args) -> int:
     e = args.cls
-    if e is None or is_idempotent(args.m, e):  # else the query rejects e or m
-        check_enum(args.m)
     want_regular = args.regular or not args.normal
     want_normal = args.normal or not args.regular
     payload: dict = {"m": args.m}
@@ -181,7 +175,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    check_enum(args.m)
     info = omega_info(args.m, args.a)
     payload = {
         "m": args.m,
@@ -198,7 +191,6 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_gproots(args) -> int:
-    check_enum(args.m)
     gs = gen_primitive_roots(args.m)
     payload = {"m": args.m, "gproots": gs}
     return _emit(args, payload, lambda: [_fmt_set(gs)])
@@ -390,9 +382,11 @@ def _ints(*names):
 _GLOBAL_FLAGS = {
     "--json": {"action": "store_true", "help": "structured output"},
     "--max-enum": {"type": int, "metavar": "N",
-                   "help": "override the enumeration cap (IDEM_MAX_ENUM); "
-                   "counts answers on any modulus, and solve counts its "
-                   "roots against the cap"},
+                   "help": "the enumeration cap (IDEM_MAX_ENUM) for this call, "
+                   "on m for sets, omega, gproots, idempotents, quadratic and "
+                   "audit's range; on the answer's size for solve, sqrt and "
+                   "orbit; on n for classify-fn; modinfo, order, classify, "
+                   "tower, counts, idemop and algebra read none"},
 }
 
 # Each command's handler and the add_argument calls of its subparser, in the

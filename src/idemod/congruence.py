@@ -98,7 +98,6 @@ class OmegaInfo(Record):
 def _omega_cache(m: int, a: int) -> OmegaInfo:
     """omega_info's memo, bounded like order's, so that an audit sweep does
     not hold every residue of its range."""
-    check_enum(m)  # before build_modulus, which factors m
     info = regular_order(m, a)
     a, n, mod = info.a, info.order, info.modulus
     w = _omega(mod, a, n)
@@ -142,6 +141,7 @@ def _generators(m: int, a: int) -> tuple[int, ...]:
 
 
 def omega_info(m: int, a: int) -> OmegaInfo:
+    check_enum(m)  # on every call, before the memo and before m is factored
     return _omega_cache(m, canonicalize(a, m))
 
 
@@ -217,7 +217,6 @@ def solve(m: int, k: int, a: int) -> CongruenceSolution:
     )
 
 
-@lru_cache(maxsize=None)
 def gen_primitive_roots(m: int) -> tuple[int, ...]:
     """G_m = {g regular: omega_m(g) = |g|_m}, ascending; always nonempty.
     It is read off byte patterns per prime power p^alpha of m, combined by

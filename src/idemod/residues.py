@@ -21,7 +21,8 @@ order_table on a class that is not cyclic; G_m, and omega_info on a cyclic
 class, walk subgroups of q-th powers (units.nonpowers), not logs.
 structure_table composes the class members and order_table; only the
 tests read it.  The queries that build nothing per residue, the counts,
-solve and the power tests of omega, read units.unit_group instead.
+solve and the power tests of omega, read units.unit_group instead.  Each
+public query checks the cap on every call, before any memo.
 """
 from __future__ import annotations
 
@@ -192,6 +193,7 @@ def class_members(m: int, e: int) -> array:
     array is cached and shared, so it must not be modified."""
     if not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
+    check_enum(m)  # before build_modulus, which factors m
     return _class_members(m, math.gcd(e, m))
 
 
@@ -200,7 +202,6 @@ def _class_members(m: int, z: int) -> array:
     """The z*y for y in 1..m/z prime to m/z, ascending, for a product z of
     prime powers of m: a mask over the y, cleared at the multiples of each
     prime of m/z by one slice assignment, compresses the multiples of z."""
-    check_enum(m)  # before build_modulus, which factors m
     n = m // z
     keep = bytearray([1]) * n
     for p, _ in build_modulus(m).factorization.factors:
@@ -209,12 +210,16 @@ def _class_members(m: int, z: int) -> array:
     return array(typecode(m), compress(range(z, m + 1, z), keep))
 
 
-@lru_cache(maxsize=None)
 def order_table(m: int) -> array:
     """|a|_m at each residue a in 1..m that is regular, and 0 at the others
     (index 0 is no residue and also reads 0): the lcm of the unit
     components' orders, folded by CRT from one power walk per prime power."""
     check_enum(m)  # before build_modulus, which factors m
+    return _order_table(m)
+
+
+@lru_cache(maxsize=None)
+def _order_table(m: int) -> array:
     cycles = []
     for p, alpha in build_modulus(m).factorization.factors:
         units = unit_orders(p, alpha)
@@ -244,7 +249,6 @@ class StructureTable(Record):
     by_class: dict[int, array]
 
 
-@lru_cache(maxsize=None)
 def structure_table(m: int) -> StructureTable:
     check_enum(m)  # before build_modulus, which factors m
     # The idempotent 0 modulo a product z of prime powers of m and 1 modulo
@@ -253,7 +257,7 @@ def structure_table(m: int) -> StructureTable:
     zs = sorted(math.prod(q for i, q in enumerate(qs) if bits >> i & 1)
                 for bits in range(1 << len(qs)))
     by_class = {canon(z * pow(z, -1, m // z), m): _class_members(m, z) for z in zs}
-    orders = order_table(m)
+    orders = _order_table(m)
     return StructureTable(
         modulus=build_modulus(m),
         idempotents=enumerate_idempotents(m),

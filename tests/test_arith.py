@@ -25,9 +25,11 @@ from idemod.arith import (
     multiplicative_order,
     valuation,
 )
-from idemod.congruence import solvable_bc01
+from idemod.congruence import gen_primitive_roots, omega_info, omega_set, solvable_bc01
 from idemod.idempotents import signed_power
-from idemod.quadratic import class_kernel_op, kernel_op
+from idemod.quadratic import class_kernel_op, kernel, kernel_op
+from idemod.residues import (
+    class_members, normal_set, order_table, regular_set, structure_table)
 
 
 def _brute_phi_sieve(n):
@@ -274,6 +276,35 @@ def test_enumeration_cap(enum_cap):
     with pytest.raises(EnumerationCapError):
         check_enum(101)
     check_enum(100)
+
+
+# The library's entry points that are refused by m.  enumerate_idempotents
+# is left out on purpose: it has no cap, since verify_algebra reads it on
+# 40-64-bit moduli, and the idempotents command checks m itself.
+_CAPPED_BY_M = {
+    "omega_info": lambda: omega_info(50, 3),
+    "omega_set": lambda: omega_set(50, 3),
+    "gen_primitive_roots": lambda: gen_primitive_roots(50),
+    "order_table": lambda: order_table(50),
+    "class_members": lambda: class_members(50, 1),
+    "regular_set-class": lambda: regular_set(50, 1),
+    "structure_table": lambda: structure_table(50),
+    "regular_set": lambda: regular_set(50),
+    "normal_set": lambda: normal_set(50),
+    "kernel": lambda: kernel(50, 3),
+}
+
+
+@pytest.mark.parametrize("name", _CAPPED_BY_M)
+def test_a_lowered_cap_refuses_an_answer_held_in_a_memo(name, enum_cap):
+    """Each entry point checks the cap on every call, before its memo: an
+    answer given under the default cap is refused once the cap is lowered,
+    as in a fresh process."""
+    call = _CAPPED_BY_M[name]
+    call()
+    enum_cap(10)
+    with pytest.raises(EnumerationCapError):
+        call()
 
 
 def test_public_api_takes_int_moduli():

@@ -331,8 +331,8 @@ def test_no_private_name_crosses_between_modules():
     ("sets", "50", "--class", "1", "--regular"),
 ])
 def test_a_held_answer_does_not_lift_the_cap(capsys, argv):
-    """The library's memos check the cap only on a miss, so a query answered
-    once is refused under a lower cap all the same, as in a fresh process."""
+    """The library checks the cap before its memos, so a query answered once
+    is refused under a lower cap all the same, as in a fresh process."""
     assert run(capsys, *argv)[0] == 0
     code, out, err = run(capsys, "--max-enum", "10", *argv)
     assert code == 3 and not out and "cap" in err
@@ -400,6 +400,27 @@ def test_modinfo_on_a_large_prime_square_needs_no_rho(capsys, monkeypatch):
     monkeypatch.setattr(arith, "_brent_rho", no_rho)
     doc = run_json(capsys, "modinfo", str((2**61 - 1) ** 2))
     assert doc["factors"] == [[2**61 - 1, 2]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "3"),
+    ("gproots",),
+    ("sets",),
+    ("sets", "--regular"),
+    ("sets", "--normal"),
+    ("sets", "--class", "1"),
+])
+def test_a_modulus_past_the_cap_is_refused_before_factoring(capsys, monkeypatch, argv):
+    """The balanced 64-bit semiprime 4294967291 * 4294967279 is past the
+    default cap, so each query exits 3 at the library's cap check, before
+    the factorizer reaches Pollard rho."""
+    def no_rho(n):
+        raise AssertionError(f"Pollard rho reached {n}")
+
+    monkeypatch.setattr(arith, "_brent_rho", no_rho)
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(4294967291 * 4294967279), *rest)
+    assert code == 3 and not out and "cap" in err
 
 
 def _full_parse(argv):

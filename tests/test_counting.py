@@ -118,7 +118,7 @@ def test_unit_counts_match_one_pass_of_order_table():
             assert r_count(m, 1, k) == seen.get(k, 0), (m, k)
             assert rho_count(m, 1, k) == sum(
                 c for n, c in seen.items() if k % n == 0), (m, k)
-        order_table.cache_clear()
+        residues._order_table.cache_clear()
         residues._class_members.cache_clear()
 
 

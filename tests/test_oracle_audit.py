@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from idemod.algebra import verify_algebra
-from idemod.arith import EnumerationCapError, canon
+from idemod.arith import EnumerationCapError, build_modulus, canon
 from idemod import algebra, audit
 from idemod.audit import THEOREMS, run_audit
 from idemod.oracle import (
@@ -114,6 +114,22 @@ def test_audit_rejects_bad_input():
         run_audit(2, 10, ["nope"])
     with pytest.raises(ValueError):
         run_audit(2, 10, [])
+
+
+def test_audit_refuses_a_range_past_the_cap_before_any_check(monkeypatch, enum_cap):
+    """Each modulus of the sweep counts against the cap, so under a cap of 50
+    the range 45..51 is refused before a check runs on 45..50."""
+    called = []
+    for tid, (scope, check) in list(THEOREMS.items()):
+        def record(m, _tid=tid, _check=check):
+            called.append((_tid, m))
+            return _check(m)
+
+        monkeypatch.setitem(THEOREMS, tid, (scope, record))
+    enum_cap(50)
+    with pytest.raises(EnumerationCapError):
+        run_audit(45, 51)
+    assert not called, called[:5]
 
 
 def test_audit_names_findings_from_the_registry(monkeypatch):
@@ -465,6 +481,29 @@ def _omega_set_cut(real):
     return lambda m, a: SimpleNamespace(omega_set=tuple(real(m, a).omega_set)[1:])
 
 
+def _least_cut(real):
+    return lambda m: real(m)[1:]
+
+
+def _least_cut_past_one_prime(real):
+    """G_m without its least element where m has two or more primes, so a
+    modulus loses a root that its prime-power factors keep."""
+    return lambda m: real(m)[1:] if len(build_modulus(m).prime_powers) > 1 else real(m)
+
+
+def _plus_one_on_odd(real):
+    """omega_value one too large at odd a, which some equivalent b is not."""
+    return lambda m, a: real(m, a) + a % 2
+
+
+def _negated(real):
+    return lambda *args: not real(*args)
+
+
+def _every_residue(real):
+    return lambda m, e=None: list(range(1, m + 1))
+
+
 def _flip(flag):
     def wrap(real):
         def classify(f, n):
@@ -488,8 +527,11 @@ _CHECK_FAULTS = {
     "nn02": _lib_fault("order", _order_off),
     "nn02-repeats": _ctx_fault(_repeats_off),
     "nn03": _lib_fault("order", _order_off),
+    "nn04": _lib_fault("is_normal", _negated),
     "nn05": _ctx_fault(_drop_unit_normal),
+    "nn06": _lib_fault("normal_set", _every_residue),
     "nn07": _ctx_fault(_all_idempotent),
+    "nn08": _lib_fault("is_normal", _negated),
     "nn08-third": _lib_fault("order", _order_off),
     "rn02": _ctx_fault(_drop_unit_normal),
     "rn03": _lib_fault("order", _order_off),
@@ -516,14 +558,19 @@ _CHECK_FAULTS = {
     "rn38": _ctx_fault(_orbit_without_idempotent),
     "rn40": _lib_fault("equivalent", lambda real: lambda c, x, y: x <= y),
     "rn41": _lib_fault("order", _order_off),
+    "bc01": _lib_fault("solvable_bc01", _negated),
     "bc03": _lib_fault("images", _images_all),
     "bc04": _lib_fault("images", _images_cut),
     "bc05": _lib_fault("idem_class", lambda real: lambda m, a: m),
     "bc06": _ctx_fault(_drop_first_regular),
     "bc08": _lib_fault("images", _images_cut),
     "bc09": _lib_fault("images", _images_cut),
+    "pr02": _lib_fault("gen_primitive_roots", _least_cut),
+    "pr03": _lib_fault("omega_value", _plus_one_on_odd),
+    "pr04": _lib_fault("gen_primitive_roots", _least_cut_past_one_prime),
     "pr05": _lib_fault("omega_info", _omega_set_cut),
     "pr06": _lib_fault("signed_power", _signed_power_off),
+    "omega-phi-cyclic": _lib_fault("omega_value", _plus_one),
     "fs09": _lib_fault("classify_function", _flip("is_qm")),
     "fs10": _lib_fault("classify_function", _flip("is_di")),
     "ia02": _algebra_fault("enumerate_idempotents", _with_non_idempotent),

@@ -413,7 +413,7 @@ def test_structure_table_consistency():
 
 def test_structure_table_memory_is_linear():
     """The table stores O(m) entries: no per-residue orbits."""
-    structure_table.cache_clear()
+    residues._order_table.cache_clear()
     tracemalloc.start()
     try:
         structure_table(2003)
@@ -460,7 +460,7 @@ def test_table_matches_point_queries_exhaustively():
             assert normal_set(m, e) == normal_groups[e], (m, e)
         # Otherwise the caches would hold every residue of the sweep.
         order.cache_clear()
-        structure_table.cache_clear()
+        residues._order_table.cache_clear()
 
 
 def test_normal_set_matches_oracle_beside_powers_of_two():
@@ -512,14 +512,14 @@ def test_unit_logs_are_logs_of_one_generator():
 def test_near_cap_table_memory():
     """structure_table(999983) holds a few arrays of m entries: it peaks
     under 50 MiB (it took 418 MiB RSS with one OrderInfo per residue)."""
-    structure_table.cache_clear()
+    residues._order_table.cache_clear()
     tracemalloc.start()
     try:
         structure_table(999983)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        structure_table.cache_clear()
+        residues._order_table.cache_clear()
     assert peak < 50 * 2**20, peak
 
 
@@ -548,9 +548,8 @@ def test_class_members_and_order_table_are_the_tables_pieces():
         for e, members in table.by_class.items():
             assert class_members(m, e) is members, (m, e)
             assert class_members(m, e - m) is members, (m, e)
-        structure_table.cache_clear()
     residues._class_members.cache_clear()
-    order_table.cache_clear()
+    residues._order_table.cache_clear()
     for m in [*range(1, 301), *(2**alpha * 45 for alpha in range(1, 7))]:
         orders = order_table(m)
         regular = oracle_regular_set(m)
@@ -564,12 +563,11 @@ def test_class_members_and_order_table_are_the_tables_pieces():
             assert list(class_members(m, e)) == members, (m, e)
         assert sorted(groups) == list(enumerate_idempotents(m).elements), m
     residues._class_members.cache_clear()
-    order_table.cache_clear()
+    residues._order_table.cache_clear()
 
 
 def _clear_query_caches():
-    for cache in (residues._class_members, order_table, structure_table,
-                  _omega_cache):
+    for cache in (residues._class_members, residues._order_table, _omega_cache):
         cache.cache_clear()
 
 
