@@ -78,17 +78,22 @@ class EnumerationCapError(Exception):
 
 
 _env_cap = os.environ.get("IDEM_MAX_ENUM", str(DEFAULT_MAX_ENUM))
+# A cap that is not an integer, or is below 1, is refused by the queries
+# that read the cap, not at import.
 try:
     _max_enum: int | None = int(_env_cap)
-except ValueError:  # refused by the queries that read the cap, not at import
-    _max_enum = None
+except ValueError:
+    _max_enum, _env_need = None, "an integer"
+else:
+    if _max_enum < 1:
+        _max_enum, _env_need = None, "a positive integer"
 
 
 def max_enum() -> int:
     """The enumeration cap: IDEM_MAX_ENUM as it was when idemod loaded
     (default 1,000,000), or the value set_max_enum set since."""
     if _max_enum is None:
-        raise ValueError(f"invalid IDEM_MAX_ENUM {_env_cap!r}: need an integer")
+        raise ValueError(f"invalid IDEM_MAX_ENUM {_env_cap!r}: need {_env_need}")
     return _max_enum
 
 

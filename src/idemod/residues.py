@@ -15,8 +15,8 @@ by the residue's component r = a mod q: a is regular exactly when every
 component is 0 or a unit, and |a| is then the lcm of the unit components'
 orders, which units.unit_orders reads off the unit logs.
 
-Each enumerating query builds only the pieces it reads, each cached on its
-own: regular_set(m, e) reads class members, and omega_info reads them and
+Each enumerating query builds only the pieces it reads, on every call:
+regular_set(m, e) reads class members, and omega_info reads them and
 order_table on a class that is not cyclic; G_m, and omega_info on a cyclic
 class, walk subgroups of q-th powers (units.nonpowers), not logs.
 structure_table composes the class members and order_table; only the
@@ -189,19 +189,14 @@ def _powers(m: int, a: int, n: int) -> frozenset[int]:
 
 
 def class_members(m: int, e: int) -> array:
-    """R_m^e ascending, for an idempotent e: z * U(m/z), z = gcd(e, m).  The
-    array is cached and shared, so it must not be modified."""
+    """R_m^e ascending, for an idempotent e: z * U(m/z), z = gcd(e, m), the
+    z*y for y in 1..m/z prime to m/z.  A mask over the y, cleared at the
+    multiples of each prime of m/z by one slice assignment, compresses the
+    multiples of z."""
     if not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
     check_enum(m)  # before build_modulus, which factors m
-    return _class_members(m, math.gcd(e, m))
-
-
-@lru_cache(maxsize=None)
-def _class_members(m: int, z: int) -> array:
-    """The z*y for y in 1..m/z prime to m/z, ascending, for a product z of
-    prime powers of m: a mask over the y, cleared at the multiples of each
-    prime of m/z by one slice assignment, compresses the multiples of z."""
+    z = math.gcd(e, m)
     n = m // z
     keep = bytearray([1]) * n
     for p, _ in build_modulus(m).factorization.factors:
@@ -215,11 +210,6 @@ def order_table(m: int) -> array:
     (index 0 is no residue and also reads 0): the lcm of the unit
     components' orders, folded by CRT from one power walk per prime power."""
     check_enum(m)  # before build_modulus, which factors m
-    return _order_table(m)
-
-
-@lru_cache(maxsize=None)
-def _order_table(m: int) -> array:
     cycles = []
     for p, alpha in build_modulus(m).factorization.factors:
         units = unit_orders(p, alpha)
@@ -238,9 +228,9 @@ class StructureTable(Record):
     and 0 when it is not (index 0 is no residue and also reads 0).
     regulars is R_m ascending, and by_class[e] is R_m^e = z * U(m/z)
     ascending, with the classes in the order of their least members z.
-    orders is order_table(m) and by_class holds class_members' arrays, the
-    same objects.  Orbits are not stored, since they total sum(|a|)
-    entries; orbit(m, a) builds one."""
+    orders is order_table(m) and by_class[e] is class_members(m, e).
+    Orbits are not stored, since they total sum(|a|) entries; orbit(m, a)
+    builds one."""
 
     modulus: Modulus
     idempotents: IdempotentSet
@@ -251,16 +241,14 @@ class StructureTable(Record):
 
 def structure_table(m: int) -> StructureTable:
     check_enum(m)  # before build_modulus, which factors m
-    # The idempotent 0 modulo a product z of prime powers of m and 1 modulo
-    # m/z; z is the least member of its class.
-    qs = build_modulus(m).prime_powers
-    zs = sorted(math.prod(q for i, q in enumerate(qs) if bits >> i & 1)
-                for bits in range(1 << len(qs)))
-    by_class = {canon(z * pow(z, -1, m // z), m): _class_members(m, z) for z in zs}
-    orders = _order_table(m)
+    idempotents = enumerate_idempotents(m)
+    # gcd(e, m) is the least member of R_m^e.
+    by_class = {e: class_members(m, e)
+                for e in sorted(idempotents.elements, key=lambda e: math.gcd(e, m))}
+    orders = order_table(m)
     return StructureTable(
         modulus=build_modulus(m),
-        idempotents=enumerate_idempotents(m),
+        idempotents=idempotents,
         regulars=array(orders.typecode, compress(range(m + 1), orders)),
         orders=orders,
         by_class=by_class,

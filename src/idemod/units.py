@@ -93,7 +93,6 @@ def _lift_root(g: int, p: int, alpha: int) -> int:
     return g
 
 
-@lru_cache(maxsize=None)
 def unit_logs(p: int, alpha: int) -> tuple[int, array]:
     """(n, logs) for U(p^alpha), from the one walk over a generator's
     powers: logs[r] = t with r = g^t, t in 0..n-1, at each unit r in
@@ -101,8 +100,7 @@ def unit_logs(p: int, alpha: int) -> tuple[int, array]:
     of order n = phi and g = generator(p, alpha).  U(2^alpha) for
     alpha >= 2 is {+-5^t} (Gauss), with n = 2^(alpha-2) the order of 5: the
     walk covers the 5^t, which are the units 1 mod 4, and -5^t has the log t
-    of 5^t; U(2) = {1} has n = 1.  The array is cached and shared, so it
-    must not be modified."""
+    of 5^t; U(2) = {1} has n = 1."""
     q = p**alpha
     if p == 2:
         g, n = 5, max(1, q // 4)

@@ -391,6 +391,22 @@ def test_an_invalid_environment_cap_refuses_only_the_queries_that_read_it():
     assert runs[1].stderr == "error: invalid IDEM_MAX_ENUM 'abc': need an integer\n"
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_a_non_positive_environment_cap_is_bad_input(cap):
+    """A cap below 1 is refused like one that is not an integer: a query
+    that reads the cap exits 2, not 3 as if 12 were past the cap, and one
+    that reads none answers."""
+    env = dict(_src_env(), IDEM_MAX_ENUM=cap)
+    runs = [subprocess.run([sys.executable, "-m", "idemod.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for argv in (["modinfo", "360"], ["gproots", "12"])]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout.startswith("m = 360 = 2^3 * 3^2 * 5")
+    assert runs[1].returncode == 2 and not runs[1].stdout
+    assert runs[1].stderr == (
+        f"error: invalid IDEM_MAX_ENUM '{cap}': need a positive integer\n")
+
+
 def test_modinfo_on_a_large_prime_square_needs_no_rho(capsys, monkeypatch):
     """(2^61 - 1)^2 is split by its exact square root; Pollard rho would need
     about 2^30 steps on it."""

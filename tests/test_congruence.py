@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from idemod import congruence, residues, units
+from idemod import congruence, units
 from idemod.arith import EnumerationCapError, build_modulus
 from idemod.congruence import (
     _omega,
@@ -168,7 +168,6 @@ def test_omega_on_a_cyclic_class_is_its_generators():
             info = omega_info(m, a)
             assert info.omega_a == phi, (m, a)
             assert info.omega_set == tuple(b for b in members if orders[b] == phi), (m, a)
-        residues._order_table.cache_clear()
 
 
 def test_omega_on_a_cyclic_class_scans_nothing(monkeypatch):
@@ -242,7 +241,6 @@ def test_solve_matches_a_full_scan():
                 sols = roots.get(a % m, [])
                 assert res.solutions == tuple(sols), (m, k, a)
                 assert res.regular_solutions == tuple(x for x in sols if orders[x])
-        residues._order_table.cache_clear()
 
 
 def test_solve_matches_a_scan_for_each_exponent_to_8():
@@ -353,7 +351,6 @@ def test_generalized_primitive_roots_are_the_closed_form_omega_fixed_points():
         orders, mod = order_table(m), build_modulus(m)
         want = tuple(g for g in regular_set(m) if _omega(mod, g, orders[g]) == orders[g])
         assert gen_primitive_roots(m) == want, m
-        residues._order_table.cache_clear()
 
 
 def test_generalized_primitive_roots_take_no_omega(monkeypatch):

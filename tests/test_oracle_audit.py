@@ -175,7 +175,7 @@ def test_audit_keeps_one_modulus_context_alive():
 # The fast paths the audit's context must not read, by defining module.
 _FAST_PATHS = {
     "units": ["unit_logs", "crt_fold"],
-    "residues": ["order_table", "_class_members", "structure_table", "normal_set"],
+    "residues": ["order_table", "class_members", "structure_table", "normal_set"],
     "idempotents": ["enumerate_idempotents"],
 }
 
@@ -541,9 +541,14 @@ _CHECK_FAULTS = {
     "rn11": _lib_fault("orbit_gcd", _plus_one),
     "rn13": _ctx_fault(_all_idempotent),
     "rn14": _ctx_fault(_order_table_off),
+    "rn15": _lib_fault("join_witness", lambda real: lambda m, b, c, a: b),
+    "rn16": _lib_fault("is_regular", _negated),
     "rn17": _ctx_fault(_drop_unit_regular),
+    "rn18": _lib_fault("is_regular", _negated),
     "rn19": _ctx_fault(_drop_first_regular),
+    "rn20": _lib_fault("is_regular", _negated),
     "rn21": _ctx_fault(_drop_unit_regular),
+    "rn22": _lib_fault("regular_set", _every_residue),
     "rn23": _ctx_fault(_drop_first_regular),
     "rn24": _lib_fault("index", lambda real: lambda m, b, a: None),
     "rn25": _ctx_fault(_orbit_without_idempotent),

@@ -5,9 +5,11 @@ pairwise-orbit statements (which scan pairs of regular residues per class)
 run for every m <= 120 with the audit layer's deterministic subsampling;
 beyond that the quadratic pair cost dominates the suite budget.
 """
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -413,7 +415,6 @@ def test_structure_table_consistency():
 
 def test_structure_table_memory_is_linear():
     """The table stores O(m) entries: no per-residue orbits."""
-    residues._order_table.cache_clear()
     tracemalloc.start()
     try:
         structure_table(2003)
@@ -458,9 +459,8 @@ def test_table_matches_point_queries_exhaustively():
         for e in table.idempotents.elements:
             assert regular_set(m, e) == groups[e], (m, e)
             assert normal_set(m, e) == normal_groups[e], (m, e)
-        # Otherwise the caches would hold every residue of the sweep.
+        # Otherwise the cache would hold every residue of the sweep.
         order.cache_clear()
-        residues._order_table.cache_clear()
 
 
 def test_normal_set_matches_oracle_beside_powers_of_two():
@@ -506,20 +506,17 @@ def test_unit_logs_are_logs_of_one_generator():
                 continue
             x = pow(g, logs[r], q)
             assert logs[r] < n and (q - x if r % 4 == 3 and p == 2 else x) == r, (q, r)
-    units.unit_logs.cache_clear()
 
 
 def test_near_cap_table_memory():
     """structure_table(999983) holds a few arrays of m entries: it peaks
     under 50 MiB (it took 418 MiB RSS with one OrderInfo per residue)."""
-    residues._order_table.cache_clear()
     tracemalloc.start()
     try:
         structure_table(999983)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        residues._order_table.cache_clear()
     assert peak < 50 * 2**20, peak
 
 
@@ -538,18 +535,16 @@ def test_whole_modulus_sets_refuse_before_factoring(monkeypatch):
 
 
 def test_class_members_and_order_table_are_the_tables_pieces():
-    """structure_table's by_class and orders are class_members' and
-    order_table's arrays themselves, so its agreement with the point queries
-    over AGREEMENT_MODULI above covers them too; here they also match the
+    """structure_table's by_class and orders equal class_members' and
+    order_table's arrays, so its agreement with the point queries over
+    AGREEMENT_MODULI above covers them too; here they also match the
     brute-force oracle where its O(sum |a|) walks are affordable."""
     for m in AGREEMENT_MODULI:
         table = structure_table(m)
-        assert order_table(m) is table.orders, m
+        assert order_table(m) == table.orders, m
         for e, members in table.by_class.items():
-            assert class_members(m, e) is members, (m, e)
-            assert class_members(m, e - m) is members, (m, e)
-    residues._class_members.cache_clear()
-    residues._order_table.cache_clear()
+            assert class_members(m, e) == members, (m, e)
+            assert class_members(m, e - m) == members, (m, e)
     for m in [*range(1, 301), *(2**alpha * 45 for alpha in range(1, 7))]:
         orders = order_table(m)
         regular = oracle_regular_set(m)
@@ -562,13 +557,34 @@ def test_class_members_and_order_table_are_the_tables_pieces():
         for e, members in groups.items():
             assert list(class_members(m, e)) == members, (m, e)
         assert sorted(groups) == list(enumerate_idempotents(m).elements), m
-    residues._class_members.cache_clear()
-    residues._order_table.cache_clear()
+
+
+def test_no_table_outlives_its_call():
+    """order_table, class_members and unit_logs keep no memo: once the
+    caller drops an answer, nothing holds it."""
+    refs = [weakref.ref(order_table(360)), weakref.ref(class_members(360, 1)),
+            weakref.ref(units.unit_logs(3, 2)[1])]
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+
+
+def test_an_edited_table_changes_no_later_answer():
+    """The arrays class_members and order_table return are the caller's:
+    editing them leaves every later answer as it was."""
+    members, orders = list(class_members(12, 1)), list(order_table(12))
+    table = structure_table(12)
+    by_class = {e: list(c) for e, c in table.by_class.items()}
+    class_members(12, 1)[0] = 5
+    order_table(12)[1] = 7
+    assert regular_set(12, 1) == members == [1, 5, 7, 11]
+    assert list(order_table(12)) == orders
+    table = structure_table(12)
+    assert list(table.orders) == orders
+    assert {e: list(c) for e, c in table.by_class.items()} == by_class
 
 
 def _clear_query_caches():
-    for cache in (residues._class_members, residues._order_table, _omega_cache):
-        cache.cache_clear()
+    _omega_cache.cache_clear()
 
 
 def test_class_queries_build_no_structure_table(monkeypatch):
