@@ -16,7 +16,6 @@ from .arith import (
     build_modulus,
     canon,
     canonicalize,
-    crt_combine,
     factorize,
     max_enum,
     mod_pow,
@@ -51,7 +50,6 @@ from .residues import (
     normal_set,
     orbit,
     orbit_gcd,
-    order_table,
     regular_set,
     relative_order,
     structure_table,

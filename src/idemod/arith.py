@@ -438,23 +438,3 @@ def multiplicative_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
     return least_divisor(build_modulus(n).phi, lambda d: pow(a, d, n) == 1)
-
-
-def crt_combine(pairs: list[tuple[int, int]]) -> int:
-    """Combine congruences x = a_i (mod m_i) over pairwise coprime moduli.
-
-    Returns the canonical solution modulo the product of the m_i.
-    """
-    if not pairs:
-        raise ValueError("crt_combine needs at least one congruence")
-    x = 0
-    prod = 1
-    for a, m in pairs:
-        if math.gcd(prod, m) != 1:
-            raise ValueError(f"moduli are not pairwise coprime (offending modulus {m})")
-        a = a % m
-        # x' = x (mod prod), x' = a (mod m)
-        inv = pow(prod, -1, m) if m > 1 else 0
-        x = x + prod * ((a - x) * inv % m)
-        prod *= m
-    return canon(x, prod)

@@ -40,10 +40,25 @@ lambda(mu) = phi(mu) exactly when U(mu) is cyclic, for mu = 1, 2, 4,
 p^alpha and 2 p^alpha (Gauss).  So omega = phi(mu) exactly on a cyclic
 class, where the orbit of each generator is the whole class: the maximizers
 are its generators, the b whose component is q - 1 at q = 2, 4 and, at an
-odd p^alpha, a q-th power for no prime q of phi.  On the other classes
-omega_info scans the members b of order omega, each tested by whether
-b^(omega/|a|) lies in a byte mask of orb(a).  oracle.oracle_omega walks
-the orbits.
+odd p^alpha, a q-th power for no prime q of phi.  omega_info takes
+omega = phi(mu) there, with no closed form to evaluate.
+
+On the other classes omega_info scans the class members b, with no table of
+orders.  Let n = |a|, d = omega/n and y = b^d.  b is a maximizer, |b| = omega
+with a in orb(b), exactly when (i) y = a^k for a k divisible by no prime q
+of n that does not divide d, read off a byte mask of orb(a), and (ii)
+b^(omega/q) != e for each prime q of d.  Proof: orb(a) = <a> has order n,
+so y = a^k gives b^omega = y^n = e, and |b| divides omega; |b| = omega
+exactly when b^(omega/q) != e for each prime q of omega.  For q dividing d
+that is (ii).  For q not dividing d, q divides n and
+b^(omega/q) = y^(n/q) = a^(k n/q), which is e exactly when q divides k: the
+condition on k in (i).  So (i) and (ii) give |b| = omega, and then y, of
+order n, generates the one subgroup of <b> of order n and lies in <a>, of
+the same order: the two are equal and a is in orb(b).  Conversely, for a
+maximizer b, <a> is the subgroup of <b> of order n, the one y generates, so
+y = a^k, and |b| = omega gives (ii) and the condition on k.  A unit a of
+order omega (d = 1) so needs no power beyond y = b.  oracle.oracle_omega
+walks the orbits.
 
 G_m needs no omega at all.  By the q-parts above, omega_m(g) = |g|_m
 exactly when, for each prime q of lambda(mu_g), g is not a q-th power:
@@ -71,7 +86,7 @@ from .arith import (
     valuation,
 )
 from .residues import (
-    class_members, is_regular, mu, order_table, regular_mask, regular_order)
+    class_members, cyclic_class, is_regular, mu, regular_mask, regular_order)
 from .units import (
     crt_join, is_power, listed, local_roots, multiples, nonpowers, spread, unit_group)
 
@@ -99,31 +114,36 @@ def _omega_cache(m: int, a: int) -> OmegaInfo:
     """omega_info's memo, bounded like order's, so that an audit sweep does
     not hold every residue of its range."""
     info = regular_order(m, a)
-    a, n, mod = info.a, info.order, info.modulus
-    w = _omega(mod, a, n)
-    if w == build_modulus(mu(m, a)).phi:  # a's class, U(mu), is cyclic
+    a, n, mod, e = info.a, info.order, info.modulus, info.idem_class
+    if cyclic_class(m, a):
+        w = build_modulus(mu(m, a)).phi
         return OmegaInfo(mod, a, w, _generators(m, a), w // n)
-    orders = order_table(m)
-    members = class_members(m, info.idem_class)
-    # orb(b) is cyclic, so it holds a exactly when b^(|b|/|a|), which
-    # generates its one subgroup of order |a|, lies in orb(a).
-    in_orbit = _orbit_mask(m, a, n)
+    w = _omega(mod, a, n)
     ind = w // n
+    primes = [q for q, _ in build_modulus(ind).factorization.factors]
+    # The primes of n that do not divide ind, which the mask reads off k.
+    r = math.prod(q for q, _ in build_modulus(n).factorization.factors if ind % q)
+    in_orbit = _orbit_mask(m, a, n, r)
+    # b is kept when b^ind = a^k with (k, r) = 1 and |b| = w (module
+    # docstring); e < m, since a class that is not cyclic is not the zero
+    # class.
     maximizers = tuple(
-        b for b in members if orders[b] == w and in_orbit[pow(b, ind, m)]
+        b for b in class_members(m, e)
+        if in_orbit[pow(b, ind, m)] and all(pow(b, w // q, m) != e for q in primes)
     )
     return OmegaInfo(mod, a, w, maximizers, ind)
 
 
-def _orbit_mask(m: int, a: int, n: int) -> bytearray:
-    """1 at the x in 0..m-1 that are a^1, ..., a^n mod m, and 0 at the
-    others: orb_m(a) in m bytes when n = |a|_m, where a frozenset of its
-    ints takes tens of bytes per element."""
+def _orbit_mask(m: int, a: int, n: int, r: int) -> bytearray:
+    """1 at the x in 0..m-1 that are a^k mod m for a k in 1..n prime to r,
+    and 0 at the others: with r = 1 and n = |a|_m, orb_m(a) in m bytes,
+    where a frozenset of its ints takes tens of bytes per element."""
     mask = bytearray(m)
     x = 1 % m
-    for _ in range(n):
+    for k in range(1, n + 1):
         x = x * a % m
-        mask[x] = 1
+        if math.gcd(k, r) == 1:
+            mask[x] = 1
     return mask
 
 

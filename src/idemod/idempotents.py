@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 from .arith import (
     Modulus,
@@ -16,10 +15,10 @@ from .arith import (
     build_modulus,
     canon,
     check_work,
-    crt_combine,
     multiplicative_order,
     valuation,
 )
+from .units import crt_join
 
 
 def is_idempotent(m: int, a: int) -> bool:
@@ -42,13 +41,7 @@ def enumerate_idempotents(m: int) -> IdempotentSet:
     the prime-power divisors of m."""
     mod = build_modulus(m)
     pps = mod.prime_powers
-    if not pps:  # m = 1
-        return IdempotentSet(mod, (1,))
-    elems = {
-        crt_combine(list(zip(bits, pps)))
-        for bits in product((0, 1), repeat=len(pps))
-    }
-    return IdempotentSet(mod, tuple(sorted(elems)))
+    return IdempotentSet(mod, crt_join(m, pps, [[0, 1]] * len(pps)))
 
 
 class OrderInfo(Record):

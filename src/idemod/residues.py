@@ -8,21 +8,26 @@ for the multiples of |a|.  Regular implies normal.
 R_m^e is a copy of the unit group U(m/z), z = gcd(e, m) the product of the
 prime powers of m on which e is 0: it is exactly z * U(m/z), the z*y with
 1 <= y <= m/z prime to m/z.  class_members builds it from a coprimality mask,
-with no power walk.  order_table is built by CRT from one array per prime
-power (units.crt_fold serves it alone), and regular_set, normal_set and G_m
-from byte patterns (units.spread), per prime power q = p^alpha of m, indexed
-by the residue's component r = a mod q: a is regular exactly when every
-component is 0 or a unit, and |a| is then the lcm of the unit components'
-orders, which units.unit_orders reads off the unit logs.
+with no power walk.  regular_set, normal_set and G_m are built from byte
+patterns (units.spread), per prime power q = p^alpha of m, indexed by the
+residue's component r = a mod q: a is regular exactly when every component
+is 0 or a unit.  |a| itself is always the point query order(m, a); no
+query builds a table of orders.
 
 Each enumerating query builds only the pieces it reads, on every call:
-regular_set(m, e) reads class members, and omega_info reads them and
-order_table on a class that is not cyclic; G_m, and omega_info on a cyclic
-class, walk subgroups of q-th powers (units.nonpowers), not logs.
-structure_table composes the class members and order_table; only the
-tests read it.  The queries that build nothing per residue, the counts,
-solve and the power tests of omega, read units.unit_group instead.  Each
-public query checks the cap on every call, before any memo.
+regular_set(m, e) and omega_info on a class that is not cyclic read class
+members; G_m, and omega_info on a cyclic class, walk subgroups of q-th
+powers (units.nonpowers).  structure_table composes regular_set and the
+class members; only the tests read it.  The queries that build nothing per
+residue, the counts, solve and the power tests of omega, read
+units.unit_group instead.  Each public query checks the cap on every call,
+before any memo.
+
+A class R_m^e, a copy of U(mu), is cyclic exactly when the orders of the
+cyclic factors of its U(p^alpha) are pairwise coprime (cyclic_class), and
+then every subgroup is the one of its order.  So orbit_gcd there needs no
+orbit: b^d lies in orb(c) exactly when |b| / gcd(|b|, d) divides |c|, and
+the least such d dividing |b| is |b| / gcd(|b|, |c|).
 """
 from __future__ import annotations
 
@@ -50,7 +55,7 @@ from .idempotents import (
     order_info,
     order_parts,
 )
-from .units import crt_fold, listed, local_roots, multiples, spread, typecode, unit_orders
+from .units import listed, local_roots, multiples, spread, typecode, unit_group
 
 
 class ResidueClassification(Record):
@@ -205,37 +210,18 @@ def class_members(m: int, e: int) -> array:
     return array(typecode(m), compress(range(z, m + 1, z), keep))
 
 
-def order_table(m: int) -> array:
-    """|a|_m at each residue a in 1..m that is regular, and 0 at the others
-    (index 0 is no residue and also reads 0): the lcm of the unit
-    components' orders, folded by CRT from one power walk per prime power."""
-    check_enum(m)  # before build_modulus, which factors m
-    cycles = []
-    for p, alpha in build_modulus(m).factorization.factors:
-        units = unit_orders(p, alpha)
-        units[0] = 1  # a zero component adds nothing to the lcm
-        cycles.append(units)
-    # lcm(0, n) = 0: a component that is neither 0 nor a unit zeroes |a|.
-    table = crt_fold(math.lcm, 1, cycles, typecode(m))
-    table.append(table[0])  # the zero class reads at index m, and 0 at 0
-    table[0] = 0
-    return table
-
-
 class StructureTable(Record):
     """Per-modulus tables over the residues 1..m, composed from the pieces
-    the queries read on their own.  orders[a] is |a|_m when a is regular,
-    and 0 when it is not (index 0 is no residue and also reads 0).
-    regulars is R_m ascending, and by_class[e] is R_m^e = z * U(m/z)
-    ascending, with the classes in the order of their least members z.
-    orders is order_table(m) and by_class[e] is class_members(m, e).
-    Orbits are not stored, since they total sum(|a|) entries; orbit(m, a)
-    builds one."""
+    the queries read on their own.  regulars is R_m ascending, and
+    by_class[e] is R_m^e = z * U(m/z) ascending, with the classes in the
+    order of their least members z: regulars is regular_set(m), read off
+    the same mask into an array, and by_class[e] is class_members(m, e).
+    Orders and orbits are not stored; order(m, a) and orbit(m, a) answer
+    for one residue."""
 
     modulus: Modulus
     idempotents: IdempotentSet
     regulars: array
-    orders: array
     by_class: dict[int, array]
 
 
@@ -245,12 +231,11 @@ def structure_table(m: int) -> StructureTable:
     # gcd(e, m) is the least member of R_m^e.
     by_class = {e: class_members(m, e)
                 for e in sorted(idempotents.elements, key=lambda e: math.gcd(e, m))}
-    orders = order_table(m)
+    regular = regular_mask(m).to_bytes(m, "big")
     return StructureTable(
         modulus=build_modulus(m),
         idempotents=idempotents,
-        regulars=array(orders.typecode, compress(range(m + 1), orders)),
-        orders=orders,
+        regulars=array(typecode(m), compress(range(1, m + 1), regular)),
         by_class=by_class,
     )
 
@@ -294,10 +279,23 @@ def _orbit_gcd(m: int, b: int, c: int) -> int:
     a memo hit costs one lookup; lru_cache does not keep exceptions, so an
     invalid pair raises on every call.  The audit asks for the same few
     pairs of one modulus over and over; the bound keeps the memo from
-    holding every pair of a sweep."""
-    ib, _ = _same_class(m, b, c)
+    holding every pair of a sweep.  On a cyclic class D is read off the two
+    orders, with no orbit (module docstring)."""
+    ib, ic = _same_class(m, b, c)
+    if cyclic_class(m, b):
+        return ib.order // math.gcd(ib.order, ic.order)
     target = orbit(m, c).elements
     return least_divisor(ib.order, lambda d: (pow(b, d, m) or m) in target)
+
+
+def cyclic_class(m: int, a: int) -> bool:
+    """Whether a's class, a copy of U(mu), is cyclic: U(mu) is the product
+    of the cyclic factors of the U(p^alpha) with p not dividing a, and is
+    cyclic exactly when their orders are pairwise coprime, i.e. when
+    lambda(mu) = phi(mu) (for mu = 1, 2, 4, p^alpha and 2 p^alpha, Gauss)."""
+    orders = [n for p, alpha in build_modulus(m).factorization.factors if a % p
+              for n in unit_group(p, alpha).orders]
+    return math.lcm(*orders) == math.prod(orders)
 
 
 def relative_order(m: int, a: int, b: int) -> int:

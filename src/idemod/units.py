@@ -6,20 +6,19 @@ for alpha >= 3 (Gauss); only this module asks whether p = 2.  Its names:
 - UnitGroup, unit_group(p, alpha): the cyclic factors, their orders and
   generators, a unit's components, the exponent lambda(p^alpha) and its
   primes; generator(p, alpha): a generator of U(p^alpha), p odd;
-- unit_logs and unit_orders: each unit's log from one walk over a
-  generator's powers, and its order looked up by log;
 - local_roots(p, alpha, k, a): the roots of x^k = a, counted, then listed;
 - is_power(x, p, alpha, k), nonpowers(p, alpha, primes): the k-th power
   test of a unit, and the units that are a q-th power for no q of primes;
-- crt_join, spread, multiples, listed, crt_fold and typecode: answers per
-  prime power joined by CRT, as lists, byte patterns or arrays.
+- crt_join, spread, multiples, listed and typecode: answers per prime
+  power joined by CRT, as lists or byte patterns, and the array typecode
+  of a table of residues.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress
 
 from .arith import Record, build_modulus, valuation
 
@@ -91,54 +90,6 @@ def _lift_root(g: int, p: int, alpha: int) -> int:
     if alpha >= 2 and pow(g, p - 1, p * p) == 1:
         return g + p
     return g
-
-
-def unit_logs(p: int, alpha: int) -> tuple[int, array]:
-    """(n, logs) for U(p^alpha), from the one walk over a generator's
-    powers: logs[r] = t with r = g^t, t in 0..n-1, at each unit r in
-    0..p^alpha - 1, and n at the non-units.  For odd p, U(p^alpha) is cyclic
-    of order n = phi and g = generator(p, alpha).  U(2^alpha) for
-    alpha >= 2 is {+-5^t} (Gauss), with n = 2^(alpha-2) the order of 5: the
-    walk covers the 5^t, which are the units 1 mod 4, and -5^t has the log t
-    of 5^t; U(2) = {1} has n = 1."""
-    q = p**alpha
-    if p == 2:
-        g, n = 5, max(1, q // 4)
-    else:
-        g, n = generator(p, alpha), q - q // p
-    logs = array(typecode(q), [n]) * q
-    x = 1
-    for t in range(n):
-        logs[x] = t
-        x = x * g % q
-    if p == 2 and alpha >= 2:  # -x for x = 1, 5, ..., q - 3 is q - 1, ..., 3
-        logs[3::4] = array(logs.typecode, reversed(logs[1::4]))
-    return n, logs
-
-
-def unit_orders(p: int, alpha: int) -> array:
-    """|r| in U(p^alpha) at each unit r in 0..p^alpha - 1, and 0 at the
-    non-units, looked up by log: in a cyclic group of order n, g^t has order
-    n / gcd(t, n), and in U(2^alpha), -5^t has order lcm(2, |5^t|)."""
-    n, logs = unit_logs(p, alpha)
-    # Over the divisors d of n in ascending order, the last one to divide t
-    # is gcd(t, n); by_log[n] = 0 is the order the non-units read.
-    by_log = [n] * n
-    for d in _divisors(n)[1:]:
-        by_log[::d] = [n // d] * (n // d)
-    by_log.append(0)
-    out = array(logs.typecode, [by_log[t] for t in logs])
-    if p == 2:
-        out[3::4] = array(out.typecode, map(max, repeat(2), out[3::4]))
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    """The divisors of n, ascending."""
-    out = [1]
-    for r, e in build_modulus(n).factorization.factors:
-        out = [d * r**i for d in out for i in range(e + 1)]
-    return sorted(out)
 
 
 def is_power(x: int, p: int, alpha: int, k: int) -> bool:
@@ -310,27 +261,6 @@ def spread(m: int, pattern: bytes) -> int:
 def listed(m: int, keep: int) -> list[int]:
     """The residues a in 1..m whose byte a - 1 in keep is 1, ascending."""
     return list(compress(range(1, m + 1), keep.to_bytes(m, "big")))
-
-
-def crt_fold(fn, start: int, parts: list[array], typecode: str) -> array:
-    """The array over x in 0..M-1, M the product of the parts' lengths q, of
-    fn folded from start over part[x % q] for each part.  start must leave
-    every value of the parts as it is, so the first step is a copy and a
-    single part folds nothing.  An array of period P run q times and one of
-    period q run P times line up x mod P with x mod q, so each later step is
-    one map over the two."""
-    if not parts:
-        return array(typecode, [start])
-    out = array(typecode, parts[0])
-    for part in parts[1:]:
-        pairs = _runs(out, len(part)), _runs(part, len(out))
-        out = array(typecode, map(fn, *pairs))
-    return out
-
-
-def _runs(xs: array, times: int):
-    """The items of xs, times times over, without building the copy."""
-    return chain.from_iterable(repeat(xs, times))
 
 
 def typecode(n: int) -> str:

@@ -19,7 +19,6 @@ from idemod.arith import (
     canon,
     canonicalize,
     check_enum,
-    crt_combine,
     factorize,
     mod_pow,
     multiplicative_order,
@@ -29,7 +28,8 @@ from idemod.congruence import gen_primitive_roots, omega_info, omega_set, solvab
 from idemod.idempotents import signed_power
 from idemod.quadratic import class_kernel_op, kernel, kernel_op
 from idemod.residues import (
-    class_members, normal_set, order_table, regular_set, structure_table)
+    class_members, normal_set, regular_set, structure_table)
+from idemod.units import crt_join
 
 
 def _brute_phi_sieve(n):
@@ -104,15 +104,16 @@ def test_crt_roundtrip(data):
         exp = data.draw(st.integers(1, 3))
         q = p**exp
         pairs.append((data.draw(st.integers(0, q - 1)), q))
-    x = crt_combine(pairs)
-    assert 1 <= x <= math.prod(q for _, q in pairs)
+    m = math.prod(q for _, q in pairs)
+    (x,) = crt_join(m, [q for _, q in pairs], [[a] for a, _ in pairs])
+    assert 1 <= x <= m
     for a, q in pairs:
         assert x % q == a % q
 
 
 def test_crt_rejects_non_coprime():
     with pytest.raises(ValueError):
-        crt_combine([(1, 6), (2, 4)])
+        crt_join(24, [6, 4], [[1], [2]])
 
 
 def test_factorization_validates():
@@ -285,7 +286,6 @@ _CAPPED_BY_M = {
     "omega_info": lambda: omega_info(50, 3),
     "omega_set": lambda: omega_set(50, 3),
     "gen_primitive_roots": lambda: gen_primitive_roots(50),
-    "order_table": lambda: order_table(50),
     "class_members": lambda: class_members(50, 1),
     "regular_set-class": lambda: regular_set(50, 1),
     "structure_table": lambda: structure_table(50),
@@ -430,8 +430,8 @@ def _record_samples():
          (mod, 5, frozenset({1, 5}))),
         (UnitGroup, ("q", "orders", "generators"), (16, (2, 4), (15, 5))),
         (idemod.StructureTable,
-         ("modulus", "idempotents", "regulars", "orders", "by_class"),
-         (mod, idems, regs, array("l", [0, 1, 2]), {1: array("l", [1, 5])})),
+         ("modulus", "idempotents", "regulars", "by_class"),
+         (mod, idems, regs, {1: array("l", [1, 5])})),
         (idemod.CongruenceSolution,
          ("modulus", "k", "a", "solutions", "regular_solutions", "solvable",
           "bc01_verdict"),

@@ -601,6 +601,24 @@ def test_near_cap_solve_fits_384_mib_of_address_space():
     assert (out["solutions"], out["criterion_verdict"]) == ([2], True)
 
 
+@pytest.mark.parametrize("m, a, omega, count", [
+    (999000, 7, 900, 240),
+    # Every unit passes the orbit test of 1, so each pays the order test.
+    (720720, 1, 60, 93184),
+])
+def test_near_cap_omega_off_a_cyclic_class_fits_384_mib(m, a, omega, count):
+    """`omega` scans a class that is not cyclic near the cap with no table
+    of orders: omega is the closed form, and each maximizer b has
+    b^omega = 1 and b^(omega/q) != 1 for each prime q of omega."""
+    out = _run_capped("omega", str(m), str(a))
+    gens = out["omega_set"]
+    assert (out["omega"], len(gens)) == (omega, count)
+    primes = [q for q, _ in build_modulus(omega).factorization.factors]
+    for b in gens[::37]:
+        assert pow(b, omega, m) == 1, b
+        assert all(pow(b, omega // q, m) != 1 for q in primes), b
+
+
 def test_near_cap_gproots_fits_384_mib_of_address_space():
     """`gproots 100003` reads G_p off one fold of unit-log masks (a class
     scan per unit made it quadratic and it did not finish; omega in closed
@@ -613,10 +631,10 @@ def test_near_cap_gproots_fits_384_mib_of_address_space():
 
 
 def test_near_cap_omega_fits_384_mib_of_address_space():
-    """`omega 999983 8` tests each unit of order omega against a byte mask
-    of orb(8) (a frozenset of the orbit's ints needed 84 MiB RSS).  8 has
-    half the order of a primitive root, so its maximizers are the
-    phi(999982) primitive roots."""
+    """`omega 999983 8` reads the maximizers of the cyclic U(999983) off
+    its subgroups of q-th powers (a frozenset of orb(8)'s ints needed
+    84 MiB RSS).  8 has half the order of a primitive root, so its
+    maximizers are the phi(999982) primitive roots."""
     out = _run_capped("omega", "999983", "8")
     assert len(out["omega_set"]) == build_modulus(999982).phi
     assert (out["omega"], out["ind_sup"]) == (999982, 2)

@@ -17,18 +17,18 @@ from idemod.congruence import (
     solvable_bc01,
     solve,
 )
+from idemod.idempotents import idem_class
 from idemod.oracle import oracle_is_regular, oracle_omega, oracle_solve
 from idemod.residues import (
     class_members,
     is_regular,
     mu,
-    order_table,
     orbit,
     regular_set,
     structure_table,
 )
 from idemod import audit as _audit
-from conftest import bc01_sweep, no_findings
+from conftest import bc01_sweep, no_findings, walked_orders
 
 SWEEP_150 = range(2, 151)
 
@@ -154,26 +154,29 @@ def _odd_prime_power(n):
 def test_omega_on_a_cyclic_class_is_its_generators():
     """On p^alpha and 2 p^alpha <= 4100, p odd, every class R_m^e = U(mu)
     is cyclic (Gauss): omega is phi(mu), and the maximizers are the
-    members of order phi(mu).  8 seeded regular a per modulus, against
-    order_table and class_members."""
+    members of order phi(mu), walked.  8 seeded regular a per modulus,
+    against class_members."""
     rng = random.Random(4100)
     for m in range(3, 4101):
         if not (_odd_prime_power(m) or m % 4 == 2 and _odd_prime_power(m // 2)):
             continue
-        orders = order_table(m)
-        regular = [a for a in range(1, m + 1) if orders[a]]
+        generators, regular = {}, regular_set(m)
         for a in rng.sample(regular, min(8, len(regular))):
             phi = build_modulus(mu(m, a)).phi
-            members = class_members(m, pow(a, orders[a], m) or m)
+            e = idem_class(m, a)
+            if e not in generators:
+                orders = walked_orders(m, class_members(m, e))
+                generators[e] = tuple(b for b, n in sorted(orders.items()) if n == phi)
             info = omega_info(m, a)
             assert info.omega_a == phi, (m, a)
-            assert info.omega_set == tuple(b for b in members if orders[b] == phi), (m, a)
+            assert info.omega_set == generators[e], (m, a)
 
 
 def test_omega_on_a_cyclic_class_scans_nothing(monkeypatch):
     """omega_info on p^alpha and 2 p^alpha reads the generators off the
-    unit logs, with no order table, class scan or orbit mask; the a include
-    a unit, an even unit modulo p^alpha, p^alpha itself and the zero."""
+    subgroups of q-th powers, with no class scan, orbit mask or closed
+    form; the a include a unit, an even unit modulo p^alpha, p^alpha
+    itself and the zero."""
     moduli = [3, 9, 2 * 3, 2 * 27, 2003, 2 * 2003, 5**4, 2 * 5**4, 3**7, 2 * 3**7]
     queries = [(m, a) for m in moduli for a in (1, 2, 7, m // 2, m)
                if is_regular(m, a)]
@@ -182,7 +185,7 @@ def test_omega_on_a_cyclic_class_scans_nothing(monkeypatch):
     def no_scan(*args):
         raise AssertionError("omega_info scanned a cyclic class")
 
-    for name in ("order_table", "class_members", "_orbit_mask"):
+    for name in ("class_members", "_orbit_mask", "_omega"):
         monkeypatch.setattr(congruence, name, no_scan)
     _omega_cache.cache_clear()
     for q in queries:
@@ -229,9 +232,9 @@ def test_solve_matches_oracle():
 def test_solve_matches_a_full_scan():
     """Every m <= 300, every right-hand side a and k = 2, 3: the solutions
     against one brute-force scan of x^k per (m, k), and the regular ones
-    against order_table's nonzero entries."""
+    against regular_set."""
     for m in range(1, 301):
-        orders = order_table(m)
+        regular = set(regular_set(m))
         for k in (2, 3):
             roots: dict[int, list[int]] = {}
             for x in range(1, m + 1):
@@ -240,7 +243,7 @@ def test_solve_matches_a_full_scan():
                 res = solve(m, k, a)
                 sols = roots.get(a % m, [])
                 assert res.solutions == tuple(sols), (m, k, a)
-                assert res.regular_solutions == tuple(x for x in sols if orders[x])
+                assert res.regular_solutions == tuple(x for x in sols if x in regular)
 
 
 def test_solve_matches_a_scan_for_each_exponent_to_8():
@@ -341,15 +344,16 @@ def test_generalized_primitive_roots_nonempty():
 
 
 def test_generalized_primitive_roots_are_the_closed_form_omega_fixed_points():
-    """The CRT fold of unit-log masks gives exactly the regular g with
+    """The CRT fold of nonpower masks gives exactly the regular g with
     omega_m(g) = |g|_m in closed form, for every m <= 2000 and beside the
     non-cyclic U(2^alpha), alpha <= 10."""
     moduli = set(range(1, 2001)) | {
         2**alpha * k for alpha in range(11) for k in (1, 3, 5, 9, 15)
     }
     for m in sorted(moduli):
-        orders, mod = order_table(m), build_modulus(m)
-        want = tuple(g for g in regular_set(m) if _omega(mod, g, orders[g]) == orders[g])
+        mod, regular = build_modulus(m), regular_set(m)
+        orders = walked_orders(m, regular)
+        want = tuple(g for g in regular if _omega(mod, g, orders[g]) == orders[g])
         assert gen_primitive_roots(m) == want, m
 
 
@@ -395,7 +399,6 @@ def test_generalized_primitive_roots_match_sympy():
 
 def test_solution_counts_match_rho_when_solvable():
     from idemod.counting import rho_count
-    from idemod.idempotents import idem_class
 
     for m in range(2, 151):
         table = structure_table(m)

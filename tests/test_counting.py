@@ -17,9 +17,9 @@ from idemod.counting import (
 )
 from idemod.idempotents import enumerate_idempotents
 from idemod.oracle import oracle_r_count, oracle_rho_count, oracle_union_size
-from idemod.residues import class_members, order_table, structure_table
+from idemod.residues import class_members, structure_table
 from idemod import audit as _audit
-from conftest import counting_sweep, no_findings
+from conftest import counting_sweep, no_findings, walked_orders
 
 
 def test_counts_reduce_to_unit_class_of_mu():
@@ -105,14 +105,13 @@ def test_counts_match_the_oracle_on_two_power_multiples():
                 _agree_with_oracle(2**alpha * c, range(1, 41))
 
 
-def test_unit_counts_match_one_pass_of_order_table():
+def test_unit_counts_match_one_pass_of_the_orders():
     """Every m <= 2000, e = 1 and every k dividing lambda(m): r and rho
-    against the orders of the unit class, read once per m."""
+    against the orders of the unit class, walked once per m."""
     for m in range(1, 2001):
-        orders = order_table(m)
         seen: dict[int, int] = {}
-        for a in class_members(m, 1):
-            seen[orders[a]] = seen.get(orders[a], 0) + 1
+        for n in walked_orders(m, class_members(m, 1)).values():
+            seen[n] = seen.get(n, 0) + 1
         lam = math.lcm(*seen)
         for k in (d for d in range(1, lam + 1) if lam % d == 0):
             assert r_count(m, 1, k) == seen.get(k, 0), (m, k)
@@ -127,7 +126,7 @@ def test_counts_read_no_residue_table(monkeypatch, capsys):
     def unreadable(*args):
         raise AssertionError("a count read a per-residue table")
 
-    for name in ("order_table", "class_members", "_powers"):
+    for name in ("class_members", "_powers"):
         for module in (residues, counting):
             monkeypatch.setattr(module, name, unreadable, raising=False)
     assert (r_count(360, 136, 4), rho_count(360, 136, 4)) == (4, 8)

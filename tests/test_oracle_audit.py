@@ -22,7 +22,7 @@ from idemod.oracle import (
     oracle_regular_set,
     oracle_solve,
 )
-from idemod.idempotents import enumerate_idempotents, idem_class
+from idemod.idempotents import enumerate_idempotents, idem_class, order
 from idemod.residues import (
     class_members,
     delta,
@@ -30,7 +30,6 @@ from idemod.residues import (
     is_regular,
     mu,
     normal_set,
-    order_table,
     regular_set,
 )
 from conftest import audit_100
@@ -174,8 +173,8 @@ def test_audit_keeps_one_modulus_context_alive():
 
 # The fast paths the audit's context must not read, by defining module.
 _FAST_PATHS = {
-    "units": ["unit_logs", "crt_fold"],
-    "residues": ["order_table", "class_members", "structure_table", "normal_set"],
+    "units": ["crt_join", "nonpowers"],
+    "residues": ["class_members", "structure_table", "regular_set", "normal_set"],
     "idempotents": ["enumerate_idempotents"],
 }
 
@@ -209,7 +208,8 @@ def test_context_tables_match_the_library():
         assert c.E == list(enumerate_idempotents(m).elements), m
         assert c.R == regular_set(m), m
         assert c.N == normal_set(m), m
-        assert c.orders == list(order_table(m)), m
+        assert c.orders == [order(m, a).order if a in c.Rset else 0
+                            for a in range(m + 1)], m
         assert c.classes == [idem_class(m, a) if a in c.Rset else 0
                              for a in range(m + 1)], m
         least = sorted(c.E, key=lambda e: class_members(m, e)[0])
@@ -427,7 +427,7 @@ def _repeats_off(c, m):
     c.repeats = [r + 1 if r else 0 for r in c.repeats]
 
 
-def _order_table_off(c, m):
+def _orders_off(c, m):
     x = _long_element(c)
     if x is not None:
         c.orders = list(c.orders)
@@ -540,7 +540,7 @@ _CHECK_FAULTS = {
     "rn09": _ctx_fault(_orbit_without_idempotent),
     "rn11": _lib_fault("orbit_gcd", _plus_one),
     "rn13": _ctx_fault(_all_idempotent),
-    "rn14": _ctx_fault(_order_table_off),
+    "rn14": _ctx_fault(_orders_off),
     "rn15": _lib_fault("join_witness", lambda real: lambda m, b, c, a: b),
     "rn16": _lib_fault("is_regular", _negated),
     "rn17": _ctx_fault(_drop_unit_regular),
@@ -556,7 +556,7 @@ _CHECK_FAULTS = {
     "rn27": _ctx_fault(_orbit_without_idempotent),
     "rn28": _ctx_fault(_orbit_without_idempotent),
     "rn29": _ctx_fault(_orbit_without_idempotent),
-    "rn30": _ctx_fault(_order_table_off),
+    "rn30": _ctx_fault(_orders_off),
     "rn31": _lib_fault("order", _order_off),
     "rn32": _ctx_fault(_orbit_without_idempotent),
     "rn36": _ctx_fault(_unit_in_zero_class),

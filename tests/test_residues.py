@@ -31,7 +31,6 @@ from idemod.residues import (
     normal_set,
     orbit,
     orbit_gcd,
-    order_table,
     regular_set,
     relative_order,
     structure_table,
@@ -261,23 +260,48 @@ def test_orbit_gcd_rejects_mixed_or_irregular_operands():
 
 
 def test_orbit_gcd_matches_oracle():
-    """D_m(b, c) equals the full walk for every same-class pair, m <= 80;
-    for m <= 50 every a in orb(b) ∩ orb(c) also gets a join witness of
+    """D_m(b, c) equals the oracle's full walk for every same-class pair,
+    m <= 80, and past that the same gcd over b's powers in orb(c), with
+    each orbit walked once, for every m <= 120 and for 2^alpha * k <= 320,
+    whose classes hold U(2^alpha) = <-1> x <5>, not cyclic for alpha >= 3.
+    For m <= 50 every a in orb(b) ∩ orb(c) also gets a join witness of
     order lcm(|b|, |c|) whose orbit holds a (every a up to m = 80 would
     cost ten times as much)."""
-    for m in range(1, 81):
-        table = structure_table(m)
-        for members in table.by_class.values():
-            orbs = {x: orbit(m, x).elements for x in members}
+    moduli = set(range(1, 121)) | {
+        2**alpha * k for alpha in range(10) for k in (1, 3, 5, 9, 15)
+        if 2**alpha * k <= 320}
+    for m in sorted(moduli):
+        for members in structure_table(m).by_class.values():
+            powers = {x: [pow(x, n, m) or m for n in range(1, order(m, x).order + 1)]
+                      for x in members}
+            orbs = {x: set(xs) for x, xs in powers.items()}
             for b in members:
                 for c in members:
-                    assert orbit_gcd(m, b, c) == oracle_orbit_gcd(m, b, c)
+                    if m <= 80:
+                        walked = oracle_orbit_gcd(m, b, c)
+                    else:
+                        walked = math.gcd(*(n for n, y in enumerate(powers[b], 1)
+                                            if y in orbs[c]))
+                    assert orbit_gcd(m, b, c) == walked, (m, b, c)
                     if m > 50:
                         continue
-                    target = math.lcm(table.orders[b], table.orders[c])
+                    target = math.lcm(len(orbs[b]), len(orbs[c]))
                     for a in orbs[b] & orbs[c]:
                         d = join_witness(m, b, c, a)
-                        assert table.orders[d] == target and a in orbs[d]
+                        assert order(m, d).order == target and a in orbit(m, d).elements
+
+
+def test_orbit_gcd_on_a_61_bit_prime():
+    """On a cyclic class orbit_gcd reads D(b, c) = |b| / gcd(|b|, |c|) off
+    the two orders, with no orbit, so it answers past the cap.  In the
+    cyclic U(p), b^d lies in orb(c) exactly when (b^d)^|c| = 1."""
+    p = 2**61 - 1
+    n3, n5 = order(p, 3).order, order(p, 5).order
+    assert (n3, n5) == ((p - 1) // 9, (p - 1) // 2)
+    assert (orbit_gcd(p, 3, 5), orbit_gcd(p, 5, 3)) == (2, 9)
+    assert pow(3, n5, p) != 1 and pow(3, 2 * n5, p) == 1
+    assert [pow(5, d * n3, p) == 1 for d in (1, 3, 9)] == [False, False, True]
+    assert relative_order(p, 3, 5) == n3 // 2
 
 
 def test_relative_order_symmetric_on_sample():
@@ -403,9 +427,8 @@ def test_structure_table_consistency():
         table = structure_table(m)
         assert list(table.regulars) == oracle_regular_set(m)
         for a in table.regulars:
-            assert table.orders[a] == order(m, a).order
             assert a in table.by_class[idem_class(m, a)]
-            assert len(orbit(m, a).elements) == table.orders[a]
+            assert len(orbit(m, a).elements) == order(m, a).order
         assert sorted(table.by_class) == list(table.idempotents.elements)
         for e in table.idempotents.elements:
             assert list(table.by_class[e]) == [
@@ -433,9 +456,8 @@ AGREEMENT_MODULI = sorted(
 
 
 def test_table_matches_point_queries_exhaustively():
-    """For every residue, the CRT-built table's regular flag and order are
-    is_regular's and order()'s (0 off R_m), by_class groups R_m by
-    order()'s class in first-seen order, and regular_set and normal_set,
+    """The table's regulars are is_regular's residues, by_class groups R_m
+    by order()'s class in first-seen order, and regular_set and normal_set,
     whole and for every class, are the residues is_regular and is_normal
     accept.  The point queries take each residue on its own, with no
     table."""
@@ -450,7 +472,6 @@ def test_table_matches_point_queries_exhaustively():
         normal_groups: dict[int, list[int]] = {}
         for a in range(1, m + 1):
             info = order(m, a)
-            assert table.orders[a] == (info.order if a in flags else 0), (m, a)
             if a in flags:
                 groups.setdefault(info.idem_class, []).append(a)
             if a in normal_flags:
@@ -488,29 +509,10 @@ def test_root_lift_mod_487_squared():
     assert _lift_root(3, 487, 2) == 3
 
 
-def test_unit_logs_are_logs_of_one_generator():
-    """For every prime power q = p^alpha <= 3000, each unit r is g^t (odd
-    p, g the unit of log 1) or +-5^t (p = 2, the sign that of r mod 4) for
-    t = logs[r] < n, with n the order of g or of 5; the non-units read n."""
-    for q in range(2, 3001):
-        factors = build_modulus(q).factorization.factors
-        if len(factors) != 1:
-            continue
-        (p, alpha), = factors
-        n, logs = units.unit_logs(p, alpha)
-        g = 5 % q if p == 2 else logs.index(1)
-        assert multiplicative_order(g, q) == n, q
-        for r in range(q):
-            if r % p == 0:
-                assert logs[r] == n, (q, r)
-                continue
-            x = pow(g, logs[r], q)
-            assert logs[r] < n and (q - x if r % 4 == 3 and p == 2 else x) == r, (q, r)
-
-
 def test_near_cap_table_memory():
-    """structure_table(999983) holds a few arrays of m entries: it peaks
-    under 50 MiB (it took 418 MiB RSS with one OrderInfo per residue)."""
+    """structure_table(999983) builds R_m and the classes, a few arrays and
+    lists of m entries: it peaks under 50 MiB (it took 418 MiB RSS with one
+    OrderInfo per residue)."""
     tracemalloc.start()
     try:
         structure_table(999983)
@@ -534,25 +536,25 @@ def test_whole_modulus_sets_refuse_before_factoring(monkeypatch):
             query(big)
 
 
-def test_class_members_and_order_table_are_the_tables_pieces():
-    """structure_table's by_class and orders equal class_members' and
-    order_table's arrays, so its agreement with the point queries over
+def test_class_members_are_the_tables_pieces():
+    """structure_table's regulars and by_class equal regular_set's and
+    class_members' arrays, so its agreement with the point queries over
     AGREEMENT_MODULI above covers them too; here they also match the
-    brute-force oracle where its O(sum |a|) walks are affordable."""
+    brute-force oracle where its O(sum |a|) walks are affordable.  The
+    orders by residue are test_idempotents'
+    test_order_fast_path_matches_brute_force."""
     for m in AGREEMENT_MODULI:
         table = structure_table(m)
-        assert order_table(m) == table.orders, m
+        assert list(table.regulars) == regular_set(m), m
         for e, members in table.by_class.items():
             assert class_members(m, e) == members, (m, e)
             assert class_members(m, e - m) == members, (m, e)
     for m in [*range(1, 301), *(2**alpha * 45 for alpha in range(1, 7))]:
-        orders = order_table(m)
         regular = oracle_regular_set(m)
-        assert [a for a in range(1, m + 1) if orders[a]] == regular, m
+        assert regular_set(m) == regular, m
         groups: dict[int, list[int]] = {}
         for a in regular:
             n = oracle_order(m, a)
-            assert orders[a] == n, (m, a)
             groups.setdefault(pow(a, n, m) or m, []).append(a)
         for e, members in groups.items():
             assert list(class_members(m, e)) == members, (m, e)
@@ -560,26 +562,27 @@ def test_class_members_and_order_table_are_the_tables_pieces():
 
 
 def test_no_table_outlives_its_call():
-    """order_table, class_members and unit_logs keep no memo: once the
-    caller drops an answer, nothing holds it."""
-    refs = [weakref.ref(order_table(360)), weakref.ref(class_members(360, 1)),
-            weakref.ref(units.unit_logs(3, 2)[1])]
+    """class_members and structure_table keep no memo: once the caller
+    drops an answer, nothing holds it."""
+    refs = [weakref.ref(class_members(360, 1)),
+            weakref.ref(structure_table(360).regulars)]
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 3
+    assert [ref() for ref in refs] == [None] * 2
 
 
 def test_an_edited_table_changes_no_later_answer():
-    """The arrays class_members and order_table return are the caller's:
-    editing them leaves every later answer as it was."""
-    members, orders = list(class_members(12, 1)), list(order_table(12))
+    """The arrays class_members and structure_table return are the
+    caller's: editing them leaves every later answer as it was."""
+    members = list(class_members(12, 1))
     table = structure_table(12)
+    regulars = list(table.regulars)
     by_class = {e: list(c) for e, c in table.by_class.items()}
     class_members(12, 1)[0] = 5
-    order_table(12)[1] = 7
+    table.regulars[0] = 7
+    table.by_class[1][1] = 7
     assert regular_set(12, 1) == members == [1, 5, 7, 11]
-    assert list(order_table(12)) == orders
     table = structure_table(12)
-    assert list(table.orders) == orders
+    assert list(table.regulars) == regulars == regular_set(12)
     assert {e: list(c) for e, c in table.by_class.items()} == by_class
 
 
@@ -595,7 +598,7 @@ def test_class_queries_build_no_structure_table(monkeypatch):
     for m in moduli:
         table = structure_table(m)
         for e, members in table.by_class.items():
-            orders = [table.orders[a] for a in members]
+            orders = [order(m, a).order for a in members]
             a = members[len(members) // 2]
             want[m, e] = (list(members), orders.count(2),
                           sum(1 for n in orders if 4 % n == 0),
@@ -621,12 +624,13 @@ def test_class_queries_build_no_structure_table(monkeypatch):
 
 def test_sqrt_structure_walks_no_unit_group(monkeypatch):
     """sqrt_structure joins the local roots of x^2 = 1 by CRT, so it walks
-    no generator's powers, even for a prime near the cap."""
-    def no_walk(p, alpha):
+    no generator's powers and seeks no generator, even for a prime near the
+    cap."""
+    def no_walk(p, alpha, *primes):
         raise AssertionError(f"walked U({p}^{alpha})")
 
-    monkeypatch.setattr(units, "unit_orders", no_walk)
-    monkeypatch.setattr(units, "unit_logs", no_walk)
+    monkeypatch.setattr(units, "nonpowers", no_walk)
+    monkeypatch.setattr(units, "generator", no_walk)
     _clear_query_caches()
     assert sqrt_structure(999983, 1).roots == (1, 999982)
     assert sqrt_structure(3**4 * 5**2 * 7, 1).size_formula == 8
@@ -647,5 +651,3 @@ def test_class_queries_refuse_before_factoring(monkeypatch):
     for query in (class_members, regular_set):
         with pytest.raises(EnumerationCapError):
             query(big, 1)
-    with pytest.raises(EnumerationCapError):
-        order_table(big)
