@@ -12,8 +12,9 @@ Moduli are plain ints at every public boundary of the package; the factored
 ``Modulus`` record is derived from one by the cached ``build_modulus(m)``.
 Residues are canonical integers in {1..m}, where the value m itself stands
 for the residue class of 0.  Callers may pass arbitrary integers: each public
-operation checks m once, reduces each residue once, inline (``x % m or m``,
-i.e. ``canon``), and reads factorizations from ``build_modulus(n)``'s cache.
+operation checks m and reduces each residue once, with ``canonicalize``
+(``x % m or m`` after rejecting m < 1) or, where m is already checked,
+``canon``, and reads factorizations from ``build_modulus(n)``'s cache.
 """
 from __future__ import annotations
 

@@ -60,6 +60,9 @@ y = a^k, and |b| = omega gives (ii) and the condition on k.  A unit a of
 order omega (d = 1) so needs no power beyond y = b.  oracle.oracle_omega
 walks the orbits.
 
+omega_info keeps no memo, as its maximizers grow with m: each call checks
+the cap and computes its answer.  omega_value, an int, keeps a bounded one.
+
 G_m needs no omega at all.  By the q-parts above, omega_m(g) = |g|_m
 exactly when, for each prime q of lambda(mu_g), g is not a q-th power:
 if q does not divide |g|, g is a q-th power of a power of itself, and if
@@ -109,11 +112,10 @@ class OmegaInfo(Record):
     ind_sup: int  # omega_a / |a|_m
 
 
-@lru_cache(maxsize=1 << 12)
-def _omega_cache(m: int, a: int) -> OmegaInfo:
-    """omega_info's memo, bounded like order's, so that an audit sweep does
-    not hold every residue of its range."""
-    info = regular_order(m, a)
+def omega_info(m: int, a: int) -> OmegaInfo:
+    """omega_m(a), its maximizers and omega_m(a) / |a|_m, for a regular a."""
+    check_enum(m)  # before m is factored
+    info = regular_order(m, canonicalize(a, m))
     a, n, mod, e = info.a, info.order, info.modulus, info.idem_class
     if cyclic_class(m, a):
         w = build_modulus(mu(m, a)).phi
@@ -160,11 +162,6 @@ def _generators(m: int, a: int) -> tuple[int, ...]:
     return tuple(listed(m, keep))
 
 
-def omega_info(m: int, a: int) -> OmegaInfo:
-    check_enum(m)  # on every call, before the memo and before m is factored
-    return _omega_cache(m, canonicalize(a, m))
-
-
 @lru_cache(maxsize=1024)
 def omega_value(m: int, a: int) -> int:
     """omega_m(a) for a regular a, by the closed form alone.  The audit asks
@@ -199,9 +196,7 @@ def _omega(mod: Modulus, a: int, n: int) -> int:
 def solvable_bc01(m: int, k: int, a: int) -> bool:
     """Criterion for regular a: x^k = a solvable iff a^(w/(k,w)) is
     idempotent, where w = omega_m(a)."""
-    if m < 1:
-        raise ValueError(f"invalid modulus {m}: need a positive integer")
-    a = a % m or m
+    a = canonicalize(a, m)
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     if not is_regular(m, a):

@@ -14,6 +14,7 @@ from .arith import (
     Record,
     build_modulus,
     canon,
+    canonicalize,
     check_work,
     multiplicative_order,
     valuation,
@@ -92,9 +93,7 @@ def signed_power(m: int, a: int, z: int) -> int:
     """a^z with the extended exponent conventions: a^0 := a^{|a|_m} (the
     idempotent class) and a^{-1} := a^{|a|_m - 1}, negative z iterating the
     latter."""
-    if m < 1:
-        raise ValueError(f"invalid modulus {m}: need a positive integer")
-    a = a % m or m
+    a = canonicalize(a, m)
     if z >= 1:
         return pow(a, z, m) or m
     info = order(m, a)
@@ -111,9 +110,7 @@ def index(m: int, b: int, a: int) -> int | None:
     T - 1 and a cycle of L (see order_parts), and at most m.  So a walk of
     that many steps meets every power; one longer than the enumeration cap
     is refused before it starts."""
-    if m < 1:
-        raise ValueError(f"invalid modulus {m}: need a positive integer")
-    b, a = b % m or m, a % m or m
+    b, a = canonicalize(b, m), canonicalize(a, m)
     L, T = order_parts(build_modulus(m), b)
     check_work(T - 1 + L, "powers")
     x = b

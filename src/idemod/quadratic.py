@@ -2,13 +2,13 @@
 
 For (k, m) = 1 the solution set of x^2 = kx is exactly k*E_m, so it inherits
 the idempotent combinatorics.  k is canonicalized, with k = m standing for
-the k = 0 equation x^2 = 0.  kernel scans 1..m.  sqrt_structure scans
+the k = 0 equation x^2 = 0.  kernel scans 1..m on every call, with no
+memo to hold an answer that grows with m.  sqrt_structure scans
 nothing: it joins the local roots of x^2 = 1 (units.local_roots) by CRT.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .arith import (
     Modulus,
@@ -41,11 +41,7 @@ class QuadraticKernel(Record):
 def kernel(m: int, k: int) -> QuadraticKernel:
     """All x with x^2 = kx (mod m), by scan; for (k, m) = 1 this is k*E_m."""
     check_enum(m)
-    return _kernel_cached(m, canon(k, m))
-
-
-@lru_cache(maxsize=4096)
-def _kernel_cached(m: int, k: int) -> QuadraticKernel:
+    k = canon(k, m)
     sols = tuple(x for x in range(1, m + 1) if x * (x - k) % m == 0)
     return QuadraticKernel(build_modulus(m), k, sols)
 
@@ -108,9 +104,7 @@ def sqrt_structure(m: int, e: int) -> SqrtStructure:
 def kernel_op(m: int, k: int, r: int, e: int, which: str) -> int:
     """Mix a kernel element with an idempotent: r o e = re + (k-r)(1-e) or
     r (x) e = k - (k-r)(1-e); both land back in the kernel."""
-    if m < 1:
-        raise ValueError(f"invalid modulus {m}: need a positive integer")
-    k, r, e = k % m or m, r % m or m, e % m or m
+    k, r, e = canonicalize(k, m), canonicalize(r, m), canonicalize(e, m)
     if r * r % m != k * r % m:
         raise ValueError(f"{r} does not solve x^2 = {k}x modulo {m}")
     if e * e % m != e % m:
@@ -126,9 +120,7 @@ def kernel_op(m: int, k: int, r: int, e: int, which: str) -> int:
 def class_kernel_op(m: int, e: int, r1: int, r2: int, which: str) -> int:
     """Combine two elements of the kernel of x^2 = ex (bars taken against
     k = e): r1 o r2 = r1 r2 + rbar1 rbar2, r1 (x) r2 = e - rbar1 rbar2."""
-    if m < 1:
-        raise ValueError(f"invalid modulus {m}: need a positive integer")
-    e, r1, r2 = e % m or m, r1 % m or m, r2 % m or m
+    e, r1, r2 = canonicalize(e, m), canonicalize(r1, m), canonicalize(r2, m)
     if e * e % m != e % m:
         raise ValueError(f"{e} is not idempotent modulo {m}")
     for r in (r1, r2):

@@ -41,6 +41,7 @@ from .arith import (
     Record,
     build_modulus,
     canon,
+    canonicalize,
     check_enum,
     check_work,
     least_divisor,
@@ -267,9 +268,7 @@ def orbit_gcd(m: int, b: int, c: int) -> int:
     of D, and D is the least divisor d of |b| with b^d in orb(c).  Hence
     D(b, c) = 1 exactly when b lies in orb(c): equivalent and join_witness
     test orbit membership this way."""
-    if m < 1:
-        raise ValueError(f"invalid modulus {m}: need a positive integer")
-    return _orbit_gcd(m, b % m or m, c % m or m)
+    return _orbit_gcd(m, canonicalize(b, m), canonicalize(c, m))
 
 
 @lru_cache(maxsize=4096)
@@ -300,9 +299,7 @@ def cyclic_class(m: int, a: int) -> bool:
 
 def relative_order(m: int, a: int, b: int) -> int:
     """|a,b|_m = |orb(a) ∩ orb(b)| = |a|_m / D_m(a, b)."""
-    if m < 1:
-        raise ValueError(f"invalid modulus {m}: need a positive integer")
-    a, b = a % m or m, b % m or m
+    a, b = canonicalize(a, m), canonicalize(b, m)
     return order(m, a).order // _orbit_gcd(m, a, b)
 
 

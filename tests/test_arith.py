@@ -297,7 +297,7 @@ _CAPPED_BY_M = {
 
 @pytest.mark.parametrize("name", _CAPPED_BY_M)
 def test_a_lowered_cap_refuses_an_answer_held_in_a_memo(name, enum_cap):
-    """Each entry point checks the cap on every call, before its memo: an
+    """Each entry point checks the cap on every call and keeps no memo: an
     answer given under the default cap is refused once the cap is lowered,
     as in a fresh process."""
     call = _CAPPED_BY_M[name]

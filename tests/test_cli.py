@@ -331,7 +331,7 @@ def test_no_private_name_crosses_between_modules():
     ("sets", "50", "--class", "1", "--regular"),
 ])
 def test_a_held_answer_does_not_lift_the_cap(capsys, argv):
-    """The library checks the cap before its memos, so a query answered once
+    """The library checks the cap on every call, so a query answered once
     is refused under a lower cap all the same, as in a fresh process."""
     assert run(capsys, *argv)[0] == 0
     code, out, err = run(capsys, "--max-enum", "10", *argv)

@@ -9,7 +9,6 @@ from idemod import congruence, units
 from idemod.arith import EnumerationCapError, build_modulus
 from idemod.congruence import (
     _omega,
-    _omega_cache,
     gen_primitive_roots,
     omega_info,
     omega_set,
@@ -187,10 +186,8 @@ def test_omega_on_a_cyclic_class_scans_nothing(monkeypatch):
 
     for name in ("class_members", "_orbit_mask", "_omega"):
         monkeypatch.setattr(congruence, name, no_scan)
-    _omega_cache.cache_clear()
     for q in queries:
         assert omega_info(*q) == want[q], q
-    _omega_cache.cache_clear()
 
 
 def test_omega_closed_form_matches_orbit_walk():
@@ -383,10 +380,8 @@ def test_omega_info_builds_no_orbit_set(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("idemod") and hasattr(module, "_powers"):
             monkeypatch.setattr(module, "_powers", no_powers)
-    _omega_cache.cache_clear()
     for q in queries:
         assert omega_info(*q) == want[q], q
-    _omega_cache.cache_clear()
 
 
 def test_generalized_primitive_roots_match_sympy():

@@ -14,11 +14,11 @@ import weakref
 import pytest
 
 from idemod import residues, units
-from idemod.congruence import _omega_cache, omega_info
+from idemod.congruence import omega_info, omega_value
 from idemod.counting import orbit_union_size, r_count, rho_count
 from idemod.arith import EnumerationCapError, build_modulus, multiplicative_order
 from idemod.idempotents import enumerate_idempotents, idem_class, order, signed_power
-from idemod.quadratic import sqrt_structure
+from idemod.quadratic import kernel, sqrt_structure
 from idemod.residues import (
     class_members,
     classify,
@@ -363,9 +363,10 @@ def test_orbit_gcd_memo_still_validates():
 
 
 def test_sweep_memos_are_bounded():
-    """An audit sweep asks order and omega_info about every residue of its
-    range; bounded memos keep it from holding all the answers."""
-    for memo in (order, _omega_cache):
+    """An audit sweep asks order, orbit_gcd and omega_value about every
+    residue of its range; bounded memos keep it from holding all the
+    answers."""
+    for memo in (order, _orbit_gcd, omega_value):
         assert memo.cache_info().maxsize is not None, memo.__name__
 
 
@@ -562,12 +563,15 @@ def test_class_members_are_the_tables_pieces():
 
 
 def test_no_table_outlives_its_call():
-    """class_members and structure_table keep no memo: once the caller
-    drops an answer, nothing holds it."""
+    """class_members, structure_table, omega_info and kernel keep no memo:
+    once the caller drops an answer, nothing holds it."""
     refs = [weakref.ref(class_members(360, 1)),
-            weakref.ref(structure_table(360).regulars)]
+            weakref.ref(structure_table(360).regulars),
+            weakref.ref(omega_info(360, 7)),  # a class that is not cyclic
+            weakref.ref(omega_info(359, 3)),  # a cyclic class
+            weakref.ref(kernel(360, 4))]
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 2
+    assert [ref() for ref in refs] == [None] * 5
 
 
 def test_an_edited_table_changes_no_later_answer():
@@ -586,10 +590,6 @@ def test_an_edited_table_changes_no_later_answer():
     assert {e: list(c) for e, c in table.by_class.items()} == by_class
 
 
-def _clear_query_caches():
-    _omega_cache.cache_clear()
-
-
 def test_class_queries_build_no_structure_table(monkeypatch):
     """The queries that read one class, with or without its orders, build
     no structure table; their answers are the table's."""
@@ -602,7 +602,7 @@ def test_class_queries_build_no_structure_table(monkeypatch):
             a = members[len(members) // 2]
             want[m, e] = (list(members), orders.count(2),
                           sum(1 for n in orders if 4 % n == 0),
-                          orbit_union_size(m, e, 2), a, _omega_cache(m, a))
+                          orbit_union_size(m, e, 2), a, omega_info(m, a))
 
     def no_table(m):
         raise AssertionError(f"structure_table({m}) was built")
@@ -610,7 +610,6 @@ def test_class_queries_build_no_structure_table(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("idemod") and hasattr(module, "structure_table"):
             monkeypatch.setattr(module, "structure_table", no_table)
-    _clear_query_caches()
     for (m, e), (members, r2, rho4, union, a, omega) in want.items():
         assert regular_set(m, e) == members
         assert (r_count(m, e, 2), rho_count(m, e, 4)) == (r2, rho4)
@@ -619,7 +618,6 @@ def test_class_queries_build_no_structure_table(monkeypatch):
         if m % 2:
             assert sqrt_structure(m, e).roots == tuple(
                 x for x in members if x * x % m == e % m)
-    _clear_query_caches()
 
 
 def test_sqrt_structure_walks_no_unit_group(monkeypatch):
@@ -631,13 +629,11 @@ def test_sqrt_structure_walks_no_unit_group(monkeypatch):
 
     monkeypatch.setattr(units, "nonpowers", no_walk)
     monkeypatch.setattr(units, "generator", no_walk)
-    _clear_query_caches()
     assert sqrt_structure(999983, 1).roots == (1, 999982)
     assert sqrt_structure(3**4 * 5**2 * 7, 1).size_formula == 8
     for e in enumerate_idempotents(2025).elements:
         rep = sqrt_structure(2025, e)
         assert len(rep.roots) == rep.size_formula, e
-    _clear_query_caches()
 
 
 def test_class_queries_refuse_before_factoring(monkeypatch):
