@@ -6,7 +6,7 @@ yields one (witness, expected, actual) tuple per counterexample; run_audit
 files each under the registered id and the m it passed.  Global statements
 (no modulus) run once, with the sentinel m = 0.  The sweep then takes each m
 in turn and runs every other check on it, so the checks share one live
-per-modulus context, _ctx(m), replaced when the next m starts.  Findings are
+per-modulus context, _ctx(m), kept until the next m or the end.  Findings are
 sorted per claim at the end, so the report does not depend on loop order.
 
 Conditional statements are audited as conditionals: instances failing the
@@ -143,7 +143,7 @@ class _Ctx:
     repeats (where each residue's powers first repeat), images(k) (the k-th
     powers of all residues) and algebra (the operator-law report).
     Everything dies with the context, when the sweep moves to the next
-    modulus."""
+    modulus or ends."""
 
     def __init__(self, m: int):
         self.m = m
@@ -1225,8 +1225,10 @@ def check_pr02(m):
         extra = [b for b in info.omega_set if b not in G]
         if extra:
             yield {"a": a}, "Omega(a) subset of G", extra
-    for g in G:
-        if g not in frozenset(omega_info(m, g).omega_set):
+        if a in G and a not in info.omega_set:
+            yield {"g": a}, "g in Omega(g)", "missing"
+    for g in G - c.Rset:  # empty unless G_m is wrong; ask the library there too
+        if g not in omega_info(m, g).omega_set:
             yield {"g": g}, "g in Omega(g)", "missing"
     if not G:
         yield {}, "G nonempty", "empty"
@@ -1768,6 +1770,7 @@ def run_audit(lo: int, hi: int, theorems: list[str] | None = None) -> AuditRepor
             raise ValueError(f"unknown theorem id {tid!r}")
     findings: dict[str, list[AuditFinding]] = {tid: [] for tid in ids}
     _fs_corpus.cache_clear()
+    _ctx.cache_clear()
     global_ids = [tid for tid in ids if THEOREMS[tid][0] == "global"]
     sweep_ids = [tid for tid in ids if tid not in global_ids]
     if sweep_ids:  # each modulus of the sweep counts: refuse before any check
@@ -1777,6 +1780,7 @@ def run_audit(lo: int, hi: int, theorems: list[str] | None = None) -> AuditRepor
             check = THEOREMS[tid][1]  # read per call, so callers may wrap it
             findings[tid].extend(AuditFinding(tid, m, *f) for f in check(m))
     _fs_corpus.cache_clear()
+    _ctx.cache_clear()
     results = []
     for tid, found in findings.items():
         found.sort(key=AuditFinding.sort_key)

@@ -357,10 +357,9 @@ def _cmd_audit(args) -> int:
     if args.theorems is not None:
         ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
     report = run_audit(lo, hi, ids)
-    doc = report.dumps()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+            fh.write(report.dumps() + "\n")
     if args.json:
         print(json.dumps(report.to_json()))
     else:

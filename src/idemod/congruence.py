@@ -89,9 +89,9 @@ from .arith import (
     valuation,
 )
 from .residues import (
-    class_members, cyclic_class, is_regular, mu, regular_mask, regular_order)
-from .units import (
-    crt_join, is_power, listed, local_roots, multiples, nonpowers, spread, unit_group)
+    class_members, cyclic_class, is_regular, regular_mask, regular_order)
+from .units import (class_groups, crt_join, is_power, listed, local_roots, multiples,
+                    nonpowers, spread, unit_group)
 
 
 class CongruenceSolution(Record):
@@ -118,7 +118,7 @@ def omega_info(m: int, a: int) -> OmegaInfo:
     info = regular_order(m, canonicalize(a, m))
     a, n, mod, e = info.a, info.order, info.modulus, info.idem_class
     if cyclic_class(m, a):
-        w = build_modulus(mu(m, a)).phi
+        w = math.prod(math.prod(group.orders) for group in class_groups(m, a))
         return OmegaInfo(mod, a, w, _generators(m, a), w // n)
     w = _omega(mod, a, n)
     ind = w // n
@@ -175,9 +175,9 @@ def _omega(mod: Modulus, a: int, n: int) -> int:
     """omega_m(a) for a regular a of order n = |a|_m: the product over the
     primes q of lambda(mu) of q^v_q(lambda) when q does not divide n, and of
     q^(v_q(n) + h) when it does, h being the largest with a a q^h-th power
-    in every unit component p^alpha of mu."""
-    units = [(p, alpha) for p, alpha in mod.factorization.factors if a % p]
-    lam = math.lcm(*(unit_group(p, alpha).exponent for p, alpha in units))
+    in every unit group of mu (units.class_groups)."""
+    groups = class_groups(mod.m, a)
+    lam = math.lcm(*(group.exponent for group in groups))
     w = 1
     for q, e in build_modulus(lam).factorization.factors:
         v = valuation(n, q)
@@ -185,9 +185,7 @@ def _omega(mod: Modulus, a: int, n: int) -> int:
             w *= q**e
             continue
         h = 0
-        while v + h < e and all(
-            is_power(a, p, alpha, q ** (h + 1)) for p, alpha in units
-        ):
+        while v + h < e and all(is_power(a, group, q ** (h + 1)) for group in groups):
             h += 1
         w *= q ** (v + h)
     return w

@@ -7,7 +7,7 @@ closed forms through the totients of the prime-power divisors.
 All three counts are products over the cyclic factors of the class group,
 with no table and no scan of the residues.  R_m^e is isomorphic to U(m/z),
 z = gcd(e, m), the product of the U(p^alpha) of the prime powers of m on
-which e is 1; units.unit_group gives each one's cyclic factor orders
+which e is 1; units.class_groups gives their cyclic factor orders
 (phi for odd p; 2 and 2^(alpha-2) for 2^alpha, alpha >= 3).  Let n_i be
 all of them.  The x with x^k = 1 in a cyclic group of order n number
 (k, n), so rho(k) = prod (k, n_i).  Moebius inversion gives
@@ -42,7 +42,7 @@ from collections.abc import Callable
 
 from .arith import Modulus, Record, build_modulus, canon, check_enum, valuation
 from .idempotents import is_idempotent
-from .units import unit_group
+from .units import class_groups
 
 
 def r_count(m: int, e: int, k: int) -> int:
@@ -78,12 +78,7 @@ def _class_orders(m: int, e: int, k: int) -> list[int]:
         raise ValueError(f"order k must be >= 1, got {k}")
     if not is_idempotent(m, e):
         raise ValueError(f"{e} is not idempotent modulo {m}")
-    return [
-        n
-        for p, alpha in build_modulus(m).factorization.factors
-        if e % p
-        for n in unit_group(p, alpha).orders
-    ]
+    return [n for group in class_groups(m, e) for n in group.orders]
 
 
 def rho_closed_form(m: int, k: int) -> int:

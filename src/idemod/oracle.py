@@ -178,6 +178,7 @@ def _class_table(m: int) -> dict[int, dict[int, tuple[int, int]]]:
 
 
 def _class_counts(m: int, e: int) -> dict[int, tuple[int, int]]:
+    check_enum(m)  # before the memo, which would answer under any cap
     table = _class_table(m)
     e = canon(e, m)
     if e not in table:

@@ -20,7 +20,7 @@ from .arith import (
     check_work,
 )
 from .idempotents import is_idempotent
-from .units import crt_join, local_roots
+from .units import class_groups, crt_join, local_roots
 
 
 class QuadraticKernel(Record):
@@ -82,7 +82,7 @@ def sqrt_structure(m: int, e: int) -> SqrtStructure:
         raise ValueError(f"{e} is not idempotent modulo {m}")
     e = canon(e, m)
     factors = build_modulus(m).factorization.factors
-    om = sum(e % p > 0 for p, _ in factors)  # omega(mu)
+    om = len(class_groups(m, e))  # omega(mu)
     check_work(2**om, "roots")
     parts = [list(local_roots(p, alpha, 2, 1)[1]()) if e % p else [0]
              for p, alpha in factors]

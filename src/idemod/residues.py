@@ -20,8 +20,8 @@ members; G_m, and omega_info on a cyclic class, walk subgroups of q-th
 powers (units.nonpowers).  structure_table composes regular_set and the
 class members; only the tests read it.  The queries that build nothing per
 residue, the counts, solve and the power tests of omega, read
-units.unit_group instead.  Each public query checks the cap on every call,
-before any memo.
+units.unit_group and units.class_groups instead.  Each public query
+checks the cap on every call, before any memo.
 
 A class R_m^e, a copy of U(mu), is cyclic exactly when the orders of the
 cyclic factors of its U(p^alpha) are pairwise coprime (cyclic_class), and
@@ -56,7 +56,7 @@ from .idempotents import (
     order_info,
     order_parts,
 )
-from .units import listed, local_roots, multiples, spread, typecode, unit_group
+from .units import class_groups, listed, local_roots, multiples, spread, typecode
 
 
 class ResidueClassification(Record):
@@ -73,11 +73,7 @@ class ResidueClassification(Record):
 def mu(m: int, a: int) -> int:
     """The divisor m1 of m on which a's idempotent class is congruent to 1
     (the complementary divisor m/m1 carries the zero part)."""
-    out = 1
-    for p, alpha in build_modulus(m).factorization.factors:
-        if a % p:
-            out *= p**alpha
-    return out
+    return math.prod(group.q for group in class_groups(m, a))
 
 
 def delta(m: int, a: int) -> int:
@@ -289,11 +285,10 @@ def _orbit_gcd(m: int, b: int, c: int) -> int:
 
 def cyclic_class(m: int, a: int) -> bool:
     """Whether a's class, a copy of U(mu), is cyclic: U(mu) is the product
-    of the cyclic factors of the U(p^alpha) with p not dividing a, and is
-    cyclic exactly when their orders are pairwise coprime, i.e. when
-    lambda(mu) = phi(mu) (for mu = 1, 2, 4, p^alpha and 2 p^alpha, Gauss)."""
-    orders = [n for p, alpha in build_modulus(m).factorization.factors if a % p
-              for n in unit_group(p, alpha).orders]
+    of the cyclic factors of units.class_groups(m, a), and is cyclic exactly
+    when their orders are pairwise coprime, i.e. when lambda(mu) = phi(mu)
+    (for mu = 1, 2, 4, p^alpha and 2 p^alpha, Gauss)."""
+    orders = [n for group in class_groups(m, a) for n in group.orders]
     return math.lcm(*orders) == math.prod(orders)
 
 

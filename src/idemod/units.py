@@ -6,9 +6,11 @@ for alpha >= 3 (Gauss); only this module asks whether p = 2.  Its names:
 - UnitGroup, unit_group(p, alpha): the cyclic factors, their orders and
   generators, a unit's components, the exponent lambda(p^alpha) and its
   primes; generator(p, alpha): a generator of U(p^alpha), p odd;
+- class_groups(m, a): the U(p^alpha) of the p^alpha of m with p not
+  dividing a, whose product is U(mu), a copy of a's class R_m^e;
 - local_roots(p, alpha, k, a): the roots of x^k = a, counted, then listed;
-- is_power(x, p, alpha, k), nonpowers(p, alpha, primes): the k-th power
-  test of a unit, and the units that are a q-th power for no q of primes;
+- is_power(x, group, k), nonpowers(p, alpha, primes): the k-th power test
+  of a unit in a group, and the units that are a q-th power for no q of primes;
 - crt_join, spread, multiples, listed and typecode: answers per prime
   power joined by CRT, as lists or byte patterns, and the array typecode
   of a table of residues.
@@ -66,6 +68,13 @@ def unit_group(p: int, alpha: int) -> UnitGroup:
     return UnitGroup(q, (2, q // 4), (q - 1, 5))
 
 
+def class_groups(m: int, a: int) -> list[UnitGroup]:
+    """The U(p^alpha) of the p^alpha of m with p not dividing a: their
+    product is U(mu), mu the product of their q, a copy of a's class R_m^e."""
+    return [unit_group(p, alpha)
+            for p, alpha in build_modulus(m).factorization.factors if a % p]
+
+
 @lru_cache(maxsize=None)
 def generator(p: int, alpha: int) -> int:
     """A generator of U(p^alpha) for an odd prime p: the least primitive
@@ -92,14 +101,11 @@ def _lift_root(g: int, p: int, alpha: int) -> int:
     return g
 
 
-def is_power(x: int, p: int, alpha: int, k: int) -> bool:
-    """Whether the unit x is a k-th power modulo p^alpha: in each cyclic
+def is_power(x: int, group: UnitGroup, k: int) -> bool:
+    """Whether the unit x is a k-th power in group, U(q): in each cyclic
     factor of order n, that its component y has y^(n/(n, k)) = 1."""
-    group = unit_group(p, alpha)
-    return all(
-        pow(y, n // math.gcd(n, k), group.q) == 1
-        for y, n in zip(group.split(x % group.q), group.orders)
-    )
+    return all(pow(y, n // math.gcd(n, k), group.q) == 1
+               for y, n in zip(group.split(x % group.q), group.orders))
 
 
 def nonpowers(p: int, alpha: int, primes: list[int]) -> bytes:
@@ -137,9 +143,9 @@ def local_roots(p: int, alpha: int, k: int, a: int):
         return count * lifts, lambda: [
             p ** (v // k) * (y + j * low) for y in listing() for j in range(lifts)
         ]
-    if not is_power(a, p, alpha, k):
-        return 0, list
     group = unit_group(p, alpha)
+    if not is_power(a, group, k):
+        return 0, list
     parts = [
         (y, n, gen, math.gcd(k, n))
         for y, n, gen in zip(group.split(a), group.orders, group.generators)

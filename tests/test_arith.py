@@ -26,6 +26,7 @@ from idemod.arith import (
 )
 from idemod.congruence import gen_primitive_roots, omega_info, omega_set, solvable_bc01
 from idemod.idempotents import signed_power
+from idemod.oracle import oracle_r_count, oracle_rho_count, oracle_union_size
 from idemod.quadratic import class_kernel_op, kernel, kernel_op
 from idemod.residues import (
     class_members, normal_set, regular_set, structure_table)
@@ -279,7 +280,8 @@ def test_enumeration_cap(enum_cap):
     check_enum(100)
 
 
-# The library's entry points that are refused by m.  enumerate_idempotents
+# The library's entry points that are refused by m, and the oracle's class
+# counts, which read a memo of the walks.  enumerate_idempotents
 # is left out on purpose: it has no cap, since verify_algebra reads it on
 # 40-64-bit moduli, and the idempotents command checks m itself.
 _CAPPED_BY_M = {
@@ -292,12 +294,15 @@ _CAPPED_BY_M = {
     "regular_set": lambda: regular_set(50),
     "normal_set": lambda: normal_set(50),
     "kernel": lambda: kernel(50, 3),
+    "oracle_r_count": lambda: oracle_r_count(50, 1, 2),
+    "oracle_rho_count": lambda: oracle_rho_count(50, 1, 2),
+    "oracle_union_size": lambda: oracle_union_size(50, 1, 2),
 }
 
 
 @pytest.mark.parametrize("name", _CAPPED_BY_M)
 def test_a_lowered_cap_refuses_an_answer_held_in_a_memo(name, enum_cap):
-    """Each entry point checks the cap on every call and keeps no memo: an
+    """Each entry point checks the cap on every call, before any memo: an
     answer given under the default cap is refused once the cap is lowered,
     as in a fresh process."""
     call = _CAPPED_BY_M[name]

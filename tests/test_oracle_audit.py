@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import sys
+import weakref
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -169,6 +170,24 @@ def test_audit_keeps_one_modulus_context_alive():
     run_audit(2, 30)
     gc.collect()
     assert sum(isinstance(o, audit._Ctx) for o in gc.get_objects()) <= 1
+
+
+def test_audit_drops_the_context_of_its_last_modulus(monkeypatch):
+    """run_audit lets go of the context of hi, the last modulus it sweeps,
+    with its walks, orbits and images: a weakref to it dies once the report
+    is returned."""
+    built = []
+
+    class Ctx(audit._Ctx):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append((m, weakref.ref(self)))
+
+    monkeypatch.setattr(audit, "_Ctx", Ctx)
+    run_audit(2, 12, ["pr02", "rn35"])
+    gc.collect()
+    m, ref = built[-1]
+    assert m == 12 and ref() is None
 
 
 # The fast paths the audit's context must not read, by defining module.

@@ -2,7 +2,7 @@
 import pytest
 
 from idemod.arith import build_modulus
-from idemod.units import generator, is_power
+from idemod.units import generator, is_power, unit_group
 
 
 def _prime_powers(bound: int):
@@ -33,7 +33,9 @@ def test_is_power_matches_the_kth_powers():
     k <= 12."""
     for p, alpha, q in _prime_powers(500):
         units = [x for x in range(q) if x % p]
+        group = unit_group(p, alpha)
         for k in range(1, 13):
             powers = {pow(x, k, q) for x in units}
             for x in units:
-                assert is_power(x, p, alpha, k) == (x in powers), (q, k, x)
+                assert is_power(x, group, k) == (x in powers), (q, k, x)
+
