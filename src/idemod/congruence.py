@@ -35,30 +35,18 @@ cyclic subgroup through a splits over the primes q of its exponent
 lambda(mu) (Carmichael): its q-part has order q^v_q(lambda) when q does not
 divide |a|, and q^(v_q(|a|) + h) when it does, where h, the q-height of a,
 is the largest h with a a q^h-th power; a is one exactly when it is one in
-every component U(p^alpha).  omega <= lambda(mu) <= phi(mu), and
-lambda(mu) = phi(mu) exactly when U(mu) is cyclic, for mu = 1, 2, 4,
-p^alpha and 2 p^alpha (Gauss).  So omega = phi(mu) exactly on a cyclic
-class, where the orbit of each generator is the whole class: the maximizers
-are its generators, the b whose component is q - 1 at q = 2, 4 and, at an
-odd p^alpha, a q-th power for no prime q of phi.  omega_info takes
-omega = phi(mu) there, with no closed form to evaluate.
+every component U(p^alpha).
 
-On the other classes omega_info scans the class members b, with no table of
-orders.  Let n = |a|, d = omega/n and y = b^d.  b is a maximizer, |b| = omega
-with a in orb(b), exactly when (i) y = a^k for a k divisible by no prime q
-of n that does not divide d, read off a byte mask of orb(a), and (ii)
-b^(omega/q) != e for each prime q of d.  Proof: orb(a) = <a> has order n,
-so y = a^k gives b^omega = y^n = e, and |b| divides omega; |b| = omega
-exactly when b^(omega/q) != e for each prime q of omega.  For q dividing d
-that is (ii).  For q not dividing d, q divides n and
-b^(omega/q) = y^(n/q) = a^(k n/q), which is e exactly when q divides k: the
-condition on k in (i).  So (i) and (ii) give |b| = omega, and then y, of
-order n, generates the one subgroup of <b> of order n and lies in <a>, of
-the same order: the two are equal and a is in orb(b).  Conversely, for a
-maximizer b, <a> is the subgroup of <b> of order n, the one y generates, so
-y = a^k, and |b| = omega gives (ii) and the condition on k.  A unit a of
-order omega (d = 1) so needs no power beyond y = b.  oracle.oracle_omega
-walks the orbits.
+The maximizers split over the same q, with no scan of the class.  Each b is
+the product of its q-parts b_q in the Sylow q-subgroups (units.class_sylows),
+and <b> of the <b_q>.  With f = v_q(omega), v = v_q(|a|), c = |a| / q^v and
+a_q = a^(c (c^-1 mod q^v)), b is a maximizer, |b| = omega with a in <b>,
+exactly when each b_q has order q^f and a_q lies in <b_q>.  For v >= 1 that
+is when b_q^(q^(f-v)) generates <a_q>: <b_q> has one subgroup of order q^v,
+and b_q^(q^(f-v)) of order q^v >= q forces |b_q| = q^f.  For v = 0, a_q = e
+and q^f is the exponent of the Sylow subgroup: it is when b_q^(q^(f-1)) != e.
+A cyclic Sylow subgroup's generators hold a_q and have the largest order, so
+they are the b_q.  omega_info multiplies them out; oracle_omega walks orbits.
 
 omega_info keeps no memo, as its maximizers grow with m: each call checks
 the cap and computes its answer.  omega_value, an int, keeps a bounded one.
@@ -78,6 +66,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 from .arith import (
     Modulus,
@@ -88,10 +77,9 @@ from .arith import (
     check_work,
     valuation,
 )
-from .residues import (
-    class_members, cyclic_class, is_regular, regular_mask, regular_order)
-from .units import (class_groups, crt_join, is_power, listed, local_roots, multiples,
-                    nonpowers, spread, unit_group)
+from .residues import is_regular, regular_mask, regular_order
+from .units import (class_groups, class_sylows, crt_join, is_power, listed,
+                    local_roots, multiples, nonpowers, spread, unit_group, walk)
 
 
 class CongruenceSolution(Record):
@@ -117,49 +105,48 @@ def omega_info(m: int, a: int) -> OmegaInfo:
     check_enum(m)  # before m is factored
     info = regular_order(m, canonicalize(a, m))
     a, n, mod, e = info.a, info.order, info.modulus, info.idem_class
-    if cyclic_class(m, a):
-        w = math.prod(math.prod(group.orders) for group in class_groups(m, a))
-        return OmegaInfo(mod, a, w, _generators(m, a), w // n)
     w = _omega(mod, a, n)
-    ind = w // n
-    primes = [q for q, _ in build_modulus(ind).factorization.factors]
-    # The primes of n that do not divide ind, which the mask reads off k.
-    r = math.prod(q for q, _ in build_modulus(n).factorization.factors if ind % q)
-    in_orbit = _orbit_mask(m, a, n, r)
-    # b is kept when b^ind = a^k with (k, r) = 1 and |b| = w (module
-    # docstring); e < m, since a class that is not cyclic is not the zero
-    # class.
-    maximizers = tuple(
-        b for b in class_members(m, e)
-        if in_orbit[pow(b, ind, m)] and all(pow(b, w // q, m) != e for q in primes)
-    )
-    return OmegaInfo(mod, a, w, maximizers, ind)
+    sylows = sorted(class_sylows(m, e).items(), key=lambda s: max(k for _, k in s[1]))
+    if not sylows:  # the class is {e}
+        return OmegaInfo(mod, a, w, (e,), w // n)
+    heads = [e]
+    for q, factors in sylows[:-1]:
+        heads = [x * y % m for y in _kept(m, e, a, n, w, q, factors) for x in heads]
+    ys, mark = _kept(m, e, a, n, w, *sylows[-1]), bytearray(m)
+    for x in heads:
+        for y in ys:
+            mark[x * y % m] = 1
+    del ys  # its ints go before the answer's are made
+    return OmegaInfo(mod, a, w, tuple(compress(range(m), mark)), w // n)
 
 
-def _orbit_mask(m: int, a: int, n: int, r: int) -> bytearray:
-    """1 at the x in 0..m-1 that are a^k mod m for a k in 1..n prime to r,
-    and 0 at the others: with r = 1 and n = |a|_m, orb_m(a) in m bytes,
-    where a frozenset of its ints takes tens of bytes per element."""
-    mask = bytearray(m)
-    x = 1 % m
-    for k in range(1, n + 1):
-        x = x * a % m
-        if math.gcd(k, r) == 1:
-            mask[x] = 1
-    return mask
-
-
-def _generators(m: int, a: int) -> tuple[int, ...]:
-    """The generators of a's class, ascending, when it is cyclic (see the
-    module docstring)."""
-    keep = spread(m, b"\x01")
-    for p, alpha in build_modulus(m).factorization.factors:
-        if a % p == 0:
-            pattern = b"\x01" + bytes(p**alpha - 1)
-        else:
-            pattern = nonpowers(p, alpha, unit_group(p, alpha).primes)
-        keep &= spread(m, pattern)
-    return tuple(listed(m, keep))
+def _kept(m: int, e: int, a: int, n: int, w: int, q: int, factors) -> list[int]:
+    """The b_q of the module docstring, from the factors (generator, q^k) of
+    the Sylow q-subgroup: walked, with y^t beside y, unless it is cyclic."""
+    if len(factors) == 1:
+        kept = walk(m, e, *factors[0])
+        del kept[::q]  # the generators, the powers prime to q
+        return kept
+    f, v = valuation(w, q), valuation(n, q)
+    if v:
+        c = n // q**v
+        targets = walk(m, e, pow(a, c * pow(c, -1, q**v), m), q**v)  # <a_q>
+        del targets[::q]  # its generators
+        keep, t = set(targets).__contains__, q ** (f - v)
+    else:
+        keep, t = e.__ne__, q ** (f - 1)
+    *others, (g, k) = factors
+    starts = [e]
+    for h, order in others:
+        starts = [s * x % m for x in walk(m, e, h, order) for s in starts]
+    kept, gt = [], pow(g, t, m)
+    for y in starts:
+        z = pow(y, t, m)
+        for _ in range(k):
+            if keep(z):
+                kept.append(y)
+            y, z = y * g % m, z * gt % m
+    return kept
 
 
 @lru_cache(maxsize=1024)
@@ -180,14 +167,11 @@ def _omega(mod: Modulus, a: int, n: int) -> int:
     lam = math.lcm(*(group.exponent for group in groups))
     w = 1
     for q, e in build_modulus(lam).factorization.factors:
-        v = valuation(n, q)
-        if not v:
-            w *= q**e
-            continue
-        h = 0
-        while v + h < e and all(is_power(a, group, q ** (h + 1)) for group in groups):
+        v, h = valuation(n, q), 0
+        while v and v + h < e and all(
+                is_power(a, group, q ** (h + 1)) for group in groups):
             h += 1
-        w *= q ** (v + h)
+        w *= q ** (v + h if v else e)
     return w
 
 
@@ -246,7 +230,7 @@ def gen_primitive_roots(m: int) -> tuple[int, ...]:
         for (p, alpha), qs in zip(factors, primes):
             if q in qs:
                 carried |= spread(m, multiples(p, p, 0))
-                nonpower |= spread(m, nonpowers(p, alpha, [q]))
+                nonpower |= spread(m, nonpowers(p, alpha, q))
         keep &= ~carried | nonpower
     return tuple(listed(m, keep))
 

@@ -15,13 +15,11 @@ is 0 or a unit.  |a| itself is always the point query order(m, a); no
 query builds a table of orders.
 
 Each enumerating query builds only the pieces it reads, on every call:
-regular_set(m, e) and omega_info on a class that is not cyclic read class
-members; G_m, and omega_info on a cyclic class, walk subgroups of q-th
-powers (units.nonpowers).  structure_table composes regular_set and the
-class members; only the tests read it.  The queries that build nothing per
-residue, the counts, solve and the power tests of omega, read
-units.unit_group and units.class_groups instead.  Each public query
-checks the cap on every call, before any memo.
+regular_set(m, e) reads class members, G_m walks subgroups of q-th powers
+(units.nonpowers), and omega_info the Sylow subgroups of a's class
+(units.class_sylows).  structure_table composes regular_set and the class
+members; only the tests read it.  The counts, solve and omega's closed form
+read units.unit_group.  Each public query checks the cap before any memo.
 
 A class R_m^e, a copy of U(mu), is cyclic exactly when the orders of the
 cyclic factors of its U(p^alpha) are pairwise coprime (cyclic_class), and

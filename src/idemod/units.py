@@ -8,9 +8,11 @@ for alpha >= 3 (Gauss); only this module asks whether p = 2.  Its names:
   primes; generator(p, alpha): a generator of U(p^alpha), p odd;
 - class_groups(m, a): the U(p^alpha) of the p^alpha of m with p not
   dividing a, whose product is U(mu), a copy of a's class R_m^e;
+  class_sylows(m, e): the cyclic factors of each Sylow subgroup of R_m^e;
 - local_roots(p, alpha, k, a): the roots of x^k = a, counted, then listed;
-- is_power(x, group, k), nonpowers(p, alpha, primes): the k-th power test
-  of a unit in a group, and the units that are a q-th power for no q of primes;
+- is_power(x, group, k), nonpowers(p, alpha, q): the k-th power test of a
+  unit in a group, and the units that are not q-th powers;
+- walk(m, x, g, k): x g^i for i < k, by repeated multiplication;
 - crt_join, spread, multiples, listed and typecode: answers per prime
   power joined by CRT, as lists or byte patterns, and the array typecode
   of a table of residues.
@@ -75,6 +77,22 @@ def class_groups(m: int, a: int) -> list[UnitGroup]:
             for p, alpha in build_modulus(m).factorization.factors if a % p]
 
 
+def class_sylows(m: int, e: int) -> dict[int, list[tuple[int, int]]]:
+    """For each prime q of lambda(mu), ascending, the cyclic factors of the
+    Sylow q-subgroup of R_m^e = U(mu) as (generator, q^k), by ascending q^k:
+    g^(n/q^k) mod p^alpha and e mod the rest, <g> of order n in U(p^alpha)."""
+    sylows: dict[int, list[tuple[int, int]]] = {}
+    for p, alpha in build_modulus(m).factorization.factors:
+        if e % p:
+            group = unit_group(p, alpha)
+            unit, = crt_join(m, [group.q, m // group.q], [[1], [0]])  # 1 at p^alpha
+            for n, g in zip(group.orders, group.generators):
+                for q, k in build_modulus(n).factorization.factors:
+                    h = pow(g or generator(p, alpha), n // q**k, group.q)
+                    sylows.setdefault(q, []).append(((e + (h - 1) * unit) % m, q**k))
+    return {q: sorted(sylows[q], key=lambda f: f[1]) for q in sorted(sylows)}
+
+
 @lru_cache(maxsize=None)
 def generator(p: int, alpha: int) -> int:
     """A generator of U(p^alpha) for an odd prime p: the least primitive
@@ -108,21 +126,18 @@ def is_power(x: int, group: UnitGroup, k: int) -> bool:
                for y, n in zip(group.split(x % group.q), group.orders))
 
 
-def nonpowers(p: int, alpha: int, primes: list[int]) -> bytes:
-    """1 at the units r in 0..p^alpha - 1 that are a q-th power for no q of
-    primes, primes of lambda(p^alpha), and 0 elsewhere.  The q-th powers
-    are those of the last cyclic factor of U(p^alpha), of order n and
-    generated by g: for odd p it is the whole group, and in <-1> x <5> only
-    q = 2 occurs, which kills -1.  They are the n/q powers of g^q, walked."""
+def nonpowers(p: int, alpha: int, q: int) -> bytes:
+    """1 at the units r in 0..p^alpha - 1 that are not q-th powers, q a prime
+    of lambda(p^alpha), and 0 elsewhere.  The q-th powers are the n/q powers
+    of g^q, walked, for g of order n generating the last cyclic factor: all
+    of U(p^alpha) for odd p, and <5> in <-1> x <5>, where only q = 2 occurs."""
     group = unit_group(p, alpha)
     size, n = group.q, group.orders[-1]
     g = group.generators[-1] or generator(p, alpha)
-    out = bytearray(multiples(p, size, 0))
-    for q in primes:
-        h, x = pow(g, q, size), 1
-        for _ in range(n // q):
-            out[x] = 0
-            x = x * h % size
+    out, h, x = bytearray(multiples(p, size, 0)), pow(g, q, size), 1
+    for _ in range(n // q):
+        out[x] = 0
+        x = x * h % size
     return bytes(out)
 
 
@@ -159,10 +174,7 @@ def _unit_roots(k: int, q: int, parts) -> list[int]:
     roots = [1]
     for y, n, gen, g in parts:
         x, zeta = _cyclic_root(y, k, n, g, gen, q)
-        twists = [x]
-        for _ in range(g - 1):
-            twists.append(twists[-1] * zeta % q)
-        roots = [r * t % q for r in roots for t in twists]
+        roots = [r * t % q for r in roots for t in walk(q, x, zeta, g)]
     return roots
 
 
@@ -216,12 +228,9 @@ def _sylow_log(x: int, gamma: int, q: int, qs: int, P: int) -> int:
     of order q, by baby steps and giant steps (Pohlig and Hellman 1978)."""
     zeta = pow(gamma, qs // q, P)
     steps = math.isqrt(q - 1) + 1
-    baby = {}
-    z = 1
-    for j in range(steps):
-        baby.setdefault(z, j)
-        z = z * zeta % P
-    giant = pow(z, -1, P)
+    # zeta^j for j < steps <= q are distinct, as zeta has order q.
+    baby = {z: j for j, z in enumerate(walk(P, 1, zeta, steps))}
+    giant = pow(zeta, -steps, P)
     inverse = pow(gamma, -1, P)
     l, place = 0, 1
     while place < qs:
@@ -244,6 +253,14 @@ def crt_join(m: int, qs: list[int], parts: list[list[int]]) -> tuple[int, ...]:
         unit = m // q * pow(m // q, -1, q) % m
         out = [(s + x * unit) % m for s in out for x in xs]
     return tuple(sorted(x or m for x in out))
+
+
+def walk(m: int, x: int, g: int, k: int) -> list[int]:
+    """[x, x g, ..., x g^(k-1)] modulo m, by repeated multiplication."""
+    out = [x]
+    for _ in range(k - 1):
+        out.append(out[-1] * g % m)
+    return out
 
 
 def multiples(p: int, q: int, bit: int, step: int = 0) -> bytes:

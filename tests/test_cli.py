@@ -603,13 +603,14 @@ def test_near_cap_solve_fits_384_mib_of_address_space():
 
 @pytest.mark.parametrize("m, a, omega, count", [
     (999000, 7, 900, 240),
-    # Every unit passes the orbit test of 1, so each pays the order test.
+    # a = 1 has no q-part, so every unit of order omega is a maximizer.
     (720720, 1, 60, 93184),
 ])
 def test_near_cap_omega_off_a_cyclic_class_fits_384_mib(m, a, omega, count):
-    """`omega` scans a class that is not cyclic near the cap with no table
-    of orders: omega is the closed form, and each maximizer b has
-    b^omega = 1 and b^(omega/q) != 1 for each prime q of omega."""
+    """`omega` on a class that is not cyclic near the cap walks its Sylow
+    subgroups, with no table of orders: omega is the closed form, and each
+    maximizer b has b^omega = 1 and b^(omega/q) != 1 for each prime q of
+    omega."""
     out = _run_capped("omega", str(m), str(a))
     gens = out["omega_set"]
     assert (out["omega"], len(gens)) == (omega, count)
@@ -620,9 +621,9 @@ def test_near_cap_omega_off_a_cyclic_class_fits_384_mib(m, a, omega, count):
 
 
 def test_near_cap_gproots_fits_384_mib_of_address_space():
-    """`gproots 100003` reads G_p off one fold of unit-log masks (a class
-    scan per unit made it quadratic and it did not finish; omega in closed
-    form per unit took 0.4 s).  G_p for a prime p is the phi(p - 1)
+    """`gproots 100003` reads G_p off byte patterns of q-th non-powers (a
+    class scan per unit made it quadratic and it did not finish; omega in
+    closed form per unit took 0.4 s).  G_p for a prime p is the phi(p - 1)
     primitive roots and p itself."""
     out = _run_capped("gproots", "100003")
     gs = out["gproots"]
@@ -632,9 +633,9 @@ def test_near_cap_gproots_fits_384_mib_of_address_space():
 
 def test_near_cap_omega_fits_384_mib_of_address_space():
     """`omega 999983 8` reads the maximizers of the cyclic U(999983) off
-    its subgroups of q-th powers (a frozenset of orb(8)'s ints needed
-    84 MiB RSS).  8 has half the order of a primitive root, so its
-    maximizers are the phi(999982) primitive roots."""
+    its Sylow subgroups (a frozenset of orb(8)'s ints needed 84 MiB RSS).
+    8 has half the order of a primitive root, so its maximizers are the
+    phi(999982) primitive roots."""
     out = _run_capped("omega", "999983", "8")
     assert len(out["omega_set"]) == build_modulus(999982).phi
     assert (out["omega"], out["ind_sup"]) == (999982, 2)

@@ -171,23 +171,35 @@ def test_omega_on_a_cyclic_class_is_its_generators():
             assert info.omega_set == generators[e], (m, a)
 
 
-def test_omega_on_a_cyclic_class_scans_nothing(monkeypatch):
-    """omega_info on p^alpha and 2 p^alpha reads the generators off the
-    subgroups of q-th powers, with no class scan, orbit mask or closed
-    form; the a include a unit, an even unit modulo p^alpha, p^alpha
-    itself and the zero."""
-    moduli = [3, 9, 2 * 3, 2 * 27, 2003, 2 * 2003, 5**4, 2 * 5**4, 3**7, 2 * 3**7]
-    queries = [(m, a) for m in moduli for a in (1, 2, 7, m // 2, m)
+def test_omega_info_scans_no_class(monkeypatch):
+    """omega_info walks the Sylow subgroups of a's class, with no list of
+    its members, on cyclic classes (p^alpha and 2 p^alpha; a unit, an even
+    unit modulo p^alpha, p^alpha itself and the zero) and on classes that
+    are not cyclic (1729, 2^alpha * 15, and 720 with its zero class)."""
+    moduli = [3, 9, 2 * 3, 2 * 27, 2003, 2 * 2003, 5**4, 2 * 5**4, 3**7, 2 * 3**7,
+              1729, 2**6 * 15, 2**9 * 15, 720]
+    queries = [(m, a) for m in moduli for a in (1, 2, 7, 11, 16, m // 2, m - 1, m)
                if is_regular(m, a)]
     want = {q: omega_info(*q) for q in queries}
 
     def no_scan(*args):
-        raise AssertionError("omega_info scanned a cyclic class")
+        raise AssertionError("omega_info listed a class")
 
-    for name in ("class_members", "_orbit_mask", "_omega"):
-        monkeypatch.setattr(congruence, name, no_scan)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("idemod") and hasattr(module, "class_members"):
+            monkeypatch.setattr(module, "class_members", no_scan)
     for q in queries:
         assert omega_info(*q) == want[q], q
+
+
+def test_omega_info_matches_the_walk_on_many_sylow_factors():
+    """Every regular a of moduli whose Sylow subgroups have two or three
+    cyclic factors: 1729 = 7 * 13 * 19 (three at q = 2 and at q = 3),
+    2^5 * 3 * 5 * 7, 3^2 * 5 * 7 * 13, and 2^9, 2^10, 2^11."""
+    for m in (1729, 3360, 4095, 512, 1024, 2048):
+        for a, (_, w, maximizers) in walk_omega(m).items():
+            info = omega_info(m, a)
+            assert (info.omega_a, info.omega_set) == (w, tuple(maximizers)), (m, a)
 
 
 def test_omega_closed_form_matches_orbit_walk():
@@ -369,8 +381,8 @@ def test_generalized_primitive_roots_take_no_omega(monkeypatch):
 
 
 def test_omega_info_builds_no_orbit_set(monkeypatch):
-    """omega_info tests its maximizers against a byte mask of orb(a), with
-    no frozenset of the orbit's ints."""
+    """omega_info walks the Sylow subgroups of a's class, with no
+    frozenset of an orbit's ints."""
     queries = [(12, 5), (360, 7), (2003, 2), (2**10 * 45, 7), (3**7, 1)]
     want = {q: omega_info(*q) for q in queries}
 
